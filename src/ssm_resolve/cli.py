@@ -15,6 +15,7 @@ import json
 import math
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
@@ -265,7 +266,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--normalization", choices=("first-position", "largest"))
     pi.add_argument("--eps", type=float, help="forcing amplitude")
     pi.add_argument("--check", action=argparse.BooleanOptionalAction,
-                    help="residual-check each root solve (default on)")
+                    help="refuse spectra that fail the real-part "
+                         "non-resonance check (default on)")
     pi.add_argument("--out", help="JSON output path")
     pi.add_argument("--roots-svg", dest="roots_svg",
                     help="also render the root scatter to this SVG path")
@@ -530,11 +532,12 @@ def _cmd_frc(cfg: RunConfig) -> None:
     curve = trace_frc(ssm, mm, cfg.eps, cfg.rho_max, cfg.n_rho,
                       omega_window=window)
 
-    def amp_of(point):
-        fr = compute_nonautonomous_ssm(ssm, point.omega)
+    def amp_of(item):
+        point, fr = item
         return physical_amplitude(ssm, fr, point, coord, eps=cfg.eps)
 
-    amps = _ordered_map(amp_of, curve.points, cfg.jobs)
+    amps = _ordered_map(amp_of, list(zip(curve.points, curve.reductions)),
+                        cfg.jobs)
     for p, a in zip(curve.points, amps):
         p.physical_amplitude = a
 
@@ -557,6 +560,14 @@ def _cmd_frc(cfg: RunConfig) -> None:
         artifacts.append((cfg.svg, frc_svg(curve, header=meta[:3])))
     _write_artifacts(artifacts)
     _say(cfg, f"wrote {cfg.out}" + (f" and {cfg.svg}" if cfg.svg else ""))
+    _say(cfg, _skip_summary(curve.skipped))
+
+
+def _skip_summary(skipped) -> str:
+    """One line counting a trace's skipped points by reason."""
+    counts = Counter(reason for _, _, reason in skipped)
+    detail = "; ".join(f"{reason}: {n}" for reason, n in sorted(counts.items()))
+    return f"skipped points: {len(skipped)}" + (f" ({detail})" if detail else "")
 
 
 def _cmd_isola(cfg: RunConfig) -> None:

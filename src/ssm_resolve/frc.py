@@ -14,7 +14,9 @@ admissible rho and branch, the remaining phase equation G = 0 is solved for
 Omega (the f/g coefficients themselves depend on Omega, so the solve wraps
 the forced-stage computation), every solution is verified against the full
 zero problem and stability-tagged, and the accepted points are grouped into
-connected components by proximity in the (Omega, rho) plane.
+connected components by proximity in the (Omega, rho) plane.  Each accepted
+point keeps the forced reduction it was solved with, so its physical
+amplitude needs no further forced solve.
 """
 
 from __future__ import annotations
@@ -112,6 +114,9 @@ class FrcCurve:
     n_rho: int
     omega_window: tuple[float, float] | None = None
     skipped: list[tuple[float, str, str]] = field(default_factory=list)
+    #: the forced reduction at each point's Omega, parallel to ``points``
+    reductions: list[ForcedReduction] = field(default_factory=list,
+                                              repr=False)
 
     def component_of(self, index: int) -> int:
         for ci, members in enumerate(self.components):
@@ -120,18 +125,31 @@ class FrcCurve:
         raise ValidationError(f"point index {index} not in any component")
 
 
-def _rd_at(ssm: AutonomousSsm, omega: float, eps: float,
-           cache: dict) -> ReducedDynamics:
+def _backbone_omega(ssm: AutonomousSsm, rho: float) -> float:
+    """Frequency b(rho) of the unforced backbone curve at amplitude rho."""
+    return float(np.polynomial.polynomial.polyval(rho ** 2,
+                                                  ssm.phase_coefficients()))
+
+
+def _rd_at(ssm: AutonomousSsm, omega: float, eps: float, cache: dict,
+           fresh: dict | None = None) -> ReducedDynamics:
+    """Polar data at ``omega``, solved once per Omega and kept in ``cache``.
+
+    A new solve also leaves its forced reduction in ``fresh`` when given.
+    """
     rd = cache.get(omega)
     if rd is None:
-        rd = assemble_polar(ssm, compute_nonautonomous_ssm(ssm, omega), eps)
+        fr = compute_nonautonomous_ssm(ssm, omega)
+        rd = assemble_polar(ssm, fr, eps)
         cache[omega] = rd
+        if fresh is not None:
+            fresh[omega] = fr
     return rd
 
 
 def _solve_omega(ssm: AutonomousSsm, rho: float, eps: float, branch: str,
                  omega0: float, cache: dict, psi_double: bool = False,
-                 max_iter: int = 50):
+                 max_iter: int = 50, fresh: dict | None = None):
     """Safeguarded secant iteration for G(Omega) = 0 at fixed (rho, branch).
 
     With ``psi_double`` the phase is frozen at the double root
@@ -140,7 +158,7 @@ def _solve_omega(ssm: AutonomousSsm, rho: float, eps: float, branch: str,
     Returns (omega, rd, G) or None on divergence.
     """
     def g_of(om: float):
-        rd = _rd_at(ssm, om, eps, cache)
+        rd = _rd_at(ssm, om, eps, cache, fresh)
         if psi_double:
             a = float(rd.a_of(rho))
             f1 = float(rd.f1_of(rho))
@@ -205,27 +223,37 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
     grid = np.linspace(0.0, rho_max, n_rho + 1)[1:]
     step = grid[1] - grid[0]
     cache: dict = {}
+    # reductions solved in the current grid row; only those of accepted
+    # points outlive it
+    fresh: dict[float, ForcedReduction] = {}
     points: list[FixedPointU] = []
+    reductions: list[ForcedReduction] = []
+    # the accepted reductions' embedding arrays, in one slot per grid row
+    # and branch (slots never written take no memory).  Kept as hundreds of
+    # small arrays among the trace's short-lived ones, they fragment the
+    # heap, which then stays resident after the curve is freed (18 MB
+    # under glibc for a 578-point curve of the 100-state beam).  One block
+    # is freed whole.
+    store = None
     skipped: list[tuple[float, str, str]] = []
     disc_trace: dict[str, list[tuple[float, float]]] = {b: [] for b in BRANCHES}
 
     warm: dict[str, float | None] = {b: None for b in BRANCHES}
     for rho in grid:
         rho = float(rho)
+        backbone = _backbone_omega(ssm, rho)
         for branch in BRANCHES:
             sign = +1 if branch == "K+" else -1
             rd0 = _rd_at(ssm, warm[branch] if warm[branch] is not None
-                         else float(np.polynomial.polynomial.polyval(
-                             rho ** 2, np.concatenate((
-                                 [ssm.lambda_master.imag], ssm.gamma.imag)))),
-                         eps, cache)
+                         else backbone, eps, cache, fresh)
             disc0 = float(discriminant(rd0, rho, eps))
-            seed = rd0.b_of(rho) + sign * math.sqrt(max(disc0, 0.0)) / rho
-            sol = _solve_omega(ssm, rho, eps, branch, seed, cache)
+            seed = backbone + sign * math.sqrt(max(disc0, 0.0)) / rho
+            sol = _solve_omega(ssm, rho, eps, branch, seed, cache,
+                               fresh=fresh)
             if sol is None:
                 # try the plain backbone seed before giving up
-                sol = _solve_omega(ssm, rho, eps, branch,
-                                   float(rd0.b_of(rho)), cache)
+                sol = _solve_omega(ssm, rho, eps, branch, backbone, cache,
+                                   fresh=fresh)
             if sol is None:
                 disc_here = float(discriminant(rd0, rho, eps))
                 if disc_here >= 0:
@@ -252,13 +280,25 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
             points.append(FixedPointU(rho=rho, omega=om, psi=psi,
                                       stability=rep.label, branch=branch,
                                       eps=eps))
+            fr = fresh.get(om)
+            if fr is None:  # a cache hit on an Omega probed in an earlier row
+                fr = compute_nonautonomous_ssm(ssm, om)
+            if store is None:
+                store = np.empty((2 * n_rho, 2) + fr.w_plus.shape,
+                                 dtype=complex)
+            slot = store[len(reductions)]
+            slot[0], slot[1] = fr.w_plus, fr.w_minus
+            fr.w_plus, fr.w_minus = slot[0], slot[1]
+            reductions.append(fr)
+        fresh.clear()
 
     folds = _locate_folds(ssm, eps, disc_trace, cache)
     components = _group_components(points, step, folds)
     return FrcCurve(eps=eps, order=ssm.order, points=points,
                     folds=np.asarray(folds), components=components,
                     rho_max=rho_max, n_rho=n_rho,
-                    omega_window=omega_window, skipped=skipped)
+                    omega_window=omega_window, skipped=skipped,
+                    reductions=reductions)
 
 
 def _locate_folds(ssm: AutonomousSsm, eps: float, disc_trace: dict,
@@ -266,11 +306,10 @@ def _locate_folds(ssm: AutonomousSsm, eps: float, disc_trace: dict,
     """Bisect the discriminant (along the double-root Omega) at sign changes."""
 
     def disc_at(rho: float) -> float:
-        seed_rd = _rd_at(ssm, float(np.polynomial.polynomial.polyval(
-            rho ** 2, np.concatenate(([ssm.lambda_master.imag],
-                                      ssm.gamma.imag)))), eps, cache)
-        sol = _solve_omega(ssm, rho, eps, "K+", float(seed_rd.b_of(rho)),
-                           cache, psi_double=True)
+        backbone = _backbone_omega(ssm, rho)
+        seed_rd = _rd_at(ssm, backbone, eps, cache)
+        sol = _solve_omega(ssm, rho, eps, "K+", backbone, cache,
+                           psi_double=True)
         rd = sol[1] if sol is not None else seed_rd
         return float(discriminant(rd, rho, eps))
 

@@ -243,8 +243,10 @@ def modal_decompose(fos: FirstOrderSystem, master: int = 0,
     Raises
     ------
     SemisimplicityError
-        If the eigenvector matrix is ill-conditioned (cond >= 1e8) or the
-        similarity residual exceeds 1e-10 * ||A||.
+        If the eigenvector matrix, with its columns scaled to unit norm, is
+        ill-conditioned (cond >= 1e8) or the similarity residual exceeds
+        1e-10 * ||A|| * ||T||.  Both gates are independent of the
+        normalization policy.
     ValidationError
         If the requested master pair does not exist.
     """
@@ -277,9 +279,10 @@ def modal_decompose(fos: FirstOrderSystem, master: int = 0,
     groups.sort(key=lambda g: g[0])
 
     # semisimplicity is a property of the assembled transform, checked before
-    # master selection so defective spectra fail with the right error
+    # master selection so defective spectra fail with the right error; unit
+    # columns keep the eigenvector scaling policy out of the verdict
     T_probe = np.column_stack([v for g in groups for v in g[3]])
-    cond = np.linalg.cond(T_probe)
+    cond = np.linalg.cond(T_probe / np.linalg.norm(T_probe, axis=0))
     if not np.isfinite(cond) or cond >= 1e8:
         raise SemisimplicityError(
             f"eigenvector matrix condition number {cond:.3g} >= 1e8; "
@@ -297,10 +300,12 @@ def modal_decompose(fos: FirstOrderSystem, master: int = 0,
     lam_sorted = np.array([l for g in ordered for l in g[2]])
     T = np.column_stack([v for g in ordered for v in g[3]])
     T_inv = np.linalg.inv(T)
+    # the residual scales with the columns of T, so its bound does too
     residual = np.linalg.norm(A @ T - T * lam_sorted[None, :])
-    if residual > 1e-10 * np.linalg.norm(A):
+    if residual > 1e-10 * np.linalg.norm(A) * np.linalg.norm(T):
         raise SemisimplicityError(
-            f"similarity residual {residual:.3g} exceeds 1e-10 * ||A||")
+            f"similarity residual {residual:.3g} exceeds "
+            "1e-10 * ||A|| * ||T||")
 
     terms = [ModalTerm(t.coeff, t.exponents, T_inv @ t.inject)
              for t in fos.terms]

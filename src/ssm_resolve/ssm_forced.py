@@ -13,14 +13,32 @@ coefficient in the master monomials s1**k1 * s2**k2,
                                                  + alpha_{i,k}
 
 where alpha collects already-known lower-degree data: the resonant part of R0
-acting on the correction, the higher-degree embedding carrying the reduced
-correction, the nonlinearity's Jacobian along the unforced manifold, and (at
-degree zero) the forcing itself.  Slots whose denominator degenerates as
-Omega approaches the master frequency are classified *structurally* (by the
-exponent pattern, not by the numeric value of Omega): there the embedding
-coefficient is set to zero and the reduced coefficient takes the slack.  All
-other slots are enslaved by a scalar division, guarded against accidental
-near-resonance with non-master modes.
+acting on the correction (the cross term), the higher-degree embedding
+carrying the reduced correction (the carry term), the nonlinearity's
+Jacobian along the unforced manifold, and (at degree zero) the forcing
+itself.  Slots whose denominator degenerates as Omega approaches the master
+frequency are classified *structurally* (by the exponent pattern, not by the
+numeric value of Omega): there the embedding coefficient is set to zero and
+the reduced coefficient takes the slack.  All other slots are enslaved by a
+scalar division, guarded against accidental near-resonance with non-master
+modes.
+
+Omega enters only through the diagonal denominators; the cross, carry and
+Jacobian terms are linear maps that do not depend on it.  The work is
+therefore split in two:
+
+* a compile, once per manifold (``_forced_caches``, kept in ``ssm.caches``
+  and built on the first solve), which turns each degree's three terms into
+  small dense operators acting on the lower-degree unknowns: the cross term
+  as a scalar map over monomials, shared by all rows; the carry term as a
+  map from the earlier reduced (resonant-slot) values to ``w0`` columns, one
+  per harmonic; the Jacobian term as ``beta ⊗ (J_d · T[active] W_{<d})``;
+* a solve per Omega (``compute_nonautonomous_ssm``), which forms the
+  denominators, checks them against the guard, and marches degree by degree
+  with both harmonics stacked, a few small matrix products per degree.
+
+No operator couples all rows and monomials at once, so the compiled data
+grow linearly with the state dimension.
 
 Everything downstream (response curves, fold points, isola geometry) consumes
 the reduced coefficients collected here.
@@ -39,6 +57,9 @@ from .ssm_auto import AutonomousSsm
 #: relative threshold on enslaved denominators (vs max(|lam_i|, |Omega|))
 ENSLAVED_GUARD = 1e-8
 
+#: the e^{+i Omega t} and e^{-i Omega t} harmonics, stacked on axis 0
+SIGNS = np.array([1, -1])
+
 
 def leading_forcing_coefficient(mm) -> complex:
     """Forcing amplitude seen by the master mode: (T^-1 F)_1 / 2.
@@ -56,29 +77,42 @@ def _dense_truncate(arr: np.ndarray, order: int) -> np.ndarray:
     return out
 
 
-def _forced_caches(ssm: AutonomousSsm) -> dict:
-    """Omega-independent work arrays shared by every forced solve."""
-    cache = ssm.caches.get("forced")
-    if cache is not None:
-        return cache
-    mm = ssm.mm
-    d1 = ssm.order - 1
-    w0 = ssm.w0_dense
-    n2 = w0.shape[0]
+@dataclass
+class _Degree:
+    """Omega-independent operators that assemble alpha at one degree d.
 
+    Unknowns live in flat monomial columns, degree by degree with k1
+    ascending, so the columns below degree d are ``[:cols.start]``.  An
+    operator that is identically zero is stored as None.
+    """
+    cols: slice
+    #: (cols.start, d+1): lower-degree embedding columns -> cross term
+    cross: np.ndarray | None
+    #: (2, res.start, rows*(d+1)): earlier reduced values -> carry term
+    carry: np.ndarray | None
+    #: (n_active*cols.start, n_terms*(d+1)): T[active] W_{<d} -> J_d
+    jac: np.ndarray | None
+    #: (2, n) row and column (within the degree) of its resonant slots
+    res_rows: np.ndarray
+    res_cols: np.ndarray
+    #: where those slots sit in the reduced-value vector
+    res: slice
+
+
+def _jacobian_factors(mm, w0: np.ndarray, d1: int) -> np.ndarray:
+    """(n_terms, n_active, d1+1, d1+1): d(term)/d(x_v) along the manifold.
+
+    Entry [t, a] is coeff * e_v * prod_u x_u**(e_u - [u == v]) with
+    x = T W0 truncated at degree d1 and v the a-th active variable.
+    """
+    active = mm.active_vars
     x = {v: _dense_truncate(np.einsum("l,lpq->pq", mm.T[v, :], w0), d1)
-         for v in mm.active_vars}
-
-    dw = np.zeros((2, n2, d1 + 1, d1 + 1), dtype=complex)
-    mult = np.arange(1, d1 + 2)
-    dw[0] = w0[:, 1:d1 + 2, :d1 + 1] * mult[None, :, None]
-    dw[1] = w0[:, :d1 + 1, 1:d1 + 2] * mult[None, None, :]
-    dw[:, :, ~dense_mask(d1)] = 0.0
-
-    jac_factors = []
-    for t in mm.terms:
-        per_var = {}
-        for j, e in enumerate(t.exponents):
+         for v in active}
+    out = np.zeros((len(mm.terms), len(active), d1 + 1, d1 + 1),
+                   dtype=complex)
+    for ti, t in enumerate(mm.terms):
+        for a, j in enumerate(active):
+            e = t.exponents[j]
             if not e:
                 continue
             prod = dense_zero(d1)
@@ -87,10 +121,110 @@ def _forced_caches(ssm: AutonomousSsm) -> dict:
                 p = ev - (1 if v == j else 0)
                 if p:
                     prod = dense_mul(prod, dense_pow(x[v], p, d1), d1)
-            per_var[j] = t.coeff * e * prod
-        jac_factors.append(per_var)
+            out[ti, a] = t.coeff * e * prod
+    return out
 
-    cache = {"d1": d1, "x": x, "dw": dw, "jac": jac_factors}
+
+def _forced_caches(ssm: AutonomousSsm) -> dict:
+    """Omega-independent data shared by every forced solve: the compile.
+
+    Built on the first call and kept in ``ssm.caches["forced"]``.
+    """
+    cache = ssm.caches.get("forced")
+    if cache is not None:
+        return cache
+    mm = ssm.mm
+    d1 = ssm.order - 1
+    w0 = ssm.w0_dense
+    n2 = w0.shape[0]
+    lam = mm.eigenvalues
+
+    dw = np.zeros((2, n2, d1 + 1, d1 + 1), dtype=complex)
+    mult = np.arange(1, d1 + 2)
+    dw[0] = w0[:, 1:d1 + 2, :d1 + 1] * mult[None, :, None]
+    dw[1] = w0[:, :d1 + 1, 1:d1 + 2] * mult[None, None, :]
+    dw[:, :, ~dense_mask(d1)] = 0.0
+
+    # flat monomial layout: degree by degree, k1 ascending within a degree
+    start = np.concatenate(([0], np.cumsum(np.arange(1, d1 + 2))))
+    deg = np.repeat(np.arange(d1 + 1), np.arange(1, d1 + 2))
+    k1 = np.concatenate([np.arange(d + 1) for d in range(d1 + 1)])
+    k2 = deg - k1
+
+    # structurally resonant slots: row 0 at k1 - k2 = 1 - sign, row 1 at
+    # k1 - k2 = -(1 + sign).  Both harmonics have the same number of them
+    # at every degree, which lets them stack: one on each master row at
+    # even degrees d >= 2, one (row 0 for e^{+}, row 1 for e^{-}) at d = 0
+    resonant = np.zeros((2, n2, len(k1)), dtype=bool)
+    slot_rows, slot_cols = [], []
+    for b, sign in enumerate(SIGNS):
+        resonant[b, 0] = (k1 - k2) == 1 - sign
+        resonant[b, 1] = (k1 - k2) == -(1 + sign)
+        rows, cols = np.nonzero(resonant[b])
+        order = np.lexsort((cols, rows, deg[cols]))
+        slot_rows.append(rows[order])
+        slot_cols.append(cols[order])
+    slot_rows = np.array(slot_rows)
+    slot_cols = np.array(slot_cols)
+    slot_deg = deg[slot_cols[0]]
+
+    terms = mm.terms
+    factors = _jacobian_factors(mm, w0, d1) if terms else None
+    n_terms, n_active = len(terms), len(mm.active_vars)
+
+    degrees = []
+    for d in range(d1 + 1):
+        lo, width = int(start[d]), d + 1
+        kk1 = np.arange(width)
+        kk2 = d - kk1
+
+        cross = np.zeros((lo, width), dtype=complex)
+        for j, (g1, g2) in enumerate(zip(ssm.gamma, ssm.gamma_row2), start=1):
+            p1, p2 = kk1 - j, kk2 - j
+            ok = (p1 >= 0) & (p2 >= 0)
+            if np.any(ok):
+                cross[start[d - 2 * j] + p1[ok], kk1[ok]] += (
+                    g1 * p1[ok] + g2 * p2[ok])
+
+        n_lo = int(np.searchsorted(slot_deg, d))
+        carry = np.zeros((2, n_lo, n2, width), dtype=complex)
+        for b in range(2):
+            for s in range(n_lo):
+                jrow, c = slot_rows[b, s], slot_cols[b, s]
+                m1 = kk1 - k1[c] + (1 if jrow == 0 else 0)
+                m2 = kk2 - k2[c] + (1 if jrow == 1 else 0)
+                mj = m1 if jrow == 0 else m2
+                ok = (m1 >= 0) & (m2 >= 0) & (mj >= 1)
+                carry[b, s][:, ok] = mj[ok] * w0[:, m1[ok], m2[ok]]
+
+        jac = None
+        if terms and lo:
+            e1 = kk1[None, :] - k1[:lo, None]
+            e2 = kk2[None, :] - k2[:lo, None]
+            ok = (e1 >= 0) & (e2 >= 0)
+            jac = (factors[:, :, np.maximum(e1, 0), np.maximum(e2, 0)]
+                   * ok).transpose(1, 2, 0, 3).reshape(n_active * lo,
+                                                       n_terms * width)
+
+        n_here = int(np.searchsorted(slot_deg, d, side="right"))
+        degrees.append(_Degree(
+            cols=slice(lo, lo + width),
+            cross=cross if np.any(cross) else None,
+            carry=carry.reshape(2, n_lo, -1) if np.any(carry) else None,
+            jac=jac if jac is not None and np.any(jac) else None,
+            res_rows=slot_rows[:, n_lo:n_here],
+            res_cols=slot_cols[:, n_lo:n_here] - lo,
+            res=slice(n_lo, n_here)))
+
+    cache = {
+        "d1": d1, "dw": dw, "deg": deg, "k1": k1, "k2": k2,
+        "base": lam[:, None] - (k1 * lam[0] + k2 * lam[1])[None, :],
+        "resonant": resonant, "slot_rows": slot_rows,
+        "slot_cols": slot_cols, "degrees": degrees,
+        "beta": (np.column_stack([t.beta for t in terms]) if terms
+                 else None),
+        "t_active": mm.T[list(mm.active_vars), :],
+    }
     ssm.caches["forced"] = cache
     return cache
 
@@ -147,99 +281,72 @@ def compute_nonautonomous_ssm(ssm: AutonomousSsm, omega: float,
     d1 = cache["d1"]
     lam = mm.eigenvalues
     n2 = len(lam)
-    lam1, lam2 = lam[0], lam[1]
     f_half = mm.F_m / 2.0
-    w0 = ssm.w0_dense
 
-    sides = {}
-    min_den = np.inf
-    for sign in (+1, -1):
-        w1 = dense_zero(d1, rows=n2)
-        r1 = dense_zero(d1, rows=2)
-        filled: list[tuple[int, int, int, complex]] = []
-        xw1 = {j: None for j in mm.active_vars}
+    den = cache["base"][None] - (1j * omega) * SIGNS[:, None, None]
+    enslaved = ~cache["resonant"]
+    mag = np.abs(den)
+    scale = np.maximum(np.abs(lam), abs(omega))
+    small = (mag < guard * scale[None, :, None]) & enslaved
+    if np.any(small):
+        # report the first offender in march order: harmonic, degree, row
+        deg = cache["deg"]
+        b, i, m = min(np.argwhere(small),
+                      key=lambda h: (h[0], deg[h[2]], h[1], h[2]))
+        raise InternalResonanceError(
+            f"enslaved coefficient near-resonant at Omega={omega:g}: "
+            f"|lambda_{i} - <({cache['k1'][m]},{cache['k2'][m]}), "
+            f"lambda_master> {'-' if SIGNS[b] > 0 else '+'} i*Omega| = "
+            f"{mag[b, i, m]:.3e}")
+    min_den = float(mag[enslaved].min(initial=np.inf))
+    inv = np.zeros_like(den)
+    np.divide(1.0, den, out=inv, where=enslaved)
 
-        for d in range(d1 + 1):
-            k1 = np.arange(d + 1)
-            k2 = d - k1
+    beta, t_active = cache["beta"], cache["t_active"]
+    w = np.zeros_like(den)
+    y = np.zeros((2, t_active.shape[0], w.shape[2]), dtype=complex)
+    r = np.zeros(cache["slot_rows"].shape, dtype=complex)
+    both = np.arange(2)[:, None]
+    for step in cache["degrees"]:
+        cols = step.cols
+        lo = cols.start
+        alpha = np.zeros((2, n2, cols.stop - lo), dtype=complex)
+        if step.cross is not None:
+            alpha += w[:, :, :lo] @ step.cross
+        if step.carry is not None:
+            alpha += (r[:, None, :step.res.start] @ step.carry).reshape(
+                alpha.shape)
+        if step.jac is not None:
+            alpha -= beta @ (y[:, :, :lo].reshape(2, -1) @ step.jac).reshape(
+                2, beta.shape[1], -1)
+        if lo == 0:
+            alpha[:, :, 0] -= f_half
+        vals = alpha * inv[:, :, cols]
+        w[:, :, cols] = vals
+        if beta is not None:
+            y[:, :, cols] = t_active @ vals
+        r[:, step.res] = -alpha[both, step.res_rows, step.res_cols]
 
-            cross = np.zeros((n2, d + 1), dtype=complex)
-            for j0, (g1, g2) in enumerate(zip(ssm.gamma, ssm.gamma_row2)):
-                j = j0 + 1
-                p1, p2 = k1 - j, k2 - j
-                ok = (p1 >= 0) & (p2 >= 0)
-                if np.any(ok):
-                    weight = g1 * p1[ok] + g2 * p2[ok]
-                    cross[:, ok] += weight[None, :] * w1[:, p1[ok], p2[ok]]
-
-            carry = np.zeros((n2, d + 1), dtype=complex)
-            for jrow, kp1, kp2, val in filled:
-                m1 = k1 - kp1 + (1 if jrow == 0 else 0)
-                m2 = k2 - kp2 + (1 if jrow == 1 else 0)
-                mj = m1 if jrow == 0 else m2
-                ok = (m1 >= 0) & (m2 >= 0) & (mj >= 1)
-                if np.any(ok):
-                    carry[:, ok] += (val * mj[ok])[None, :] * w0[:, m1[ok], m2[ok]]
-
-            jac = np.zeros((n2, d + 1), dtype=complex)
-            if d >= 1 and mm.terms:
-                for j in mm.active_vars:
-                    xw1[j] = np.einsum("l,lpq->pq", mm.T[j, :], w1)
-                for t, per_var in zip(mm.terms, cache["jac"]):
-                    acc = np.zeros(d + 1, dtype=complex)
-                    for j, u in per_var.items():
-                        acc += dense_mul(u, xw1[j], d1)[k1, k2]
-                    jac += np.multiply.outer(t.beta, acc)
-
-            alpha = cross + carry - jac
-            if d == 0:
-                alpha[:, 0] -= f_half
-
-            den = (lam[:, None] - (k1 * lam1 + k2 * lam2)[None, :]
-                   - sign * 1j * omega)
-            resonant = np.zeros((n2, d + 1), dtype=bool)
-            resonant[0] = (k1 - k2) == (1 - sign)
-            resonant[1] = (k1 - k2) == -(1 + sign)
-
-            scale = np.maximum(np.abs(lam), abs(omega))
-            small = (np.abs(den) < guard * scale[:, None]) & ~resonant
-            if np.any(small):
-                i, kk = np.argwhere(small)[0]
-                raise InternalResonanceError(
-                    f"enslaved coefficient near-resonant at Omega={omega:g}: "
-                    f"|lambda_{i} - <({k1[kk]},{k2[kk]}), lambda_master> "
-                    f"{'-' if sign > 0 else '+'} i*Omega| = "
-                    f"{abs(den[i, kk]):.3e}")
-
-            if np.any(~resonant):
-                min_den = min(min_den, float(np.abs(den[~resonant]).min()))
-            vals = np.where(resonant, 0.0, alpha / den)
-            w1[:, k1, k2] = vals
-            for i in (0, 1):
-                hit = np.flatnonzero(resonant[i])
-                for kk in hit:
-                    val = -alpha[i, kk]
-                    r1[i, k1[kk], k2[kk]] = val
-                    filled.append((i, int(k1[kk]), int(k2[kk]), val))
-
-        sides[sign] = (w1, r1)
-
-    w_plus, r_plus = sides[+1]
-    w_minus, r_minus = sides[-1]
+    k1, k2 = cache["k1"], cache["k2"]
+    w_dense = np.zeros((2, n2, d1 + 1, d1 + 1), dtype=complex)
+    w_dense[:, :, k1, k2] = w
+    r_dense = np.zeros((2, 2, d1 + 1, d1 + 1), dtype=complex)
+    slots = cache["slot_cols"]
+    r_dense[both, cache["slot_rows"], k1[slots], k2[slots]] = r
 
     m_res = d1 // 2
-    c_res = np.array([r_plus[0, i, i] for i in range(m_res + 1)])
+    idx = np.arange(m_res + 1)
+    c_res = r_dense[0, 0, idx, idx]
     d_pm = np.zeros(m_res + 1, dtype=complex)
-    for i in range(1, m_res + 1):
-        d_pm[i] = r_minus[0, i + 1, i - 1]
+    d_pm[1:] = r_dense[1, 0, idx[1:] + 1, idx[1:] - 1]
 
     return ForcedReduction(omega=float(omega), order=ssm.order,
                            lambda_master=ssm.lambda_master,
-                           w_plus=w_plus, w_minus=w_minus,
-                           r_plus=r_plus, r_minus=r_minus,
+                           w_plus=w_dense[0], w_minus=w_dense[1],
+                           r_plus=r_dense[0], r_minus=r_dense[1],
                            c_res=c_res, d_pm=d_pm,
                            forcing_half=f_half,
-                           min_enslaved_den=float(min_den))
+                           min_enslaved_den=min_den)
 
 
 def _exact_jacobian_apply(mm, q: np.ndarray, u: np.ndarray) -> np.ndarray:

@@ -8,8 +8,10 @@ import pytest
 
 from ssm_resolve.beam import BeamSpec, build_beam, write_beam_params
 from ssm_resolve.cli import main
+from ssm_resolve.frc import trace_frc
 from ssm_resolve.model import (MechanicalSystem, to_first_order,
                                modal_decompose)
+from ssm_resolve.ssm_auto import compute_autonomous_ssm
 from ssm_resolve.sysio import write_system
 
 from conftest import two_mass_system
@@ -78,6 +80,22 @@ def test_rerun_is_byte_identical_outside_the_timestamp(tmp_path, capsys):
         docs.append(out.read_text())
     assert drop_timestamps(docs[0]) == drop_timestamps(docs[1])
     capsys.readouterr()
+
+
+def test_frc_worker_count_does_not_change_artifacts(tmp_path, capsys):
+    sysfile = sp_file(tmp_path)
+    out = tmp_path / "frc.csv"
+    svg = tmp_path / "frc.svg"
+    texts = []
+    for jobs in ("1", "2"):
+        assert main(["frc", "--system", sysfile, "--eps", "0.0027",
+                     "--order", "3", "--rho-max", "0.13", "--n-rho", "80",
+                     "--out", str(out), "--svg", str(svg),
+                     "--jobs", jobs]) == 0
+        texts.append((out.read_text(), svg.read_text()))
+    capsys.readouterr()
+    for one, two in zip(*texts):
+        assert drop_timestamps(one) == drop_timestamps(two)
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +184,31 @@ def test_verify_emits_convergence_flags_per_frequency(tmp_path, capsys):
     assert [float(r[0]) for r in rows] == pytest.approx([1.70, 1.73, 1.76])
     assert all(r[2] == "true" for r in rows)
     assert all(float(r[1]) > 0 and int(r[3]) >= 20 for r in rows)
+
+
+def test_frc_reports_skipped_points_by_reason(tmp_path, capsys):
+    sysfile = sp_file(tmp_path)
+    out = tmp_path / "frc.csv"
+    argv = ["frc", "--system", sysfile, "--eps", "0.0027",
+            "--rho-max", "0.06", "--n-rho", "60", "--out", str(out)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "skipped points: 0"
+    body = out.read_text()
+
+    assert main(argv + ["--omega-window", "1.71:1.75"]) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    mm = modal_decompose(to_first_order(two_mass_system()))
+    fc = trace_frc(compute_autonomous_ssm(mm, 3), mm, 0.0027, rho_max=0.06,
+                   n_rho=60, omega_window=(1.71, 1.75))
+    n = len(fc.skipped)
+    assert n > 0
+    assert {reason for _, _, reason in fc.skipped} == {"omega outside window"}
+    assert line == f"skipped points: {n} (omega outside window: {n})"
+
+    # the report goes to the console only: artifact bodies are unchanged
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert drop_timestamps(out.read_text()) == drop_timestamps(body)
 
 
 def test_quiet_silences_informational_output(tmp_path, capsys):

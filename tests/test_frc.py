@@ -247,6 +247,18 @@ class TestPhysicalAmplitude:
         amp = physical_amplitude(ssm, fr, u, 0)
         assert amp == pytest.approx(2 * eps * abs(a0[0]), abs=1e-12)
 
+    def test_kept_reductions_match_fresh_solves(self, sp_ssm3,
+                                                 sp_trace_isola):
+        fc = sp_trace_isola
+        assert len(fc.reductions) == len(fc.points)
+        for p, fr in list(zip(fc.points, fc.reductions))[::7]:
+            assert fr.omega == p.omega
+            fresh = compute_nonautonomous_ssm(sp_ssm3, p.omega)
+            assert np.array_equal(fr.w_plus, fresh.w_plus)
+            assert np.array_equal(fr.w_minus, fresh.w_minus)
+            assert (physical_amplitude(sp_ssm3, fr, p, 0)
+                    == physical_amplitude(sp_ssm3, fresh, p, 0))
+
     def test_requires_eps(self, linear_modal):
         mm, ssm = linear_modal
         fr = compute_nonautonomous_ssm(ssm, mm.lambda_master.imag)

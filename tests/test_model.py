@@ -3,12 +3,21 @@
 import numpy as np
 import pytest
 
+from ssm_resolve.beam import BeamSpec, build_beam
 from ssm_resolve.errors import (ValidationError, SemisimplicityError)
+from ssm_resolve.isola import leading_isola
 from ssm_resolve.model import (MechanicalSystem, PolyTerm, to_first_order,
                                modal_decompose, spectral_quotient,
                                check_nonresonance)
+from ssm_resolve.ssm_auto import compute_autonomous_ssm
+from ssm_resolve.ssm_forced import leading_forcing_coefficient
 
 from conftest import two_mass_system, two_mass_lambda, SP
+
+# cantilever reference parameters (mm / kg / s), as in test_beam
+BEAM = dict(length=2700.0, height=10.0, width=10.0, density=1780e-9,
+            modulus=45e6, cubic_spring=6.0, cubic_damper=-0.02,
+            mass_damping=1.25e-4, stiffness_damping=2.5e-4, tip_force=0.1)
 
 
 def test_first_order_blocks(sp_system):
@@ -84,6 +93,22 @@ def test_largest_normalization(sp_system):
         assert z.real > 0
     # spectrum is normalization-independent
     assert mm.eigenvalues[0] == pytest.approx(two_mass_lambda(1), rel=1e-12)
+
+
+@pytest.mark.parametrize("system", ["two_mass", "beam25"])
+def test_merger_forcing_is_independent_of_normalization(system):
+    # first-position scaling makes the beam's eigenvector matrix look
+    # near-defective (cond ~ 1e14) although the spectrum is semisimple
+    sys_ = (two_mass_system() if system == "two_mass"
+            else build_beam(BeamSpec(elements=25, **BEAM)))
+    fos = to_first_order(sys_)
+    eps_m = []
+    for policy in ("first-position", "largest"):
+        mm = modal_decompose(fos, normalization=policy)
+        iso = leading_isola(mm, compute_autonomous_ssm(mm, 3),
+                            leading_forcing_coefficient(mm), eps=0.002)
+        eps_m.append(iso.eps_m)
+    assert eps_m[0] == pytest.approx(eps_m[1], rel=1e-9)
 
 
 def test_master_selection(sp_system):

@@ -1,8 +1,11 @@
 """Tests for the O(eps) forced correction to the manifold."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from ssm_resolve.beam import BeamSpec, build_beam
 from ssm_resolve.errors import InternalResonanceError
 from ssm_resolve.model import to_first_order, modal_decompose
 from ssm_resolve.ssm_auto import compute_autonomous_ssm
@@ -14,6 +17,16 @@ from conftest import two_mass_system, two_mass_lambda
 
 # frozen leading forcing coefficient of the two-mass benchmark
 C00_TWO_MASS = -0.21651447039099153j
+
+# cantilever reference parameters (mm / kg / s), as in test_beam
+BEAM = dict(length=2700.0, height=10.0, width=10.0, density=1780e-9,
+            modulus=45e6, cubic_spring=6.0, cubic_damper=-0.02,
+            mass_damping=1.25e-4, stiffness_damping=2.5e-4, tip_force=0.1)
+
+#: forced reductions recorded from the coefficient-by-coefficient recursion
+#: that the compiled per-degree solve replaced: keys "<case>_<k>_<field>"
+#: for Omega = 0.97 and 1.02 times the master frequency (k = 0, 1)
+GOLDEN = Path(__file__).parent / "data" / "forced_golden.npz"
 
 
 @pytest.fixture(scope="module")
@@ -131,3 +144,39 @@ def test_harmonic_evaluation_helpers(sp_forced):
     direct_r = (1j * dense_eval(sp_forced.r_plus, s1, np.conj(s1))
                 - 1j * dense_eval(sp_forced.r_minus, s1, np.conj(s1)))
     assert np.allclose(r, direct_r, rtol=1e-14)
+
+
+@pytest.mark.parametrize("case", ["two_mass3", "two_mass5", "beam25_3"])
+def test_compiled_solve_matches_recorded_recursion(case, sp_modal):
+    if case == "beam25_3":
+        mm = modal_decompose(to_first_order(build_beam(
+            BeamSpec(elements=25, **BEAM))), normalization="largest")
+    else:
+        mm = sp_modal
+    ssm = compute_autonomous_ssm(mm, int(case[-1]))
+    with np.load(GOLDEN) as npz:
+        golden = {key: npz[key] for key in npz.files if key.startswith(case)}
+    for k in (0, 1):
+        key = f"{case}_{k}_"
+        omega = float(golden[key + "omega"])
+        assert omega == pytest.approx((0.97, 1.02)[k]
+                                      * mm.lambda_master.imag, rel=1e-15)
+        fr = compute_nonautonomous_ssm(ssm, omega)
+        for name in ("c_res", "d_pm", "w_plus", "w_minus"):
+            want = golden[key + name]
+            got = getattr(fr, name)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+        assert fr.min_enslaved_den == pytest.approx(
+            float(golden[key + "min_enslaved_den"]), rel=1e-12)
+
+
+def test_compile_is_kept_per_manifold(sp_modal):
+    ssm = compute_autonomous_ssm(sp_modal, 5)
+    assert "forced" not in ssm.caches
+    first = compute_nonautonomous_ssm(ssm, 1.7)
+    compiled = ssm.caches["forced"]
+    again = compute_nonautonomous_ssm(ssm, 1.7)
+    assert ssm.caches["forced"] is compiled
+    assert np.array_equal(first.w_plus, again.w_plus)
+    assert np.array_equal(first.c_res, again.c_res)
