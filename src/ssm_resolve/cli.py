@@ -28,7 +28,7 @@ from .errors import (IntegrationError, InternalResonanceError,
                      NonResonanceError, SemisimplicityError,
                      SingularChartError, SsmResolveError, ValidationError)
 from .frc import physical_amplitude, trace_frc
-from .isola import classify_roots, isola_report
+from .isola import isola_report
 from .model import modal_decompose, spectral_quotient, to_first_order
 from .oracle import IntegratorControl
 from .oracle import sweep as oracle_sweep
@@ -434,12 +434,6 @@ def _modal(cfg: RunConfig, sys_, fos):
     return modal_decompose(fos, master=cfg.mode, normalization=norm)
 
 
-def _slowest_pair(fos) -> complex:
-    ev = np.linalg.eigvals(fos.A)
-    lam = ev[int(np.argmax(ev.real))]
-    return complex(lam.real, abs(lam.imag))
-
-
 def _ordered_map(fn, items, jobs: int) -> list:
     """Map preserving order; results are worker-count independent because
     every item is computed in isolation."""
@@ -577,7 +571,6 @@ def _cmd_isola(cfg: RunConfig) -> None:
     rt, report = isola_report(mm, orders, cfg.eps, check=cfg.check,
                               cauchy_tol=cfg.tol_cauchy,
                               radius_fraction=cfg.tol_radius_frac)
-    labels = classify_roots(rt, cfg.tol_cauchy, cfg.tol_radius_frac)
 
     doc = {
         "meta": {
@@ -594,7 +587,7 @@ def _cmd_isola(cfg: RunConfig) -> None:
             "trajectories": [
                 {str(m): _jsonable(z) for m, z in t.items()}
                 for t in rt.trajectories],
-            "labels": labels,
+            "labels": report.labels,
         },
         "report": {
             "eps": cfg.eps,
@@ -634,7 +627,7 @@ def _cmd_verify(cfg: RunConfig) -> None:
                           max_measure_periods=cfg.max_periods,
                           settle_rel=cfg.tol_settle, jobs=cfg.jobs)
 
-    meta = _meta_lines(cfg, f"slowest pair = {_slowest_pair(fos)!r}")
+    meta = _meta_lines(cfg, f"slowest pair = {fos.slowest_eigenvalue()!r}")
     meta.insert(3, f"sweep: direction={cfg.sweep} eps={cfg.eps!r} "
                 f"monitor={','.join(str(c) for c in monitor)} "
                 f"start={'rest' if cfg.cold else 'warm'}")
@@ -650,6 +643,8 @@ def _cmd_verify(cfg: RunConfig) -> None:
     n_bad = int((~result.converged).sum())
     _say(cfg, f"wrote {cfg.out} ({result.omega.size} points, "
          f"{n_bad} unconverged)")
+    _say(cfg, f"integrator steps: {int(result.steps_accepted.sum())} "
+         f"accepted, {int(result.steps_rejected.sum())} rejected")
 
 
 def _cmd_beam(cfg: RunConfig) -> None:
@@ -658,7 +653,7 @@ def _cmd_beam(cfg: RunConfig) -> None:
         spec = replace(spec, elements=cfg.elements)
     sys_ = build_beam(spec)
     fos = to_first_order(sys_)
-    meta = _meta_lines(cfg, f"slowest pair = {_slowest_pair(fos)!r}")
+    meta = _meta_lines(cfg, f"slowest pair = {fos.slowest_eigenvalue()!r}")
     meta.insert(3, f"beam: elements={spec.elements} (n={sys_.n} dof)")
     buf_path = cfg.out
     tmp = f"{buf_path}.part"

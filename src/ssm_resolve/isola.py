@@ -263,7 +263,12 @@ def fold_points(rd: ReducedDynamics, eps: float) -> np.ndarray:
 
 @dataclass
 class IsolaReport:
-    """Root classification plus closed-form isola summary at one forcing."""
+    """Root classification plus closed-form isola summary at one forcing.
+
+    ``labels`` holds one 'non-spurious' / 'spurious' label per trajectory of
+    the root track (see classify_roots).
+    """
+    labels: list[str]
     nonspurious_roots: list[tuple[float, float]]
     leading: LeadingIsola
     fold_rho: np.ndarray
@@ -286,5 +291,5 @@ def isola_report(mm: ModalModel, orders, eps: float, *,
     fr = compute_nonautonomous_ssm(ssm3, mm.lambda_master.imag)
     rd = assemble_polar(ssm3, fr, eps)
     folds = fold_points(rd, eps)
-    return rt, IsolaReport(nonspurious_roots=roots, leading=leading,
-                           fold_rho=folds)
+    return rt, IsolaReport(labels=labels, nonspurious_roots=roots,
+                           leading=leading, fold_rho=folds)

@@ -114,20 +114,51 @@ class FirstOrderSystem:
     A: np.ndarray
     terms: list[FirstOrderTerm]
     F: np.ndarray
+    #: the terms compiled for evaluation: (coeff, ((var, exp), ...), inject)
+    #: with only the non-zero exponents kept
+    monomials: list = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self.monomials = [
+            (t.coeff, tuple((v, e) for v, e in enumerate(t.exponents) if e),
+             t.inject)
+            for t in self.terms]
 
     @property
     def n(self) -> int:
         return self.A.shape[0] // 2
 
+    def slowest_eigenvalue(self) -> complex:
+        """The eigenvalue of A with the largest real part, with its imaginary
+        part taken non-negative (the upper member of a conjugate pair)."""
+        ev = np.linalg.eigvals(self.A)
+        lam = ev[int(np.argmax(ev.real))]
+        return complex(lam.real, abs(lam.imag))
+
     def nonlinearity(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate G at one state (2n,) or a batch (2n, npts)."""
-        out = np.zeros_like(x, dtype=float if x.dtype.kind == "f" else complex)
-        for t in self.terms:
-            mono = t.coeff
-            for v, e in enumerate(t.exponents):
-                if e:
-                    mono = mono * x[v] ** e
-            out += np.multiply.outer(t.inject, mono) if np.ndim(mono) else t.inject * mono
+        """Evaluate G at one state (2n,) or a batch (2n, npts).
+
+        Each monomial is ``coeff * x[v1]**e1 * x[v2]**e2 ...`` with scalar
+        powers, and the terms are summed in file order starting from zero.
+        A batch is evaluated column by column: NumPy's SIMD power loops can
+        round differently from the scalar power in the last bit, and a batch
+        column must equal the single-state value exactly.
+        """
+        if x.ndim == 2:
+            out = np.empty(x.shape, np.result_type(x, 1.0))
+            for j in range(x.shape[1]):
+                out[:, j] = self.nonlinearity(x[:, j])
+            return out
+        if not self.monomials:
+            return np.zeros(x.shape, np.result_type(x, 1.0))
+        # a 0.0 start turns a -0.0 in the first term into +0.0, as a
+        # zero-filled accumulator does
+        out = 0.0
+        for coeff, factors, inject in self.monomials:
+            mono = coeff
+            for v, e in factors:
+                mono = mono * x[v] ** e
+            out = out + inject * mono
         return out
 
 

@@ -5,6 +5,14 @@ first-order system with an embedded 4(5) Runge-Kutta pair, runs steady-state
 frequency sweeps with a period-to-period settle detector, and evaluates the
 closed-form response of the linearized model.  Nothing here touches the
 manifold machinery, so agreement between the two paths is meaningful.
+
+The right-hand side is built once per integration.  It writes ``A x``, then
+``+= G(x)``, then ``+= (eps cos(Omega t)) F`` into the stage row, with G the
+system's compiled monomials (``FirstOrderSystem.nonlinearity``: each term
+keeps only its non-zero exponents).  The stepper forms every stage and error
+combination in per-call buffers, so concurrent integrations share nothing.
+The floating-point operations are those of the plain formulas, in the same
+order, so trajectories do not depend on this bookkeeping.
 """
 
 import math
@@ -20,7 +28,7 @@ from .ssm_forced import leading_forcing_coefficient
 # classic embedded 4(5) pair.  The fourth-order combination propagates; the
 # difference against the fifth-order one drives the step controller, so the
 # global convergence order of the trajectory is 4.
-_RK_C = np.array([0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2])
+_RK_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
 _RK_A = tuple(np.array(row) for row in (
     (),
     (1 / 4,),
@@ -93,16 +101,22 @@ class Trajectory:
 
 
 def _rhs(fos: FirstOrderSystem, eps: float, omega: float):
-    A, F = fos.A, fos.F
-    if not fos.terms and eps == 0.0:
-        return lambda t, x: A @ x
-    if not fos.terms:
-        return lambda t, x: A @ x + (eps * math.cos(omega * t)) * F
-    if eps == 0.0:
-        return lambda t, x: A @ x + fos.nonlinearity(x)
-    def f(t, x):
-        return (A @ x + fos.nonlinearity(x)
-                + (eps * math.cos(omega * t)) * F)
+    """The right-hand side as ``f(t, x, out)``, written into ``out``.
+
+    ``out`` gets ``A x``, then ``+= G(x)``, then ``+= (eps cos(omega t)) F``:
+    the left-to-right sum of the full field, with the nonlinear and forcing
+    parts skipped when they are absent.
+    """
+    A, F, G = fos.A, fos.F, fos.nonlinearity
+    nonlinear, forced = bool(fos.monomials), eps != 0.0
+    dot, cos = np.dot, math.cos
+
+    def f(t, x, out):
+        dot(A, x, out=out)
+        if nonlinear:
+            out += G(x)
+        if forced:
+            out += (eps * cos(omega * t)) * F
     return f
 
 
@@ -168,55 +182,90 @@ def integrate_full(fos: FirstOrderSystem, eps: float, omega: float,
         raise ValidationError("sample times must be strictly increasing")
     if sample_times[0] <= 0 or sample_times[-1] > t_end * (1 + 1e-12):
         raise ValidationError("sample times must lie in (0, t_end]")
+    sample_times = sample_times.tolist()
 
     f = _rhs(fos, eps, omega)
+    fixed = control.fixed_step is not None
+    abs_tol, rel_tol = control.abs_tol, control.rel_tol
+    land_tol = 1e-12 * period
+    # stage derivatives and work buffers; local to the call, so concurrent
+    # calls share nothing
+    dim = x0.size
+    k = np.empty((6, dim))
+    stages = [(_RK_C[s], _RK_A[s], k[s], k[:s]) for s in range(1, 6)]
+    k0 = k[0]
+    xi, x5, weight, ax4 = (np.empty(dim) for _ in range(4))
+    dot, absolute, maximum, isfinite = np.dot, np.abs, np.maximum, np.isfinite
+
     t, x = 0.0, x0.copy()
-    ts, xs = [0.0], [x.copy()]
+    ax = absolute(x)  # |x|, carried over from |x4| on acceptance
+    ts, xs = [0.0], [x]
     sample_indices = []
     i_sample = 0
+    n_samples = len(sample_times)
     n_rejected = 0
     h = control.fixed_step or min(max_step, period / MIN_STEPS_PER_PERIOD)
-    k = np.empty((6, x.size))
 
-    while i_sample < sample_times.size:
+    while i_sample < n_samples:
         target = sample_times[i_sample]
         h_try = min(h, max_step, target - t)
-        landing = h_try >= target - t - 1e-12 * period
+        landing = h_try >= target - t - land_tol
         if landing:
             h_try = target - t
 
-        k[0] = f(t, x)
-        for s in range(1, 6):
-            xi = x + h_try * (_RK_A[s] @ k[:s])
-            k[s] = f(t + _RK_C[s] * h_try, xi)
-        x4 = x + h_try * (_RK_B4 @ k)
-        x5 = x + h_try * (_RK_B5 @ k)
+        # x + h (a . k[:s]) and x + h (b . k), each product formed in place
+        f(t, x, k0)
+        for c, a, ks, head in stages:
+            dot(a, head, out=xi)
+            xi *= h_try
+            xi += x
+            f(t + c * h_try, xi, ks)
+        x4 = dot(_RK_B4, k)
+        x4 *= h_try
+        x4 += x
 
-        if control.fixed_step is not None:
-            accept, scale = True, 1.0
+        if fixed:
+            accept = True
         else:
-            weight = control.abs_tol + control.rel_tol * np.maximum(
-                np.abs(x), np.abs(x4))
-            err = float(np.max(np.abs(x5 - x4) / weight))
+            dot(_RK_B5, k, out=x5)
+            x5 *= h_try
+            x5 += x
+            absolute(x4, out=ax4)
+            maximum(ax, ax4, out=weight)
+            weight *= rel_tol
+            weight += abs_tol
+            x5 -= x4
+            absolute(x5, out=x5)
+            x5 /= weight
+            err = float(x5.max())
             accept = err <= 1.0
-            scale = STEP_SAFETY * (err ** -0.2 if err > 0 else STEP_GROW_MAX)
+            if err > 0:
+                scale = STEP_SAFETY * err ** -0.2
+            elif err == 0:
+                scale = STEP_SAFETY * STEP_GROW_MAX
+            else:
+                # NaN: a stage overflowed.  Growing the step would retry
+                # the overflow forever; shrinking ends at the underflow or
+                # divergence report below.
+                scale = STEP_SHRINK_MIN
             scale = min(STEP_GROW_MAX, max(STEP_SHRINK_MIN, scale))
 
         if accept:
-            if not np.all(np.isfinite(x4)):
+            if not isfinite(x4).all():
                 raise IntegrationError(
                     f"solution diverged (non-finite state) at t = {t:.6g}")
             t = target if landing else t + h_try
             x = x4
+            ax, ax4 = ax4, ax
             ts.append(t)
-            xs.append(x.copy())
+            xs.append(x4)
             if landing:
                 sample_indices.append(len(ts) - 1)
                 i_sample += 1
         else:
             n_rejected += 1
 
-        if control.fixed_step is None:
+        if not fixed:
             h = h_try * scale
             if h < min_step:
                 big = float(np.max(np.abs(x)))
@@ -244,7 +293,9 @@ class SweepResult:
     ``|x[monitor[j]]|`` at ``omega[i]`` (in sweep order).  ``converged[i]``
     is set when the period-to-period amplitude change stayed below
     SETTLE_REL for SETTLE_RUN consecutive periods; otherwise the amplitude
-    is simply the last period's value.
+    is simply the last period's value.  ``steps_accepted[i]`` and
+    ``steps_rejected[i]`` count the integrator's steps at ``omega[i]``; an
+    integration that diverged contributes none.
     """
     omega: np.ndarray
     amplitude: np.ndarray
@@ -252,16 +303,8 @@ class SweepResult:
     periods: np.ndarray
     monitor: tuple[int, ...]
     eps: float
-
-
-def _slowest_decay(fos: FirstOrderSystem) -> float:
-    lam = np.linalg.eigvals(fos.A)
-    re = float(np.max(lam.real))
-    if re >= 0:
-        raise ValidationError(
-            "the linear part is not asymptotically stable; pass an explicit "
-            "transient_time to sweep")
-    return re
+    steps_accepted: np.ndarray
+    steps_rejected: np.ndarray
 
 
 def _sweep_point(fos, eps, om, state, monitor, control, transient_time,
@@ -272,6 +315,7 @@ def _sweep_point(fos, eps, om, state, monitor, control, transient_time,
     maxima = []  # per measured period, per monitored coordinate
     ok = False
     n_meas = 0
+    steps = [0, 0]  # accepted, rejected
     # only the endpoint of the burn-off matters, so let the error
     # controller stride as far as it likes there; measured periods keep
     # the dense ceiling so period maxima stay resolved
@@ -284,10 +328,14 @@ def _sweep_point(fos, eps, om, state, monitor, control, transient_time,
                               control=tr_control,
                               sample_times=[n_tr * period])
         state = traj.x[-1]
+        steps[0] += traj.t.size - 1
+        steps[1] += traj.n_rejected
         while n_meas < max_measure_periods:
             traj = integrate_full(fos, eps, om, state, period,
                                   control=control, sample_times=[period])
             state = traj.x[-1]
+            steps[0] += traj.t.size - 1
+            steps[1] += traj.n_rejected
             maxima.append([float(np.max(np.abs(traj.x[:, c])))
                            for c in monitor])
             n_meas += 1
@@ -303,7 +351,7 @@ def _sweep_point(fos, eps, om, state, monitor, control, transient_time,
         # grid point is flagged unconverged; the next starts from rest
         state = np.zeros(fos.A.shape[0])
     amp = maxima[-1] if maxima else [math.nan] * len(monitor)
-    return amp, ok, n_tr + n_meas, state
+    return amp, ok, n_tr + n_meas, steps, state
 
 
 def sweep(fos: FirstOrderSystem, eps: float, omega_grid, monitor,
@@ -374,12 +422,18 @@ def sweep(fos: FirstOrderSystem, eps: float, omega_grid, monitor,
     if jobs < 1:
         raise ValidationError("jobs must be >= 1")
     if transient_time is None:
-        transient_time = 5.0 / abs(_slowest_decay(fos))
+        decay = fos.slowest_eigenvalue().real
+        if decay >= 0:
+            raise ValidationError(
+                "the linear part is not asymptotically stable; pass an "
+                "explicit transient_time to sweep")
+        transient_time = 5.0 / abs(decay)
 
     n_grid = omega_grid.size
     amplitude = np.zeros((n_grid, len(monitor)))
     converged = np.zeros(n_grid, dtype=bool)
     periods = np.zeros(n_grid, dtype=int)
+    steps = np.zeros((n_grid, 2), dtype=int)
 
     def from_rest(om):
         return _sweep_point(fos, eps, float(om), np.zeros(dim), monitor,
@@ -389,21 +443,23 @@ def sweep(fos: FirstOrderSystem, eps: float, omega_grid, monitor,
     if not warm_start and jobs > 1:
         with ThreadPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(from_rest, omega_grid))
-        for i, (amp, ok, n_per, _) in enumerate(results):
+        for i, (amp, ok, n_per, n_steps, _) in enumerate(results):
             amplitude[i], converged[i], periods[i] = amp, ok, n_per
+            steps[i] = n_steps
     else:
         state = np.zeros(dim)
         for i, om in enumerate(omega_grid):
             if not warm_start:
                 state = np.zeros(dim)
-            amp, ok, n_per, state = _sweep_point(
+            amp, ok, n_per, steps[i], state = _sweep_point(
                 fos, eps, float(om), state, monitor, control, transient_time,
                 min_measure_periods, max_measure_periods, settle_rel)
             amplitude[i], converged[i], periods[i] = amp, ok, n_per
 
     return SweepResult(omega=omega_grid.copy(), amplitude=amplitude,
                        converged=converged, periods=periods,
-                       monitor=monitor, eps=eps)
+                       monitor=monitor, eps=eps,
+                       steps_accepted=steps[:, 0], steps_rejected=steps[:, 1])
 
 
 def linear_frc_closed_form(mm: ModalModel, eps: float, omega):

@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import ValidationError, NonResonanceError, InternalResonanceError
 from .model import ModalModel, check_nonresonance, spectral_quotient
-from .polyalg import MultiPoly, dense_zero, dense_mul, dense_pow, dense_eval, dense_to_poly
+from .polyalg import dense_zero, dense_mul, dense_pow, dense_eval
 
 #: relative threshold on |lambda_i - <m, lambda_master>| for enslaved solves
 RESONANCE_GUARD = 1e-8
@@ -48,7 +48,6 @@ class AutonomousSsm:
     lambda_master: complex
     gamma: np.ndarray
     gamma_row2: np.ndarray
-    W0: list[MultiPoly]
     mm: ModalModel
     w0_dense: np.ndarray
     #: scratch space for the forced stage (built lazily, keyed by purpose)
@@ -203,9 +202,8 @@ def compute_autonomous_ssm(mm: ModalModel, order: int, *, check: bool = True,
 
     gamma = np.array(gam1, dtype=complex)
     gamma2 = np.array(gam2, dtype=complex)
-    W0_polys = [dense_to_poly(W[i], D) for i in range(n2)]
     return AutonomousSsm(order=order, lambda_master=complex(lam1), gamma=gamma,
-                         gamma_row2=gamma2, W0=W0_polys, mm=mm, w0_dense=W)
+                         gamma_row2=gamma2, mm=mm, w0_dense=W)
 
 
 def invariance_residual(ssm: AutonomousSsm, mm: ModalModel, samples) -> dict:

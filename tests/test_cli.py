@@ -11,6 +11,7 @@ from ssm_resolve.cli import main
 from ssm_resolve.frc import trace_frc
 from ssm_resolve.model import (MechanicalSystem, to_first_order,
                                modal_decompose)
+from ssm_resolve.oracle import sweep
 from ssm_resolve.ssm_auto import compute_autonomous_ssm
 from ssm_resolve.sysio import write_system
 
@@ -184,6 +185,25 @@ def test_verify_emits_convergence_flags_per_frequency(tmp_path, capsys):
     assert [float(r[0]) for r in rows] == pytest.approx([1.70, 1.73, 1.76])
     assert all(r[2] == "true" for r in rows)
     assert all(float(r[1]) > 0 and int(r[3]) >= 20 for r in rows)
+
+
+def test_verify_reports_integrator_steps(tmp_path, capsys):
+    sysfile = sp_file(tmp_path, kappa=0.0, alpha=0.0)
+    out = tmp_path / "sweep.csv"
+    argv = ["verify", "--system", sysfile, "--eps", "0.001",
+            "--omega", "1.72:1.75:2", "--cold", "--transient-time", "20",
+            "--min-periods", "4", "--max-periods", "4", "--out", str(out)]
+    assert main(argv) == 0
+    line = capsys.readouterr().out.splitlines()[-1]
+    sr = sweep(to_first_order(two_mass_system(kappa=0.0, alpha=0.0)), 0.001,
+               [1.72, 1.75], [0], warm_start=False, transient_time=20.0,
+               min_measure_periods=4, max_measure_periods=4)
+    assert line == (f"integrator steps: {sr.steps_accepted.sum()} accepted, "
+                    f"{sr.steps_rejected.sum()} rejected")
+    body = body_lines(out.read_text())
+    assert main(argv + ["--quiet"]) == 0
+    assert capsys.readouterr().out == ""
+    assert body_lines(out.read_text()) == body
 
 
 def test_frc_reports_skipped_points_by_reason(tmp_path, capsys):

@@ -43,6 +43,15 @@ def test_first_order_nonlinearity_eval(sp_system):
     assert np.allclose(val, expected, atol=1e-15)
 
 
+def test_batch_nonlinearity_equals_columns_exactly():
+    fos = to_first_order(build_beam(BeamSpec(elements=2, **BEAM)))
+    X = np.random.default_rng(7).standard_normal((8, 64))
+    batch = fos.nonlinearity(X)
+    cols = np.column_stack([fos.nonlinearity(c) for c in X.T])
+    assert batch.shape == (8, 64)
+    assert batch.tobytes() == cols.tobytes()
+
+
 def test_eigenvalues_match_closed_form(sp_modal):
     lam = sp_modal.eigenvalues
     l1, l2 = two_mass_lambda(1), two_mass_lambda(2)

@@ -7,21 +7,54 @@ the reduced branch geometry.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import two_mass_system
+from ssm_resolve.beam import BeamSpec, build_beam, tip_index
 from ssm_resolve.errors import IntegrationError, ValidationError
 from ssm_resolve.frc import discriminant, physical_amplitude, trace_frc
 from ssm_resolve.model import (MechanicalSystem, modal_decompose,
                                to_first_order)
-from ssm_resolve.oracle import (IntegratorControl, integrate_full,
+from ssm_resolve.oracle import (TRANSIENT_STEPS_PER_PERIOD,
+                                IntegratorControl, integrate_full,
                                 linear_frc_closed_form, sweep)
 from ssm_resolve.polyalg import dense_eval
 from ssm_resolve.reduced import assemble_polar
 from ssm_resolve.ssm_auto import compute_autonomous_ssm
 from ssm_resolve.ssm_forced import compute_nonautonomous_ssm
+
+# cantilever reference parameters (mm / kg / s), as in test_beam
+BEAM = dict(length=2700.0, height=10.0, width=10.0, density=1780e-9,
+            modulus=45e6, cubic_spring=6.0, cubic_damper=-0.02,
+            mass_damping=1.25e-4, stiffness_damping=2.5e-4, tip_force=0.1)
+
+#: trajectories of golden_cases() recorded from the integrator before its
+#: inner loop was rewritten: keys "<case>_<field>" for the Trajectory fields.
+#: They are compared bit for bit, as recorded on x86-64 with NumPy 2.4 and
+#: OpenBLAS; another BLAS or libm can round differently and break the match.
+ORACLE_GOLDEN = Path(__file__).parent / "data" / "oracle_golden.npz"
+
+
+def golden_cases():
+    """Case name -> integrate_full arguments (positional, keyword)."""
+    cubic = to_first_order(two_mass_system())
+    beam2 = to_first_order(build_beam(BeamSpec(elements=2, **BEAM)))
+    T1, T7 = 2 * math.pi / 1.73, 2 * math.pi / 7.0
+    return {
+        # adaptive, a few periods from rest
+        "cubic": ((cubic, 0.0027, 1.73, np.zeros(4), 4 * T1), {}),
+        # the sweep's transient step ceiling: the stiff beam modes reject
+        "beam2": ((beam2, 0.002, 7.0, np.zeros(8), 3 * T7), dict(
+            control=IntegratorControl(
+                max_step=T7 / TRANSIENT_STEPS_PER_PERIOD),
+            sample_times=[3 * T7])),
+        "fixed": ((cubic, 0.0027, 1.73, np.zeros(4), 2 * T1), dict(
+            control=IntegratorControl(fixed_step=T1 / 300),
+            sample_times=[0.4 * T1, T1, 2 * T1])),
+    }
 
 
 def _one_dof():
@@ -101,6 +134,15 @@ class TestIntegrator:
             integrate_full(fos, 0.0, self.OM,
                            np.array([0.0, 0.0, 1.5, 0.0]), 50.0)
 
+    def test_overflow_inside_a_step_reports_divergence(self):
+        # the cubic terms overflow in the first stage, so every error
+        # estimate is NaN; the step must shrink to the floor, not grow
+        fos = to_first_order(two_mass_system())
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(IntegrationError, match="diverged"):
+                integrate_full(fos, 0.0, self.OM,
+                               np.array([0.0, 0.0, 1e60, 0.0]), 5.0)
+
     def test_rejects_malformed_arguments(self):
         fos = to_first_order(_one_dof())
         with pytest.raises(ValidationError):
@@ -115,6 +157,19 @@ class TestIntegrator:
         with pytest.raises(ValidationError):
             integrate_full(fos, 0.01, self.OM, np.zeros(2), 1.0,
                            control=IntegratorControl(rel_tol=-1.0))
+
+    @pytest.mark.parametrize("case", ["cubic", "beam2", "fixed"])
+    def test_trajectory_matches_golden_bit_for_bit(self, case):
+        args, kwargs = golden_cases()[case]
+        tr = integrate_full(*args, **kwargs)
+        with np.load(ORACLE_GOLDEN) as npz:
+            for name in ("t", "x", "n_rejected", "sample_indices"):
+                want = npz[f"{case}_{name}"]
+                got = np.asarray(getattr(tr, name))
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes(), name
+        if case == "beam2":
+            assert tr.n_rejected > 0
 
 
 class TestSweep:
@@ -142,6 +197,16 @@ class TestSweep:
             H = np.linalg.solve(lin.K - om ** 2 * lin.M + 1j * om * lin.C,
                                 lin.f)
             assert amp == pytest.approx(0.001 * abs(H[0]), rel=5e-3)
+
+    def test_counts_integrator_steps_per_point(self):
+        # the stiff beam point of the benchmark: fixed work, with the
+        # transient ceiling's rejections
+        beam = build_beam(BeamSpec(elements=2, **BEAM))
+        sr = sweep(to_first_order(beam), 0.002, [7.0], [tip_index(beam)],
+                   warm_start=False, transient_time=60.0,
+                   min_measure_periods=40, max_measure_periods=40)
+        assert sr.steps_accepted.tolist() == [21134]
+        assert sr.steps_rejected.tolist() == [4164]
 
     def test_escape_window_brackets_the_saddle_nodes(self):
         # the 0.0029 merged response keeps an unstable upper structure (the
