@@ -16,7 +16,6 @@ import math
 import os
 import sys
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, fields, replace
 from datetime import datetime, timezone
 
@@ -27,7 +26,7 @@ from .beam import build_beam, read_beam_params
 from .errors import (IntegrationError, InternalResonanceError,
                      NonResonanceError, SemisimplicityError,
                      SingularChartError, SsmResolveError, ValidationError)
-from .frc import physical_amplitude, trace_frc
+from .frc import physical_amplitudes, trace_frc
 from .isola import isola_report
 from .model import modal_decompose, spectral_quotient, to_first_order
 from .oracle import IntegratorControl
@@ -36,7 +35,7 @@ from .ssm_auto import compute_autonomous_ssm, invariance_residual
 from .ssm_forced import (compute_nonautonomous_ssm, forced_residual,
                          leading_forcing_coefficient)
 from .svgplot import frc_svg, roots_svg
-from .sysio import read_system, write_system
+from .sysio import format_system, read_system
 
 TOOL = "ssm-resolve"
 
@@ -195,8 +194,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g = common.add_argument_group("global options")
     g.add_argument("--config", help="JSON file of option defaults "
                    "(flags win over the file, the file over built-ins)")
-    g.add_argument("--jobs", type=int, help="worker threads for "
-                   "independent-point maps (default 1)")
+    g.add_argument("--jobs", type=int, help="worker threads for the "
+                   "independent points of a verify --cold sweep (default 1)")
     g.add_argument("--seed", type=int, help="seed for randomized sample "
                    "points in property checks (default 0)")
     g.add_argument("--quiet", action=argparse.BooleanOptionalAction,
@@ -434,15 +433,6 @@ def _modal(cfg: RunConfig, sys_, fos):
     return modal_decompose(fos, master=cfg.mode, normalization=norm)
 
 
-def _ordered_map(fn, items, jobs: int) -> list:
-    """Map preserving order; results are worker-count independent because
-    every item is computed in isolation."""
-    if jobs <= 1 or len(items) < 2:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(fn, items))
-
-
 # ---------------------------------------------------------------------------
 # commands
 
@@ -525,15 +515,7 @@ def _cmd_frc(cfg: RunConfig) -> None:
     ssm = compute_autonomous_ssm(mm, cfg.order)
     curve = trace_frc(ssm, mm, cfg.eps, cfg.rho_max, cfg.n_rho,
                       omega_window=window)
-
-    def amp_of(item):
-        point, fr = item
-        return physical_amplitude(ssm, fr, point, coord, eps=cfg.eps)
-
-    amps = _ordered_map(amp_of, list(zip(curve.points, curve.reductions)),
-                        cfg.jobs)
-    for p, a in zip(curve.points, amps):
-        p.physical_amplitude = a
+    amps = physical_amplitudes(ssm, curve, coord).tolist()
 
     meta = _meta_lines(cfg,
                        f"lambda_master = {complex(mm.lambda_master)!r}")
@@ -545,13 +527,12 @@ def _cmd_frc(cfg: RunConfig) -> None:
         for i in members:
             p = curve.points[i]
             rows.append([str(ci), p.branch, repr(p.omega), repr(p.rho),
-                         repr(p.psi), p.stability,
-                         repr(p.physical_amplitude)])
+                         repr(p.psi), p.stability, repr(amps[i])])
     columns = ["component", "branch", "Omega", "rho", "psi", "stability",
                "physical_amplitude"]
     artifacts = [(cfg.out, _csv_text(meta, columns, rows))]
     if cfg.svg:
-        artifacts.append((cfg.svg, frc_svg(curve, header=meta[:3])))
+        artifacts.append((cfg.svg, frc_svg(curve, amps, header=meta[:3])))
     _write_artifacts(artifacts)
     _say(cfg, f"wrote {cfg.out}" + (f" and {cfg.svg}" if cfg.svg else ""))
     _say(cfg, _skip_summary(curve.skipped))
@@ -604,10 +585,9 @@ def _cmd_isola(cfg: RunConfig) -> None:
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     artifacts = [(cfg.out, text)]
     if cfg.roots_svg:
-        header = [f"{TOOL} {__version__}",
-                  f"config sha256 {_config_hash(cfg)}",
-                  f"eigenvalues: lambda_master = {complex(mm.lambda_master)!r}"]
-        artifacts.append((cfg.roots_svg, roots_svg(rt, header=header)))
+        eig = f"lambda_master = {complex(mm.lambda_master)!r}"
+        artifacts.append((cfg.roots_svg,
+                          roots_svg(rt, header=_meta_lines(cfg, eig)[:3])))
     _write_artifacts(artifacts)
     _say(cfg, f"wrote {cfg.out}"
          + (f" and {cfg.roots_svg}" if cfg.roots_svg else ""))
@@ -655,16 +635,8 @@ def _cmd_beam(cfg: RunConfig) -> None:
     fos = to_first_order(sys_)
     meta = _meta_lines(cfg, f"slowest pair = {fos.slowest_eigenvalue()!r}")
     meta.insert(3, f"beam: elements={spec.elements} (n={sys_.n} dof)")
-    buf_path = cfg.out
-    tmp = f"{buf_path}.part"
-    try:
-        write_system(sys_, tmp, header_lines=meta)
-        os.replace(tmp, buf_path)
-    except BaseException:
-        with contextlib.suppress(OSError):
-            os.unlink(tmp)
-        raise
-    _say(cfg, f"wrote {buf_path} ({sys_.n} dof)")
+    _write_artifacts([(cfg.out, format_system(sys_, header_lines=meta))])
+    _say(cfg, f"wrote {cfg.out} ({sys_.n} dof)")
 
 
 _DISPATCH = {

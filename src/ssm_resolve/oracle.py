@@ -225,6 +225,9 @@ def integrate_full(fos: FirstOrderSystem, eps: float, omega: float,
         x4 += x
 
         if fixed:
+            if not isfinite(x4).all():
+                raise IntegrationError(
+                    f"solution diverged (non-finite state) at t = {t:.6g}")
             accept = True
         else:
             dot(_RK_B5, k, out=x5)
@@ -244,16 +247,13 @@ def integrate_full(fos: FirstOrderSystem, eps: float, omega: float,
             elif err == 0:
                 scale = STEP_SAFETY * STEP_GROW_MAX
             else:
-                # NaN: a stage overflowed.  Growing the step would retry
-                # the overflow forever; shrinking ends at the underflow or
-                # divergence report below.
+                # NaN: a stage or x4 overflowed, which rejects the step.
+                # Growing it would retry the overflow forever; shrinking
+                # ends at the underflow or divergence report below.
                 scale = STEP_SHRINK_MIN
             scale = min(STEP_GROW_MAX, max(STEP_SHRINK_MIN, scale))
 
         if accept:
-            if not isfinite(x4).all():
-                raise IntegrationError(
-                    f"solution diverged (non-finite state) at t = {t:.6g}")
             t = target if landing else t + h_try
             x = x4
             ax, ax4 = ax4, ax

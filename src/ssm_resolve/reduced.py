@@ -95,7 +95,6 @@ class FixedPointU:
     omega: float
     psi: float
     stability: str = "fold-degenerate"  # "stable" | "unstable" | "fold-degenerate"
-    physical_amplitude: float | None = None
     branch: str | None = None  # "K+" | "K-" when traced from the quadratic
     eps: float | None = None
 

@@ -84,10 +84,6 @@ class AutonomousSsm:
         return np.stack([r1, r2])
 
 
-def _gamma_count(order: int) -> int:
-    return max((order - 1) // 2, 0)
-
-
 def compute_autonomous_ssm(mm: ModalModel, order: int, *, check: bool = True,
                            guard: float = RESONANCE_GUARD) -> AutonomousSsm:
     """Solve the unforced invariance equation up to total degree ``order``.

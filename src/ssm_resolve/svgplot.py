@@ -116,8 +116,6 @@ def _document(elements: list[str], title: str, header=()) -> str:
 def _point_y(point, amplitudes, i):
     if amplitudes is not None:
         return float(amplitudes[i])
-    if point.physical_amplitude is not None:
-        return float(point.physical_amplitude)
     return float(point.rho)
 
 
@@ -128,8 +126,8 @@ def frc_svg(curve, amplitudes=None, title: str | None = None,
 
     Stable runs are solid, unstable runs dashed, fold-degenerate points open
     circles; each connected component gets its own color.  ``amplitudes``
-    optionally overrides the per-point y values (defaults to the point's
-    physical amplitude when filled in, else its reduced amplitude rho).
+    optionally overrides the per-point y values (defaults to the reduced
+    amplitude rho).
 
     Returns the SVG document as a string.
     """

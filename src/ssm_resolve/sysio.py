@@ -7,8 +7,6 @@ write/read round trip reproduces every value bit-exactly.
 
 from __future__ import annotations
 
-import io
-
 import numpy as np
 
 from .errors import ValidationError
@@ -21,28 +19,25 @@ def _fmt(x: float) -> str:
     return repr(float(x))
 
 
+def format_system(sys: MechanicalSystem, header_lines=()) -> str:
+    """System file text; ``header_lines`` become leading '#' comments."""
+    lines = [f"# {line}" for line in header_lines] + [MAGIC, f"n {sys.n}"]
+    if sys.normalization is not None:
+        lines.append(f"normalization {sys.normalization}")
+    for name, mat in (("M", sys.M), ("C", sys.C), ("K", sys.K)):
+        lines.append(name)
+        lines.extend(" ".join(_fmt(x) for x in row) for row in mat)
+    lines.append(f"g {len(sys.g)}")
+    lines.extend(f"{t.row} {_fmt(t.coeff)} "
+                 + " ".join(str(e) for e in t.exponents) for t in sys.g)
+    lines += ["f", " ".join(_fmt(x) for x in sys.f)]
+    return "\n".join(lines) + "\n"
+
+
 def write_system(sys: MechanicalSystem, path, header_lines=()) -> None:
     """Write a system file; ``header_lines`` become leading '#' comments."""
-    n = sys.n
-    buf = io.StringIO()
-    for line in header_lines:
-        buf.write(f"# {line}\n")
-    buf.write(MAGIC + "\n")
-    buf.write(f"n {n}\n")
-    if sys.normalization is not None:
-        buf.write(f"normalization {sys.normalization}\n")
-    for name, mat in (("M", sys.M), ("C", sys.C), ("K", sys.K)):
-        buf.write(name + "\n")
-        for row in mat:
-            buf.write(" ".join(_fmt(x) for x in row) + "\n")
-    buf.write(f"g {len(sys.g)}\n")
-    for t in sys.g:
-        buf.write(f"{t.row} {_fmt(t.coeff)} "
-                  + " ".join(str(e) for e in t.exponents) + "\n")
-    buf.write("f\n")
-    buf.write(" ".join(_fmt(x) for x in sys.f) + "\n")
     with open(path, "w") as fh:
-        fh.write(buf.getvalue())
+        fh.write(format_system(sys, header_lines))
 
 
 class _Lines:

@@ -21,6 +21,12 @@ SP = dict(m=1.0, c1=0.03, c2=np.sqrt(3) * 0.03, k=3.0,
           kappa=0.4, alpha=-0.6, P=3.0)
 
 
+# cantilever reference parameters used throughout the docs (mm / kg / s)
+BEAM = dict(length=2700.0, height=10.0, width=10.0, density=1780e-9,
+            modulus=45e6, cubic_spring=6.0, cubic_damper=-0.02,
+            mass_damping=1.25e-4, stiffness_damping=2.5e-4, tip_force=0.1)
+
+
 def two_mass_system(kappa=SP["kappa"], alpha=SP["alpha"], quintic=0.0,
                     P=SP["P"], c2=SP["c2"]) -> MechanicalSystem:
     m, c1, k = SP["m"], SP["c1"], SP["k"]

@@ -27,12 +27,7 @@ from ssm_resolve.ssm_forced import (compute_nonautonomous_ssm,
                                     leading_forcing_coefficient,
                                     forced_residual, forced_residual_slope)
 
-from conftest import SP, two_mass_system
-
-# cantilever reference parameters (mm / kg / s), as in test_beam
-BEAM = dict(length=2700.0, height=10.0, width=10.0, density=1780e-9,
-            modulus=45e6, cubic_spring=6.0, cubic_damper=-0.02,
-            mass_damping=1.25e-4, stiffness_damping=2.5e-4, tip_force=0.1)
+from conftest import BEAM, SP, two_mass_system
 
 #: finite-difference Jacobian eigenvalues inside this band of zero are
 #: treated as fold-degenerate (well above the O(h^2) differencing error,

@@ -8,14 +8,11 @@ from ssm_resolve.beam import (BeamSpec, build_beam, tip_index,
 from ssm_resolve.errors import ValidationError
 from ssm_resolve.model import to_first_order, modal_decompose
 
-# reference parameters used throughout the docs (mm / kg / s unit system)
-REF = dict(length=2700.0, height=10.0, width=10.0, density=1780e-9,
-           modulus=45e6, cubic_spring=6.0, cubic_damper=-0.02,
-           mass_damping=1.25e-4, stiffness_damping=2.5e-4, tip_force=0.1)
+from conftest import BEAM
 
 
 def ref_spec(elements=25) -> BeamSpec:
-    return BeamSpec(elements=elements, **REF)
+    return BeamSpec(elements=elements, **BEAM)
 
 
 def analytic_omega1(spec: BeamSpec) -> float:
@@ -88,7 +85,7 @@ def test_structure_of_nonlinearity_and_forcing():
     assert spring.row == tip and damper.row == tip
     assert spring.exponents[tip] == 3 and sum(spring.exponents) == 3
     assert damper.exponents[n + tip] == 3 and sum(damper.exponents) == 3
-    assert sys.f[tip] == REF["tip_force"]
+    assert sys.f[tip] == BEAM["tip_force"]
     assert np.count_nonzero(sys.f) == 1
     assert sys.normalization == "largest"
 
@@ -101,7 +98,7 @@ def test_modal_pipeline_reference_eigenvalue():
     assert lam1.real == pytest.approx(-0.0061884, rel=1e-3)
     assert lam1.imag == pytest.approx(7.0005, rel=1e-3)
     # Rayleigh damping ties the decay rate to the frequency:
-    alpha, beta = REF["mass_damping"], REF["stiffness_damping"]
+    alpha, beta = BEAM["mass_damping"], BEAM["stiffness_damping"]
     w1 = undamped_frequencies(sys)[0]
     assert lam1.real == pytest.approx(-(alpha + beta * w1 ** 2) / 2, rel=1e-9)
 
@@ -132,4 +129,4 @@ def test_params_file_errors(tmp_path):
     with pytest.raises(ValidationError):
         read_beam_params(path)
     with pytest.raises(ValidationError):
-        BeamSpec(elements=0, **REF)
+        BeamSpec(elements=0, **BEAM)

@@ -99,6 +99,22 @@ def test_frc_worker_count_does_not_change_artifacts(tmp_path, capsys):
         assert drop_timestamps(one) == drop_timestamps(two)
 
 
+def test_verify_worker_count_does_not_change_artifacts(tmp_path, capsys):
+    sysfile = sp_file(tmp_path)
+    out = tmp_path / "sweep.csv"
+    texts = []
+    for jobs in ("1", "2"):
+        assert main(["verify", "--system", sysfile, "--eps", "0.0027",
+                     "--omega", "1.72:1.75:2", "--cold",
+                     "--transient-time", "20", "--min-periods", "4",
+                     "--max-periods", "4", "--out", str(out),
+                     "--jobs", jobs]) == 0
+        texts.append(out.read_text())
+    capsys.readouterr()
+    assert len(body_lines(texts[0])) == 3
+    assert drop_timestamps(texts[0]) == drop_timestamps(texts[1])
+
+
 # ---------------------------------------------------------------------------
 # artifact contents
 

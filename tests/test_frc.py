@@ -4,17 +4,20 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import minimize_scalar
 
-from conftest import two_mass_system
+from conftest import BEAM, two_mass_system
+from ssm_resolve.beam import BeamSpec, build_beam, tip_index
 from ssm_resolve.errors import ValidationError
 from ssm_resolve.model import modal_decompose, to_first_order
+from ssm_resolve.polyalg import dense_eval
 from ssm_resolve.ssm_auto import compute_autonomous_ssm
 from ssm_resolve.ssm_forced import compute_nonautonomous_ssm
 from ssm_resolve.reduced import (ReducedDynamics, FixedPointU, assemble_polar,
                                  zero_problem)
 from ssm_resolve.frc import (BRANCHES, k_branches, psi_from_k, frc_G,
                              discriminant, trace_frc, physical_amplitude,
-                             _rd_at, _solve_omega)
+                             physical_amplitudes, _rd_at, _solve_omega)
 
 
 def _synthetic_rd(a, f1, f2):
@@ -277,3 +280,79 @@ class TestPhysicalAmplitude:
         lead = 2 * p.rho * abs(sp_modal.T[0, 0])
         assert amp == pytest.approx(lead, rel=0.05)
         assert amp != pytest.approx(lead, rel=1e-12)
+
+
+def _reference_peak(ssm, fr, u, coord, eps):
+    """Peak |x_coord| by direct evaluation: a 4096-point phase grid of the
+    dense embeddings, polished by a bounded scalar search."""
+    t = ssm.mm.T[coord]
+    row0, rowp, rowm = (np.einsum("l,lpq->pq", t, w)
+                        for w in (ssm.w0_dense, fr.w_plus, fr.w_minus))
+
+    def value(phi):
+        phi = np.asarray(phi)
+        s1 = u.rho * np.exp(1j * (u.psi + phi))
+        s2 = np.conj(s1)
+        x = dense_eval(row0, s1, s2) + eps * (
+            np.exp(1j * phi) * dense_eval(rowp, s1, s2)
+            + np.exp(-1j * phi) * dense_eval(rowm, s1, s2))
+        return np.abs(np.real(x))
+
+    n = 4096
+    phis = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+    vals = value(phis)
+    k = int(np.argmax(vals))
+    res = minimize_scalar(lambda p: -float(value(p)),
+                          bounds=(phis[k] - 2 * np.pi / n,
+                                  phis[k] + 2 * np.pi / n),
+                          method="bounded",
+                          options={"xatol": 1e-12, "maxiter": 200})
+    return max(float(vals[k]), -res.fun)
+
+
+@pytest.fixture(scope="module")
+def quintic_trace():
+    mm = modal_decompose(to_first_order(two_mass_system(quintic=1.2)))
+    ssm = compute_autonomous_ssm(mm, 5)
+    return ssm, trace_frc(ssm, mm, 0.001, rho_max=0.26, n_rho=200,
+                          omega_window=(1.58, 1.82)), 0
+
+
+@pytest.fixture(scope="module")
+def beam25_trace():
+    sys_ = build_beam(BeamSpec(elements=25, **BEAM))
+    mm = modal_decompose(to_first_order(sys_), normalization="largest")
+    ssm = compute_autonomous_ssm(mm, 3)
+    return (ssm, trace_frc(ssm, mm, 0.002, rho_max=0.5, n_rho=60),
+            tip_index(sys_))
+
+
+class TestPhysicalAmplitudes:
+    @pytest.mark.parametrize("case", ["isola", "quintic", "beam25"])
+    def test_matches_direct_evaluation(self, case, request):
+        if case == "isola":
+            ssm, curve, coord = (request.getfixturevalue("sp_ssm3"),
+                                 request.getfixturevalue("sp_trace_isola"), 0)
+        else:
+            ssm, curve, coord = request.getfixturevalue(f"{case}_trace")
+        assert len(curve.points) > 20
+        amps = physical_amplitudes(ssm, curve, coord)
+        ref = np.array([_reference_peak(ssm, fr, p, coord, curve.eps)
+                        for p, fr in zip(curve.points, curve.reductions)])
+        assert amps.shape == ref.shape
+        assert np.all(np.abs(amps - ref) <= 1e-13 * ref)
+
+    def test_each_entry_is_the_one_point_amplitude(self, sp_ssm3,
+                                                    sp_trace_isola):
+        fc = sp_trace_isola
+        amps = physical_amplitudes(sp_ssm3, fc, 1)
+        one = np.array([physical_amplitude(sp_ssm3, fr, p, 1)
+                        for p, fr in zip(fc.points, fc.reductions)])
+        assert np.all(np.abs(amps - one) <= 1e-14 * one)
+
+    def test_empty_curve_gives_empty_array(self, sp_modal, sp_ssm3):
+        fc = trace_frc(sp_ssm3, sp_modal, 0.0027, rho_max=0.13, n_rho=20,
+                       omega_window=(10.0, 11.0))
+        assert fc.points == []
+        amps = physical_amplitudes(sp_ssm3, fc, 0)
+        assert amps.shape == (0,)
