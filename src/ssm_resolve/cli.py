@@ -31,7 +31,8 @@ from .isola import isola_report
 from .model import modal_decompose, spectral_quotient, to_first_order
 from .oracle import IntegratorControl
 from .oracle import sweep as oracle_sweep
-from .ssm_auto import compute_autonomous_ssm, invariance_residual
+from .ssm_auto import (RESONANCE_GUARD, compute_autonomous_ssm,
+                       invariance_residual)
 from .ssm_forced import (compute_nonautonomous_ssm, forced_residual,
                          leading_forcing_coefficient)
 from .svgplot import frc_svg, roots_svg
@@ -459,6 +460,8 @@ def _cmd_analyze(cfg: RunConfig) -> None:
     lines.append(f"non-resonance: satisfied through order "
                  f"{min(spectral_quotient(mm), cfg.order + 1)}")
     lines.append(f"order: {cfg.order}")
+    lines.append(f"smallest enslaved denominator: "
+                 f"{ssm.min_enslaved_den:.1e} (guard {RESONANCE_GUARD:.0e})")
     lines.append("drift coefficients (by odd power of the reduced "
                  "amplitude):")
     for j, gam in enumerate(ssm.gamma):

@@ -5,15 +5,20 @@ carries its truncation order: terms of total degree above ``trunc_order`` are
 discarded by all operations, which is exactly the arithmetic the manifold
 expansions need (everything is computed degree by degree up to a fixed order).
 
-Two representations live here:
+Three representations live here:
 
-* :class:`MultiPoly` — a dict keyed by exponent tuples.  This is the public
-  type used in results and module boundaries.  Deterministic iteration is in
-  graded lexicographic order (total degree first, then lex on the exponent
-  tuple).
+* :class:`MultiPoly` -- a dict keyed by exponent tuples, exported from the
+  package for small symbolic work.  No solver result carries one.
+  Deterministic iteration is in graded lexicographic order (total degree
+  first, then lex on the exponent tuple).
 * dense bivariate coefficient arrays, shape ``(order+1, order+1)`` with
-  ``arr[i, j]`` the coefficient of ``s1^i s2^j``.  The expansion solvers use
-  these internally because the heavy products reduce to 2-D convolutions.
+  ``arr[i, j]`` the coefficient of ``s1^i s2^j``.  Results (the embeddings
+  and reduced fields) are stored this way.
+* graded series: a list of homogeneous slices by degree, where slice ``j``
+  is ``None`` (a structural zero) or a length ``j+1`` vector whose entry
+  ``k`` is the coefficient of ``s1^k s2^(j-k)``.  The unforced manifold
+  solve grows its compositions one slice per degree on this form
+  (:func:`graded_product_slice`).
 
 Values are immutable by convention after construction: no routine mutates a
 ``MultiPoly`` it did not create, so sharing across threads is safe.
@@ -304,6 +309,31 @@ def dense_pow(a: np.ndarray, e: int, order: int) -> np.ndarray:
         if e:
             base = dense_mul(base, base, order)
     return result
+
+
+def graded_product_slice(a: list, b: list, d: int) -> np.ndarray | None:
+    """Degree-``d`` slice of the product of two graded series.
+
+    ``a`` and ``b`` list homogeneous slices by degree: ``a[j]`` is ``None``
+    (a structural zero) or the length ``j+1`` vector whose entry ``k`` is
+    the coefficient of ``s1^k s2^(j-k)``.  Both series must vanish at the
+    origin (slice 0 is zero), so the slice ``sum_i a[i] * b[d-i]`` runs over
+    ``i = 1..d-1`` and reads only slices below ``d``: it is final before
+    either factor's own degree-``d`` slice is known.  A product of two
+    slices is a 1-D convolution, by direct multiply-add for the reason
+    :func:`dense_mul` gives.  Returns ``None`` when every pair holds a
+    structural zero.
+    """
+    out = None
+    for i in range(1, d):
+        ai, bj = a[i], b[d - i]
+        if ai is None or bj is None:
+            continue
+        if out is None:
+            out = np.convolve(ai, bj)
+        else:
+            out += np.convolve(ai, bj)
+    return out
 
 
 def dense_eval(arr: np.ndarray, s1, s2) -> np.ndarray:

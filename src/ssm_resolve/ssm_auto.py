@@ -17,6 +17,20 @@ The solve marches degree by degree.  At degree d the unknowns enter only
 through the diagonal term ``<(m1*lam1 + m2*lam2) - lam_i>`` because both the
 composition G(W0) and the cross terms D_s W0 * (R0 - linear) at degree d are
 assembled entirely from lower-degree data.
+
+The composition is graded (the power-series recurrence of the
+parameterization method; Haro et al. 2016, *The Parameterization Method for
+Invariant Manifolds*, ch. 2).  Each active physical coordinate
+``x_v = T[v] W0`` is kept as a list of homogeneous slices, one per degree,
+extended by projecting only the newly solved slice of W0.  A term
+``x_a * x_b * ... * x_z`` is a chain of partial products ``P_k = P_{k-1} *
+x_{v_k}`` (prefixes shared between terms), each grown one slice per degree:
+``(P_k)_d = sum_i (P_{k-1})_i * (x_{v_k})_{d-i}``, a sum of 1-D
+convolutions of slices below d.  So every slice is computed once, and the
+work falls from O(D^5) for recomputing each power per degree to O(D^3)
+convolutions.  Slices that are zero by parity (odd nonlinearities leave the
+even degrees unsolved) are carried as ``None`` and skipped without looking
+at their values.
 """
 
 from __future__ import annotations
@@ -27,7 +41,7 @@ import numpy as np
 
 from .errors import ValidationError, NonResonanceError, InternalResonanceError
 from .model import ModalModel, check_nonresonance, spectral_quotient
-from .polyalg import dense_zero, dense_mul, dense_pow, dense_eval
+from .polyalg import dense_zero, dense_eval, graded_product_slice
 
 #: relative threshold on |lambda_i - <m, lambda_master>| for enslaved solves
 RESONANCE_GUARD = 1e-8
@@ -37,12 +51,14 @@ RESONANCE_GUARD = 1e-8
 class AutonomousSsm:
     """Result of the unforced manifold computation.
 
-    ``gamma[j]`` multiplies s1**(j+2)... precisely: gamma[j] is the coefficient
-    of s1**(j+2)*s2**(j+1) in row 1 of the reduced field for j = 0..M-1 — i.e.
-    the resonant coefficient at polynomial degree 2*(j+1)+1.  ``gamma_row2``
-    holds the independently solved row-2 mirror values (equal to
-    conj(gamma) when the computation is consistent; asserted in tests, not
-    forced).
+    ``gamma[j]`` is the coefficient of s1**(j+2) * s2**(j+1) in row 1 of the
+    reduced field, j = 0..M-1: the resonant coefficient at polynomial degree
+    2*j + 3.  ``gamma_row2`` holds the independently solved row-2 mirror
+    values (equal to conj(gamma) when the computation is consistent;
+    asserted in tests, not forced).  ``min_enslaved_den`` is the smallest
+    ``|lambda_i - <m, lambda_master>| / |lambda_i|`` over the enslaved
+    slots the solve divided by: the margin above the ``guard`` that aborts
+    the construction (infinite when no degree was solved).
     """
     order: int
     lambda_master: complex
@@ -50,6 +66,7 @@ class AutonomousSsm:
     gamma_row2: np.ndarray
     mm: ModalModel
     w0_dense: np.ndarray
+    min_enslaved_den: float
     #: scratch space for the forced stage (built lazily, keyed by purpose)
     caches: dict = field(default_factory=dict, repr=False)
 
@@ -119,60 +136,73 @@ def compute_autonomous_ssm(mm: ModalModel, order: int, *, check: bool = True,
     lam = mm.eigenvalues
     lam1 = mm.lambda_master
     lam2 = lam[1]
+    abs_lam = np.abs(lam)
     D = order
 
     W = dense_zero(D, rows=n2)
     W[0, 1, 0] = 1.0
     W[1, 0, 1] = 1.0
+    flat = W.reshape(n2, -1)
+
+    def degree(c: int) -> np.ndarray:
+        """Degree-c slice of W as a view: entry p is slot (p, c-p)."""
+        return flat[:, c:c * (D + 1) + 1:D]
 
     gam1: list[complex] = []
     gam2: list[complex] = []
+    min_den = np.inf
 
     terms = mm.terms
     active = list(mm.active_vars)
+    t_active = mm.T[active, :]
     # odd nonlinearity on a two-sided linear part keeps the manifold odd:
-    # even-degree coefficients are exactly zero, so skip those degrees
-    # entirely rather than solving for known zeros.
+    # even-degree coefficients are exactly zero, so skip their solve rather
+    # than solving for known zeros (even partial products still grow there).
     odd_only = bool(terms) and all(sum(t.exponents) % 2 == 1 for t in terms)
 
+    # graded composition: xs[v] holds the slices of x_v = T[v] W, and
+    # chains[key] those of the partial product x_key[0] * ... * x_key[-1]
+    # for every prefix of a term's factor list (prefixes are shared)
+    x1 = t_active @ degree(1)
+    xs = {v: [None, x1[k]] for k, v in enumerate(active)}
+    keys = [tuple(v for v, e in enumerate(t.exponents) for _ in range(e))
+            for t in terms]
+    chains: dict[tuple, list] = {(v,): xs[v] for v in active}
+    for key in keys:
+        for k in range(2, len(key) + 1):
+            chains.setdefault(key[:k], [None, None])
+    links = [(chains[key], chains[key[:-1]], xs[key[-1]])
+             for key in chains if len(key) > 1]
+
     for d in range(2, D + 1):
+        # each partial product's degree-d slice needs only slices below d
+        for prod, head, x in links:
+            prod.append(graded_product_slice(head, x, d))
         if odd_only and d % 2 == 0:
+            for x in xs.values():
+                x.append(None)
             continue
         m1 = np.arange(d + 1)
         m2 = d - m1
 
-        # -- composition slice: degree-d coefficients of G(W0); products
-        # are truncated at degree d since only that slice is consumed
+        # -- composition slice: degree-d coefficients of G(W0)
         Gc = np.zeros((n2, d + 1), dtype=complex)
-        if terms:
-            xv = {v: np.einsum("l,lij->ij", mm.T[v, :], W[:, :d + 1, :d + 1])
-                  for v in active}
-            for t in terms:
-                prod = None
-                for v, e in enumerate(t.exponents):
-                    if not e:
-                        continue
-                    p = dense_pow(xv[v], e, d)
-                    prod = p if prod is None else dense_mul(prod, p, d)
-                sl = prod[m1, m2]
+        for t, key in zip(terms, keys):
+            sl = chains[key][d]
+            if sl is not None:
                 Gc += t.coeff * np.multiply.outer(t.beta, sl)
 
         # -- cross terms: degree-d slice of D_s W0 * (R0 - linear part),
-        # assembled from already-solved resonant coefficients
+        # assembled from already-solved resonant coefficients; slot
+        # (p, c-p) of the degree-c slice feeds slot (p+j, c-p+j)
         Cross = np.zeros((n2, d + 1), dtype=complex)
-        for j0, (g1, g2) in enumerate(zip(gam1, gam2)):
-            j = j0 + 1
-            p1 = m1 - j
-            p2 = m2 - j
-            ok = (p1 >= 0) & (p2 >= 0)
-            if not np.any(ok):
-                continue
-            weight = g1 * p1[ok] + g2 * p2[ok]
-            Cross[:, ok] += weight[None, :] * W[:, p1[ok], p2[ok]]
+        for j, (g1, g2) in enumerate(zip(gam1, gam2), start=1):
+            c = d - 2 * j
+            p = np.arange(c + 1)
+            Cross[:, j:j + c + 1] += (g1 * p + g2 * (c - p)) * degree(c)
 
         rhs = -Gc + Cross
-        denom = lam[:, None] - (np.multiply.outer(np.ones(n2), m1) * lam1
-                                + np.multiply.outer(np.ones(n2), m2) * lam2)
+        denom = lam[:, None] - (m1 * lam1 + m2 * lam2)
 
         resonant = np.zeros((n2, d + 1), dtype=bool)
         if d % 2 == 1:
@@ -180,7 +210,8 @@ def compute_autonomous_ssm(mm: ModalModel, order: int, *, check: bool = True,
             resonant[0, jj + 1] = True  # row 1 at (jj+1, jj)
             resonant[1, jj] = True      # row 2 at (jj, jj+1)
 
-        small = (np.abs(denom) < guard * np.abs(lam)[:, None]) & ~resonant
+        mag = np.abs(denom)
+        small = (mag < guard * abs_lam[:, None]) & ~resonant
         if np.any(small):
             i, k = np.argwhere(small)[0]
             raise InternalResonanceError(
@@ -188,8 +219,12 @@ def compute_autonomous_ssm(mm: ModalModel, order: int, *, check: bool = True,
                 f"lambda_master>| = {abs(denom[i, k]):.3e} "
                 f"< {guard:g} * |lambda_{i}|")
 
+        min_den = min(min_den, (mag / abs_lam[:, None])[~resonant].min())
+
         vals = np.where(resonant, 0.0, rhs / denom)
-        W[:, m1, m2] = vals
+        degree(d)[...] = vals
+        for k, x in enumerate(t_active @ vals):
+            xs[active[k]].append(x)
 
         if d % 2 == 1:
             jj = (d - 1) // 2
@@ -199,7 +234,8 @@ def compute_autonomous_ssm(mm: ModalModel, order: int, *, check: bool = True,
     gamma = np.array(gam1, dtype=complex)
     gamma2 = np.array(gam2, dtype=complex)
     return AutonomousSsm(order=order, lambda_master=complex(lam1), gamma=gamma,
-                         gamma_row2=gamma2, mm=mm, w0_dense=W)
+                         gamma_row2=gamma2, mm=mm, w0_dense=W,
+                         min_enslaved_den=float(min_den))
 
 
 def invariance_residual(ssm: AutonomousSsm, mm: ModalModel, samples) -> dict:

@@ -34,6 +34,10 @@ from conftest import BEAM, SP, two_mass_system
 #: well below the smallest genuine decay rate on the traced grids)
 FD_DEGENERATE = 1e-7
 
+#: the quintic system's positive order-2 root pair as computed when the
+#: acceptance suite was anchored (check 5's references are 0.13 / 0.17)
+QUINTIC_ORDER2_ROOTS = (0.13055724509546118, 0.17864995430975372)
+
 
 # ---------------------------------------------------------------------------
 # shared fixtures (module scope: computed once, timed where a budget applies)
@@ -175,6 +179,10 @@ def test_quintic_double_root_pair_and_branch_counts(quintic_data):
     assert len(pos) == 2
     for ref, got in zip((0.13, 0.17), pos):
         assert abs(ref - got) / got <= 0.05
+    # regression anchor on the computed pair: the upper root sits 4.8 % from
+    # its two-digit reference, so a real drift must fail here long before
+    # it reaches the 5 % edge above
+    assert pos == pytest.approx(QUINTIC_ORDER2_ROOTS, rel=1e-8)
     # the converged track confirms both roots are genuine: exactly two
     # non-spurious positive trajectories, passing through the order-2 pair
     assert len(quintic_data["roots"]) == 2

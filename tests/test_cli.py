@@ -164,6 +164,21 @@ def test_isola_reports_reference_rest_radius_and_merger(tmp_path, capsys):
         == len(doc["root_track"]["trajectories"])
 
 
+def test_analyze_reports_smallest_enslaved_denominator(tmp_path, capsys):
+    sysfile = sp_file(tmp_path)
+    dump = tmp_path / "ssm.txt"
+    assert main(["analyze", "--system", sysfile, "--order", "5", "--quiet",
+                 "--dump-ssm", str(dump)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    ssm = compute_autonomous_ssm(
+        modal_decompose(to_first_order(two_mass_system())), 5)
+    want = (f"smallest enslaved denominator: {ssm.min_enslaved_den:.1e} "
+            "(guard 1e-08)")
+    assert out.count(want) == 1
+    # a stdout line only: the dump artifact does not carry it
+    assert "enslaved" not in dump.read_text()
+
+
 def test_dump_lists_coefficients_in_graded_lex_order(tmp_path, capsys):
     sysfile = sp_file(tmp_path)
     dump = tmp_path / "ssm.txt"

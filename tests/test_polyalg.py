@@ -8,6 +8,7 @@ from ssm_resolve.polyalg import (
     MultiPoly, poly_add, poly_sub, poly_scale, poly_mul, poly_diff,
     poly_substitute, poly_allclose,
     dense_zero, dense_mul, dense_pow, dense_eval, poly_to_dense, dense_to_poly,
+    graded_product_slice,
 )
 
 
@@ -181,3 +182,108 @@ def test_dense_eval_matches_poly_eval():
     sv = dense_eval(stacked, z1v, z2v)
     assert sv.shape == (2, 3)
     assert np.allclose(sv[1], 2 * vals)
+
+
+# ---------------------------------------------------------------- graded kernel
+
+def to_slices(arr):
+    """Graded slices of a dense array that vanishes at the origin; slices
+    with no non-zero entry are marked as structural zeros."""
+    order = arr.shape[0] - 1
+    out = [None]
+    for d in range(1, order + 1):
+        k = np.arange(d + 1)
+        sl = arr[k, d - k]
+        out.append(sl.copy() if np.any(sl) else None)
+    return out
+
+
+def from_slices(slices, order):
+    arr = dense_zero(order)
+    for d, sl in enumerate(slices):
+        if sl is not None:
+            k = np.arange(d + 1)
+            arr[k, d - k] = sl
+    return arr
+
+
+def graded_product(a, b, order):
+    return [None, None] + [graded_product_slice(a, b, d)
+                           for d in range(2, order + 1)]
+
+
+def graded_power(x, e, order):
+    """x**e grown one slice per degree, each partial product reading only
+    slices below the degree it produces (as the manifold solve does)."""
+    chain = [x] + [[None, None] for _ in range(e - 1)]
+    for d in range(2, order + 1):
+        for k in range(1, e):
+            chain[k].append(graded_product_slice(chain[k - 1], x, d))
+    return chain[-1]
+
+
+@st.composite
+def origin_free_dense(draw, order, parity=None):
+    """Random dense array with a zero constant term; ``parity`` 1 keeps only
+    odd degrees (the others are structural zeros), 0 only even ones."""
+    coeff = st.one_of(st.just(0j), st.complex_numbers(
+        min_magnitude=0.01, max_magnitude=10, allow_nan=False,
+        allow_infinity=False))
+    arr = dense_zero(order)
+    for d in range(1, order + 1):
+        if parity is not None and d % 2 != parity:
+            continue
+        for k in range(d + 1):
+            arr[k, d - k] = draw(coeff)
+    return arr
+
+
+def assert_matches_dense(got, want, scale):
+    # scale is the same kernel on |coefficients|: it bounds every partial
+    # sum, and it is exactly zero wherever the product must be
+    assert np.all(np.abs(got - want) <= 1e-12 * scale)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(2, 9))
+def test_graded_product_matches_dense_mul(data, order):
+    a = data.draw(origin_free_dense(order))
+    b = data.draw(origin_free_dense(order))
+    got = from_slices(graded_product(to_slices(a), to_slices(b), order),
+                      order)
+    assert_matches_dense(got, dense_mul(a, b, order),
+                         dense_mul(np.abs(a), np.abs(b), order))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data(), st.integers(2, 9), st.integers(1, 5))
+def test_graded_power_matches_dense_pow(data, order, e):
+    a = data.draw(origin_free_dense(order))
+    got = from_slices(graded_power(to_slices(a), e, order), order)
+    assert_matches_dense(got, dense_pow(a, e, order),
+                         dense_pow(np.abs(a), e, order))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data(), st.integers(3, 11), st.integers(2, 5))
+def test_graded_power_keeps_parity_zeros_structural(data, order, e):
+    # an odd series has only odd slices; its e-th power only slices of
+    # degree = e mod 2, and every other slice stays an exact (None) zero
+    a = data.draw(origin_free_dense(order, parity=1))
+    x = to_slices(a)
+    x = [sl if d % 2 == 1 else None for d, sl in enumerate(x)]
+    power = graded_power(x, e, order)
+    assert all(sl is None for d, sl in enumerate(power) if d % 2 != e % 2)
+    assert all(sl is None for sl in power[:e])
+    got = from_slices(power, order)
+    assert_matches_dense(got, dense_pow(a, e, order),
+                         dense_pow(np.abs(a), e, order))
+
+
+def test_graded_product_slice_reads_only_lower_slices():
+    # the degree-d slice is final before either factor's own slice d exists:
+    # (s2 + 2j s1)**2 = s2**2 + 4j s1 s2 - 4 s1**2 from slice 1 alone
+    x = [None, np.array([1.0, 2.0j])]
+    assert np.array_equal(graded_product_slice(x, x, 2), [1.0, 4.0j, -4.0])
+    x.append(None)  # a structural zero slice 2 ...
+    assert graded_product_slice(x, x, 3) is None  # ... makes slice 3 one

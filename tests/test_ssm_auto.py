@@ -1,5 +1,7 @@
 """Tests for the unforced invariant-manifold recursion."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -8,15 +10,22 @@ from ssm_resolve.errors import (ValidationError, NonResonanceError,
 from ssm_resolve.model import (MechanicalSystem, PolyTerm, to_first_order,
                                modal_decompose)
 from ssm_resolve.beam import BeamSpec, build_beam
+from ssm_resolve.polyalg import dense_mul, dense_pow, dense_zero
 from ssm_resolve.ssm_auto import (compute_autonomous_ssm, invariance_residual,
                                   residual_slope)
 
-from conftest import two_mass_system, two_mass_gamma1
+from conftest import BEAM, two_mass_system, two_mass_gamma1
 
 
 # frozen outputs of the closed-form oracles (guards against oracle edits)
 GAMMA1_TWO_MASS = 1.35 + 0.18490335771390706j
 GAMMA1_BEAM = 0.036201849762525724 + 0.03168869823405559j
+
+#: drift coefficients recorded from the per-degree dense_pow composition
+#: that the graded composition replaced: keys "<system>_gamma" and
+#: "<system>_gamma_row2" (two-mass cubic and beam25 at order 51, the
+#: quintic two-mass system at order 25)
+GAMMA_GOLDEN = Path(__file__).parent / "data" / "gamma_golden.npz"
 
 
 @pytest.fixture(scope="module")
@@ -156,3 +165,93 @@ def test_reduced_field_evaluation(sp_ssm7):
         expect += g * s1 ** (j + 1) * np.conj(s1) ** j
     assert abs(r[0] - expect) < 1e-15
     assert abs(r[1] - np.conj(expect)) < 1e-14
+
+
+def _golden_modal(name):
+    if name == "beam25":
+        return modal_decompose(to_first_order(build_beam(
+            BeamSpec(elements=25, **BEAM))), normalization="largest")
+    quintic = 1.2 if name == "quintic" else 0.0
+    return modal_decompose(to_first_order(two_mass_system(quintic=quintic)))
+
+
+@pytest.mark.parametrize("name, order", [("cubic", 51), ("quintic", 25),
+                                         ("beam25", 51)])
+def test_drift_coefficients_match_recorded_composition(name, order):
+    ssm = compute_autonomous_ssm(_golden_modal(name), order)
+    with np.load(GAMMA_GOLDEN) as npz:
+        for field in ("gamma", "gamma_row2"):
+            want = npz[f"{name}_{field}"]
+            got = getattr(ssm, field)
+            assert got.shape == want.shape
+            # through polynomial degree 25: gamma[j] sits at degree 2j + 3
+            err = np.abs(got[:12] - want[:12])
+            assert np.all(err <= 1e-12 * np.abs(want[:12]))
+    # every term is odd, so the even-degree slices are never solved
+    W = ssm.w0_dense
+    i1, i2 = np.indices(W.shape[1:])
+    assert np.all(W[:, (i1 + i2) % 2 == 0] == 0)
+
+
+def test_min_enslaved_den_is_smallest_relative_denominator(sp_modal):
+    order = 7
+    ssm = compute_autonomous_ssm(sp_modal, order)
+    lam = sp_modal.eigenvalues
+    lam1, lam2 = lam[0], lam[1]
+    ratios = []
+    for d in range(3, order + 1, 2):  # odd system: only odd degrees solved
+        res1, res2 = (d + 1) // 2, (d - 1) // 2
+        for i in range(len(lam)):
+            for m1 in range(d + 1):
+                if (i, m1) in ((0, res1), (1, res2)):
+                    continue  # resonant slots carry the drift, no division
+                den = lam[i] - (m1 * lam1 + (d - m1) * lam2)
+                ratios.append(abs(den) / abs(lam[i]))
+    assert ssm.min_enslaved_den == pytest.approx(min(ratios), rel=1e-14)
+    assert ssm.min_enslaved_den > 1e-8
+    assert compute_autonomous_ssm(sp_modal, 1).min_enslaved_den == np.inf
+
+
+def _coefficient_defect(ssm, mm):
+    """Coefficient-wise invariance defect Lambda W + G(W) - D_s W * R0 up to
+    the expansion order, with G(W) composed on the full dense arrays by
+    dense_mul / dense_pow (the reference for the graded composition)."""
+    D, W, lam = ssm.order, ssm.w0_dense, mm.eigenvalues
+    x = np.einsum("vl,lij->vij", mm.T, W)
+    G = np.zeros_like(W)
+    for t in mm.terms:
+        prod = dense_zero(D)
+        prod[0, 0] = 1.0
+        for v, e in enumerate(t.exponents):
+            if e:
+                prod = dense_mul(prod, dense_pow(x[v], e, D), D)
+        G += t.coeff * np.multiply.outer(t.beta, prod)
+    R1, R2 = dense_zero(D), dense_zero(D)
+    R1[1, 0], R2[0, 1] = lam[0], lam[1]
+    for j, (g1, g2) in enumerate(zip(ssm.gamma, ssm.gamma_row2), start=1):
+        R1[j + 1, j], R2[j, j + 1] = g1, g2
+    idx = np.arange(1, D + 1)
+    d1, d2 = np.zeros_like(W), np.zeros_like(W)
+    d1[:, :D, :] = W[:, 1:, :] * idx[None, :, None]
+    d2[:, :, :D] = W[:, :, 1:] * idx[None, None, :]
+    flow = np.array([dense_mul(a, R1, D) + dense_mul(b, R2, D)
+                     for a, b in zip(d1, d2)])
+    lhs = lam[:, None, None] * W + G
+    return lhs - flow, np.abs(lhs).max()
+
+
+@pytest.mark.parametrize("g", [
+    # odd terms sharing factor prefixes (x2**3 and x2**5)
+    [PolyTerm(0, 0.4, (3, 0, 0, 0)), PolyTerm(0, -0.6, (0, 0, 3, 0)),
+     PolyTerm(0, 1.2, (0, 0, 5, 0))],
+    # even and mixed-variable terms: every degree is solved
+    [PolyTerm(0, 0.5, (2, 0, 0, 0)), PolyTerm(1, -0.3, (1, 1, 0, 0)),
+     PolyTerm(0, 0.2, (1, 0, 1, 0)), PolyTerm(1, 0.4, (2, 0, 0, 1))],
+])
+def test_graded_composition_solves_invariance_coefficientwise(g):
+    base = two_mass_system()
+    mm = modal_decompose(to_first_order(MechanicalSystem(
+        M=base.M, C=base.C, K=base.K, g=g, f=base.f)))
+    ssm = compute_autonomous_ssm(mm, 9)
+    defect, scale = _coefficient_defect(ssm, mm)
+    assert np.abs(defect).max() <= 1e-12 * scale
