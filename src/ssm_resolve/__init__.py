@@ -9,11 +9,4 @@ A brute-force time integrator is included to verify every prediction.
 
 __version__ = "0.1.0"
 
-from .polyalg import (MultiPoly, poly_add, poly_sub, poly_scale, poly_mul,
-                      poly_diff, poly_substitute, poly_allclose)
-
-__all__ = [
-    "__version__",
-    "MultiPoly", "poly_add", "poly_sub", "poly_scale", "poly_mul",
-    "poly_diff", "poly_substitute", "poly_allclose",
-]
+__all__ = ["__version__"]

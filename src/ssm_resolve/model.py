@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ValidationError, SemisimplicityError
+from .polyalg import Monomials
 
 #: normalization policies for eigenvectors (see modal_decompose)
 NORMALIZATIONS = ("first-position", "largest")
@@ -114,15 +115,14 @@ class FirstOrderSystem:
     A: np.ndarray
     terms: list[FirstOrderTerm]
     F: np.ndarray
-    #: the terms compiled for evaluation: (coeff, ((var, exp), ...), inject)
-    #: with only the non-zero exponents kept
-    monomials: list = field(init=False, repr=False, compare=False)
+    #: G compiled from the terms
+    monomials: Monomials = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self.monomials = [
-            (t.coeff, tuple((v, e) for v, e in enumerate(t.exponents) if e),
-             t.inject)
-            for t in self.terms]
+        self.monomials = Monomials(
+            [t.coeff for t in self.terms], [t.exponents for t in self.terms],
+            np.array([t.inject for t in self.terms]).reshape(
+                -1, len(self.A)).T)
 
     @property
     def n(self) -> int:
@@ -136,30 +136,9 @@ class FirstOrderSystem:
         return complex(lam.real, abs(lam.imag))
 
     def nonlinearity(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate G at one state (2n,) or a batch (2n, npts).
-
-        Each monomial is ``coeff * x[v1]**e1 * x[v2]**e2 ...`` with scalar
-        powers, and the terms are summed in file order starting from zero.
-        A batch is evaluated column by column: NumPy's SIMD power loops can
-        round differently from the scalar power in the last bit, and a batch
-        column must equal the single-state value exactly.
-        """
-        if x.ndim == 2:
-            out = np.empty(x.shape, np.result_type(x, 1.0))
-            for j in range(x.shape[1]):
-                out[:, j] = self.nonlinearity(x[:, j])
-            return out
-        if not self.monomials:
-            return np.zeros(x.shape, np.result_type(x, 1.0))
-        # a 0.0 start turns a -0.0 in the first term into +0.0, as a
-        # zero-filled accumulator does
-        out = 0.0
-        for coeff, factors, inject in self.monomials:
-            mono = coeff
-            for v, e in factors:
-                mono = mono * x[v] ** e
-            out = out + inject * mono
-        return out
+        """Evaluate G at one state (2n,) or a batch (2n, npts); see
+        :meth:`Monomials.value` for the summation order."""
+        return self.monomials.value(x)
 
 
 def to_first_order(sys: MechanicalSystem) -> FirstOrderSystem:
@@ -186,18 +165,6 @@ def to_first_order(sys: MechanicalSystem) -> FirstOrderSystem:
     return FirstOrderSystem(A=A, terms=terms, F=F)
 
 
-@dataclass(frozen=True)
-class ModalTerm:
-    """Nonlinear monomial carried into modal coordinates.
-
-    The monomial is still taken of the physical state x = T q; the injection
-    becomes the modal vector beta = T^{-1} inject.
-    """
-    coeff: float
-    exponents: tuple[int, ...]
-    beta: np.ndarray  # (2n,) complex
-
-
 @dataclass
 class ModalModel:
     """Diagonalized linear part plus transformed nonlinearity and forcing.
@@ -211,11 +178,12 @@ class ModalModel:
     T: np.ndarray             # (2n, 2n) complex, columns are eigenvectors
     T_inv: np.ndarray
     master: tuple[int, int]
-    terms: list[ModalTerm]
+    #: G carried into modal coordinates: the monomials are still taken of
+    #: the physical state x = T q, and each injection becomes T^{-1} inject
+    monomials: Monomials
     F_m: np.ndarray           # (2n,) complex
     fos: FirstOrderSystem
     normalization: str
-    active_vars: tuple[int, ...] = field(default=())
 
     @property
     def n(self) -> int:
@@ -227,15 +195,7 @@ class ModalModel:
 
     def nonlinearity(self, q: np.ndarray) -> np.ndarray:
         """Evaluate the modal nonlinearity at q: (2n,) or (2n, npts)."""
-        x = self.T @ q
-        out = np.zeros_like(np.asarray(q, dtype=complex))
-        for t in self.terms:
-            mono = t.coeff
-            for v, e in enumerate(t.exponents):
-                if e:
-                    mono = mono * x[v] ** e
-            out += np.multiply.outer(t.beta, mono) if np.ndim(mono) else t.beta * mono
-        return out
+        return self.monomials.value(self.T @ q)
 
 
 def _normalize_vector(v: np.ndarray, n: int, policy: str) -> np.ndarray:
@@ -338,12 +298,12 @@ def modal_decompose(fos: FirstOrderSystem, master: int = 0,
             f"similarity residual {residual:.3g} exceeds "
             "1e-10 * ||A|| * ||T||")
 
-    terms = [ModalTerm(t.coeff, t.exponents, T_inv @ t.inject)
-             for t in fos.terms]
-    active = sorted({v for t in fos.terms for v, e in enumerate(t.exponents) if e})
+    monomials = Monomials(
+        [t.coeff for t in fos.terms], [t.exponents for t in fos.terms],
+        np.array([T_inv @ t.inject for t in fos.terms]).reshape(-1, 2 * n).T)
     return ModalModel(eigenvalues=lam_sorted, T=T, T_inv=T_inv, master=(0, 1),
-                      terms=terms, F_m=T_inv @ fos.F, fos=fos,
-                      normalization=normalization, active_vars=tuple(active))
+                      monomials=monomials, F_m=T_inv @ fos.F, fos=fos,
+                      normalization=normalization)
 
 
 def spectral_quotient(mm: ModalModel) -> int:

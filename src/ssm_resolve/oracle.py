@@ -8,8 +8,8 @@ manifold machinery, so agreement between the two paths is meaningful.
 
 The right-hand side is built once per integration.  It writes ``A x``, then
 ``+= G(x)``, then ``+= (eps cos(Omega t)) F`` into the stage row, with G the
-system's compiled monomials (``FirstOrderSystem.nonlinearity``: each term
-keeps only its non-zero exponents).  The stepper forms every stage and error
+system's compiled monomials: ``FirstOrderSystem.nonlinearity``, which is
+``Monomials.value``.  The stepper forms every stage and error
 combination in per-call buffers, so concurrent integrations share nothing.
 The floating-point operations are those of the plain formulas, in the same
 order, so trajectories do not depend on this bookkeeping.
@@ -108,7 +108,7 @@ def _rhs(fos: FirstOrderSystem, eps: float, omega: float):
     parts skipped when they are absent.
     """
     A, F, G = fos.A, fos.F, fos.nonlinearity
-    nonlinear, forced = bool(fos.monomials), eps != 0.0
+    nonlinear, forced = bool(fos.terms), eps != 0.0
     dot, cos = np.dot, math.cos
 
     def f(t, x, out):

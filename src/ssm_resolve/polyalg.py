@@ -1,243 +1,43 @@
-"""Sparse multivariate polynomials with truncation, plus dense bivariate kernels.
+"""Polynomial kernels: dense bivariate arrays, graded series, and the
+compiled monomial nonlinearity.
 
-Coefficients are complex, exponents are tuples of non-negative ints.  Every value
-carries its truncation order: terms of total degree above ``trunc_order`` are
-discarded by all operations, which is exactly the arithmetic the manifold
-expansions need (everything is computed degree by degree up to a fixed order).
+Two representations of a polynomial in the master coordinates live here:
 
-Three representations live here:
-
-* :class:`MultiPoly` -- a dict keyed by exponent tuples, exported from the
-  package for small symbolic work.  No solver result carries one.
-  Deterministic iteration is in graded lexicographic order (total degree
-  first, then lex on the exponent tuple).
 * dense bivariate coefficient arrays, shape ``(order+1, order+1)`` with
-  ``arr[i, j]`` the coefficient of ``s1^i s2^j``.  Results (the embeddings
-  and reduced fields) are stored this way.
+  ``arr[i, j]`` the coefficient of ``s1^i s2^j`` and every entry above the
+  order kept at exactly zero.  Results (the embeddings and reduced fields)
+  are stored this way.
 * graded series: a list of homogeneous slices by degree, where slice ``j``
   is ``None`` (a structural zero) or a length ``j+1`` vector whose entry
-  ``k`` is the coefficient of ``s1^k s2^(j-k)``.  The unforced manifold
-  solve grows its compositions one slice per degree on this form
-  (:func:`graded_product_slice`).
+  ``k`` is the coefficient of ``s1^k s2^(j-k)``.  Compositions are grown one
+  slice per degree on this form (:func:`graded_product_slice`).
 
-Values are immutable by convention after construction: no routine mutates a
-``MultiPoly`` it did not create, so sharing across threads is safe.
+:class:`Monomials` is the one place that knows how a monomial
+nonlinearity ``G(x) = sum_t coeff_t * prod_v x_v**e_tv * inject_t`` is
+evaluated, differentiated and composed with a graded series; the
+first-order system and the modal model each hold one.
+
+:func:`dense_mul` and :func:`dense_pow` are the straightforward dense
+products that the graded kernels are tested against.  :class:`MultiPoly`
+and :func:`dense_to_poly` have no caller in the package: they remain only
+because the benchmark tracer wraps ``dense_to_poly`` by name, and go
+together with that trace target.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Relative magnitude below which a coefficient is dropped after arithmetic.
-DROP_TOL = 1e-14
-
-
-def _cleaned(terms: dict, trunc_order: int) -> dict:
-    """Drop over-order terms and coefficients tiny relative to the largest."""
-    if not terms:
-        return {}
-    kept = {m: c for m, c in terms.items() if sum(m) <= trunc_order and c != 0}
-    if not kept:
-        return {}
-    biggest = max(abs(c) for c in kept.values())
-    tol = DROP_TOL * biggest
-    return {m: c for m, c in kept.items() if abs(c) > tol}
-
 
 class MultiPoly:
-    """Truncated sparse polynomial in ``num_vars`` variables.
-
-    Parameters
-    ----------
-    num_vars : int
-        Number of variables; every exponent tuple has this length.
-    trunc_order : int
-        Maximal retained total degree.
-    terms : dict, optional
-        Mapping exponent tuple -> complex coefficient.  Cleaned on entry
-        (over-order terms removed, relatively tiny coefficients dropped).
-    """
+    """Sparse bivariate coefficients ``{(i, j): c}`` up to ``trunc_order``."""
 
     __slots__ = ("num_vars", "trunc_order", "terms")
 
-    def __init__(self, num_vars: int, trunc_order: int, terms: dict | None = None):
-        if num_vars < 1:
-            raise ValueError("num_vars must be >= 1")
-        if trunc_order < 0:
-            raise ValueError("trunc_order must be >= 0")
-        self.num_vars = int(num_vars)
-        self.trunc_order = int(trunc_order)
-        if terms:
-            for m in terms:
-                if len(m) != num_vars:
-                    raise ValueError(f"exponent {m} has wrong arity (expected {num_vars})")
-                if any(e < 0 for e in m):
-                    raise ValueError(f"negative exponent in {m}")
-            self.terms = _cleaned(dict(terms), trunc_order)
-        else:
-            self.terms = {}
-
-    # ------------------------------------------------------------------ factories
-    @classmethod
-    def zero(cls, num_vars: int, trunc_order: int) -> "MultiPoly":
-        return cls(num_vars, trunc_order)
-
-    @classmethod
-    def constant(cls, value: complex, num_vars: int, trunc_order: int) -> "MultiPoly":
-        return cls(num_vars, trunc_order, {(0,) * num_vars: value})
-
-    @classmethod
-    def variable(cls, index: int, num_vars: int, trunc_order: int) -> "MultiPoly":
-        m = [0] * num_vars
-        m[index] = 1
-        return cls(num_vars, trunc_order, {tuple(m): 1.0})
-
-    @classmethod
-    def monomial(cls, exponents, coeff: complex, trunc_order: int) -> "MultiPoly":
-        exponents = tuple(int(e) for e in exponents)
-        return cls(len(exponents), trunc_order, {exponents: coeff})
-
-    # ------------------------------------------------------------------ queries
-    def items_graded(self):
-        """Terms as (exponents, coeff), graded-lex ordered (deterministic)."""
-        return sorted(self.terms.items(), key=lambda kv: (sum(kv[0]), kv[0]))
-
-    def degree(self) -> int:
-        """Total degree of the largest retained term (-1 for the zero poly)."""
-        return max((sum(m) for m in self.terms), default=-1)
-
-    def coefficient(self, exponents) -> complex:
-        return self.terms.get(tuple(exponents), 0.0)
-
-    def __call__(self, point) -> complex:
-        """Evaluate at a point (sequence of ``num_vars`` numbers)."""
-        point = [complex(z) for z in point]
-        total = 0.0 + 0.0j
-        for m, c in self.terms.items():
-            v = c
-            for z, e in zip(point, m):
-                if e:
-                    v *= z ** e
-            total += v
-        return total
-
-    def __repr__(self):
-        inner = ", ".join(f"{m}: {c:.6g}" for m, c in self.items_graded()[:6])
-        more = "" if len(self.terms) <= 6 else f", ... ({len(self.terms)} terms)"
-        return f"MultiPoly({self.num_vars} vars, order {self.trunc_order}, {{{inner}{more}}})"
-
-    def __eq__(self, other):
-        if not isinstance(other, MultiPoly):
-            return NotImplemented
-        return (self.num_vars == other.num_vars and self.terms == other.terms)
-
-    def __hash__(self):
-        return hash((self.num_vars, tuple(self.items_graded())))
-
-
-def _common_frame(p: MultiPoly, q: MultiPoly) -> tuple[int, int]:
-    if p.num_vars != q.num_vars:
-        raise ValueError("polynomials have different numbers of variables")
-    return p.num_vars, min(p.trunc_order, q.trunc_order)
-
-
-def poly_add(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """p + q, truncated to the tighter of the two orders."""
-    nv, order = _common_frame(p, q)
-    terms = dict(p.terms)
-    for m, c in q.terms.items():
-        terms[m] = terms.get(m, 0.0) + c
-    return MultiPoly(nv, order, terms)
-
-
-def poly_scale(p: MultiPoly, factor: complex) -> MultiPoly:
-    return MultiPoly(p.num_vars, p.trunc_order,
-                     {m: factor * c for m, c in p.terms.items()})
-
-
-def poly_sub(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    return poly_add(p, poly_scale(q, -1.0))
-
-
-def poly_mul(p: MultiPoly, q: MultiPoly) -> MultiPoly:
-    """p * q with truncation to the tighter order."""
-    nv, order = _common_frame(p, q)
-    terms: dict = {}
-    for mp, cp in p.terms.items():
-        dp = sum(mp)
-        for mq, cq in q.terms.items():
-            if dp + sum(mq) > order:
-                continue
-            m = tuple(a + b for a, b in zip(mp, mq))
-            terms[m] = terms.get(m, 0.0) + cp * cq
-    return MultiPoly(nv, order, terms)
-
-
-def poly_diff(p: MultiPoly, var: int) -> MultiPoly:
-    """Partial derivative with respect to variable ``var``."""
-    if not 0 <= var < p.num_vars:
-        raise ValueError("variable index out of range")
-    terms = {}
-    for m, c in p.terms.items():
-        e = m[var]
-        if e == 0:
-            continue
-        dm = list(m)
-        dm[var] = e - 1
-        dm = tuple(dm)
-        terms[dm] = terms.get(dm, 0.0) + e * c
-    return MultiPoly(p.num_vars, p.trunc_order, terms)
-
-
-def poly_substitute(coeff: complex, exponents, polys) -> MultiPoly:
-    """Compose one monomial term with a vector of polynomials.
-
-    Returns ``coeff * prod_v polys[v] ** exponents[v]`` truncated to the
-    minimum trunc_order of the inputs.  ``exponents`` has one entry per entry
-    of ``polys``; zero-exponent entries are skipped so their polys may be
-    arbitrary placeholders.
-    """
-    exponents = tuple(int(e) for e in exponents)
-    if len(exponents) != len(polys):
-        raise ValueError("exponents and polys length mismatch")
-    active = [(polys[v], e) for v, e in enumerate(exponents) if e > 0]
-    if not active:
-        p0 = polys[0]
-        return MultiPoly.constant(coeff, p0.num_vars, p0.trunc_order)
-    nv = active[0][0].num_vars
-    order = min(p.trunc_order for p, _ in active)
-    result = MultiPoly.constant(coeff, nv, order)
-    for p, e in active:
-        pw = _poly_pow(p, e, order)
-        result = poly_mul(result, pw)
-    return result
-
-
-def _poly_pow(p: MultiPoly, e: int, order: int) -> MultiPoly:
-    """p**e by binary powering, truncated to ``order``."""
-    base = MultiPoly(p.num_vars, order, p.terms)
-    result = MultiPoly.constant(1.0, p.num_vars, order)
-    while e:
-        if e & 1:
-            result = poly_mul(result, base)
-        e >>= 1
-        if e:
-            base = poly_mul(base, base)
-    return result
-
-
-def poly_allclose(p: MultiPoly, q: MultiPoly, *, atol: float = 0.0,
-                  rtol: float = 1e-12) -> bool:
-    """Coefficient-wise closeness; scale set by the largest coefficient."""
-    if p.num_vars != q.num_vars:
-        return False
-    keys = set(p.terms) | set(q.terms)
-    if not keys:
-        return True
-    scale = max([abs(c) for c in p.terms.values()] +
-                [abs(c) for c in q.terms.values()] + [0.0])
-    tol = atol + rtol * scale
-    return all(abs(p.terms.get(m, 0.0) - q.terms.get(m, 0.0)) <= tol for m in keys)
+    def __init__(self, num_vars: int, trunc_order: int, terms: dict):
+        self.num_vars = num_vars
+        self.trunc_order = trunc_order
+        self.terms = terms
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +111,18 @@ def dense_pow(a: np.ndarray, e: int, order: int) -> np.ndarray:
     return result
 
 
+def dense_diff(arr: np.ndarray, var: int) -> np.ndarray:
+    """Partial derivative of dense array(s) with respect to ``s1`` (``var``
+    0) or ``s2`` (``var`` 1), by shifting indices; same shape as ``arr``."""
+    out = np.zeros_like(arr)
+    idx = np.arange(1, arr.shape[-1])
+    if var == 0:
+        out[..., :-1, :] = arr[..., 1:, :] * idx[:, None]
+    else:
+        out[..., :-1] = arr[..., 1:] * idx
+    return out
+
+
 def graded_product_slice(a: list, b: list, d: int) -> np.ndarray | None:
     """Degree-``d`` slice of the product of two graded series.
 
@@ -355,19 +167,6 @@ def dense_eval(arr: np.ndarray, s1, s2) -> np.ndarray:
     return vals[:, 0] if vals.shape[1] == 1 else vals
 
 
-def poly_to_dense(p: MultiPoly, order: int | None = None) -> np.ndarray:
-    """MultiPoly (2 vars) -> dense array."""
-    if p.num_vars != 2:
-        raise ValueError("dense kernels are bivariate only")
-    if order is None:
-        order = p.trunc_order
-    arr = dense_zero(order)
-    for (i, j), c in p.terms.items():
-        if i + j <= order:
-            arr[i, j] = c
-    return arr
-
-
 def dense_to_poly(arr: np.ndarray, trunc_order: int | None = None) -> MultiPoly:
     """Dense array -> MultiPoly (2 vars), dropping exact zeros."""
     d = arr.shape[0] - 1
@@ -379,3 +178,143 @@ def dense_to_poly(arr: np.ndarray, trunc_order: int | None = None) -> MultiPoly:
         if i + j <= trunc_order:
             terms[(int(i), int(j))] = complex(arr[i, j])
     return MultiPoly(2, trunc_order, terms)
+
+
+class Monomials:
+    """A monomial nonlinearity, compiled once for evaluation,
+    differentiation and graded composition.
+
+    ``G(x) = sum_t coeffs[t] * prod_v x[v]**exponents[t][v] * inject[:, t]``,
+    with ``inject`` of shape ``(n_out, n_terms)``.  Each term keeps only its
+    non-zero exponents.  ``active`` lists the variables some term reads;
+    ``odd`` is true when there are terms and every one has odd degree.
+    """
+
+    def __init__(self, coeffs, exponents, inject: np.ndarray):
+        self.inject = np.ascontiguousarray(inject)
+        #: (coeff, ((var, exp), ...), inject column), in the given order
+        self.terms = [(c, tuple((v, e) for v, e in enumerate(ex) if e),
+                       np.ascontiguousarray(inject[:, t]))
+                      for t, (c, ex) in enumerate(zip(coeffs, exponents))]
+        self.active = tuple(sorted({v for _, fs, _ in self.terms
+                                    for v, _ in fs}))
+        self.odd = bool(self.terms) and all(
+            sum(e for _, e in fs) % 2 == 1 for _, fs, _ in self.terms)
+
+    def value(self, x: np.ndarray) -> np.ndarray:
+        """G at one point (n,) or a batch (n, npts).
+
+        Each monomial is ``coeff * x[v1]**e1 * x[v2]**e2 ...`` with scalar
+        powers, and the terms are summed in order starting from zero.  A
+        batch is evaluated column by column: NumPy's SIMD power loops can
+        round differently from the scalar power in the last bit, and a batch
+        column must equal the single-point value exactly.
+        """
+        if x.ndim == 2:
+            out = np.empty((self.inject.shape[0], x.shape[1]),
+                           np.result_type(x, self.inject, 1.0))
+            for j in range(x.shape[1]):
+                out[:, j] = self.value(x[:, j])
+            return out
+        if not self.terms:
+            return np.zeros(self.inject.shape[0],
+                            np.result_type(x, self.inject, 1.0))
+        # a 0.0 start turns a -0.0 in the first term into +0.0, as a
+        # zero-filled accumulator does
+        out = 0.0
+        for coeff, factors, inject in self.terms:
+            mono = coeff
+            for v, e in factors:
+                mono = mono * x[v] ** e
+            out = out + inject * mono
+        return out
+
+    def jacobian_apply(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """DG(x) @ u for one point (n,) or a batch (n, npts) of x and u."""
+        out = np.zeros((self.inject.shape[0],) + x.shape[1:],
+                       np.result_type(x, u, self.inject))
+        for coeff, factors, inject in self.terms:
+            acc = 0.0
+            for v, e in factors:
+                part = coeff * e * u[v]
+                for w, f in factors:
+                    p = f - (w == v)
+                    if p:
+                        part = part * x[w] ** p
+                acc = acc + part
+            out += np.multiply.outer(inject, acc)
+        return out
+
+    def graded(self, x1: np.ndarray, derivatives: bool = False):
+        """Start the graded composition of the terms with ``x = x1 + ...``.
+
+        ``x1`` holds the degree-1 slices, one row per ``active`` variable.
+        With ``derivatives``, each term's partial derivative with respect
+        to each of its variables is composed as well.
+        """
+        return GradedComposition(self, x1, derivatives)
+
+
+class GradedComposition:
+    """The terms of a :class:`Monomials` composed with a graded series.
+
+    The power-series recurrence of the parameterization method (Haro et al.
+    2016, *The Parameterization Method for Invariant Manifolds*, ch. 2).
+    ``xs[a]`` holds the slices of the a-th active variable, extended by
+    :meth:`push`.  A term ``x_a * x_b * ... * x_z`` is a chain of partial
+    products ``P_k = P_{k-1} * x_{v_k}`` (prefixes shared between terms and
+    derivatives), each grown one slice per degree by :meth:`grow`:
+    ``(P_k)_d = sum_i (P_{k-1})_i * (x_{v_k})_{d-i}``, which reads only
+    slices below d.  So every slice is computed once, in O(D^3)
+    convolutions overall.  Structural zeros (``None``) are skipped.
+    """
+
+    def __init__(self, mono: Monomials, x1: np.ndarray, derivatives: bool):
+        if len(x1) != len(mono.active):
+            raise ValueError(f"{len(x1)} series for "
+                             f"{len(mono.active)} active variables")
+        self.mono = mono
+        self.xs = [[None, row] for row in x1]
+        slot = {v: a for a, v in enumerate(mono.active)}
+        chains = {(v,): self.xs[a] for v, a in slot.items()}
+
+        def chain(key):
+            for k in range(2, len(key) + 1):
+                chains.setdefault(key[:k], [None, None])
+            return chains[key]
+
+        keys = [tuple(v for v, e in fs for _ in range(e))
+                for _, fs, _ in mono.terms]
+        #: slices of each term's monomial, without its coefficient
+        self.terms = [chain(key) for key in keys]
+        #: (term, active slot, coeff * exponent, slices of the monomial
+        #: with one factor x_v removed) for every variable v of every term
+        self.derivatives = []
+        if derivatives:
+            for t, ((coeff, fs, _), key) in enumerate(zip(mono.terms, keys)):
+                for v, e in fs:
+                    i = key.index(v)
+                    self.derivatives.append(
+                        (t, slot[v], coeff * e, chain(key[:i] + key[i + 1:])))
+        self._links = [(chains[key], chains[key[:-1]], self.xs[slot[key[-1]]])
+                       for key in chains if len(key) > 1]
+
+    def grow(self, d: int) -> None:
+        """Append every chain's degree-``d`` slice (needs slices below d)."""
+        for prod, head, x in self._links:
+            prod.append(graded_product_slice(head, x, d))
+
+    def push(self, x: np.ndarray | None) -> None:
+        """Append the next slice of every active variable (rows of ``x``),
+        or a structural zero for all of them when ``x`` is None."""
+        for xa, row in zip(self.xs, [None] * len(self.xs) if x is None else x):
+            xa.append(row)
+
+    def value_slice(self, d: int) -> np.ndarray:
+        """Degree-``d`` slice of G composed with the series, (n_out, d+1)."""
+        out = np.zeros((self.mono.inject.shape[0], d + 1), dtype=complex)
+        for (coeff, _, inject), prod in zip(self.mono.terms, self.terms):
+            sl = prod[d]
+            if sl is not None:
+                out += coeff * np.multiply.outer(inject, sl)
+        return out

@@ -122,12 +122,11 @@ def assemble_polar(ssm: AutonomousSsm, fr: ForcedReduction,
         raise ValidationError(
             f"forced correction was computed at order {fr.order}, "
             f"manifold at order {ssm.order}")
-    lam = ssm.lambda_master
-    a = np.concatenate(([lam.real], ssm.gamma.real))
-    b = np.concatenate(([lam.imag], ssm.gamma.imag))
     c, d = fr.c_res, fr.d_pm
-    return ReducedDynamics(omega=fr.omega, order=ssm.order, lambda_master=lam,
-                           a_coeffs=a, b_coeffs=b,
+    return ReducedDynamics(omega=fr.omega, order=ssm.order,
+                           lambda_master=ssm.lambda_master,
+                           a_coeffs=ssm.radial_coefficients(),
+                           b_coeffs=ssm.phase_coefficients(),
                            f1=c.real + d.real, f2=c.imag - d.imag,
                            g1=c.imag + d.imag, g2=c.real - d.real,
                            eps=eps)

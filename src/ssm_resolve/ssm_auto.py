@@ -18,19 +18,12 @@ through the diagonal term ``<(m1*lam1 + m2*lam2) - lam_i>`` because both the
 composition G(W0) and the cross terms D_s W0 * (R0 - linear) at degree d are
 assembled entirely from lower-degree data.
 
-The composition is graded (the power-series recurrence of the
-parameterization method; Haro et al. 2016, *The Parameterization Method for
-Invariant Manifolds*, ch. 2).  Each active physical coordinate
-``x_v = T[v] W0`` is kept as a list of homogeneous slices, one per degree,
-extended by projecting only the newly solved slice of W0.  A term
-``x_a * x_b * ... * x_z`` is a chain of partial products ``P_k = P_{k-1} *
-x_{v_k}`` (prefixes shared between terms), each grown one slice per degree:
-``(P_k)_d = sum_i (P_{k-1})_i * (x_{v_k})_{d-i}``, a sum of 1-D
-convolutions of slices below d.  So every slice is computed once, and the
-work falls from O(D^5) for recomputing each power per degree to O(D^3)
-convolutions.  Slices that are zero by parity (odd nonlinearities leave the
-even degrees unsolved) are carried as ``None`` and skipped without looking
-at their values.
+The composition G(W0) is graded (``Monomials.graded``): each active
+physical coordinate ``x_v = T[v] W0`` is kept as a list of homogeneous
+slices, one per degree, extended by projecting only the newly solved slice
+of W0, and every partial product of the terms grows one slice per degree
+from slices below it.  Slices that are zero by parity (odd nonlinearities
+leave the even degrees unsolved) are carried as structural zeros.
 """
 
 from __future__ import annotations
@@ -41,7 +34,7 @@ import numpy as np
 
 from .errors import ValidationError, NonResonanceError, InternalResonanceError
 from .model import ModalModel, check_nonresonance, spectral_quotient
-from .polyalg import dense_zero, dense_eval, graded_product_slice
+from .polyalg import dense_diff, dense_zero, dense_eval
 
 #: relative threshold on |lambda_i - <m, lambda_master>| for enslaved solves
 RESONANCE_GUARD = 1e-8
@@ -152,45 +145,25 @@ def compute_autonomous_ssm(mm: ModalModel, order: int, *, check: bool = True,
     gam2: list[complex] = []
     min_den = np.inf
 
-    terms = mm.terms
-    active = list(mm.active_vars)
-    t_active = mm.T[active, :]
-    # odd nonlinearity on a two-sided linear part keeps the manifold odd:
-    # even-degree coefficients are exactly zero, so skip their solve rather
-    # than solving for known zeros (even partial products still grow there).
-    odd_only = bool(terms) and all(sum(t.exponents) % 2 == 1 for t in terms)
-
-    # graded composition: xs[v] holds the slices of x_v = T[v] W, and
-    # chains[key] those of the partial product x_key[0] * ... * x_key[-1]
-    # for every prefix of a term's factor list (prefixes are shared)
-    x1 = t_active @ degree(1)
-    xs = {v: [None, x1[k]] for k, v in enumerate(active)}
-    keys = [tuple(v for v, e in enumerate(t.exponents) for _ in range(e))
-            for t in terms]
-    chains: dict[tuple, list] = {(v,): xs[v] for v in active}
-    for key in keys:
-        for k in range(2, len(key) + 1):
-            chains.setdefault(key[:k], [None, None])
-    links = [(chains[key], chains[key[:-1]], xs[key[-1]])
-             for key in chains if len(key) > 1]
+    mono = mm.monomials
+    t_active = mm.T[list(mono.active), :]
+    comp = mono.graded(t_active @ degree(1))
 
     for d in range(2, D + 1):
         # each partial product's degree-d slice needs only slices below d
-        for prod, head, x in links:
-            prod.append(graded_product_slice(head, x, d))
-        if odd_only and d % 2 == 0:
-            for x in xs.values():
-                x.append(None)
+        comp.grow(d)
+        # odd nonlinearity on a two-sided linear part keeps the manifold
+        # odd: even-degree coefficients are exactly zero, so skip their
+        # solve rather than solving for known zeros (even partial products
+        # still grow there)
+        if mono.odd and d % 2 == 0:
+            comp.push(None)
             continue
         m1 = np.arange(d + 1)
         m2 = d - m1
 
         # -- composition slice: degree-d coefficients of G(W0)
-        Gc = np.zeros((n2, d + 1), dtype=complex)
-        for t, key in zip(terms, keys):
-            sl = chains[key][d]
-            if sl is not None:
-                Gc += t.coeff * np.multiply.outer(t.beta, sl)
+        Gc = comp.value_slice(d)
 
         # -- cross terms: degree-d slice of D_s W0 * (R0 - linear part),
         # assembled from already-solved resonant coefficients; slot
@@ -223,8 +196,7 @@ def compute_autonomous_ssm(mm: ModalModel, order: int, *, check: bool = True,
 
         vals = np.where(resonant, 0.0, rhs / denom)
         degree(d)[...] = vals
-        for k, x in enumerate(t_active @ vals):
-            xs[active[k]].append(x)
+        comp.push(t_active @ vals)
 
         if d % 2 == 1:
             jj = (d - 1) // 2
@@ -251,18 +223,12 @@ def invariance_residual(ssm: AutonomousSsm, mm: ModalModel, samples) -> dict:
     s1 = np.atleast_1d(np.asarray(samples, dtype=complex))
     s2 = np.conj(s1)
     n2 = len(mm.eigenvalues)
-    D = ssm.order
 
     W = ssm.w0_dense
     w_vals = dense_eval(W, s1, s2).reshape(n2, -1)
 
-    idx = np.arange(1, D + 1)
-    d1 = np.zeros_like(W)
-    d1[:, :D, :] = W[:, 1:, :] * idx[None, :, None]
-    d2 = np.zeros_like(W)
-    d2[:, :, :D] = W[:, :, 1:] * idx[None, None, :]
-    d1_vals = dense_eval(d1, s1, s2).reshape(n2, -1)
-    d2_vals = dense_eval(d2, s1, s2).reshape(n2, -1)
+    d1_vals = dense_eval(dense_diff(W, 0), s1, s2).reshape(n2, -1)
+    d2_vals = dense_eval(dense_diff(W, 1), s1, s2).reshape(n2, -1)
 
     r0 = ssm.r0_at(s1, s2)
     lin = mm.eigenvalues[:, None] * w_vals

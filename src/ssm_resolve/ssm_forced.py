@@ -32,7 +32,10 @@ therefore split in two:
   small dense operators acting on the lower-degree unknowns: the cross term
   as a scalar map over monomials, shared by all rows; the carry term as a
   map from the earlier reduced (resonant-slot) values to ``w0`` columns, one
-  per harmonic; the Jacobian term as ``beta ⊗ (J_d · T[active] W_{<d})``;
+  per harmonic; the Jacobian term as ``beta ⊗ (J_d · T[active] W_{<d})``,
+  with J_d read off the graded derivative chains of ``Monomials.graded``
+  (each term's partial derivatives composed with ``T[active] W0`` one
+  slice per degree);
 * a solve per Omega (``compute_nonautonomous_ssm``), which forms the
   denominators, checks them against the guard, and marches degree by degree
   with both harmonics stacked, a few small matrix products per degree.
@@ -51,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalResonanceError
-from .polyalg import dense_mask, dense_zero, dense_mul, dense_pow, dense_eval
+from .polyalg import dense_diff, dense_eval
 from .ssm_auto import AutonomousSsm
 
 #: relative threshold on enslaved denominators (vs max(|lam_i|, |Omega|))
@@ -69,12 +72,6 @@ def leading_forcing_coefficient(mm) -> complex:
     forced-response feature.
     """
     return complex(mm.F_m[0]) / 2.0
-
-
-def _dense_truncate(arr: np.ndarray, order: int) -> np.ndarray:
-    out = np.array(arr[..., :order + 1, :order + 1])
-    out[..., ~dense_mask(order)] = 0.0
-    return out
 
 
 @dataclass
@@ -99,29 +96,30 @@ class _Degree:
     res: slice
 
 
-def _jacobian_factors(mm, w0: np.ndarray, d1: int) -> np.ndarray:
+def _jacobian_factors(mono, t_active: np.ndarray, w0: np.ndarray,
+                      d1: int) -> np.ndarray:
     """(n_terms, n_active, d1+1, d1+1): d(term)/d(x_v) along the manifold.
 
     Entry [t, a] is coeff * e_v * prod_u x_u**(e_u - [u == v]) with
-    x = T W0 truncated at degree d1 and v the a-th active variable.
+    x = T[active] W0 truncated at degree d1 and v the a-th active variable,
+    grown slice by slice on the derivative chains of ``mono.graded``.
     """
-    active = mm.active_vars
-    x = {v: _dense_truncate(np.einsum("l,lpq->pq", mm.T[v, :], w0), d1)
-         for v in active}
-    out = np.zeros((len(mm.terms), len(active), d1 + 1, d1 + 1),
+    k = np.arange(d1 + 2)
+
+    def x(c):
+        return t_active @ w0[:, k[:c + 1], c - k[:c + 1]]
+
+    comp = mono.graded(x(1), derivatives=True)
+    for d in range(2, d1 + 1):
+        comp.grow(d)
+        xd = x(d)
+        comp.push(xd if np.any(xd) else None)
+    out = np.zeros((len(mono.terms), len(mono.active), d1 + 1, d1 + 1),
                    dtype=complex)
-    for ti, t in enumerate(mm.terms):
-        for a, j in enumerate(active):
-            e = t.exponents[j]
-            if not e:
-                continue
-            prod = dense_zero(d1)
-            prod[0, 0] = 1.0
-            for v, ev in enumerate(t.exponents):
-                p = ev - (1 if v == j else 0)
-                if p:
-                    prod = dense_mul(prod, dense_pow(x[v], p, d1), d1)
-            out[ti, a] = t.coeff * e * prod
+    for t, a, scale, prod in comp.derivatives:
+        for d, sl in enumerate(prod[:d1 + 1]):
+            if sl is not None:
+                out[t, a, k[:d + 1], d - k[:d + 1]] = scale * sl
     return out
 
 
@@ -139,11 +137,8 @@ def _forced_caches(ssm: AutonomousSsm) -> dict:
     n2 = w0.shape[0]
     lam = mm.eigenvalues
 
-    dw = np.zeros((2, n2, d1 + 1, d1 + 1), dtype=complex)
-    mult = np.arange(1, d1 + 2)
-    dw[0] = w0[:, 1:d1 + 2, :d1 + 1] * mult[None, :, None]
-    dw[1] = w0[:, :d1 + 1, 1:d1 + 2] * mult[None, None, :]
-    dw[:, :, ~dense_mask(d1)] = 0.0
+    # W0 vanishes above degree d1 + 1, so its derivatives above d1
+    dw = np.stack([dense_diff(w0, v)[:, :d1 + 1, :d1 + 1] for v in (0, 1)])
 
     # flat monomial layout: degree by degree, k1 ascending within a degree
     start = np.concatenate(([0], np.cumsum(np.arange(1, d1 + 2))))
@@ -168,9 +163,11 @@ def _forced_caches(ssm: AutonomousSsm) -> dict:
     slot_cols = np.array(slot_cols)
     slot_deg = deg[slot_cols[0]]
 
-    terms = mm.terms
-    factors = _jacobian_factors(mm, w0, d1) if terms else None
-    n_terms, n_active = len(terms), len(mm.active_vars)
+    mono = mm.monomials
+    terms = mono.terms
+    t_active = mm.T[list(mono.active), :]
+    factors = _jacobian_factors(mono, t_active, w0, d1) if terms else None
+    n_terms, n_active = len(terms), len(mono.active)
 
     degrees = []
     for d in range(d1 + 1):
@@ -221,9 +218,8 @@ def _forced_caches(ssm: AutonomousSsm) -> dict:
         "base": lam[:, None] - (k1 * lam[0] + k2 * lam[1])[None, :],
         "resonant": resonant, "slot_rows": slot_rows,
         "slot_cols": slot_cols, "degrees": degrees,
-        "beta": (np.column_stack([t.beta for t in terms]) if terms
-                 else None),
-        "t_active": mm.T[list(mm.active_vars), :],
+        "beta": mono.inject if terms else None,
+        "t_active": t_active,
     }
     ssm.caches["forced"] = cache
     return cache
@@ -349,29 +345,6 @@ def compute_nonautonomous_ssm(ssm: AutonomousSsm, omega: float,
                            min_enslaved_den=min_den)
 
 
-def _exact_jacobian_apply(mm, q: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """DG(q) @ u evaluated exactly from the modal nonlinearity terms."""
-    out = np.zeros_like(u)
-    if not mm.terms:
-        return out
-    xq = mm.T @ q
-    xu = mm.T @ u
-    for t in mm.terms:
-        acc = np.zeros(q.shape[1:], dtype=complex)
-        for j, e in enumerate(t.exponents):
-            if not e:
-                continue
-            fac = t.coeff * e
-            factor = np.ones(q.shape[1:], dtype=complex) * fac
-            for v, ev in enumerate(t.exponents):
-                p = ev - (1 if v == j else 0)
-                if p:
-                    factor = factor * xq[v] ** p
-            acc += factor * xu[j]
-        out += np.multiply.outer(t.beta, acc)
-    return out
-
-
 def forced_residual(ssm: AutonomousSsm, fr: ForcedReduction, samples) -> dict:
     """O(eps) invariance defect per harmonic at sample points s1 (s2 = conj).
 
@@ -384,9 +357,8 @@ def forced_residual(ssm: AutonomousSsm, fr: ForcedReduction, samples) -> dict:
     s2 = np.conj(s1)
     npts = len(s1)
     n2 = len(mm.eigenvalues)
-    d1 = fr.order - 1
 
-    q0 = ssm.w0_at(s1, s2).reshape(n2, -1)
+    x0 = mm.T @ ssm.w0_at(s1, s2).reshape(n2, -1)
     r0 = ssm.r0_at(s1, s2)
 
     dw0 = _forced_caches(ssm)["dw"]
@@ -398,13 +370,8 @@ def forced_residual(ssm: AutonomousSsm, fr: ForcedReduction, samples) -> dict:
     for sign, w1arr, r1arr in ((+1, fr.w_plus, fr.r_plus),
                                (-1, fr.w_minus, fr.r_minus)):
         w1v = dense_eval(w1arr, s1, s2).reshape(n2, -1)
-        idx = np.arange(1, d1 + 1)
-        dwa = np.zeros_like(w1arr)
-        dwa[:, :d1, :] = w1arr[:, 1:, :] * idx[None, :, None]
-        dwb = np.zeros_like(w1arr)
-        dwb[:, :, :d1] = w1arr[:, :, 1:] * idx[None, None, :]
-        dw1_1 = dense_eval(dwa, s1, s2).reshape(n2, -1)
-        dw1_2 = dense_eval(dwb, s1, s2).reshape(n2, -1)
+        dw1_1 = dense_eval(dense_diff(w1arr, 0), s1, s2).reshape(n2, -1)
+        dw1_2 = dense_eval(dense_diff(w1arr, 1), s1, s2).reshape(n2, -1)
         r1v = dense_eval(r1arr, s1, s2).reshape(2, -1)
 
         lin = mm.eigenvalues[:, None] * w1v
@@ -412,7 +379,7 @@ def forced_residual(ssm: AutonomousSsm, fr: ForcedReduction, samples) -> dict:
                + dw1_1 * r0[0] + dw1_2 * r0[1]
                + dw0_1 * r1v[0] + dw0_2 * r1v[1]
                - lin
-               - _exact_jacobian_apply(mm, q0, w1v)
+               - mm.monomials.jacobian_apply(x0, mm.T @ w1v)
                - fr.forcing_half[:, None])
         worst_abs = np.maximum(worst_abs, np.linalg.norm(res, axis=0))
         scale = np.maximum(scale, np.linalg.norm(lin, axis=0))

@@ -43,6 +43,18 @@ def two_mass_system(kappa=SP["kappa"], alpha=SP["alpha"], quintic=0.0,
     return MechanicalSystem(M=M, C=C, K=K, g=g, f=np.array([P, 0.0]))
 
 
+#: even and mixed-variable terms on the two-mass system: the only test
+#: nonlinearity whose terms read several variables and have even degree
+MIXED_TERMS = [PolyTerm(0, 0.5, (2, 0, 0, 0)), PolyTerm(1, -0.3, (1, 1, 0, 0)),
+               PolyTerm(0, 0.2, (1, 0, 1, 0)), PolyTerm(1, 0.4, (2, 0, 0, 1))]
+
+
+def with_terms(g) -> MechanicalSystem:
+    """The two-mass benchmark's linear part and forcing with nonlinearity g."""
+    base = two_mass_system()
+    return MechanicalSystem(M=base.M, C=base.C, K=base.K, g=g, f=base.f)
+
+
 def two_mass_lambda(mode: int, c2=SP["c2"]) -> complex:
     """Closed-form eigenvalue of mode 1 or 2 (positive-imag member)."""
     m, c1, k = SP["m"], SP["c1"], SP["k"]

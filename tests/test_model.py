@@ -12,7 +12,8 @@ from ssm_resolve.model import (MechanicalSystem, PolyTerm, to_first_order,
 from ssm_resolve.ssm_auto import compute_autonomous_ssm
 from ssm_resolve.ssm_forced import leading_forcing_coefficient
 
-from conftest import two_mass_system, two_mass_lambda, SP
+from conftest import (MIXED_TERMS, SP, two_mass_lambda, two_mass_system,
+                      with_terms)
 
 # cantilever reference parameters (mm / kg / s), as in test_beam
 BEAM = dict(length=2700.0, height=10.0, width=10.0, density=1780e-9,
@@ -86,6 +87,46 @@ def test_modal_field_matches_physical_field(sp_modal):
         x = sp_modal.T @ q
         rhs = fos.A @ x + fos.nonlinearity(x)
         assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+@pytest.fixture(scope="module")
+def mixed_modal():
+    return modal_decompose(to_first_order(with_terms(MIXED_TERMS)))
+
+
+def test_mixed_modal_nonlinearity_is_projected_physical_one(mixed_modal):
+    """G_m(q) = T^-1 G_p(T q), one state and a batch, for terms that read
+    several variables and have even degree."""
+    fos = mixed_modal.fos
+    rng = np.random.default_rng(11)
+    Q = mixed_modal.T_inv @ (0.2 * rng.standard_normal((4, 6)))
+    want = mixed_modal.T_inv @ fos.nonlinearity(mixed_modal.T @ Q)
+    got = mixed_modal.nonlinearity(Q)
+    assert got.shape == (4, 6)
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+    # a batch is evaluated column by column
+    X = mixed_modal.T @ Q
+    assert np.array_equal(mixed_modal.monomials.value(X[:, 2]), got[:, 2])
+
+
+@pytest.mark.parametrize("space", ["physical", "modal"])
+def test_mixed_jacobian_apply_matches_central_difference(mixed_modal, space):
+    rng = np.random.default_rng(13)
+    x = 0.3 * rng.standard_normal((4, 5))
+    u = rng.standard_normal((4, 5))
+    mono = mixed_modal.fos.monomials
+    if space == "modal":
+        # the modal injections act on complex physical states x = T q
+        mono = mixed_modal.monomials
+        x, u = x + 0.1j * u, u - 0.5j * x
+    h = 1e-5
+    want = (mono.value(x + h * u) - mono.value(x - h * u)) / (2 * h)
+    got = mono.jacobian_apply(x, u)
+    assert got.shape == (4, 5)
+    assert np.abs(got - want).max() <= 1e-8 * np.abs(want).max()
+    # one point at a time gives the batch columns
+    assert np.allclose(mono.jacobian_apply(x[:, 1], u[:, 1]), got[:, 1],
+                       rtol=1e-14, atol=0)
 
 
 def test_forcing_transform(sp_modal):

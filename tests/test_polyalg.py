@@ -1,140 +1,175 @@
-"""Polynomial algebra layer: arithmetic identities and the dense kernels."""
+"""Polynomial kernels: the dense and graded kernels against a naive
+coefficient double loop, and the compiled monomial nonlinearity."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ssm_resolve.polyalg import (
-    MultiPoly, poly_add, poly_sub, poly_scale, poly_mul, poly_diff,
-    poly_substitute, poly_allclose,
-    dense_zero, dense_mul, dense_pow, dense_eval, poly_to_dense, dense_to_poly,
-    graded_product_slice,
+    Monomials, dense_diff, dense_eval, dense_mask, dense_mul, dense_pow,
+    dense_to_poly, dense_zero, graded_product_slice,
 )
 
 
-def mp(order, terms, nv=2):
-    return MultiPoly(nv, order, terms)
+def dense(order, terms):
+    """Dense array of ``{(i, j): c}``."""
+    arr = dense_zero(order)
+    for (i, j), c in terms.items():
+        arr[i, j] = c
+    return arr
+
+
+def naive_mul(a, b, order):
+    """Truncated product by the coefficient double loop."""
+    out = dense_zero(order)
+    for (i, j), x in np.ndenumerate(a):
+        for (k, l), y in np.ndenumerate(b):
+            if x != 0 and y != 0 and i + j + k + l <= order:
+                out[i + k, j + l] += x * y
+    return out
+
+
+def naive_eval(arr, z1, z2):
+    return sum(c * z1 ** i * z2 ** j for (i, j), c in np.ndenumerate(arr))
+
+
+def degree(arr):
+    """Largest total degree with a non-zero coefficient (-1 for zero)."""
+    return max((i + j for i, j in np.argwhere(arr != 0)), default=-1)
+
+
+def close(a, b):
+    return np.all(np.abs(a - b) <= 1e-10 * np.abs(b) + 1e-12)
 
 
 # ---------------------------------------------------------------- basic contracts
 
 def test_mul_truncates_to_common_order():
-    p = mp(3, {(2, 0): 1.0, (1, 0): 2.0})
-    q = mp(3, {(2, 0): 1.0})
-    r = poly_mul(p, q)
+    a = dense(4, {(2, 0): 1.0, (1, 0): 2.0})
+    b = dense(4, {(2, 0): 1.0})
     # (x^2 + 2x) * x^2 = x^4 + 2x^3 -> x^4 dropped at order 3
-    assert r.terms == {(3, 0): 2.0}
+    assert np.array_equal(dense_mul(a, b, 3), dense(3, {(3, 0): 2.0}))
 
 
 def test_add_collects_and_cancels():
-    p = mp(4, {(1, 1): 1.0, (2, 0): 3.0})
-    q = mp(4, {(1, 1): -1.0, (0, 2): 5.0})
-    r = poly_add(p, q)
-    assert (1, 1) not in r.terms
-    assert r.terms == {(2, 0): 3.0, (0, 2): 5.0}
+    # (s1 + s2)(s1 - s2): the two s1 s2 products collect and cancel to an
+    # exact zero, not to round-off
+    a = dense(3, {(1, 0): 0.1, (0, 1): 0.3})
+    b = dense(3, {(1, 0): 0.1, (0, 1): -0.3})
+    prod = dense_mul(a, b, 3)
+    assert prod[1, 1] == 0.0
+    assert np.count_nonzero(prod) == 2
+    # a sum of products cancels exactly as well
+    assert not np.any(dense_mul(a, b, 3) + dense_mul(a, -b, 3))
 
 
 def test_diff_product_rule_simple():
-    p = mp(5, {(2, 1): 1.5})
-    assert poly_diff(p, 0).terms == {(1, 1): 3.0}
-    assert poly_diff(p, 1).terms == {(2, 0): 1.5}
+    arr = dense(5, {(2, 1): 1.5})
+    assert np.array_equal(dense_diff(arr, 0), dense(5, {(1, 1): 3.0}))
+    assert np.array_equal(dense_diff(arr, 1), dense(5, {(2, 0): 1.5}))
+    # stacked rows are differentiated row by row
+    both = dense_diff(np.stack([arr, 2 * arr]), 0)
+    assert np.array_equal(both[1], 2 * both[0])
 
 
-def test_relative_drop_tolerance():
-    # coefficient 1e-20 next to O(1) coefficients is noise and must go;
-    # alone it is a legitimate tiny polynomial and must stay.
-    noisy = mp(3, {(1, 0): 1.0, (2, 0): 1e-20})
-    assert (2, 0) not in noisy.terms
-    tiny = mp(3, {(2, 0): 1e-20})
-    assert tiny.terms == {(2, 0): 1e-20}
-
-
-def test_graded_lex_iteration_order():
-    p = mp(3, {(0, 2): 1.0, (1, 0): 1.0, (2, 0): 1.0, (0, 1): 1.0, (1, 1): 1.0})
-    keys = [m for m, _ in p.items_graded()]
-    assert keys == [(0, 1), (1, 0), (0, 2), (1, 1), (2, 0)]
-
-
-def test_substitute_monomial_in_vector_of_polys():
-    # t = 2 * u0^2 * u1 with u0 = x + y, u1 = x - y, truncated at order 3
-    x = MultiPoly.variable(0, 2, 3)
-    y = MultiPoly.variable(1, 2, 3)
-    u0 = poly_add(x, y)
-    u1 = poly_sub(x, y)
-    r = poly_substitute(2.0, (2, 1), [u0, u1])
-    # 2 (x+y)^2 (x-y) = 2(x^3 + x^2 y - x y^2 - y^3)
-    assert r.terms == {(3, 0): 2.0, (2, 1): 2.0, (1, 2): -2.0, (0, 3): -2.0}
-
-
-def test_substitute_rejects_length_mismatch():
-    x = MultiPoly.variable(0, 2, 3)
-    with pytest.raises(ValueError):
-        poly_substitute(1.0, (1, 1, 1), [x, x])
-
-
-def test_arity_checks():
-    with pytest.raises(ValueError):
-        MultiPoly(2, 3, {(1, 2, 3): 1.0})
-    with pytest.raises(ValueError):
-        MultiPoly(2, 3, {(-1, 0): 1.0})
-    p = mp(3, {(1, 0): 1.0})
-    q = MultiPoly(3, 3, {(1, 0, 0): 1.0})
-    with pytest.raises(ValueError):
-        poly_add(p, q)
+def test_dense_kernels_keep_tiny_coefficients_and_structural_zeros():
+    # a 1e-20 coefficient next to O(1) ones is kept (no relative drop), and
+    # the product of two odd series is exactly zero at even degrees and
+    # above the order
+    a = dense(5, {(1, 0): 1.0, (0, 1): 0.5, (2, 1): 1e-20})
+    prod = dense_mul(a, a, 5)
+    assert prod[3, 1] == 2e-20 and prod[2, 2] == 1e-20
+    i, j = np.indices(prod.shape)
+    assert not np.any(prod[(i + j) % 2 == 1])
+    assert not np.any(prod[~dense_mask(5)])
+    assert np.array_equal(prod, naive_mul(a, a, 5))
 
 
 def test_evaluation():
-    p = mp(4, {(2, 1): 2.0, (0, 0): -1.0})
+    # 2 z1^2 z2 - 1, injected into the second of two outputs
+    mono = Monomials([2.0, -1.0], [(2, 1), (0, 0)], np.array([[0.0, 0.0],
+                                                              [1.0, 1.0]]))
     z1, z2 = 0.3 + 0.1j, -0.2 + 0.5j
-    assert p([z1, z2]) == pytest.approx(2.0 * z1**2 * z2 - 1.0)
+    val = mono.value(np.array([z1, z2]))
+    assert val[0] == 0
+    assert val[1] == pytest.approx(2.0 * z1 ** 2 * z2 - 1.0)
+
+
+def test_substitute_monomial_in_vector_of_polys():
+    # t = 2 * u0^2 * u1 with u0 = s1 + s2, u1 = s1 - s2, grown to degree 3
+    mono = Monomials([2.0], [(2, 1)], np.array([[1.0]]))
+    comp = mono.graded(np.array([[1.0, 1.0], [-1.0, 1.0]]))
+    comp.grow(2)
+    comp.push(None)
+    comp.grow(3)
+    assert not np.any(comp.value_slice(2))
+    # 2 (s1+s2)^2 (s1-s2) = 2(s1^3 + s1^2 s2 - s1 s2^2 - s2^3); entry k is
+    # the coefficient of s1^k s2^(3-k)
+    assert np.array_equal(comp.value_slice(3), [[-2.0, -2.0, 2.0, 2.0]])
+
+
+def test_substitute_rejects_length_mismatch():
+    mono = Monomials([1.0], [(1, 1, 1)], np.array([[1.0]]))
+    with pytest.raises(ValueError):
+        mono.graded(np.ones((2, 2)))
 
 
 # ---------------------------------------------------------------- property tests
 
-def small_polys(order=4):
+def small_dense(order=4):
     coeff = st.complex_numbers(min_magnitude=0.01, max_magnitude=10,
                                allow_nan=False, allow_infinity=False)
     expo = st.tuples(st.integers(0, order), st.integers(0, order)).filter(
         lambda m: sum(m) <= order)
     return st.dictionaries(expo, coeff, max_size=5).map(
-        lambda t: MultiPoly(2, order, t))
+        lambda t: dense(order, t))
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_polys(), small_polys(), small_polys())
+@given(small_dense(), small_dense(), small_dense())
 def test_mul_distributes_over_add(p, q, r):
-    lhs = poly_mul(p, poly_add(q, r))
-    rhs = poly_add(poly_mul(p, q), poly_mul(p, r))
-    assert poly_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
+    assert close(dense_mul(p, q + r, 4), naive_mul(p, q + r, 4))
+    assert close(dense_mul(p, q + r, 4),
+                 dense_mul(p, q, 4) + dense_mul(p, r, 4))
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_polys(), small_polys())
+@given(small_dense(), small_dense())
 def test_mul_commutes(p, q):
-    assert poly_allclose(poly_mul(p, q), poly_mul(q, p), rtol=1e-10, atol=1e-12)
+    assert close(dense_mul(p, q, 4), dense_mul(q, p, 4))
+    assert close(dense_mul(p, q, 4), naive_mul(q, p, 4))
 
 
 @settings(max_examples=60, deadline=None)
-@given(small_polys(), small_polys(), st.integers(0, 1))
+@given(small_dense(), small_dense(), st.integers(0, 1))
 def test_derivative_product_rule(p, q, var):
-    lhs = poly_diff(poly_mul(p, q), var)
-    rhs = poly_add(poly_mul(poly_diff(p, var), q),
-                   poly_mul(p, poly_diff(q, var)))
-    # d/ds truncation note: both sides only defined up to order-1 of the product
-    lhs = MultiPoly(2, p.trunc_order - 1, lhs.terms)
-    rhs = MultiPoly(2, p.trunc_order - 1, rhs.terms)
-    assert poly_allclose(lhs, rhs, rtol=1e-10, atol=1e-12)
+    lhs = dense_diff(dense_mul(p, q, 4), var)
+    rhs = (dense_mul(dense_diff(p, var), q, 4)
+           + dense_mul(p, dense_diff(q, var), 4))
+    # both sides are only defined up to order - 1 of the product
+    below = dense_mask(3)
+    assert close(lhs[:4, :4][below], rhs[:4, :4][below])
+    # the index shift is the term-by-term derivative
+    want = dense_zero(4)
+    for (i, j), c in np.ndenumerate(p):
+        e = (i, j)[var]
+        if e:
+            want[i - (var == 0), j - (var == 1)] += e * c
+    assert np.array_equal(dense_diff(p, var), want)
 
 
 @settings(max_examples=40, deadline=None)
-@given(small_polys(order=3), small_polys(order=3))
+@given(small_dense(order=3), small_dense(order=3))
 def test_evaluation_is_ring_homomorphism_below_truncation(p, q):
     # at points small enough, truncation error is zero when degrees stay in range
-    if p.degree() + q.degree() > 3:
+    if degree(p) + degree(q) > 3:
         return
-    z = [0.37 - 0.21j, -0.11 + 0.18j]
-    prod = poly_mul(p, q)
-    assert prod(z) == pytest.approx(p(z) * q(z), rel=1e-9, abs=1e-12)
+    z1, z2 = 0.37 - 0.21j, -0.11 + 0.18j
+    prod = dense_mul(p, q, 3)
+    assert dense_eval(prod, z1, z2) == pytest.approx(
+        dense_eval(p, z1, z2) * dense_eval(q, z1, z2), rel=1e-9, abs=1e-12)
+    assert dense_eval(p, z1, z2) == pytest.approx(naive_eval(p, z1, z2),
+                                                  rel=1e-12, abs=1e-14)
 
 
 # ---------------------------------------------------------------- dense kernels
@@ -150,9 +185,14 @@ def test_dense_roundtrip_and_mul_matches_sparse():
                 for j in range(order + 1 - i):
                     arr[i, j] = rng.standard_normal() + 1j * rng.standard_normal()
         pa, pb = dense_to_poly(a), dense_to_poly(b)
-        dm = dense_mul(a, b, order)
-        sm = poly_mul(pa, pb)
-        assert poly_allclose(dense_to_poly(dm), sm, rtol=1e-10, atol=1e-12)
+        assert np.array_equal(dense(order, pa.terms), a)
+        # the product as the double loop over the sparse terms
+        sm = dense_zero(order)
+        for (i, j), x in pa.terms.items():
+            for (k, l), y in pb.terms.items():
+                if i + j + k + l <= order:
+                    sm[i + k, j + l] += x * y
+        assert close(dense_mul(a, b, order), sm)
 
 
 def test_dense_pow_matches_repeated_mul():
@@ -167,17 +207,15 @@ def test_dense_pow_matches_repeated_mul():
 
 
 def test_dense_eval_matches_poly_eval():
-    order = 5
-    p = mp(order, {(1, 0): 1.0, (0, 2): 2.0 - 1.0j, (3, 2): 0.25})
-    arr = poly_to_dense(p)
+    arr = dense(5, {(1, 0): 1.0, (0, 2): 2.0 - 1.0j, (3, 2): 0.25})
     z1, z2 = 0.4 + 0.3j, -0.5 - 0.1j
-    assert dense_eval(arr, z1, z2) == pytest.approx(p([z1, z2]))
+    assert dense_eval(arr, z1, z2) == pytest.approx(naive_eval(arr, z1, z2))
     # vectorized over points, and over stacked rows
     z1v = np.array([0.1, 0.2 + 0.1j, -0.3])
     z2v = np.array([0.0, 0.5, 0.25j])
     vals = dense_eval(arr, z1v, z2v)
     for k in range(3):
-        assert vals[k] == pytest.approx(p([z1v[k], z2v[k]]))
+        assert vals[k] == pytest.approx(naive_eval(arr, z1v[k], z2v[k]))
     stacked = np.stack([arr, 2 * arr])
     sv = dense_eval(stacked, z1v, z2v)
     assert sv.shape == (2, 3)

@@ -14,7 +14,8 @@ from ssm_resolve.polyalg import dense_mul, dense_pow, dense_zero
 from ssm_resolve.ssm_auto import (compute_autonomous_ssm, invariance_residual,
                                   residual_slope)
 
-from conftest import BEAM, two_mass_system, two_mass_gamma1
+from conftest import (BEAM, MIXED_TERMS, two_mass_system, two_mass_gamma1,
+                      with_terms)
 
 
 # frozen outputs of the closed-form oracles (guards against oracle edits)
@@ -219,13 +220,13 @@ def _coefficient_defect(ssm, mm):
     D, W, lam = ssm.order, ssm.w0_dense, mm.eigenvalues
     x = np.einsum("vl,lij->vij", mm.T, W)
     G = np.zeros_like(W)
-    for t in mm.terms:
+    for t, beta in zip(mm.fos.terms, mm.monomials.inject.T):
         prod = dense_zero(D)
         prod[0, 0] = 1.0
         for v, e in enumerate(t.exponents):
             if e:
                 prod = dense_mul(prod, dense_pow(x[v], e, D), D)
-        G += t.coeff * np.multiply.outer(t.beta, prod)
+        G += t.coeff * np.multiply.outer(beta, prod)
     R1, R2 = dense_zero(D), dense_zero(D)
     R1[1, 0], R2[0, 1] = lam[0], lam[1]
     for j, (g1, g2) in enumerate(zip(ssm.gamma, ssm.gamma_row2), start=1):
@@ -245,13 +246,10 @@ def _coefficient_defect(ssm, mm):
     [PolyTerm(0, 0.4, (3, 0, 0, 0)), PolyTerm(0, -0.6, (0, 0, 3, 0)),
      PolyTerm(0, 1.2, (0, 0, 5, 0))],
     # even and mixed-variable terms: every degree is solved
-    [PolyTerm(0, 0.5, (2, 0, 0, 0)), PolyTerm(1, -0.3, (1, 1, 0, 0)),
-     PolyTerm(0, 0.2, (1, 0, 1, 0)), PolyTerm(1, 0.4, (2, 0, 0, 1))],
+    MIXED_TERMS,
 ])
 def test_graded_composition_solves_invariance_coefficientwise(g):
-    base = two_mass_system()
-    mm = modal_decompose(to_first_order(MechanicalSystem(
-        M=base.M, C=base.C, K=base.K, g=g, f=base.f)))
+    mm = modal_decompose(to_first_order(with_terms(g)))
     ssm = compute_autonomous_ssm(mm, 9)
     defect, scale = _coefficient_defect(ssm, mm)
     assert np.abs(defect).max() <= 1e-12 * scale

@@ -8,12 +8,15 @@ import pytest
 from ssm_resolve.beam import BeamSpec, build_beam
 from ssm_resolve.errors import InternalResonanceError
 from ssm_resolve.model import to_first_order, modal_decompose
+from ssm_resolve.polyalg import dense_mask, dense_mul, dense_pow, dense_zero
 from ssm_resolve.ssm_auto import compute_autonomous_ssm
-from ssm_resolve.ssm_forced import (compute_nonautonomous_ssm,
+from ssm_resolve.ssm_forced import (_jacobian_factors,
+                                    compute_nonautonomous_ssm,
                                     leading_forcing_coefficient,
                                     forced_residual, forced_residual_slope)
 
-from conftest import two_mass_system, two_mass_lambda
+from conftest import (MIXED_TERMS, two_mass_lambda, two_mass_system,
+                      with_terms)
 
 # frozen leading forcing coefficient of the two-mass benchmark
 C00_TWO_MASS = -0.21651447039099153j
@@ -180,3 +183,35 @@ def test_compile_is_kept_per_manifold(sp_modal):
     assert ssm.caches["forced"] is compiled
     assert np.array_equal(first.w_plus, again.w_plus)
     assert np.array_equal(first.c_res, again.c_res)
+
+
+@pytest.mark.parametrize("g", [None, MIXED_TERMS], ids=["cubic", "mixed"])
+def test_graded_jacobian_factors_match_dense_products(g):
+    """Each term's derivative along the manifold, grown on the graded
+    chains, equals coeff * e_v * prod_u x_u**(e_u - [u == v]) composed on
+    the full dense arrays by dense_mul / dense_pow."""
+    system = two_mass_system() if g is None else with_terms(g)
+    mm = modal_decompose(to_first_order(system))
+    ssm = compute_autonomous_ssm(mm, 9)
+    d1 = ssm.order - 1
+    active = mm.monomials.active
+    x = np.einsum("vl,lij->vij", mm.T, ssm.w0_dense)[:, :d1 + 1, :d1 + 1]
+    x[:, ~dense_mask(d1)] = 0.0
+    want = np.zeros((len(mm.fos.terms), len(active), d1 + 1, d1 + 1),
+                    dtype=complex)
+    for t, term in enumerate(mm.fos.terms):
+        for a, v in enumerate(active):
+            e = term.exponents[v]
+            if not e:
+                continue
+            prod = dense_zero(d1)
+            prod[0, 0] = 1.0
+            for u, eu in enumerate(term.exponents):
+                p = eu - (u == v)
+                if p:
+                    prod = dense_mul(prod, dense_pow(x[u], p, d1), d1)
+            want[t, a] = term.coeff * e * prod
+    got = _jacobian_factors(mm.monomials, mm.T[list(active), :],
+                            ssm.w0_dense, d1)
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
