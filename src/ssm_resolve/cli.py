@@ -538,6 +538,9 @@ def _cmd_frc(cfg: RunConfig) -> None:
         artifacts.append((cfg.svg, frc_svg(curve, amps, header=meta[:3])))
     _write_artifacts(artifacts)
     _say(cfg, f"wrote {cfg.out}" + (f" and {cfg.svg}" if cfg.svg else ""))
+    dens = [fr.min_enslaved_den for fr in curve.reductions]
+    _say(cfg, "smallest forced denominator: "
+         + (f"{min(dens):.1e}" if dens else "none (no accepted points)"))
     _say(cfg, _skip_summary(curve.skipped))
 
 

@@ -11,9 +11,14 @@ whose discriminant (up to a factor 4) is  disc = eps**2 (f1**2 + f2**2) - a**2.
 Real responses exist where disc >= 0; disc = 0 marks folds of the response
 curve over the frequency axis.  The curve is traced on a rho grid: at each
 admissible rho and branch, the remaining phase equation G = 0 is solved for
-Omega (the f/g coefficients themselves depend on Omega, so the solve wraps
-the forced-stage computation), every solution is verified against the full
-zero problem and stability-tagged, and the accepted points are grouped into
+Omega.  The f/g coefficients themselves depend on Omega, so every G value
+needs a forced solve, and the trace solves a whole curve in lockstep: each
+(rho, branch) pair runs its own safeguarded secant iteration, and each
+round sends the Omegas that all pending pairs ask for through one batched
+forced march (``compute_nonautonomous_ssm`` on an array).  Round 0 marches
+every row's backbone Omega, which seeds both branches.  Converged points are
+verified against the full zero problem, window-filtered and
+stability-tagged in one batch per round, and grouped at the end into
 connected components by proximity in the (Omega, rho) plane.  Each accepted
 point keeps the forced reduction it was solved with, so its physical
 amplitude needs no further forced solve.
@@ -30,7 +35,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -39,7 +44,7 @@ from .errors import ValidationError
 from .ssm_auto import AutonomousSsm
 from .ssm_forced import ForcedReduction, compute_nonautonomous_ssm
 from .reduced import (ReducedDynamics, FixedPointU, assemble_polar,
-                      zero_problem, fixed_point_stability)
+                      zero_problem, stability_labels)
 
 #: |a - eps*f1| below this switches the K quadratic to its linear limit
 DEGENERATE_LEAD = 1e-14
@@ -49,6 +54,9 @@ G_TOL = 1e-12
 POINT_TOL = 1e-10
 #: relative bound on the discriminant at reported folds
 FOLD_TOL = 1e-12
+#: cap on the forced data one round of the lockstep trace marches at once,
+#: in bytes: the requests past it wait for the next round
+ROUND_BYTES = 2 << 20
 
 BRANCHES = ("K+", "K-")
 
@@ -59,6 +67,28 @@ def discriminant(rd: ReducedDynamics, rho, eps: float):
     return eps ** 2 * (rd.f1_of(rho) ** 2 + rd.f2_of(rho) ** 2) - a ** 2
 
 
+def _k_roots(rd: ReducedDynamics, rho, eps: float):
+    """Roots (K+, K-) of the radial equation at each rho, NaN where there are
+    none, and the discriminant there.
+
+    A degenerate leading coefficient yields the linear root plus ``inf``
+    standing for the K -> infinity solution (psi = pi).
+    """
+    a, f1, f2 = rd.a_of(rho), rd.f1_of(rho), rd.f2_of(rho)
+    lead = a - eps * f1
+    disc = eps ** 2 * (f1 ** 2 + f2 ** 2) - a ** 2
+    b_lin = 2 * eps * f2
+    degenerate = np.abs(lead) < DEGENERATE_LEAD
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = np.sqrt(disc)
+        k_plus = np.where(degenerate, -(a + eps * f1) / b_lin,
+                          (-eps * f2 + root) / lead)
+        k_minus = np.where(degenerate, np.inf, (-eps * f2 - root) / lead)
+    none = np.where(degenerate, np.abs(b_lin) < DEGENERATE_LEAD, disc < 0)
+    return (np.where(none, np.nan, k_plus), np.where(none, np.nan, k_minus),
+            disc)
+
+
 def k_branches(rd: ReducedDynamics, rho: float, eps: float) -> list[float]:
     """Real roots K of the radial equation at amplitude rho.
 
@@ -67,27 +97,19 @@ def k_branches(rd: ReducedDynamics, rho: float, eps: float) -> list[float]:
     yields the linear root plus ``math.inf`` standing for the K -> infinity
     solution (psi = pi).
     """
-    a = float(rd.a_of(rho))
-    f1 = float(rd.f1_of(rho))
-    f2 = float(rd.f2_of(rho))
-    lead = a - eps * f1
-    if abs(lead) < DEGENERATE_LEAD:
-        b_lin = 2 * eps * f2
-        if abs(b_lin) < DEGENERATE_LEAD:
-            return []
-        return [-(a + eps * f1) / b_lin, math.inf]
-    disc = eps ** 2 * (f1 ** 2 + f2 ** 2) - a ** 2
-    if disc < 0:
-        return []
-    root = math.sqrt(disc)
-    return [(-eps * f2 + root) / lead, (-eps * f2 - root) / lead]
+    k_plus, k_minus, _ = _k_roots(rd, rho, eps)
+    return [] if np.isnan(k_plus) else [float(k_plus), float(k_minus)]
 
 
-def psi_from_k(k: float) -> float:
-    """Phase from the tangent half-angle; infinity maps to psi = pi."""
-    if math.isinf(k):
-        return math.pi
-    return math.atan2(2 * k, 1 - k * k) % (2 * math.pi)
+def psi_from_k(k):
+    """Phase from the tangent half-angle; infinity maps to psi = pi.
+
+    Takes one K or an array of them (NaN stays NaN).
+    """
+    k = np.asarray(k, dtype=float)
+    psi = np.where(np.isinf(k), np.pi,
+                   np.arctan2(2 * k, 1 - k * k) % (2 * np.pi))
+    return psi if psi.ndim else float(psi)
 
 
 def frc_G(rd: ReducedDynamics, rho: float, omega: float, eps: float,
@@ -102,16 +124,15 @@ def frc_G(rd: ReducedDynamics, rho: float, omega: float, eps: float,
     ks = k_branches(rd, rho, eps)
     if len(ks) <= BRANCHES.index(branch):
         return None
-    return _phase_residual(rd, rho, omega, eps,
-                           psi_from_k(ks[BRANCHES.index(branch)]))
+    return float(_phase_residual(rd, rho, omega, eps,
+                                 psi_from_k(ks[BRANCHES.index(branch)])))
 
 
-def _phase_residual(rd: ReducedDynamics, rho: float, omega: float,
-                    eps: float, psi: float) -> float:
+def _phase_residual(rd: ReducedDynamics, rho, omega, eps: float, psi):
     """Phase equation (b - Omega) rho + eps (g1 cos psi - g2 sin psi)."""
-    return float((rd.b_of(rho) - omega) * rho
-                 + eps * (rd.g1_of(rho) * math.cos(psi)
-                          - rd.g2_of(rho) * math.sin(psi)))
+    return ((rd.b_of(rho) - omega) * rho
+            + eps * (rd.g1_of(rho) * np.cos(psi)
+                     - rd.g2_of(rho) * np.sin(psi)))
 
 
 @dataclass
@@ -143,69 +164,140 @@ def _backbone_omega(ssm: AutonomousSsm, rho: float) -> float:
                                                   ssm.phase_coefficients()))
 
 
-def _rd_at(ssm: AutonomousSsm, omega: float, eps: float, cache: dict,
-           fresh: dict | None = None) -> ReducedDynamics:
-    """Polar data at ``omega``, solved once per Omega and kept in ``cache``.
+def _columns(rd: ReducedDynamics, idx) -> ReducedDynamics:
+    """The frequencies ``idx`` of stacked polar data (one integer gives the
+    plain one-frequency form)."""
+    return replace(rd, omega=rd.omega[idx], f1=rd.f1[:, idx],
+                   f2=rd.f2[:, idx], g1=rd.g1[:, idx], g2=rd.g2[:, idx])
 
-    A new solve also leaves its forced reduction in ``fresh`` when given.
+
+def _secant(om: float, got=None, max_iter: int = 50):
+    """Safeguarded secant iteration for G(Omega) = 0, as a generator.
+
+    It yields a tuple of the Omegas whose residuals it needs next and is
+    sent back one ``(G or None, disc, at)`` for each: None where the branch
+    does not exist there, the discriminant, and where ``_rounds`` keeps that
+    Omega's data.  ``got`` is that triple at ``om`` when already known;
+    otherwise the first difference probe rides along with ``om`` itself.
+    Returns ``(omega, got)`` at convergence, None on divergence.
     """
-    rd = cache.get(omega)
-    if rd is None:
-        fr = compute_nonautonomous_ssm(ssm, omega)
-        rd = assemble_polar(ssm, fr, eps)
-        cache[omega] = rd
-        if fresh is not None:
-            fresh[omega] = fr
-    return rd
-
-
-def _solve_omega(ssm: AutonomousSsm, rho: float, eps: float, branch: str,
-                 omega0: float, cache: dict, psi_double: bool = False,
-                 max_iter: int = 50, fresh: dict | None = None):
-    """Safeguarded secant iteration for G(Omega) = 0 at fixed (rho, branch).
-
-    With ``psi_double`` the phase is frozen at the double root
-    K = -eps*f2/(a - eps*f1) instead of the branch root, which keeps the
-    iteration defined on the far side of a fold (used to bracket folds).
-    Returns (omega, rd, G) or None on divergence.
-    """
-    def g_of(om: float):
-        rd = _rd_at(ssm, om, eps, cache, fresh)
-        if psi_double:
-            lead = float(rd.a_of(rho)) - eps * float(rd.f1_of(rho))
-            k = (math.inf if abs(lead) < DEGENERATE_LEAD
-                 else -eps * float(rd.f2_of(rho)) / lead)
-            return _phase_residual(rd, rho, om, eps, psi_from_k(k)), rd
-        return frc_G(rd, rho, om, eps, branch), rd
-
-    om = float(omega0)
-    g, rd = g_of(om)
+    h = 1e-7 * max(1.0, abs(om))
+    probe = None
+    if got is None:
+        got, probe = yield om, om + h
+    g = got[0]
     if g is None:
         return None
-    h = 1e-7 * max(1.0, abs(om))
     for _ in range(max_iter):
         if abs(g) <= G_TOL:
-            return om, rd, g
-        g2, _ = g_of(om + h)
+            return om, got
+        if probe is None:
+            probe, = yield om + h,
+        g2, probe = probe[0], None
         if g2 is None or g2 == g:
             return None
         slope = (g2 - g) / h
         step = -g / slope
         # safeguard: halve the step until the residual actually shrinks
         for _ in range(12):
-            g_new, rd_new = g_of(om + step)
-            if g_new is not None and abs(g_new) < abs(g):
+            trial, = yield om + step,
+            if trial[0] is not None and abs(trial[0]) < abs(g):
                 break
             step /= 2
         else:
             return None
-        om, g, rd = om + step, g_new, rd_new
-    return (om, rd, g) if abs(g) <= G_TOL else None
+        om, got = om + step, trial
+        g = got[0]
+    return (om, got) if abs(g) <= G_TOL else None
+
+
+def _trace_pair(backbone: float, rho: float, sign: int):
+    """One (rho, branch) pair of the trace, as a generator for ``_rounds``.
+
+    The backbone Omega seeds the branch (its discriminant places the seed);
+    the plain backbone is the fallback seed.  Returns (solution, disc0).
+    """
+    got, = yield backbone,
+    disc0 = got[1]
+    seed = backbone + sign * math.sqrt(max(disc0, 0.0)) / rho
+    if seed == backbone:
+        return (yield from _secant(seed, got)), disc0
+    sol = yield from _secant(seed)
+    if sol is None:
+        # try the plain backbone seed before giving up
+        sol = yield from _secant(backbone)
+    return sol, disc0
+
+
+def _rounds(ssm: AutonomousSsm, eps: float, pairs: list, rho: np.ndarray,
+            branch: np.ndarray, psi_double: bool = False):
+    """Drive the pair generators in lockstep.
+
+    Each round marches every distinct Omega the pending pairs ask for as
+    one batch (as many pairs, first come first, as ``ROUND_BYTES`` holds),
+    evaluates their phase residuals together and sends each pair a
+    ``(G, disc, at)`` per Omega, ``at`` indexing the round's requests.  G
+    is taken at the pair's branch root (0: K+, 1: K-), or with
+    ``psi_double`` at the double root K = -eps*f2/(a - eps*f1), which keeps
+    the iteration defined on the far side of a fold.  Yields per round
+    ``(batch, member, rd, psi, finished)``: the forced batch, the batch
+    member of each request, the polar data and psi per request, and the
+    (pair, result) of the pairs that returned in this round.
+    """
+    # both harmonics' embedding columns of one Omega, complex
+    per_omega = 32 * ssm.w0_dense.shape[0] * ssm.order * (ssm.order + 1) // 2
+    capacity = max(1, ROUND_BYTES // per_omega)
+    pending = {p: next(gen) for p, gen in enumerate(pairs)}
+    while pending:
+        owner, omega = [], []
+        for p, wanted in pending.items():
+            if omega and len(omega) + len(wanted) > capacity:
+                break
+            owner += [p] * len(wanted)
+            omega += wanted
+        distinct: dict[float, int] = {}
+        member = np.array([distinct.setdefault(om, len(distinct))
+                           for om in omega])
+        batch = compute_nonautonomous_ssm(ssm, np.array(list(distinct)))
+        rd = _columns(assemble_polar(ssm, batch, eps), member)
+        r = rho[owner]
+        k_plus, k_minus, disc = _k_roots(rd, r, eps)
+        if psi_double:
+            lead = rd.a_of(r) - eps * rd.f1_of(r)
+            with np.errstate(divide="ignore"):
+                k = np.where(np.abs(lead) < DEGENERATE_LEAD, np.inf,
+                             -eps * rd.f2_of(r) / lead)
+        else:
+            k = np.where(branch[owner] == 0, k_plus, k_minus)
+        psi = psi_from_k(k)
+        g = _phase_residual(rd, r, np.array(omega), eps, psi).tolist()
+        got = [(None if math.isnan(gi) else gi, di, at)
+               for at, (gi, di) in enumerate(zip(g, disc.tolist()))]
+        finished = []
+        at = 0
+        for p in dict.fromkeys(owner):
+            wanted = pending[p]
+            try:
+                pending[p] = pairs[p].send(tuple(got[at:at + len(wanted)]))
+            except StopIteration as stop:
+                del pending[p]
+                finished.append((p, stop.value))
+            at += len(wanted)
+        yield batch, member, rd, psi, finished
 
 
 def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
               n_rho: int, omega_window: tuple[float, float] | None = None) -> FrcCurve:
-    """Trace the forced response curve on a rho grid.
+    """Trace the forced response curve on a rho grid, all rows in lockstep.
+
+    Every (rho, branch) pair of the grid runs the safeguarded secant on
+    G(Omega) = 0 from its backbone seed, with the plain backbone as the
+    retry; ``_rounds`` batches the Omegas of all pending pairs into one
+    forced march per round.  The points that converge in a round are
+    checked against the full zero problem and the window and labelled by
+    stability together, and only accepted points keep their reduction.
+    Points, skips and the discriminant trace come out in grid order, K+
+    before K-, whatever round each pair finished in.
 
     Parameters
     ----------
@@ -228,76 +320,76 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
 
     grid = np.linspace(0.0, rho_max, n_rho + 1)[1:]
     step = grid[1] - grid[0]
-    cache: dict = {}
-    # reductions solved in the current grid row; only those of accepted
-    # points outlive it
-    fresh: dict[float, ForcedReduction] = {}
+    # pair p is grid row p // 2 on branch p % 2 (K+ first)
+    rho = np.repeat(grid, 2)
+    branch = np.tile([0, 1], n_rho)
+    pairs = []
+    for r in grid.tolist():
+        backbone = _backbone_omega(ssm, r)
+        pairs += [_trace_pair(backbone, r, +1), _trace_pair(backbone, r, -1)]
+
+    disc = np.empty(2 * n_rho)
+    # per pair: a skip reason, or the accepted point and its reduction
+    outcome: dict[int, str | tuple[FixedPointU, ForcedReduction]] = {}
+    # the accepted reductions' embedding arrays, in one slot per pair (slots
+    # never written take no memory).  Kept as hundreds of small arrays
+    # among the trace's short-lived ones, they fragment the heap, which then
+    # stays resident after the curve is freed (18 MB under glibc for a
+    # 578-point curve of the 100-state beam).  One block is freed whole.
+    store = None
+    for batch, member, rd, psi, finished in _rounds(ssm, eps, pairs, rho,
+                                                    branch):
+        done = []
+        for p, (sol, disc0) in finished:
+            if sol is None:
+                disc[p] = disc0
+                if disc0 >= 0:
+                    outcome[p] = "omega iteration diverged"
+            else:
+                om, (_, disc[p], at) = sol
+                done.append((p, om, at))
+        if not done:
+            continue
+        ps, om, at = (np.array(c) for c in zip(*done))
+        here = _columns(rd, at)
+        f1v, f2v = zero_problem(here, (rho[ps], om, psi[at]), eps=eps)
+        bad = np.maximum(np.abs(f1v), np.abs(f2v)) > POINT_TOL
+        outside = np.zeros_like(bad)
+        if omega_window is not None:
+            outside = ~((omega_window[0] <= om) & (om <= omega_window[1]))
+        for j in np.flatnonzero(bad):
+            outcome[int(ps[j])] = "zero-problem residual too large"
+        for j in np.flatnonzero(~bad & outside):
+            outcome[int(ps[j])] = "omega outside window"
+        keep = np.flatnonzero(~bad & ~outside)
+        if not keep.size:
+            continue
+        labels = stability_labels(_columns(here, keep), rho[ps[keep]],
+                                  psi[at[keep]], eps=eps)
+        if store is None:
+            store = np.empty((2 * n_rho,) + batch.w.shape[1:3]
+                             + (ssm.order, ssm.order), dtype=complex)
+        for j, label in zip(keep.tolist(), labels.tolist()):
+            p = int(ps[j])
+            point = FixedPointU(rho=float(rho[p]), omega=float(om[j]),
+                                psi=float(psi[at[j]]), stability=label,
+                                branch=BRANCHES[p % 2], eps=eps)
+            outcome[p] = (point, batch.reduction(member[at[j]],
+                                                 out=store[p]))
+
     points: list[FixedPointU] = []
     reductions: list[ForcedReduction] = []
-    # the accepted reductions' embedding arrays, in one slot per grid row
-    # and branch (slots never written take no memory).  Kept as hundreds of
-    # small arrays among the trace's short-lived ones, they fragment the
-    # heap, which then stays resident after the curve is freed (18 MB
-    # under glibc for a 578-point curve of the 100-state beam).  One block
-    # is freed whole.
-    store = None
     skipped: list[tuple[float, str, str]] = []
-    disc_trace: dict[str, list[tuple[float, float]]] = {b: [] for b in BRANCHES}
-
-    warm: dict[str, float | None] = {b: None for b in BRANCHES}
-    for rho in grid:
-        rho = float(rho)
-        backbone = _backbone_omega(ssm, rho)
-        for branch in BRANCHES:
-            sign = +1 if branch == "K+" else -1
-            rd0 = _rd_at(ssm, warm[branch] if warm[branch] is not None
-                         else backbone, eps, cache, fresh)
-            disc0 = float(discriminant(rd0, rho, eps))
-            seed = backbone + sign * math.sqrt(max(disc0, 0.0)) / rho
-            sol = _solve_omega(ssm, rho, eps, branch, seed, cache,
-                               fresh=fresh)
-            if sol is None:
-                # try the plain backbone seed before giving up
-                sol = _solve_omega(ssm, rho, eps, branch, backbone, cache,
-                                   fresh=fresh)
-            if sol is None:
-                if disc0 >= 0:
-                    skipped.append((rho, branch, "omega iteration diverged"))
-                disc_trace[branch].append((rho, disc0))
-                warm[branch] = None
-                continue
-            om, rd, g = sol
-            disc_trace[branch].append((rho, float(discriminant(rd, rho, eps))))
-            warm[branch] = om
-            ks = k_branches(rd, rho, eps)
-            if len(ks) <= BRANCHES.index(branch):
-                continue
-            psi = psi_from_k(ks[BRANCHES.index(branch)])
-            f1v, f2v = zero_problem(rd, (rho, om, psi), eps=eps)
-            if max(abs(float(f1v)), abs(float(f2v))) > POINT_TOL:
-                skipped.append((rho, branch, "zero-problem residual too large"))
-                continue
-            if omega_window is not None and not (
-                    omega_window[0] <= om <= omega_window[1]):
-                skipped.append((rho, branch, "omega outside window"))
-                continue
-            rep = fixed_point_stability(rd, (rho, om, psi), eps=eps)
-            points.append(FixedPointU(rho=rho, omega=om, psi=psi,
-                                      stability=rep.label, branch=branch,
-                                      eps=eps))
-            fr = fresh.get(om)
-            if fr is None:  # a cache hit on an Omega probed in an earlier row
-                fr = compute_nonautonomous_ssm(ssm, om)
-            if store is None:
-                store = np.empty((2 * n_rho, 2) + fr.w_plus.shape,
-                                 dtype=complex)
-            slot = store[len(reductions)]
-            slot[0], slot[1] = fr.w_plus, fr.w_minus
-            fr.w_plus, fr.w_minus = slot[0], slot[1]
-            reductions.append(fr)
-        fresh.clear()
-
-    folds = _locate_folds(ssm, eps, disc_trace, cache)
+    for p in range(2 * n_rho):
+        got = outcome.get(p)
+        if isinstance(got, str):
+            skipped.append((float(rho[p]), BRANCHES[p % 2], got))
+        elif got is not None:
+            points.append(got[0])
+            reductions.append(got[1])
+    disc_trace = {b: list(zip(grid.tolist(), disc[i::2].tolist()))
+                  for i, b in enumerate(BRANCHES)}
+    folds = _locate_folds(ssm, eps, disc_trace)
     components = _group_components(points, step, folds)
     return FrcCurve(eps=eps, order=ssm.order, points=points,
                     folds=np.asarray(folds), components=components,
@@ -306,17 +398,31 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
                     reductions=reductions)
 
 
-def _locate_folds(ssm: AutonomousSsm, eps: float, disc_trace: dict,
-                  cache: dict) -> list[float]:
+def _fold_point(ssm: AutonomousSsm, eps: float, rho: float):
+    """Double-root Omega at amplitude rho and the polar data there.
+
+    The secant runs through the lockstep solver as a batch of one; when it
+    diverges, the Omega is None and the polar data are the backbone's.
+    """
+    backbone = _backbone_omega(ssm, rho)
+    for _, _, rd, _, finished in _rounds(
+            ssm, eps, [_secant(backbone)], np.array([rho]), np.zeros(1, int),
+            psi_double=True):
+        if finished:
+            sol = finished[0][1]
+            if sol is None:
+                fr = compute_nonautonomous_ssm(ssm, backbone)
+                return None, assemble_polar(ssm, fr, eps)
+            om, (_, _, at) = sol
+            return om, _columns(rd, at)
+
+
+def _locate_folds(ssm: AutonomousSsm, eps: float,
+                  disc_trace: dict) -> list[float]:
     """Bisect the discriminant (along the double-root Omega) at sign changes."""
 
     def disc_at(rho: float) -> float:
-        backbone = _backbone_omega(ssm, rho)
-        seed_rd = _rd_at(ssm, backbone, eps, cache)
-        sol = _solve_omega(ssm, rho, eps, "K+", backbone, cache,
-                           psi_double=True)
-        rd = sol[1] if sol is not None else seed_rd
-        return float(discriminant(rd, rho, eps))
+        return float(discriminant(_fold_point(ssm, eps, rho)[1], rho, eps))
 
     folds: list[float] = []
     by_rho: dict[float, float] = {}
@@ -339,6 +445,14 @@ def _locate_folds(ssm: AutonomousSsm, eps: float, disc_trace: dict,
         if not out or abs(r - out[-1]) > 1e-12 * max(1.0, abs(r)):
             out.append(r)
     return out
+
+
+def _median(values: list[float]) -> float:
+    """np.median of a short list, in plain Python: (a + b) / 2 for two
+    middle values, as NumPy takes it."""
+    v = sorted(values)
+    mid = len(v) // 2
+    return v[mid] if len(v) % 2 else (v[mid - 1] + v[mid]) / 2
 
 
 def _group_components(points: list[FixedPointU], step: float,
@@ -376,21 +490,23 @@ def _group_components(points: list[FixedPointU], step: float,
             parent[rj] = ri
 
     rho_tol = 2 * step * (1 + 1e-9)
-    scale = np.zeros(n)
-    for b in BRANCHES:
-        chain = sorted((i for i in range(n) if points[i].branch == b),
-                       key=lambda i: points[i].rho)
+    scale = [0.0] * n
+    chains = {b: [] for b in BRANCHES}
+    for i, p in enumerate(points):
+        chains[p.branch].append(i)
+    for chain in chains.values():
+        chain.sort(key=lambda i: points[i].rho)
         gaps = [abs(points[i].omega - points[j].omega)
                 for i, j in zip(chain[:-1], chain[1:])]
         for k, (i, j) in enumerate(zip(chain[:-1], chain[1:])):
             if points[j].rho - points[i].rho > rho_tol:
                 continue
-            local = float(np.median(gaps[max(0, k - 1):k + 2]))
+            local = _median(gaps[max(0, k - 1):k + 2])
             if gaps[k] <= 4 * max(local, 1e-15):
                 union(i, j)
         for pos, i in enumerate(chain):
             near = gaps[max(0, pos - 2):pos + 2]
-            scale[i] = float(np.median(near)) if near else 0.0
+            scale[i] = _median(near) if near else 0.0
 
     by_rho = sorted(range(n), key=lambda i: points[i].rho)
     rhos = [points[i].rho for i in by_rho]
@@ -405,9 +521,9 @@ def _group_components(points: list[FixedPointU], step: float,
 
     for rho_f in folds:
         pair = []
-        for b in BRANCHES:
-            best = min((i for i in range(n) if points[i].branch == b
-                        and abs(points[i].rho - rho_f) <= rho_tol),
+        for chain in chains.values():
+            best = min((i for i in chain
+                        if abs(points[i].rho - rho_f) <= rho_tol),
                        key=lambda i: abs(points[i].rho - rho_f),
                        default=None)
             if best is not None:

@@ -28,24 +28,39 @@ from .ssm_forced import ForcedReduction
 STABILITY_MARGIN = 1e-8
 
 
+def _horner(coeffs: np.ndarray, u):
+    """sum coeffs[i] * u**i, a column of 2-D ``coeffs`` per u; the steps of
+    ``numpy.polynomial.polynomial.polyval`` without its argument handling."""
+    val = coeffs[-1] + u * 0
+    for c in coeffs[-2::-1]:
+        val = c + val * u
+    return val
+
+
 def _even_val(coeffs: np.ndarray, rho):
-    """sum coeffs[i] * rho**(2i)."""
+    """sum coeffs[i] * rho**(2i); a column of 2-D ``coeffs`` per rho."""
     u = np.asarray(rho, dtype=float) ** 2
-    return np.polynomial.polynomial.polyval(u, coeffs)
+    return _horner(coeffs, u)
 
 
 def _even_dval(coeffs: np.ndarray, rho):
-    """d/drho of sum coeffs[i] * rho**(2i)."""
+    """d/drho of sum coeffs[i] * rho**(2i); a column of 2-D ``coeffs`` per
+    rho."""
     rho = np.asarray(rho, dtype=float)
     if len(coeffs) < 2:
         return np.zeros_like(rho)
-    idx = np.arange(1, len(coeffs))
-    return rho * np.polynomial.polynomial.polyval(rho ** 2, 2 * idx * coeffs[1:])
+    idx = np.arange(1, len(coeffs)).reshape((-1,) + (1,) * (coeffs.ndim - 1))
+    return rho * _horner(2 * idx * coeffs[1:], rho ** 2)
 
 
 @dataclass
 class ReducedDynamics:
-    """Coefficients of the planar polar field at one forcing frequency."""
+    """Coefficients of the planar polar field at one forcing frequency.
+
+    Stacked polar data of several frequencies keep the power on axis 0 of
+    ``f1``/``f2``/``g1``/``g2`` and one column per frequency (``omega`` an
+    array); every ``*_of`` then takes one rho per column.
+    """
     omega: float
     order: int
     lambda_master: complex
@@ -116,13 +131,14 @@ def assemble_polar(ssm: AutonomousSsm, fr: ForcedReduction,
 
     ``f1/g2`` share the real part and ``f2/g1`` the imaginary part of the
     diagonal forced coefficients; the off-diagonal contribution enters the
-    four of them with alternating sign.
+    four of them with alternating sign.  A ForcedBatch gives the stacked
+    polar data of its frequencies.
     """
     if fr.order != ssm.order:
         raise ValidationError(
             f"forced correction was computed at order {fr.order}, "
             f"manifold at order {ssm.order}")
-    c, d = fr.c_res, fr.d_pm
+    c, d = fr.c_res.T, fr.d_pm.T
     return ReducedDynamics(omega=fr.omega, order=ssm.order,
                            lambda_master=ssm.lambda_master,
                            a_coeffs=ssm.radial_coefficients(),
@@ -171,6 +187,43 @@ class StabilityReport:
         return self.label == "stable"
 
 
+def _polar_jacobian(rd: ReducedDynamics, rho, psi, eps: float) -> np.ndarray:
+    """(..., 2, 2) Jacobian of the planar field (rho', psi') in (rho, psi)."""
+    cp, sp = np.cos(psi), np.sin(psi)
+    f1, f2 = rd.f1_of(rho), rd.f2_of(rho)
+    g1, g2 = rd.g1_of(rho), rd.g2_of(rho)
+    dg1, dg2 = _even_dval(rd.g1, rho), _even_dval(rd.g2, rho)
+
+    j11 = rd.da_of(rho) + eps * (_even_dval(rd.f1, rho) * cp
+                                 + _even_dval(rd.f2, rho) * sp)
+    j12 = eps * (-f1 * sp + f2 * cp)
+    j21 = rd.db_of(rho) + eps * ((dg1 / rho - g1 / rho ** 2) * cp
+                                 - (dg2 / rho - g2 / rho ** 2) * sp)
+    j22 = eps * (-g1 * sp - g2 * cp) / rho
+    jac = np.array([[j11, j12], [j21, j22]], dtype=float)
+    return np.moveaxis(jac, (0, 1), (-2, -1))
+
+
+def _labels(eig: np.ndarray) -> np.ndarray:
+    """Stability label of each row of eigenvalue pairs."""
+    re = eig.real
+    return np.where(np.any(np.abs(re) < STABILITY_MARGIN, axis=-1),
+                    "fold-degenerate",
+                    np.where(np.all(re < 0, axis=-1), "stable", "unstable"))
+
+
+def stability_labels(rd: ReducedDynamics, rho, psi,
+                     eps: float | None = None) -> np.ndarray:
+    """Labels of the fixed points (rho[j], psi[j]) of stacked polar data
+    ``rd``, column j each: fixed_point_stability's, for a batch at once."""
+    eps = _resolve(rd, eps)
+    rho = np.asarray(rho, dtype=float)
+    if np.any(rho <= 0):
+        raise SingularChartError(
+            "stability chart is singular at rho = 0; use a positive amplitude")
+    return _labels(np.linalg.eigvals(_polar_jacobian(rd, rho, psi, eps)))
+
+
 def fixed_point_stability(rd: ReducedDynamics, u,
                           eps: float | None = None) -> StabilityReport:
     """Classify a fixed point u = (rho, Omega, psi) by the polar Jacobian.
@@ -185,26 +238,9 @@ def fixed_point_stability(rd: ReducedDynamics, u,
     if rho <= 0:
         raise SingularChartError(
             "stability chart is singular at rho = 0; use a positive amplitude")
-    cp, sp = np.cos(psi), np.sin(psi)
-    f1, f2 = rd.f1_of(rho), rd.f2_of(rho)
-    g1, g2 = rd.g1_of(rho), rd.g2_of(rho)
-    dg1, dg2 = _even_dval(rd.g1, rho), _even_dval(rd.g2, rho)
-
-    j11 = rd.da_of(rho) + eps * (_even_dval(rd.f1, rho) * cp
-                                 + _even_dval(rd.f2, rho) * sp)
-    j12 = eps * (-f1 * sp + f2 * cp)
-    j21 = rd.db_of(rho) + eps * ((dg1 / rho - g1 / rho ** 2) * cp
-                                 - (dg2 / rho - g2 / rho ** 2) * sp)
-    j22 = eps * (-g1 * sp - g2 * cp) / rho
-    jac = np.array([[j11, j12], [j21, j22]], dtype=float)
+    jac = _polar_jacobian(rd, rho, psi, eps)
     eig = np.linalg.eigvals(jac)
-    re = eig.real
-    if np.any(np.abs(re) < STABILITY_MARGIN):
-        label = "fold-degenerate"
-    elif np.all(re < 0):
-        label = "stable"
-    else:
-        label = "unstable"
+    label = str(_labels(eig))
     point = FixedPointU(rho=rho, omega=omega, psi=psi, stability=label,
                         eps=eps)
     return StabilityReport(u=point, eigenvalues=eig, jacobian=jac, label=label)

@@ -36,9 +36,13 @@ therefore split in two:
   with J_d read off the graded derivative chains of ``Monomials.graded``
   (each term's partial derivatives composed with ``T[active] W0`` one
   slice per degree);
-* a solve per Omega (``compute_nonautonomous_ssm``), which forms the
-  denominators, checks them against the guard, and marches degree by degree
-  with both harmonics stacked, a few small matrix products per degree.
+* a march per batch of Omegas (``compute_nonautonomous_ssm``), which forms
+  the denominators of every Omega in the batch, checks them all against the
+  guard, and marches degree by degree on a (frequencies, harmonics, rows,
+  columns) stack, a few small matrix products per degree.  Each product
+  acts on every (rows, columns) matrix of the stack on its own, so a
+  member's coefficients are bit for bit those of the one-Omega solve,
+  which is the batch of one.
 
 No operator couples all rows and monomials at once, so the compiled data
 grow linearly with the state dimension.
@@ -62,6 +66,10 @@ ENSLAVED_GUARD = 1e-8
 
 #: the e^{+i Omega t} and e^{-i Omega t} harmonics, stacked on axis 0
 SIGNS = np.array([1, -1])
+
+#: working-set budget of one march slice, in bytes: past a few hundred kB
+#: per array the per-degree temporaries start to cost page faults
+MARCH_BYTES = 1 << 20
 
 
 def leading_forcing_coefficient(mm) -> complex:
@@ -265,84 +273,157 @@ class ForcedReduction:
         return np.exp(1j * phase) * rp + np.exp(-1j * phase) * rm
 
 
-def compute_nonautonomous_ssm(ssm: AutonomousSsm, omega: float,
-                              *, guard: float = ENSLAVED_GUARD) -> ForcedReduction:
+@dataclass
+class ForcedBatch:
+    """O(eps) corrections at a batch of frequencies, stacked on axis 0.
+
+    ``w`` holds both harmonics' embedding corrections (e^{+} first) in the
+    march's flat monomial columns (degree by degree, k1 ascending); ``r``
+    the reduced-field corrections as dense arrays.
+    ``c_res``, ``d_pm`` and ``min_enslaved_den`` are ForcedReduction's, one
+    row per frequency.
+    """
+    omega: np.ndarray
+    order: int
+    lambda_master: complex
+    #: (frequencies, 2, rows, monomials)
+    w: np.ndarray
+    #: (frequencies, 2, 2, order, order)
+    r: np.ndarray
+    c_res: np.ndarray
+    d_pm: np.ndarray
+    forcing_half: np.ndarray
+    min_enslaved_den: np.ndarray
+
+    def reduction(self, i: int, out: np.ndarray | None = None
+                  ) -> ForcedReduction:
+        """Member ``i`` on its own.  Its dense embeddings are written into
+        ``out`` (2, rows, order, order) when given, else into a new array."""
+        if out is None:
+            out = np.empty((2, self.w.shape[2], self.order, self.order),
+                           dtype=complex)
+        # degree d sits at k1 * order + d - k1, k1 = 0..d: a strided slice
+        n = self.order
+        dense = out.reshape(2, self.w.shape[2], -1)
+        dense[...] = 0
+        for d in range(n):
+            lo = d * (d + 1) // 2
+            dense[..., d:d * n + 1:max(n - 1, 1)] = self.w[i, ..., lo:lo + d + 1]
+        return ForcedReduction(omega=float(self.omega[i]), order=self.order,
+                               lambda_master=self.lambda_master,
+                               w_plus=out[0], w_minus=out[1],
+                               r_plus=self.r[i, 0].copy(),
+                               r_minus=self.r[i, 1].copy(),
+                               c_res=self.c_res[i].copy(),
+                               d_pm=self.d_pm[i].copy(),
+                               forcing_half=self.forcing_half,
+                               min_enslaved_den=float(
+                                   self.min_enslaved_den[i]))
+
+
+def compute_nonautonomous_ssm(ssm: AutonomousSsm, omega,
+                              *, guard: float = ENSLAVED_GUARD):
     """Solve the O(eps) invariance equation at forcing frequency ``omega``.
 
-    The expansion runs to total degree ``ssm.order - 1``, which is exactly
-    what the unforced embedding of degree ``ssm.order`` supports.
+    ``omega`` is one frequency, which gives a ForcedReduction, or a 1-D
+    array of them, which gives a ForcedBatch; one frequency is the batch of
+    one.  The expansion runs to total degree ``ssm.order - 1``, which is
+    exactly what the unforced embedding of degree ``ssm.order`` supports.
+    The batch marches in slices of at most ``MARCH_BYTES`` of working set,
+    and each member's coefficients do not depend on the others.
     """
     mm = ssm.mm
     cache = _forced_caches(ssm)
+    omegas = np.atleast_1d(np.asarray(omega, dtype=float))
+    n_om = len(omegas)
     d1 = cache["d1"]
-    lam = mm.eigenvalues
-    n2 = len(lam)
+    k1, k2 = cache["k1"], cache["k2"]
+    n2 = len(mm.eigenvalues)
     f_half = mm.F_m / 2.0
 
-    den = cache["base"][None] - (1j * omega) * SIGNS[:, None, None]
+    w = np.empty((n_om, 2, n2, len(k1)), dtype=complex)
+    r = np.zeros((n_om,) + cache["slot_rows"].shape, dtype=complex)
+    min_den = np.empty(n_om)
+    # den, inv, |den| and w: four (2, rows, monomials) arrays per frequency
+    per_slice = max(1, MARCH_BYTES // (4 * w[0].nbytes))
+    for lo in range(0, n_om, per_slice):
+        part = slice(lo, lo + per_slice)
+        min_den[part] = _march(cache, mm.eigenvalues, f_half, omegas[part],
+                               guard, w[part], r[part])
+
+    both = np.arange(2)[:, None]
+    r_dense = np.zeros((n_om, 2, 2, d1 + 1, d1 + 1), dtype=complex)
+    slots = cache["slot_cols"]
+    r_dense[:, both, cache["slot_rows"], k1[slots], k2[slots]] = r
+
+    m_res = d1 // 2
+    idx = np.arange(m_res + 1)
+    c_res = r_dense[:, 0, 0, idx, idx]
+    d_pm = np.zeros((n_om, m_res + 1), dtype=complex)
+    d_pm[:, 1:] = r_dense[:, 1, 0, idx[1:] + 1, idx[1:] - 1]
+
+    batch = ForcedBatch(omega=omegas, order=ssm.order,
+                        lambda_master=ssm.lambda_master, w=w, r=r_dense,
+                        c_res=c_res, d_pm=d_pm, forcing_half=f_half,
+                        min_enslaved_den=min_den)
+    return batch if np.ndim(omega) else batch.reduction(0)
+
+
+def _march(cache: dict, lam: np.ndarray, f_half: np.ndarray,
+           omega: np.ndarray, guard: float, w: np.ndarray,
+           r: np.ndarray) -> np.ndarray:
+    """March a slice of frequencies through the degrees, both harmonics
+    stacked: writes the embedding columns into ``w`` and the reduced values
+    into ``r``, and returns the smallest enslaved |denominator| of each.
+
+    Every operator acts on each (rows, columns) matrix of the stack on its
+    own, so a member's result does not depend on the slice it is in.
+    """
+    n_om, n2 = len(omega), len(lam)
+    den = (cache["base"]
+           - (1j * omega)[:, None, None, None] * SIGNS[:, None, None])
     enslaved = ~cache["resonant"]
     mag = np.abs(den)
-    scale = np.maximum(np.abs(lam), abs(omega))
-    small = (mag < guard * scale[None, :, None]) & enslaved
+    scale = np.maximum(np.abs(lam), np.abs(omega)[:, None])
+    small = (mag < guard * scale[:, None, :, None]) & enslaved
     if np.any(small):
-        # report the first offender in march order: harmonic, degree, row
+        # report the first offender in march order: frequency, harmonic,
+        # degree, row
         deg = cache["deg"]
-        b, i, m = min(np.argwhere(small),
-                      key=lambda h: (h[0], deg[h[2]], h[1], h[2]))
+        q, b, i, m = min(np.argwhere(small),
+                         key=lambda h: (h[0], h[1], deg[h[3]], h[2], h[3]))
         raise InternalResonanceError(
-            f"enslaved coefficient near-resonant at Omega={omega:g}: "
+            f"enslaved coefficient near-resonant at Omega={omega[q]:g}: "
             f"|lambda_{i} - <({cache['k1'][m]},{cache['k2'][m]}), "
             f"lambda_master> {'-' if SIGNS[b] > 0 else '+'} i*Omega| = "
-            f"{mag[b, i, m]:.3e}")
-    min_den = float(mag[enslaved].min(initial=np.inf))
+            f"{mag[q, b, i, m]:.3e}")
+    min_den = np.where(enslaved, mag, np.inf).min(axis=(1, 2, 3))
     inv = np.zeros_like(den)
     np.divide(1.0, den, out=inv, where=enslaved)
 
     beta, t_active = cache["beta"], cache["t_active"]
-    w = np.zeros_like(den)
-    y = np.zeros((2, t_active.shape[0], w.shape[2]), dtype=complex)
-    r = np.zeros(cache["slot_rows"].shape, dtype=complex)
+    y = np.zeros((n_om, 2, t_active.shape[0], w.shape[-1]), dtype=complex)
     both = np.arange(2)[:, None]
     for step in cache["degrees"]:
         cols = step.cols
         lo = cols.start
-        alpha = np.zeros((2, n2, cols.stop - lo), dtype=complex)
+        alpha = np.zeros((n_om, 2, n2, cols.stop - lo), dtype=complex)
         if step.cross is not None:
-            alpha += w[:, :, :lo] @ step.cross
+            alpha += w[..., :lo] @ step.cross
         if step.carry is not None:
-            alpha += (r[:, None, :step.res.start] @ step.carry).reshape(
+            alpha += (r[:, :, None, :step.res.start] @ step.carry).reshape(
                 alpha.shape)
         if step.jac is not None:
-            alpha -= beta @ (y[:, :, :lo].reshape(2, -1) @ step.jac).reshape(
-                2, beta.shape[1], -1)
+            alpha -= beta @ (y[..., :lo].reshape(n_om, 2, -1)
+                             @ step.jac).reshape(n_om, 2, beta.shape[1], -1)
         if lo == 0:
-            alpha[:, :, 0] -= f_half
-        vals = alpha * inv[:, :, cols]
-        w[:, :, cols] = vals
+            alpha[..., 0] -= f_half
+        vals = alpha * inv[..., cols]
+        w[..., cols] = vals
         if beta is not None:
-            y[:, :, cols] = t_active @ vals
-        r[:, step.res] = -alpha[both, step.res_rows, step.res_cols]
-
-    k1, k2 = cache["k1"], cache["k2"]
-    w_dense = np.zeros((2, n2, d1 + 1, d1 + 1), dtype=complex)
-    w_dense[:, :, k1, k2] = w
-    r_dense = np.zeros((2, 2, d1 + 1, d1 + 1), dtype=complex)
-    slots = cache["slot_cols"]
-    r_dense[both, cache["slot_rows"], k1[slots], k2[slots]] = r
-
-    m_res = d1 // 2
-    idx = np.arange(m_res + 1)
-    c_res = r_dense[0, 0, idx, idx]
-    d_pm = np.zeros(m_res + 1, dtype=complex)
-    d_pm[1:] = r_dense[1, 0, idx[1:] + 1, idx[1:] - 1]
-
-    return ForcedReduction(omega=float(omega), order=ssm.order,
-                           lambda_master=ssm.lambda_master,
-                           w_plus=w_dense[0], w_minus=w_dense[1],
-                           r_plus=r_dense[0], r_minus=r_dense[1],
-                           c_res=c_res, d_pm=d_pm,
-                           forcing_half=f_half,
-                           min_enslaved_den=min_den)
+            y[..., cols] = t_active @ vals
+        r[:, :, step.res] = -alpha[:, both, step.res_rows, step.res_cols]
+    return min_den
 
 
 def forced_residual(ssm: AutonomousSsm, fr: ForcedReduction, samples) -> dict:

@@ -262,6 +262,29 @@ def test_frc_reports_skipped_points_by_reason(tmp_path, capsys):
     assert drop_timestamps(out.read_text()) == drop_timestamps(body)
 
 
+def test_frc_reports_smallest_forced_denominator(tmp_path, capsys):
+    sysfile = sp_file(tmp_path)
+    out = tmp_path / "frc.csv"
+    assert main(["frc", "--system", sysfile, "--eps", "0.0027",
+                 "--rho-max", "0.06", "--n-rho", "60", "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    mm = modal_decompose(to_first_order(two_mass_system()))
+    fc = trace_frc(compute_autonomous_ssm(mm, 3), mm, 0.0027, rho_max=0.06,
+                   n_rho=60)
+    # the smallest enslaved |lambda_i - <k, lambda_master> -/+ i*Omega| of
+    # any kept reduction
+    smallest = min(fr.min_enslaved_den for fr in fc.reductions)
+    assert 0 < smallest < np.inf
+    assert lines[-2] == f"smallest forced denominator: {smallest:.1e}"
+    assert "denominator" not in out.read_text()
+
+    assert main(["frc", "--system", sysfile, "--eps", "0.0027",
+                 "--rho-max", "0.06", "--n-rho", "20", "--out", str(out),
+                 "--omega-window", "10:11"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2] == "smallest forced denominator: none (no accepted points)"
+
+
 def test_quiet_silences_informational_output(tmp_path, capsys):
     sysfile = sp_file(tmp_path)
     out = tmp_path / "q.csv"

@@ -1,6 +1,7 @@
 """Forced response curve extraction: branches, tracing, folds, amplitudes."""
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from scipy.optimize import minimize_scalar
 
 from conftest import BEAM, two_mass_system
 from ssm_resolve.beam import BeamSpec, build_beam, tip_index
+from ssm_resolve import frc
 from ssm_resolve.errors import ValidationError
 from ssm_resolve.model import modal_decompose, to_first_order
 from ssm_resolve.polyalg import dense_eval
@@ -17,7 +19,7 @@ from ssm_resolve.reduced import (ReducedDynamics, FixedPointU, assemble_polar,
                                  zero_problem)
 from ssm_resolve.frc import (BRANCHES, k_branches, psi_from_k, frc_G,
                              discriminant, trace_frc, physical_amplitude,
-                             physical_amplitudes, _rd_at, _solve_omega)
+                             physical_amplitudes, _fold_point)
 
 
 def _synthetic_rd(a, f1, f2):
@@ -169,14 +171,9 @@ class TestTwoMassTrace:
     def test_fold_discriminant_vanishes_to_relative_tolerance(
             self, sp_ssm3, sp_trace_isola):
         fc = sp_trace_isola
-        cache = {}
         for rho_f in fc.folds:
-            rd0 = _rd_at(sp_ssm3, sp_modal_backbone(sp_ssm3, rho_f), fc.eps,
-                         cache)
-            sol = _solve_omega(sp_ssm3, rho_f, fc.eps, "K+",
-                               float(rd0.b_of(rho_f)), cache, psi_double=True)
-            assert sol is not None
-            rd = sol[1]
+            om, rd = _fold_point(sp_ssm3, fc.eps, rho_f)
+            assert om is not None
             scale = fc.eps ** 2 * (rd.f1_of(rho_f) ** 2 + rd.f2_of(rho_f) ** 2)
             assert abs(discriminant(rd, rho_f, fc.eps)) <= 1e-12 * scale
 
@@ -210,11 +207,6 @@ class TestTwoMassTrace:
             trace_frc(sp_ssm3, sp_modal, 0.001, rho_max=-1.0, n_rho=50)
         with pytest.raises(ValidationError):
             trace_frc(sp_ssm3, sp_modal, 0.001, rho_max=0.1, n_rho=1)
-
-
-def sp_modal_backbone(ssm, rho):
-    coeffs = np.concatenate(([ssm.lambda_master.imag], ssm.gamma.imag))
-    return float(np.polynomial.polynomial.polyval(rho ** 2, coeffs))
 
 
 class TestPhysicalAmplitude:
@@ -356,3 +348,92 @@ class TestPhysicalAmplitudes:
         assert fc.points == []
         amps = physical_amplitudes(sp_ssm3, fc, 0)
         assert amps.shape == (0,)
+
+
+#: the traced curves of GOLDEN_CURVES recorded before the trace solved its
+#: rows in lockstep; see tests/data/README.md for how to re-record them
+FRC_GOLDEN = Path(__file__).parent / "data" / "frc_golden.npz"
+
+#: name -> (system builder, normalization, order, trace_frc arguments): the
+#: four frc curves of the benchmark's reduced-path workload at seed 0
+GOLDEN_CURVES = {
+    "cubic": (two_mass_system, "first-position", 3,
+              dict(eps=0.0027, rho_max=0.13, n_rho=260)),
+    "quintic": (lambda: two_mass_system(quintic=1.2), "first-position", 5,
+                dict(eps=0.001, rho_max=0.26, n_rho=400,
+                     omega_window=(1.58, 1.82))),
+    "beam25": (lambda: build_beam(BeamSpec(elements=25, **BEAM)), "largest",
+               3, dict(eps=0.002, rho_max=0.5, n_rho=300)),
+    "linear": (lambda: two_mass_system(kappa=0.0, alpha=0.0),
+               "first-position", 3, dict(eps=0.001, rho_max=0.0145,
+                                         n_rho=220)),
+}
+
+
+def golden_trace(name):
+    build, normalization, order, kwargs = GOLDEN_CURVES[name]
+    mm = modal_decompose(to_first_order(build()),
+                         normalization=normalization)
+    ssm = compute_autonomous_ssm(mm, order)
+    return trace_frc(ssm, mm, **kwargs)
+
+
+def curve_record(curve) -> dict:
+    """A traced curve as flat arrays: accepted points in order, components
+    (members concatenated, with their sizes), fold rho and skip list."""
+    pts = curve.points
+    return {
+        "rho": np.array([p.rho for p in pts], dtype=float),
+        "omega": np.array([p.omega for p in pts], dtype=float),
+        "psi": np.array([p.psi for p in pts], dtype=float),
+        "branch": np.array([p.branch for p in pts], dtype=str),
+        "stability": np.array([p.stability for p in pts], dtype=str),
+        "members": np.array([i for c in curve.components for i in c],
+                            dtype=int),
+        "sizes": np.array([len(c) for c in curve.components], dtype=int),
+        "folds": np.asarray(curve.folds, dtype=float),
+        "skip_rho": np.array([s[0] for s in curve.skipped], dtype=float),
+        "skip_branch": np.array([s[1] for s in curve.skipped], dtype=str),
+        "skip_reason": np.array([s[2] for s in curve.skipped], dtype=str),
+    }
+
+
+def record_frc_golden(path=FRC_GOLDEN):
+    """Write the golden file from the current code (keys "<case>_<field>")."""
+    np.savez_compressed(path, **{f"{name}_{key}": value
+                                 for name in GOLDEN_CURVES
+                                 for key, value in curve_record(
+                                     golden_trace(name)).items()})
+
+
+def test_trace_does_not_depend_on_round_size(sp_modal, sp_ssm3,
+                                             monkeypatch):
+    """One pair per round (a one-byte budget) traces the same curve, bit
+    for bit, as the default rounds: each pair's iteration and each Omega's
+    forced solve are independent of the rest of the batch."""
+    want = trace_frc(sp_ssm3, sp_modal, 0.0027, rho_max=0.13, n_rho=40)
+    monkeypatch.setattr(frc, "ROUND_BYTES", 1)
+    got = trace_frc(sp_ssm3, sp_modal, 0.0027, rho_max=0.13, n_rho=40)
+    assert len(want.points) > 20 and len(want.folds) == 3
+    for key, value in curve_record(got).items():
+        assert value.tobytes() == curve_record(want)[key].tobytes(), key
+    for a, b in zip(got.reductions, want.reductions):
+        assert a.w_plus.tobytes() == b.w_plus.tobytes()
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CURVES))
+def test_trace_matches_recorded_golden(name):
+    got = curve_record(golden_trace(name))
+    with np.load(FRC_GOLDEN) as npz:
+        want = {key: npz[f"{name}_{key}"] for key in got}
+    assert len(got["rho"]) > 0
+    for key in ("omega", "psi"):
+        assert got[key].shape == want[key].shape
+        assert np.all(np.abs(got[key] - want[key])
+                      <= 1e-10 * np.abs(want[key])), key
+    assert got["folds"].shape == want["folds"].shape
+    assert np.all(np.abs(got["folds"] - want["folds"])
+                  <= 1e-12 * np.abs(want["folds"]))
+    for key in ("rho", "branch", "stability", "members", "sizes",
+                "skip_rho", "skip_branch", "skip_reason"):
+        assert got[key].tolist() == want[key].tolist(), key

@@ -10,6 +10,7 @@ from ssm_resolve.errors import InternalResonanceError
 from ssm_resolve.model import to_first_order, modal_decompose
 from ssm_resolve.polyalg import dense_mask, dense_mul, dense_pow, dense_zero
 from ssm_resolve.ssm_auto import compute_autonomous_ssm
+from ssm_resolve import ssm_forced
 from ssm_resolve.ssm_forced import (_jacobian_factors,
                                     compute_nonautonomous_ssm,
                                     leading_forcing_coefficient,
@@ -119,6 +120,55 @@ def test_enslaved_near_resonance_is_refused():
     # away from the second modal frequency the solve goes through
     fr = compute_nonautonomous_ssm(ssm, mm.lambda_master.imag)
     assert np.isfinite(fr.w_plus).all()
+
+
+@pytest.mark.parametrize("case, order", [("cubic", 5), ("quintic", 5),
+                                         ("beam25", 3), ("mixed", 6)])
+@pytest.mark.parametrize("march_bytes", [None, 1])
+def test_batched_march_equals_one_omega_solves_byte_for_byte(
+        case, order, march_bytes, monkeypatch):
+    """Each member of a batch is the one-Omega solve, whatever the batch
+    and however it is sliced (march_bytes 1: one Omega per slice)."""
+    if case == "beam25":
+        mm = modal_decompose(to_first_order(build_beam(
+            BeamSpec(elements=25, **BEAM))), normalization="largest")
+    else:
+        mm = modal_decompose(to_first_order(
+            {"cubic": two_mass_system, "mixed": lambda: with_terms(MIXED_TERMS),
+             "quintic": lambda: two_mass_system(quintic=1.2)}[case]()))
+    ssm = compute_autonomous_ssm(mm, order, check=False)
+    omegas = mm.lambda_master.imag * np.linspace(0.9, 1.1, 23)
+    ones = [compute_nonautonomous_ssm(ssm, float(om)) for om in omegas]
+    if march_bytes is not None:
+        monkeypatch.setattr(ssm_forced, "MARCH_BYTES", march_bytes)
+    batch = compute_nonautonomous_ssm(ssm, omegas)
+    assert batch.omega.tolist() == omegas.tolist()
+    for i, one in enumerate(ones):
+        got = batch.reduction(i)
+        assert got.omega == one.omega
+        assert got.min_enslaved_den == one.min_enslaved_den
+        for name in ("w_plus", "w_minus", "r_plus", "r_minus", "c_res",
+                     "d_pm"):
+            want = getattr(one, name)
+            assert getattr(got, name).shape == want.shape
+            assert getattr(got, name).tobytes() == want.tobytes(), name
+
+
+def test_batch_with_one_near_resonant_omega_names_it():
+    # as in test_enslaved_near_resonance_is_refused: driving at the second
+    # modal frequency lands an enslaved denominator on zero
+    mm = modal_decompose(to_first_order(two_mass_system(c2=0.015)))
+    ssm = compute_autonomous_ssm(mm, 3, check=False)
+    om_second = two_mass_lambda(2, c2=0.015).imag
+    master = mm.lambda_master.imag
+    omegas = np.array([0.98 * master, master, om_second, 1.02 * master])
+    with pytest.raises(InternalResonanceError) as err:
+        compute_nonautonomous_ssm(ssm, omegas)
+    assert f"at Omega={om_second:g}:" in str(err.value)
+    assert f"Omega={master:g}" not in str(err.value)
+    # the batch without it goes through
+    batch = compute_nonautonomous_ssm(ssm, np.delete(omegas, 2))
+    assert np.isfinite(batch.w).all()
 
 
 def test_physical_correction_is_real(sp_forced, sp_modal):
