@@ -6,13 +6,17 @@ frequency sweeps with a period-to-period settle detector, and evaluates the
 closed-form response of the linearized model.  Nothing here touches the
 manifold machinery, so agreement between the two paths is meaningful.
 
-The right-hand side is built once per integration.  It writes ``A x``, then
-``+= G(x)``, then ``+= (eps cos(Omega t)) F`` into the stage row, with G the
-system's compiled monomials: ``FirstOrderSystem.nonlinearity``, which is
-``Monomials.value``.  The stepper forms every stage and error
-combination in per-call buffers, so concurrent integrations share nothing.
-The floating-point operations are those of the plain formulas, in the same
-order, so trajectories do not depend on this bookkeeping.
+The right-hand side is compiled once per integration (``_rhs``).  Each
+call writes ``A x`` into the stage row with one BLAS product.  With terms
+it adds 0.0 and then overwrites only the live rows (rows that a term or
+the forcing writes: one of four on the two-mass system) with ``((A x)_i +
+G_i(x)) + (eps cos(Omega t)) F_i`` in Python floats, the term products
+taken from ``Monomials.products``; a linear system adds the forcing over
+the whole vector.  The stepper forms every stage and error combination in
+per-call buffers, so concurrent integrations share nothing.  The
+floating-point operations are those of the plain formula ``A x + G(x) +
+(eps cos(Omega t)) F``, in the same order, so trajectories do not depend
+on this bookkeeping (``test_field_equals_plain_formula_byte_for_byte``).
 """
 
 import math
@@ -103,20 +107,46 @@ class Trajectory:
 def _rhs(fos: FirstOrderSystem, eps: float, omega: float):
     """The right-hand side as ``f(t, x, out)``, written into ``out``.
 
-    ``out`` gets ``A x``, then ``+= G(x)``, then ``+= (eps cos(omega t)) F``:
-    the left-to-right sum of the full field, with the nonlinear and forcing
-    parts skipped when they are absent.
+    Row ``i`` of ``out`` is ``((A x)_i + G_i(x)) + (eps cos(omega t)) F_i``,
+    with ``G_i`` summed over the terms in order from 0.0, the forcing part
+    absent when ``eps`` is 0 and ``G`` absent when there are no terms.  ``A
+    x`` is one BLAS product, and the monomials come from
+    :meth:`Monomials.products`.
+
+    Every row a term or the forcing does not write gets ``+ 0.0`` (so a
+    -0.0 becomes +0.0, as a zero ``G_i`` would make it), and the live rows
+    are summed in Python floats, the same operations in the same order.
+    On a live row a term whose injection entry is zero still adds its ``0 *
+    mono``, so an overflowed monomial makes it NaN as the array sum does.
+    Without terms the forcing is added over the whole vector.
     """
-    A, F, G = fos.A, fos.F, fos.nonlinearity
-    nonlinear, forced = bool(fos.terms), eps != 0.0
+    A, F, mono = fos.A, fos.F, fos.monomials
+    forced = eps != 0.0
     dot, cos = np.dot, math.cos
+
+    if not fos.terms:
+        def linear(t, x, out):
+            dot(A, x, out=out)
+            if forced:
+                out += (eps * cos(omega * t)) * F
+        return linear
+
+    live = np.flatnonzero(mono.inject.any(axis=1) | (forced & (F != 0)))
+    rows = [(i, mono.inject[i].tolist(), F.item(i)) for i in live.tolist()]
+    products = mono.products
 
     def f(t, x, out):
         dot(A, x, out=out)
-        if nonlinear:
-            out += G(x)
-        if forced:
-            out += (eps * cos(omega * t)) * F
+        out += 0.0
+        monos = products(x)
+        # eps = 0 gives s = +-0.0, and adding +-0.0 to a sum that is never
+        # -0.0 changes nothing
+        s = eps * cos(omega * t)
+        for i, inject, fi in rows:
+            g = 0.0
+            for a, m in zip(inject, monos):
+                g = g + a * m
+            out[i] = (out.item(i) + g) + s * fi
     return f
 
 

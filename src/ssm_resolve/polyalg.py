@@ -28,6 +28,8 @@ from __future__ import annotations
 
 import numpy as np
 
+_FLOAT = np.dtype(float)
+
 
 class MultiPoly:
     """Sparse bivariate coefficients ``{(i, j): c}`` up to ``trunc_order``."""
@@ -188,6 +190,10 @@ class Monomials:
     with ``inject`` of shape ``(n_out, n_terms)``.  Each term keeps only its
     non-zero exponents.  ``active`` lists the variables some term reads;
     ``odd`` is true when there are terms and every one has odd degree.
+
+    :meth:`products` is the one kernel for the term products at a point;
+    :meth:`value` sums them into G, and the oracle's right-hand side sums
+    them row by row.
     """
 
     def __init__(self, coeffs, exponents, inject: np.ndarray):
@@ -201,14 +207,42 @@ class Monomials:
         self.odd = bool(self.terms) and all(
             sum(e for _, e in fs) % 2 == 1 for _, fs, _ in self.terms)
 
+    def products(self, x: np.ndarray) -> list:
+        """Each term's ``coeff * x[v1]**e1 * x[v2]**e2 ...`` at one point
+        (n,), in term order, as a list of scalars.
+
+        This is the one kernel for the monomials.  The entries of a float64
+        point are read as Python floats (``x.item``), whose powers and
+        products round exactly as NumPy's scalar ones do, and which later
+        scalar sums take at Python's speed.  Python's power raises
+        OverflowError where NumPy's returns inf, so on overflow the products
+        are formed again from NumPy scalars, as they are for any other
+        dtype.
+        """
+        if x.dtype == _FLOAT:
+            try:
+                return self._products(x.item)
+            except OverflowError:
+                pass
+        return self._products(x.__getitem__)
+
+    def _products(self, get) -> list:
+        out = []
+        for coeff, factors, _ in self.terms:
+            mono = coeff
+            for v, e in factors:
+                mono = mono * get(v) ** e
+            out.append(mono)
+        return out
+
     def value(self, x: np.ndarray) -> np.ndarray:
         """G at one point (n,) or a batch (n, npts).
 
-        Each monomial is ``coeff * x[v1]**e1 * x[v2]**e2 ...`` with scalar
-        powers, and the terms are summed in order starting from zero.  A
-        batch is evaluated column by column: NumPy's SIMD power loops can
-        round differently from the scalar power in the last bit, and a batch
-        column must equal the single-point value exactly.
+        The monomials come from :meth:`products`, and the terms are summed
+        in order starting from zero.  A batch is evaluated column by
+        column: NumPy's SIMD power loops can round differently from the
+        scalar power in the last bit, and a batch column must equal the
+        single-point value exactly.
         """
         if x.ndim == 2:
             out = np.empty((self.inject.shape[0], x.shape[1]),
@@ -222,10 +256,7 @@ class Monomials:
         # a 0.0 start turns a -0.0 in the first term into +0.0, as a
         # zero-filled accumulator does
         out = 0.0
-        for coeff, factors, inject in self.terms:
-            mono = coeff
-            for v, e in factors:
-                mono = mono * x[v] ** e
+        for (_, _, inject), mono in zip(self.terms, self.products(x)):
             out = out + inject * mono
         return out
 

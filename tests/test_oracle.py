@@ -12,14 +12,14 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import two_mass_system
+from conftest import MIXED_TERMS, two_mass_system, with_terms
 from ssm_resolve.beam import BeamSpec, build_beam, tip_index
 from ssm_resolve.errors import IntegrationError, ValidationError
 from ssm_resolve.frc import discriminant, physical_amplitude, trace_frc
 from ssm_resolve.model import (MechanicalSystem, modal_decompose,
                                to_first_order)
 from ssm_resolve.oracle import (TRANSIENT_STEPS_PER_PERIOD,
-                                IntegratorControl, integrate_full,
+                                IntegratorControl, _rhs, integrate_full,
                                 linear_frc_closed_form, sweep)
 from ssm_resolve.polyalg import dense_eval
 from ssm_resolve.reduced import assemble_polar
@@ -41,9 +41,20 @@ ORACLE_GOLDEN = Path(__file__).parent / "data" / "oracle_golden.npz"
 def golden_cases():
     """Case name -> integrate_full arguments (positional, keyword)."""
     cubic = to_first_order(two_mass_system())
+    linear = to_first_order(two_mass_system(kappa=0.0, alpha=0.0))
+    mixed = to_first_order(with_terms(MIXED_TERMS))
     beam2 = to_first_order(build_beam(BeamSpec(elements=2, **BEAM)))
     T1, T7 = 2 * math.pi / 1.73, 2 * math.pi / 7.0
     return {
+        # no terms: the forcing is the only addition; a signed-zero start
+        "linear": ((linear, 0.0027, 1.73, np.array([-0.0, 0.0, -0.0, 0.0]),
+                    3 * T1), {}),
+        # the terms alone, from a non-zero state
+        "unforced": ((cubic, 0.0, 1.73, np.array([0.05, -0.02, 0.0, 0.1]),
+                      3 * T1), {}),
+        # even and mixed exponents, a square, terms on both equations
+        "mixed": ((mixed, 0.0027, 1.73, np.array([0.02, -0.01, 0.0, 0.03]),
+                   3 * T1), {}),
         # adaptive, a few periods from rest
         "cubic": ((cubic, 0.0027, 1.73, np.zeros(4), 4 * T1), {}),
         # the sweep's transient step ceiling: the stiff beam modes reject
@@ -55,6 +66,74 @@ def golden_cases():
             control=IntegratorControl(fixed_step=T1 / 300),
             sample_times=[0.4 * T1, T1, 2 * T1])),
     }
+
+
+def _plain_field(fos, eps, omega, t, x):
+    """The full field by its plain formula: ``A x``, then ``+ G(x)`` with
+    NumPy-scalar monomials summed from 0.0, then ``+ (eps cos(omega t)) F``."""
+    out = np.dot(fos.A, x)
+    if fos.terms:
+        g = 0.0
+        for term in fos.terms:
+            mono = term.coeff
+            for v, e in enumerate(term.exponents):
+                if e:
+                    mono = mono * x[v] ** e
+            g = g + term.inject * mono
+        out = out + g
+    if eps:
+        out = out + (eps * math.cos(omega * t)) * fos.F
+    return out
+
+
+def _field_states(dim, rng):
+    """Random states with exact signed zeros, the two zero states, and
+    states whose monomials overflow or come close."""
+    states = [np.zeros(dim), np.full(dim, -0.0)]
+    for scale in (1e-3, 0.1, 3.0):
+        for _ in range(20):
+            x = rng.normal(size=dim) * scale
+            x[rng.random(dim) < 0.3] = 0.0
+            x[rng.random(dim) < 0.3] = -0.0
+            states.append(x)
+    for _ in range(40):
+        x = rng.choice([-1.0, 1.0], dim) * 10.0 ** rng.uniform(90, 160, dim)
+        states.append(x)
+    return states
+
+
+@pytest.mark.parametrize("system", ["cubic", "mixed", "linear", "beam2",
+                                    "beam5"])
+@pytest.mark.parametrize("eps", [0.0027, 0.0])
+def test_field_equals_plain_formula_byte_for_byte(system, eps):
+    fos = to_first_order({
+        "cubic": two_mass_system,
+        "mixed": lambda: with_terms(MIXED_TERMS),
+        "linear": lambda: two_mass_system(kappa=0.0, alpha=0.0),
+        "beam2": lambda: build_beam(BeamSpec(elements=2, **BEAM)),
+        "beam5": lambda: build_beam(BeamSpec(elements=5, **BEAM)),
+    }[system]())
+    omega = 1.73
+    f = _rhs(fos, eps, omega)
+    live = fos.monomials.inject.any(axis=1) | ((fos.F != 0) & (eps != 0))
+    rng = np.random.default_rng(7)
+    out = np.empty(fos.A.shape[0])
+    n_overflow = 0
+    for x in _field_states(fos.A.shape[0], rng):
+        t = float(rng.uniform(0, 10))
+        with np.errstate(all="ignore"):
+            want = _plain_field(fos, eps, omega, t, x)
+            f(t, x, out)
+        if np.isfinite(want).all():
+            assert out.tobytes() == want.tobytes()
+            continue
+        n_overflow += 1
+        # an overflowed monomial times a zero injection entry is NaN in
+        # the array sum; only the rows the terms and forcing write keep it
+        fin = np.isfinite(want)
+        assert np.array_equal(np.isfinite(out)[live], fin[live])
+        assert out[fin].tobytes() == want[fin].tobytes()
+    assert n_overflow > 0 or not fos.terms
 
 
 def _one_dof():
@@ -158,7 +237,8 @@ class TestIntegrator:
             integrate_full(fos, 0.01, self.OM, np.zeros(2), 1.0,
                            control=IntegratorControl(rel_tol=-1.0))
 
-    @pytest.mark.parametrize("case", ["cubic", "beam2", "fixed"])
+    @pytest.mark.parametrize(
+        "case", ["cubic", "beam2", "fixed", "linear", "unforced", "mixed"])
     def test_trajectory_matches_golden_bit_for_bit(self, case):
         args, kwargs = golden_cases()[case]
         tr = integrate_full(*args, **kwargs)

@@ -95,6 +95,33 @@ def test_evaluation():
     assert val[1] == pytest.approx(2.0 * z1 ** 2 * z2 - 1.0)
 
 
+@pytest.mark.parametrize("exponent", [1, 2, 3, 5, 7])
+def test_products_round_as_numpy_scalar_powers(exponent):
+    # one term per variable, c * x_v**e, plus a mixed term; Python-float
+    # products must equal the NumPy-scalar ones, and at overflow (where
+    # Python's power raises) give NumPy's inf; value sums the same products
+    rng = np.random.default_rng(exponent)
+    mono = Monomials([0.7, -1.3, 0.4], [(exponent, 0), (0, exponent),
+                                        (2, exponent)], np.eye(3, 3)[:2])
+    xs = rng.normal(size=(3000, 2)) * 10.0 ** rng.uniform(-3, 3, (3000, 1))
+    xs = np.concatenate([xs, [[0.0, -0.0], [-0.0, 3.0], [1e200, -1e300]]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x in xs:
+            want = [0.7 * x[0] ** exponent, -1.3 * x[1] ** exponent,
+                    0.4 * x[0] ** 2 * x[1] ** exponent]
+            got = mono.products(x)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+            g = 0.0
+            for t, w in enumerate(want):
+                g = g + mono.inject[:, t] * w
+            assert mono.value(x).tobytes() == g.tobytes()
+    # complex points keep NumPy's complex power
+    z = np.array([0.3 + 0.1j, -0.2 + 0.5j])
+    assert np.array(mono.products(z)).tobytes() == np.array(
+        [0.7 * z[0] ** exponent, -1.3 * z[1] ** exponent,
+         0.4 * z[0] ** 2 * z[1] ** exponent]).tobytes()
+
+
 def test_substitute_monomial_in_vector_of_polys():
     # t = 2 * u0^2 * u1 with u0 = s1 + s2, u1 = s1 - s2, grown to degree 3
     mono = Monomials([2.0], [(2, 1)], np.array([[1.0]]))

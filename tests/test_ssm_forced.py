@@ -154,6 +154,36 @@ def test_batched_march_equals_one_omega_solves_byte_for_byte(
             assert getattr(got, name).tobytes() == want.tobytes(), name
 
 
+@pytest.mark.parametrize("case", ["cubic", "beam25", "linear"])
+def test_degree_without_operators_writes_what_a_zero_alpha_writes(
+        case, monkeypatch):
+    """A degree with no cross, carry or Jacobian operator (degree 1 of an
+    odd system, every degree above 0 of a linear one, resonant slots
+    included) skips the march's passes but leaves the same bytes."""
+    if case == "beam25":
+        mm = modal_decompose(to_first_order(build_beam(
+            BeamSpec(elements=25, **BEAM))), normalization="largest")
+    else:
+        mm = modal_decompose(to_first_order(two_mass_system(
+            **({"kappa": 0.0, "alpha": 0.0} if case == "linear" else {}))))
+    ssm = compute_autonomous_ssm(mm, 5, check=False)
+    omegas = mm.lambda_master.imag * np.linspace(0.9, 1.1, 23)
+    skipped = compute_nonautonomous_ssm(ssm, omegas)
+    empty = [step for step in ssm.caches["forced"]["degrees"]
+             if step.cols.start and step.cross is None
+             and step.carry is None and step.jac is None]
+    assert empty
+    # an all-zero cross operator sends the degree through the full passes
+    # with alpha exactly zero
+    for step in empty:
+        monkeypatch.setattr(step, "cross", np.zeros(
+            (step.cols.start, step.cols.stop - step.cols.start), complex))
+    full = compute_nonautonomous_ssm(ssm, omegas)
+    for name in ("w", "r", "c_res", "d_pm", "min_enslaved_den"):
+        assert getattr(skipped, name).tobytes() == getattr(
+            full, name).tobytes(), name
+
+
 def test_batch_with_one_near_resonant_omega_names_it():
     # as in test_enslaved_near_resonance_is_refused: driving at the second
     # modal frequency lands an enslaved denominator on zero
