@@ -81,6 +81,7 @@ class RunConfig:
     elements: int | None = None
     normalization: str | None = None
     check: bool = True
+    #: accepted and checked (existing scripts pass it); nothing reads it
     jobs: int = 1
     seed: int = 0
     quiet: bool = False
@@ -195,8 +196,8 @@ def _build_parser() -> argparse.ArgumentParser:
     g = common.add_argument_group("global options")
     g.add_argument("--config", help="JSON file of option defaults "
                    "(flags win over the file, the file over built-ins)")
-    g.add_argument("--jobs", type=int, help="worker threads for the "
-                   "independent points of a verify --cold sweep (default 1)")
+    g.add_argument("--jobs", type=int, help="accepted for compatibility "
+                   "and checked to be >= 1; nothing reads it (default 1)")
     g.add_argument("--seed", type=int, help="seed for randomized sample "
                    "points in property checks (default 0)")
     g.add_argument("--quiet", action=argparse.BooleanOptionalAction,
@@ -347,7 +348,7 @@ def _utcnow() -> str:
 
 def _config_hash(cfg: RunConfig) -> str:
     """SHA-256 over the resolved settings that can influence artifact
-    content; verbosity, worker count, and the config file path (whose
+    content; verbosity, the unread --jobs, and the config file path (whose
     contents are already resolved in) are excluded, so equal hashes mean
     equal expected bodies."""
     payload = {k: v for k, v in asdict(cfg).items()
@@ -538,9 +539,9 @@ def _cmd_frc(cfg: RunConfig) -> None:
         artifacts.append((cfg.svg, frc_svg(curve, amps, header=meta[:3])))
     _write_artifacts(artifacts)
     _say(cfg, f"wrote {cfg.out}" + (f" and {cfg.svg}" if cfg.svg else ""))
-    dens = [fr.min_enslaved_den for fr in curve.reductions]
+    dens = curve.forced.min_enslaved_den
     _say(cfg, "smallest forced denominator: "
-         + (f"{min(dens):.1e}" if dens else "none (no accepted points)"))
+         + (f"{dens.min():.1e}" if dens.size else "none (no accepted points)"))
     _say(cfg, _skip_summary(curve.skipped))
 
 
@@ -611,7 +612,7 @@ def _cmd_verify(cfg: RunConfig) -> None:
                           transient_time=cfg.transient_time,
                           min_measure_periods=cfg.min_periods,
                           max_measure_periods=cfg.max_periods,
-                          settle_rel=cfg.tol_settle, jobs=cfg.jobs)
+                          settle_rel=cfg.tol_settle)
 
     meta = _meta_lines(cfg, f"slowest pair = {fos.slowest_eigenvalue()!r}")
     meta.insert(3, f"sweep: direction={cfg.sweep} eps={cfg.eps!r} "

@@ -19,23 +19,25 @@ forced march (``compute_nonautonomous_ssm`` on an array).  Round 0 marches
 every row's backbone Omega, which seeds both branches.  Converged points are
 verified against the full zero problem, window-filtered and
 stability-tagged in one batch per round, and grouped at the end into
-connected components by proximity in the (Omega, rho) plane.  Each accepted
-point keeps the forced reduction it was solved with, so its physical
-amplitude needs no further forced solve.
+connected components by proximity in the (Omega, rho) plane.  The accepted
+points keep the forced rows they were solved with, taken from each round's
+stack as one stacked ``ForcedReduction`` (``FrcCurve.forced``), so their
+physical amplitudes need no further forced solve.
 
 The physical amplitude is the peak of one coordinate over a forcing period.
 On the manifold s1**p s2**q = rho**(p+q) e^{i(p-q)(psi+phi)}, and the two
 forced harmonics shift p - q by +-1, so the coordinate is the trigonometric
 polynomial x(phi) = Re sum_{|h| <= order} c_h e^{i h phi}.  A whole curve's
-peaks come from one (points, harmonics) array of c_h: a phase grid brackets
-each peak and vectorized Newton steps on the analytic derivatives polish it.
+peaks come from one (points, harmonics) array of c_h, projected from the
+stacked forced rows at once: a phase grid brackets each peak and vectorized
+Newton steps on the analytic derivatives polish it.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_left
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -44,7 +46,7 @@ from .errors import ValidationError
 from .ssm_auto import AutonomousSsm
 from .ssm_forced import ForcedReduction, compute_nonautonomous_ssm
 from .reduced import (ReducedDynamics, FixedPointU, assemble_polar,
-                      zero_problem, stability_labels)
+                      phase_residual, zero_problem, stability_labels)
 
 #: |a - eps*f1| below this switches the K quadratic to its linear limit
 DEGENERATE_LEAD = 1e-14
@@ -124,15 +126,8 @@ def frc_G(rd: ReducedDynamics, rho: float, omega: float, eps: float,
     ks = k_branches(rd, rho, eps)
     if len(ks) <= BRANCHES.index(branch):
         return None
-    return float(_phase_residual(rd, rho, omega, eps,
-                                 psi_from_k(ks[BRANCHES.index(branch)])))
-
-
-def _phase_residual(rd: ReducedDynamics, rho, omega, eps: float, psi):
-    """Phase equation (b - Omega) rho + eps (g1 cos psi - g2 sin psi)."""
-    return ((rd.b_of(rho) - omega) * rho
-            + eps * (rd.g1_of(rho) * np.cos(psi)
-                     - rd.g2_of(rho) * np.sin(psi)))
+    return float(phase_residual(rd, rho, omega, eps,
+                                psi_from_k(ks[BRANCHES.index(branch)])))
 
 
 @dataclass
@@ -147,9 +142,9 @@ class FrcCurve:
     n_rho: int
     omega_window: tuple[float, float] | None = None
     skipped: list[tuple[float, str, str]] = field(default_factory=list)
-    #: the forced reduction at each point's Omega, parallel to ``points``
-    reductions: list[ForcedReduction] = field(default_factory=list,
-                                              repr=False)
+    #: the forced correction at each point's Omega, stacked: row i belongs
+    #: to ``points[i]``
+    forced: ForcedReduction | None = field(default=None, repr=False)
 
     def component_of(self, index: int) -> int:
         for ci, members in enumerate(self.components):
@@ -240,9 +235,9 @@ def _rounds(ssm: AutonomousSsm, eps: float, pairs: list, rho: np.ndarray,
     is taken at the pair's branch root (0: K+, 1: K-), or with
     ``psi_double`` at the double root K = -eps*f2/(a - eps*f1), which keeps
     the iteration defined on the far side of a fold.  Yields per round
-    ``(batch, member, rd, psi, finished)``: the forced batch, the batch
-    member of each request, the polar data and psi per request, and the
-    (pair, result) of the pairs that returned in this round.
+    ``(batch, member, rd, psi, finished)``: the stacked forced correction,
+    the batch member of each request, the polar data and psi per request,
+    and the (pair, result) of the pairs that returned in this round.
     """
     # both harmonics' embedding columns of one Omega, complex
     per_omega = 32 * ssm.w0_dense.shape[0] * ssm.order * (ssm.order + 1) // 2
@@ -270,7 +265,7 @@ def _rounds(ssm: AutonomousSsm, eps: float, pairs: list, rho: np.ndarray,
         else:
             k = np.where(branch[owner] == 0, k_plus, k_minus)
         psi = psi_from_k(k)
-        g = _phase_residual(rd, r, np.array(omega), eps, psi).tolist()
+        g = phase_residual(rd, r, np.array(omega), eps, psi).tolist()
         got = [(None if math.isnan(gi) else gi, di, at)
                for at, (gi, di) in enumerate(zip(g, disc.tolist()))]
         finished = []
@@ -295,7 +290,7 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
     retry; ``_rounds`` batches the Omegas of all pending pairs into one
     forced march per round.  The points that converge in a round are
     checked against the full zero problem and the window and labelled by
-    stability together, and only accepted points keep their reduction.
+    stability together, and only accepted points keep their forced rows.
     Points, skips and the discriminant trace come out in grid order, K+
     before K-, whatever round each pair finished in.
 
@@ -329,14 +324,11 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
         pairs += [_trace_pair(backbone, r, +1), _trace_pair(backbone, r, -1)]
 
     disc = np.empty(2 * n_rho)
-    # per pair: a skip reason, or the accepted point and its reduction
-    outcome: dict[int, str | tuple[FixedPointU, ForcedReduction]] = {}
-    # the accepted reductions' embedding arrays, in one slot per pair (slots
-    # never written take no memory).  Kept as hundreds of small arrays
-    # among the trace's short-lived ones, they fragment the heap, which then
-    # stays resident after the curve is freed (18 MB under glibc for a
-    # 578-point curve of the 100-state beam).  One block is freed whole.
-    store = None
+    # per pair: a skip reason or the accepted point
+    outcome: dict[int, str | FixedPointU] = {}
+    # per round: the pairs accepted and their forced rows, taken out of the
+    # round's stack so that the stack itself can go
+    kept: list[tuple[np.ndarray, ForcedReduction]] = []
     for batch, member, rd, psi, finished in _rounds(ssm, eps, pairs, rho,
                                                     branch):
         done = []
@@ -366,27 +358,21 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
             continue
         labels = stability_labels(_columns(here, keep), rho[ps[keep]],
                                   psi[at[keep]], eps=eps)
-        if store is None:
-            store = np.empty((2 * n_rho,) + batch.w.shape[1:3]
-                             + (ssm.order, ssm.order), dtype=complex)
         for j, label in zip(keep.tolist(), labels.tolist()):
             p = int(ps[j])
-            point = FixedPointU(rho=float(rho[p]), omega=float(om[j]),
-                                psi=float(psi[at[j]]), stability=label,
-                                branch=BRANCHES[p % 2], eps=eps)
-            outcome[p] = (point, batch.reduction(member[at[j]],
-                                                 out=store[p]))
+            outcome[p] = FixedPointU(rho=float(rho[p]), omega=float(om[j]),
+                                     psi=float(psi[at[j]]), stability=label,
+                                     branch=BRANCHES[p % 2], eps=eps)
+        kept.append((ps[keep], batch.take(member[at[keep]])))
 
     points: list[FixedPointU] = []
-    reductions: list[ForcedReduction] = []
     skipped: list[tuple[float, str, str]] = []
     for p in range(2 * n_rho):
         got = outcome.get(p)
         if isinstance(got, str):
             skipped.append((float(rho[p]), BRANCHES[p % 2], got))
         elif got is not None:
-            points.append(got[0])
-            reductions.append(got[1])
+            points.append(got)
     disc_trace = {b: list(zip(grid.tolist(), disc[i::2].tolist()))
                   for i, b in enumerate(BRANCHES)}
     folds = _locate_folds(ssm, eps, disc_trace)
@@ -395,24 +381,52 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
                     folds=np.asarray(folds), components=components,
                     rho_max=rho_max, n_rho=n_rho,
                     omega_window=omega_window, skipped=skipped,
-                    reductions=reductions)
+                    forced=_in_pair_order(ssm, kept))
+
+
+def _in_pair_order(ssm: AutonomousSsm,
+                   kept: list[tuple[np.ndarray, ForcedReduction]]
+                   ) -> ForcedReduction:
+    """The rounds' forced rows as one stack, in ascending pair order (the
+    order of the curve's points).  Each round's rows are written straight
+    to their places: a joined copy reordered afterwards would hold the rows
+    three times over at its peak."""
+    if not kept:
+        return compute_nonautonomous_ssm(ssm, np.empty(0))
+    ps = np.concatenate([p for p, _ in kept])
+    place = np.searchsorted(np.sort(ps), ps)
+    stack = {}
+    for f in fields(ForcedReduction):
+        if f.name == "order":
+            continue
+        parts = [getattr(fr, f.name) for _, fr in kept]
+        out = stack[f.name] = np.empty((len(ps),) + parts[0].shape[1:],
+                                       dtype=parts[0].dtype)
+        lo = 0
+        for part in parts:
+            out[place[lo:lo + len(part)]] = part
+            lo += len(part)
+    return ForcedReduction(order=ssm.order, **stack)
 
 
 def _fold_point(ssm: AutonomousSsm, eps: float, rho: float):
     """Double-root Omega at amplitude rho and the polar data there.
 
     The secant runs through the lockstep solver as a batch of one; when it
-    diverges, the Omega is None and the polar data are the backbone's.
+    diverges, the Omega is None and the polar data are the backbone's, kept
+    from the first round, which marches the backbone first.
     """
     backbone = _backbone_omega(ssm, rho)
+    first = None
     for _, _, rd, _, finished in _rounds(
             ssm, eps, [_secant(backbone)], np.array([rho]), np.zeros(1, int),
             psi_double=True):
+        if first is None:
+            first = _columns(rd, 0)
         if finished:
             sol = finished[0][1]
             if sol is None:
-                fr = compute_nonautonomous_ssm(ssm, backbone)
-                return None, assemble_polar(ssm, fr, eps)
+                return None, first
             om, (_, _, at) = sol
             return om, _columns(rd, at)
 
@@ -556,22 +570,20 @@ def _harmonics(rows: np.ndarray, rho: np.ndarray, shift: int,
 
 
 def _peaks(ssm: AutonomousSsm, points: list[FixedPointU],
-           reductions: list[ForcedReduction], coord: int,
-           eps: float) -> np.ndarray:
-    """Peak |x_coord| of each point's reconstructed orbit, all at once."""
+           forced: ForcedReduction, coord: int, eps: float) -> np.ndarray:
+    """Peak |x_coord| of each point's reconstructed orbit, all at once;
+    ``forced`` holds one row per point (no frequency axis for one point)."""
     if not points:
         return np.empty(0)
     order, t = ssm.order, ssm.mm.T[coord]
     rho, psi = np.array([(u.rho, u.psi) for u in points]).T
     harm = np.arange(-order, order + 1)
     coef = _harmonics(np.tensordot(t, ssm.w0_dense, 1), rho, 0, order)
-    for shift, name in ((1, "w_plus"), (-1, "w_minus")):
-        # one projection per reduction: a stack of the embeddings would
-        # hold every point's (states, k1, k2) array at once
-        rows = np.array([(t @ w.reshape(t.size, -1)).reshape(w.shape[1:])
-                         for w in (getattr(fr, name) for fr in reductions)])
+    # (points, harmonic, k1, k2): every point's projection at once
+    rows = forced.dense(t @ forced.w).reshape(len(points), 2, order, order)
+    for b, shift in enumerate((1, -1)):
         coef += (eps * np.exp(-1j * shift * psi)[:, None]
-                 * _harmonics(rows, rho, shift, order))
+                 * _harmonics(rows[:, b], rho, shift, order))
     coef *= np.exp(1j * np.outer(psi, harm))
 
     phis = np.linspace(0.0, 2 * np.pi, N_PHASE, endpoint=False)
@@ -590,8 +602,9 @@ def _peaks(ssm: AutonomousSsm, points: list[FixedPointU],
 
 def physical_amplitudes(ssm: AutonomousSsm, curve: FrcCurve,
                         coord: int) -> np.ndarray:
-    """Peak |x_coord| of every point of ``curve``, from its kept reductions."""
-    return _peaks(ssm, curve.points, curve.reductions, coord, curve.eps)
+    """Peak |x_coord| of every point of ``curve``, from its kept forced
+    rows."""
+    return _peaks(ssm, curve.points, curve.forced, coord, curve.eps)
 
 
 def physical_amplitude(ssm: AutonomousSsm, fr: ForcedReduction,
@@ -605,4 +618,4 @@ def physical_amplitude(ssm: AutonomousSsm, fr: ForcedReduction,
     eps = u.eps if eps is None else eps
     if eps is None:
         raise ValidationError("forcing amplitude eps is required")
-    return float(_peaks(ssm, [u], [fr], coord, eps)[0])
+    return float(_peaks(ssm, [u], fr, coord, eps)[0])

@@ -13,14 +13,18 @@ the forcing writes: one of four on the two-mass system) with ``((A x)_i +
 G_i(x)) + (eps cos(Omega t)) F_i`` in Python floats, the term products
 taken from ``Monomials.products``; a linear system adds the forcing over
 the whole vector.  The stepper forms every stage and error combination in
-per-call buffers, so concurrent integrations share nothing.  The
-floating-point operations are those of the plain formula ``A x + G(x) +
-(eps cos(Omega t)) F``, in the same order, so trajectories do not depend
-on this bookkeeping (``test_field_equals_plain_formula_byte_for_byte``).
+per-call buffers.  The floating-point operations are those of the plain
+formula ``A x + G(x) + (eps cos(Omega t)) F``, in the same order, so
+trajectories do not depend on this bookkeeping
+(``test_field_equals_plain_formula_byte_for_byte``).
+
+``sweep`` runs its grid points one after another, cold sweeps included.
+The stepper is Python-level and holds the GIL, so worker threads made cold
+sweeps slower, not faster (four cold two-mass points on two cores: 2.2-3.2 s
+on one thread, 4.0-4.3 s on two).
 """
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -390,8 +394,7 @@ def sweep(fos: FirstOrderSystem, eps: float, omega_grid, monitor,
           transient_time: float | None = None,
           min_measure_periods: int = MIN_MEASURE_PERIODS,
           max_measure_periods: int = MAX_MEASURE_PERIODS,
-          settle_rel: float = SETTLE_REL,
-          jobs: int = 1) -> SweepResult:
+          settle_rel: float = SETTLE_REL) -> SweepResult:
     """Steady-state frequency sweep of the full system.
 
     At each grid frequency the transient is burned off over a horizon of
@@ -422,10 +425,6 @@ def sweep(fos: FirstOrderSystem, eps: float, omega_grid, monitor,
     settle_rel : float
         Relative per-period change below which the response counts as
         settled.
-    jobs : int
-        Worker threads for cold-start sweeps.  Points are independent when
-        every one starts from rest, so results are identical for any worker
-        count; ignored (sequential) when ``warm_start`` is on.
 
     Returns
     -------
@@ -449,8 +448,6 @@ def sweep(fos: FirstOrderSystem, eps: float, omega_grid, monitor,
             "a settle")
     if settle_rel <= 0:
         raise ValidationError("settle_rel must be > 0")
-    if jobs < 1:
-        raise ValidationError("jobs must be >= 1")
     if transient_time is None:
         decay = fos.slowest_eigenvalue().real
         if decay >= 0:
@@ -465,26 +462,14 @@ def sweep(fos: FirstOrderSystem, eps: float, omega_grid, monitor,
     periods = np.zeros(n_grid, dtype=int)
     steps = np.zeros((n_grid, 2), dtype=int)
 
-    def from_rest(om):
-        return _sweep_point(fos, eps, float(om), np.zeros(dim), monitor,
-                            control, transient_time, min_measure_periods,
-                            max_measure_periods, settle_rel)
-
-    if not warm_start and jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(from_rest, omega_grid))
-        for i, (amp, ok, n_per, n_steps, _) in enumerate(results):
-            amplitude[i], converged[i], periods[i] = amp, ok, n_per
-            steps[i] = n_steps
-    else:
-        state = np.zeros(dim)
-        for i, om in enumerate(omega_grid):
-            if not warm_start:
-                state = np.zeros(dim)
-            amp, ok, n_per, steps[i], state = _sweep_point(
-                fos, eps, float(om), state, monitor, control, transient_time,
-                min_measure_periods, max_measure_periods, settle_rel)
-            amplitude[i], converged[i], periods[i] = amp, ok, n_per
+    state = np.zeros(dim)
+    for i, om in enumerate(omega_grid):
+        if not warm_start:
+            state = np.zeros(dim)
+        amp, ok, n_per, steps[i], state = _sweep_point(
+            fos, eps, float(om), state, monitor, control, transient_time,
+            min_measure_periods, max_measure_periods, settle_rel)
+        amplitude[i], converged[i], periods[i] = amp, ok, n_per
 
     return SweepResult(omega=omega_grid.copy(), amplitude=amplitude,
                        converged=converged, periods=periods,

@@ -131,8 +131,8 @@ def assemble_polar(ssm: AutonomousSsm, fr: ForcedReduction,
 
     ``f1/g2`` share the real part and ``f2/g1`` the imaginary part of the
     diagonal forced coefficients; the off-diagonal contribution enters the
-    four of them with alternating sign.  A ForcedBatch gives the stacked
-    polar data of its frequencies.
+    four of them with alternating sign.  A stacked ForcedReduction gives
+    the stacked polar data of its frequencies.
     """
     if fr.order != ssm.order:
         raise ValidationError(
@@ -165,11 +165,17 @@ def zero_problem(rd: ReducedDynamics, u, eps: float | None = None):
     eps = _resolve(rd, eps)
     rho, omega, psi = u
     rho = np.asarray(rho, dtype=float)
-    cp, sp = np.cos(psi), np.sin(psi)
-    f1 = rd.a_of(rho) + eps * (rd.f1_of(rho) * cp + rd.f2_of(rho) * sp)
-    f2 = (rd.b_of(rho) - omega) * rho + eps * (rd.g1_of(rho) * cp
-                                               - rd.g2_of(rho) * sp)
-    return f1, f2
+    f1 = rd.a_of(rho) + eps * (rd.f1_of(rho) * np.cos(psi)
+                               + rd.f2_of(rho) * np.sin(psi))
+    return f1, phase_residual(rd, rho, omega, eps, psi)
+
+
+def phase_residual(rd: ReducedDynamics, rho, omega, eps: float, psi):
+    """Second component of ``zero_problem``, rho * psi' at (rho, Omega,
+    psi): (b - Omega) rho + eps (g1 cos psi - g2 sin psi)."""
+    return ((rd.b_of(rho) - omega) * rho
+            + eps * (rd.g1_of(rho) * np.cos(psi)
+                     - rd.g2_of(rho) * np.sin(psi)))
 
 
 @dataclass

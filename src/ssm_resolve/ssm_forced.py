@@ -47,8 +47,12 @@ therefore split in two:
 No operator couples all rows and monomials at once, so the compiled data
 grow linearly with the state dimension.
 
-Everything downstream (response curves, fold points, isola geometry) consumes
-the reduced coefficients collected here.
+One type holds the result, ``ForcedReduction``: a stack of frequencies
+carries a leading axis, one frequency none, and ``take`` selects members.
+The embedding stays in the march's flat monomial columns;
+``ForcedReduction.dense`` is the one place that maps them to (k1, k2)
+arrays.  Everything downstream (response curves, fold points, isola
+geometry, physical amplitudes) consumes the data collected here.
 """
 
 from __future__ import annotations
@@ -145,9 +149,6 @@ def _forced_caches(ssm: AutonomousSsm) -> dict:
     n2 = w0.shape[0]
     lam = mm.eigenvalues
 
-    # W0 vanishes above degree d1 + 1, so its derivatives above d1
-    dw = np.stack([dense_diff(w0, v)[:, :d1 + 1, :d1 + 1] for v in (0, 1)])
-
     # flat monomial layout: degree by degree, k1 ascending within a degree
     start = np.concatenate(([0], np.cumsum(np.arange(1, d1 + 2))))
     deg = np.repeat(np.arange(d1 + 1), np.arange(1, d1 + 2))
@@ -222,7 +223,7 @@ def _forced_caches(ssm: AutonomousSsm) -> dict:
             res=slice(n_lo, n_here)))
 
     cache = {
-        "d1": d1, "dw": dw, "deg": deg, "k1": k1, "k2": k2,
+        "d1": d1, "deg": deg, "k1": k1, "k2": k2,
         "base": lam[:, None] - (k1 * lam[0] + k2 * lam[1])[None, :],
         "resonant": resonant, "slot_rows": slot_rows,
         "slot_cols": slot_cols, "degrees": degrees,
@@ -235,102 +236,62 @@ def _forced_caches(ssm: AutonomousSsm) -> dict:
 
 @dataclass
 class ForcedReduction:
-    """O(eps) manifold and reduced-dynamics correction at one frequency.
+    """O(eps) manifold and reduced-dynamics correction, at one frequency or
+    stacked over several.
 
-    ``w_plus``/``w_minus`` hold the embedding corrections of the two
-    harmonics as dense coefficient arrays (rows, k1, k2); ``r_plus``/
-    ``r_minus`` the reduced-field corrections for the two master rows.
-    ``c_res[i]`` is the e^{+} reduced coefficient on the diagonal slot
-    (i, i) of row 1; ``d_pm[i]`` the e^{-} row-1 coefficient on slot
-    (i+1, i-1) — together they are exactly the data entering the polar
-    fixed-point problem.
+    A stack carries a leading frequency axis on every field but ``order``
+    (``omega`` an array); one frequency carries none (``omega`` a float),
+    as NumPy indexing drops an axis.  ``w`` holds the embedding corrections
+    of both harmonics (e^{+} first) in the march's flat monomial columns,
+    (2, rows, monomials); ``dense`` maps such columns to (k1, k2) arrays.
+    ``r`` holds the reduced-field corrections of both harmonics on the two
+    master rows as dense (2, 2, order, order) arrays.  ``c_res[i]`` is the
+    e^{+} reduced coefficient on the diagonal slot (i, i) of row 1;
+    ``d_pm[i]`` the e^{-} row-1 coefficient on slot (i+1, i-1) — together
+    they are exactly the data entering the polar fixed-point problem.
     """
-    omega: float
+    omega: float | np.ndarray
     order: int
-    lambda_master: complex
-    w_plus: np.ndarray
-    w_minus: np.ndarray
-    r_plus: np.ndarray
-    r_minus: np.ndarray
-    c_res: np.ndarray
-    d_pm: np.ndarray
-    forcing_half: np.ndarray
-    min_enslaved_den: float
-
-    @property
-    def half_order(self) -> int:
-        return len(self.c_res) - 1
-
-    def w1_at(self, s1, s2, phase) -> np.ndarray:
-        """Evaluate the time-dependent correction at forcing phase Omega*t."""
-        wp = dense_eval(self.w_plus, s1, s2)
-        wm = dense_eval(self.w_minus, s1, s2)
-        return np.exp(1j * phase) * wp + np.exp(-1j * phase) * wm
-
-    def r1_at(self, s1, s2, phase) -> np.ndarray:
-        rp = dense_eval(self.r_plus, s1, s2)
-        rm = dense_eval(self.r_minus, s1, s2)
-        return np.exp(1j * phase) * rp + np.exp(-1j * phase) * rm
-
-
-@dataclass
-class ForcedBatch:
-    """O(eps) corrections at a batch of frequencies, stacked on axis 0.
-
-    ``w`` holds both harmonics' embedding corrections (e^{+} first) in the
-    march's flat monomial columns (degree by degree, k1 ascending); ``r``
-    the reduced-field corrections as dense arrays.
-    ``c_res``, ``d_pm`` and ``min_enslaved_den`` are ForcedReduction's, one
-    row per frequency.
-    """
-    omega: np.ndarray
-    order: int
-    lambda_master: complex
-    #: (frequencies, 2, rows, monomials)
     w: np.ndarray
-    #: (frequencies, 2, 2, order, order)
     r: np.ndarray
     c_res: np.ndarray
     d_pm: np.ndarray
-    forcing_half: np.ndarray
-    min_enslaved_den: np.ndarray
+    min_enslaved_den: float | np.ndarray
 
-    def reduction(self, i: int, out: np.ndarray | None = None
-                  ) -> ForcedReduction:
-        """Member ``i`` on its own.  Its dense embeddings are written into
-        ``out`` (2, rows, order, order) when given, else into a new array."""
-        if out is None:
-            out = np.empty((2, self.w.shape[2], self.order, self.order),
-                           dtype=complex)
-        # degree d sits at k1 * order + d - k1, k1 = 0..d: a strided slice
+    def take(self, idx) -> ForcedReduction:
+        """Members ``idx`` of a stack: an integer gives one frequency, an
+        array of them a stack."""
+        omega, den = self.omega[idx], self.min_enslaved_den[idx]
+        if np.ndim(idx) == 0:
+            omega, den = float(omega), float(den)
+        return ForcedReduction(omega=omega, order=self.order, w=self.w[idx],
+                               r=self.r[idx], c_res=self.c_res[idx],
+                               d_pm=self.d_pm[idx], min_enslaved_den=den)
+
+    def dense(self, flat: np.ndarray) -> np.ndarray:
+        """A trailing axis of flat monomial columns (degree by degree, k1
+        ascending) as dense (..., order, order) arrays indexed (k1, k2)."""
         n = self.order
-        dense = out.reshape(2, self.w.shape[2], -1)
-        dense[...] = 0
+        out = np.zeros(flat.shape[:-1] + (n * n,), dtype=flat.dtype)
+        # degree d sits at k1 * order + d - k1, k1 = 0..d: a strided slice
         for d in range(n):
             lo = d * (d + 1) // 2
-            dense[..., d:d * n + 1:max(n - 1, 1)] = self.w[i, ..., lo:lo + d + 1]
-        return ForcedReduction(omega=float(self.omega[i]), order=self.order,
-                               lambda_master=self.lambda_master,
-                               w_plus=out[0], w_minus=out[1],
-                               r_plus=self.r[i, 0].copy(),
-                               r_minus=self.r[i, 1].copy(),
-                               c_res=self.c_res[i].copy(),
-                               d_pm=self.d_pm[i].copy(),
-                               forcing_half=self.forcing_half,
-                               min_enslaved_den=float(
-                                   self.min_enslaved_den[i]))
+            out[..., d:d * n + 1:max(n - 1, 1)] = flat[..., lo:lo + d + 1]
+        return out.reshape(flat.shape[:-1] + (n, n))
 
 
 def compute_nonautonomous_ssm(ssm: AutonomousSsm, omega,
-                              *, guard: float = ENSLAVED_GUARD):
+                              *, guard: float = ENSLAVED_GUARD
+                              ) -> ForcedReduction:
     """Solve the O(eps) invariance equation at forcing frequency ``omega``.
 
-    ``omega`` is one frequency, which gives a ForcedReduction, or a 1-D
-    array of them, which gives a ForcedBatch; one frequency is the batch of
-    one.  The expansion runs to total degree ``ssm.order - 1``, which is
-    exactly what the unforced embedding of degree ``ssm.order`` supports.
-    The batch marches in slices of at most ``MARCH_BYTES`` of working set,
-    and each member's coefficients do not depend on the others.
+    ``omega`` is one frequency, which gives a ForcedReduction without a
+    frequency axis, or a 1-D array of them, which gives the stack; one
+    frequency is ``take(0)`` of the stack of one.  The expansion runs to
+    total degree ``ssm.order - 1``, which is exactly what the unforced
+    embedding of degree ``ssm.order`` supports.  The stack marches in slices
+    of at most ``MARCH_BYTES`` of working set, and each member's
+    coefficients do not depend on the others.
     """
     mm = ssm.mm
     cache = _forced_caches(ssm)
@@ -345,7 +306,7 @@ def compute_nonautonomous_ssm(ssm: AutonomousSsm, omega,
     r = np.zeros((n_om,) + cache["slot_rows"].shape, dtype=complex)
     min_den = np.empty(n_om)
     # den, inv, |den| and w: four (2, rows, monomials) arrays per frequency
-    per_slice = max(1, MARCH_BYTES // (4 * w[0].nbytes))
+    per_slice = max(1, MARCH_BYTES // (4 * w.itemsize * 2 * n2 * len(k1)))
     for lo in range(0, n_om, per_slice):
         part = slice(lo, lo + per_slice)
         min_den[part] = _march(cache, mm.eigenvalues, f_half, omegas[part],
@@ -362,11 +323,9 @@ def compute_nonautonomous_ssm(ssm: AutonomousSsm, omega,
     d_pm = np.zeros((n_om, m_res + 1), dtype=complex)
     d_pm[:, 1:] = r_dense[:, 1, 0, idx[1:] + 1, idx[1:] - 1]
 
-    batch = ForcedBatch(omega=omegas, order=ssm.order,
-                        lambda_master=ssm.lambda_master, w=w, r=r_dense,
-                        c_res=c_res, d_pm=d_pm, forcing_half=f_half,
-                        min_enslaved_den=min_den)
-    return batch if np.ndim(omega) else batch.reduction(0)
+    stack = ForcedReduction(omega=omegas, order=ssm.order, w=w, r=r_dense,
+                            c_res=c_res, d_pm=d_pm, min_enslaved_den=min_den)
+    return stack if np.ndim(omega) else stack.take(0)
 
 
 def _march(cache: dict, lam: np.ndarray, f_half: np.ndarray,
@@ -433,7 +392,8 @@ def _march(cache: dict, lam: np.ndarray, f_half: np.ndarray,
 
 
 def forced_residual(ssm: AutonomousSsm, fr: ForcedReduction, samples) -> dict:
-    """O(eps) invariance defect per harmonic at sample points s1 (s2 = conj).
+    """O(eps) invariance defect per harmonic at sample points s1 (s2 = conj),
+    for the correction ``fr`` at one frequency.
 
     The nonlinearity Jacobian is evaluated exactly at the unforced embedding,
     so the defect measures the truncation error of the correction itself.
@@ -448,14 +408,17 @@ def forced_residual(ssm: AutonomousSsm, fr: ForcedReduction, samples) -> dict:
     x0 = mm.T @ ssm.w0_at(s1, s2).reshape(n2, -1)
     r0 = ssm.r0_at(s1, s2)
 
-    dw0 = _forced_caches(ssm)["dw"]
+    # W0 vanishes above degree d1 + 1, so its derivatives above d1
+    d1 = ssm.order - 1
+    dw0 = np.stack([dense_diff(ssm.w0_dense, v)[:, :d1 + 1, :d1 + 1]
+                    for v in (0, 1)])
     dw0_1 = dense_eval(dw0[0], s1, s2).reshape(n2, -1)
     dw0_2 = dense_eval(dw0[1], s1, s2).reshape(n2, -1)
 
+    f_half = mm.F_m / 2.0
     worst_abs = np.zeros(npts)
-    scale = np.full(npts, np.linalg.norm(fr.forcing_half))
-    for sign, w1arr, r1arr in ((+1, fr.w_plus, fr.r_plus),
-                               (-1, fr.w_minus, fr.r_minus)):
+    scale = np.full(npts, np.linalg.norm(f_half))
+    for sign, w1arr, r1arr in zip((1, -1), fr.dense(fr.w), fr.r):
         w1v = dense_eval(w1arr, s1, s2).reshape(n2, -1)
         dw1_1 = dense_eval(dense_diff(w1arr, 0), s1, s2).reshape(n2, -1)
         dw1_2 = dense_eval(dense_diff(w1arr, 1), s1, s2).reshape(n2, -1)
@@ -467,7 +430,7 @@ def forced_residual(ssm: AutonomousSsm, fr: ForcedReduction, samples) -> dict:
                + dw0_1 * r1v[0] + dw0_2 * r1v[1]
                - lin
                - mm.monomials.jacobian_apply(x0, mm.T @ w1v)
-               - fr.forcing_half[:, None])
+               - f_half[:, None])
         worst_abs = np.maximum(worst_abs, np.linalg.norm(res, axis=0))
         scale = np.maximum(scale, np.linalg.norm(lin, axis=0))
 

@@ -272,8 +272,8 @@ def test_frc_reports_smallest_forced_denominator(tmp_path, capsys):
     fc = trace_frc(compute_autonomous_ssm(mm, 3), mm, 0.0027, rho_max=0.06,
                    n_rho=60)
     # the smallest enslaved |lambda_i - <k, lambda_master> -/+ i*Omega| of
-    # any kept reduction
-    smallest = min(fr.min_enslaved_den for fr in fc.reductions)
+    # any point's kept forced row
+    smallest = fc.forced.min_enslaved_den.min()
     assert 0 < smallest < np.inf
     assert lines[-2] == f"smallest forced denominator: {smallest:.1e}"
     assert "denominator" not in out.read_text()

@@ -216,7 +216,8 @@ class TestPhysicalAmplitude:
         fc = trace_frc(ssm, mm, eps, rho_max=0.04, n_rho=40)
         p = fc.points[len(fc.points) // 2]
         fr = compute_nonautonomous_ssm(ssm, p.omega)
-        a0 = mm.T @ fr.w_plus[:, 0, 0]
+        # the e^{+} harmonic's constant monomial, flat column 0
+        a0 = mm.T @ fr.w[0, :, 0]
         for coord in range(4):
             amp = physical_amplitude(ssm, fr, p, coord)
             peak = 2 * abs(p.rho * np.exp(1j * p.psi) * mm.T[coord, 0]
@@ -238,19 +239,24 @@ class TestPhysicalAmplitude:
         fr = compute_nonautonomous_ssm(ssm, mm.lambda_master.imag)
         u = FixedPointU(rho=0.0, omega=mm.lambda_master.imag, psi=0.0,
                         eps=eps)
-        a0 = mm.T @ fr.w_plus[:, 0, 0]
+        a0 = mm.T @ fr.w[0, :, 0]
         amp = physical_amplitude(ssm, fr, u, 0)
         assert amp == pytest.approx(2 * eps * abs(a0[0]), abs=1e-12)
 
     def test_kept_reductions_match_fresh_solves(self, sp_ssm3,
                                                  sp_trace_isola):
+        # every point's row of the stacked forced rows is the fresh
+        # one-Omega solve at its Omega, bit for bit
         fc = sp_trace_isola
-        assert len(fc.reductions) == len(fc.points)
-        for p, fr in list(zip(fc.points, fc.reductions))[::7]:
+        assert fc.forced.omega.shape == (len(fc.points),)
+        for i, p in enumerate(fc.points):
+            fr = fc.forced.take(i)
             assert fr.omega == p.omega
             fresh = compute_nonautonomous_ssm(sp_ssm3, p.omega)
-            assert np.array_equal(fr.w_plus, fresh.w_plus)
-            assert np.array_equal(fr.w_minus, fresh.w_minus)
+            assert fr.min_enslaved_den == fresh.min_enslaved_den
+            for name in ("w", "r", "c_res", "d_pm"):
+                assert (getattr(fr, name).tobytes()
+                        == getattr(fresh, name).tobytes()), (i, name)
             assert (physical_amplitude(sp_ssm3, fr, p, 0)
                     == physical_amplitude(sp_ssm3, fresh, p, 0))
 
@@ -279,7 +285,7 @@ def _reference_peak(ssm, fr, u, coord, eps):
     dense embeddings, polished by a bounded scalar search."""
     t = ssm.mm.T[coord]
     row0, rowp, rowm = (np.einsum("l,lpq->pq", t, w)
-                        for w in (ssm.w0_dense, fr.w_plus, fr.w_minus))
+                        for w in (ssm.w0_dense, *fr.dense(fr.w)))
 
     def value(phi):
         phi = np.asarray(phi)
@@ -329,8 +335,9 @@ class TestPhysicalAmplitudes:
             ssm, curve, coord = request.getfixturevalue(f"{case}_trace")
         assert len(curve.points) > 20
         amps = physical_amplitudes(ssm, curve, coord)
-        ref = np.array([_reference_peak(ssm, fr, p, coord, curve.eps)
-                        for p, fr in zip(curve.points, curve.reductions)])
+        ref = np.array([_reference_peak(ssm, curve.forced.take(i), p, coord,
+                                        curve.eps)
+                        for i, p in enumerate(curve.points)])
         assert amps.shape == ref.shape
         assert np.all(np.abs(amps - ref) <= 1e-13 * ref)
 
@@ -338,8 +345,20 @@ class TestPhysicalAmplitudes:
                                                     sp_trace_isola):
         fc = sp_trace_isola
         amps = physical_amplitudes(sp_ssm3, fc, 1)
-        one = np.array([physical_amplitude(sp_ssm3, fr, p, 1)
-                        for p, fr in zip(fc.points, fc.reductions)])
+        one = np.array([physical_amplitude(sp_ssm3, fc.forced.take(i), p, 1)
+                        for i, p in enumerate(fc.points)])
+        assert np.all(np.abs(amps - one) <= 1e-14 * one)
+
+    def test_fresh_one_point_call_matches_curve_amplitudes(self, sp_ssm3,
+                                                            sp_trace_isola):
+        """The benchmark's per-point call (a fresh solve at the point's
+        Omega, eps passed explicitly) gives each curve amplitude."""
+        fc = sp_trace_isola
+        amps = physical_amplitudes(sp_ssm3, fc, 0)
+        one = np.array([physical_amplitude(
+            sp_ssm3, compute_nonautonomous_ssm(sp_ssm3, p.omega), p, 0,
+            eps=fc.eps) for p in fc.points])
+        assert len(one) > 20
         assert np.all(np.abs(amps - one) <= 1e-14 * one)
 
     def test_empty_curve_gives_empty_array(self, sp_modal, sp_ssm3):
@@ -417,8 +436,39 @@ def test_trace_does_not_depend_on_round_size(sp_modal, sp_ssm3,
     assert len(want.points) > 20 and len(want.folds) == 3
     for key, value in curve_record(got).items():
         assert value.tobytes() == curve_record(want)[key].tobytes(), key
-    for a, b in zip(got.reductions, want.reductions):
-        assert a.w_plus.tobytes() == b.w_plus.tobytes()
+    for name in ("omega", "w", "r", "c_res", "d_pm", "min_enslaved_den"):
+        assert (getattr(got.forced, name).tobytes()
+                == getattr(want.forced, name).tobytes()), name
+
+
+def test_forced_rows_are_stacked_in_pair_order(sp_ssm3):
+    """Rows that the rounds finish out of grid order (a pair that needs its
+    retry seed finishes after its neighbours) are stacked by pair."""
+    omegas = 1.7 + 0.01 * np.arange(6)
+    stack = compute_nonautonomous_ssm(sp_ssm3, omegas)
+    rounds = [[4, 1], [0, 5, 2], [3]]
+    got = frc._in_pair_order(sp_ssm3, [
+        (np.array(ps), stack.take(np.array(ps))) for ps in rounds])
+    assert got.order == stack.order
+    for name in ("omega", "w", "r", "c_res", "d_pm", "min_enslaved_den"):
+        assert getattr(got, name).tobytes() == getattr(stack,
+                                                       name).tobytes(), name
+
+
+def test_diverged_fold_point_keeps_round_zero_backbone(sp_ssm3, monkeypatch):
+    """When the double-root secant diverges, the polar data are the
+    backbone's from the first round, bit for bit those of a fresh solve at
+    the backbone Omega."""
+    monkeypatch.setattr(frc, "G_TOL", -1.0)  # no residual is small enough
+    eps, rho = 0.0027, 0.06
+    om, rd = frc._fold_point(sp_ssm3, eps, rho)
+    assert om is None
+    backbone = frc._backbone_omega(sp_ssm3, rho)
+    want = assemble_polar(sp_ssm3,
+                          compute_nonautonomous_ssm(sp_ssm3, backbone), eps)
+    assert rd.omega == backbone
+    for name in ("a_coeffs", "b_coeffs", "f1", "f2", "g1", "g2"):
+        assert getattr(rd, name).tobytes() == getattr(want, name).tobytes()
 
 
 @pytest.mark.parametrize("name", list(GOLDEN_CURVES))

@@ -343,8 +343,8 @@ def _reconstruct_state(ssm3, fr, point, eps):
     x = np.empty(mm.T.shape[0])
     for c in range(mm.T.shape[0]):
         row0 = np.einsum("l,lpq->pq", mm.T[c, :], ssm3.w0_dense)
-        rowp = np.einsum("l,lpq->pq", mm.T[c, :], fr.w_plus)
-        rowm = np.einsum("l,lpq->pq", mm.T[c, :], fr.w_minus)
+        rowp, rowm = (np.einsum("l,lpq->pq", mm.T[c, :], w)
+                      for w in fr.dense(fr.w))
         val = (dense_eval(row0, s, np.conj(s))
                + eps * (dense_eval(rowp, s, np.conj(s))
                         + dense_eval(rowm, s, np.conj(s))))

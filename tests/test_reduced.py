@@ -5,6 +5,7 @@ import pytest
 
 from ssm_resolve.errors import ValidationError, SingularChartError
 from ssm_resolve.model import to_first_order, modal_decompose
+from ssm_resolve.polyalg import dense_eval
 from ssm_resolve.ssm_auto import compute_autonomous_ssm
 from ssm_resolve.ssm_forced import compute_nonautonomous_ssm
 from ssm_resolve.reduced import (assemble_polar, zero_problem, FixedPointU,
@@ -66,8 +67,9 @@ def test_polar_field_matches_complex_reduced_flow(sp_ssm, sp_fr, sp_rd):
         phase = rng.uniform(0, 2 * np.pi)
         theta = psi + phase
         s1 = rho * np.exp(1j * theta)
+        rp, rm = (dense_eval(r, s1, np.conj(s1))[0] for r in sp_fr.r)
         sdot = (sp_ssm.r0_at(s1, np.conj(s1))[0]
-                + eps * sp_fr.r1_at(s1, np.conj(s1), phase)[0])
+                + eps * (np.exp(1j * phase) * rp + np.exp(-1j * phase) * rm))
         proj = np.exp(-1j * theta) * sdot
         f1, f2 = zero_problem(sp_rd, (rho, om, psi), eps=eps)
         worst = max(worst,

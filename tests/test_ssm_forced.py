@@ -8,7 +8,8 @@ import pytest
 from ssm_resolve.beam import BeamSpec, build_beam
 from ssm_resolve.errors import InternalResonanceError
 from ssm_resolve.model import to_first_order, modal_decompose
-from ssm_resolve.polyalg import dense_mask, dense_mul, dense_pow, dense_zero
+from ssm_resolve.polyalg import (dense_eval, dense_mask, dense_mul, dense_pow,
+                                 dense_zero)
 from ssm_resolve.ssm_auto import compute_autonomous_ssm
 from ssm_resolve import ssm_forced
 from ssm_resolve.ssm_forced import (_jacobian_factors,
@@ -55,22 +56,24 @@ def test_leading_coefficient_value_and_omega_independence(sp_ssm7, sp_modal):
 def test_harmonics_mirror_under_conjugation(sp_forced):
     # row pairing of the modal spectrum: (0,1) and (2,3) are conjugate pairs
     pair = {0: 1, 1: 0, 2: 3, 3: 2}
-    a, b = sp_forced.w_plus, sp_forced.w_minus
+    a, b = sp_forced.dense(sp_forced.w)
     scale = np.abs(a).max()
     for i in range(4):
         assert np.abs(b[pair[i]].T - np.conj(a[i])).max() < 1e-12 * scale
 
 
 def test_reduced_rows_mirror_under_conjugation(sp_forced):
-    diff = np.abs(sp_forced.r_minus[1].diagonal()
-                  - np.conj(sp_forced.r_plus[0].diagonal()))
+    # row 1 of the e^{-} harmonic against row 0 of the e^{+} one
+    diff = np.abs(sp_forced.r[1, 1].diagonal()
+                  - np.conj(sp_forced.r[0, 0].diagonal()))
     assert diff.max() < 1e-12 * np.abs(sp_forced.c_res).max()
 
 
-def test_no_missed_small_denominator_at_resonance(sp_forced):
+def test_no_missed_small_denominator_at_resonance(sp_forced, sp_modal):
     # with Omega at the master frequency, every denominator not classified
     # as structurally resonant must stay clear of zero
-    bound = abs(2 * sp_forced.half_order * sp_forced.lambda_master.real)
+    half_order = len(sp_forced.c_res) - 1
+    bound = abs(2 * half_order * sp_modal.lambda_master.real)
     assert sp_forced.min_enslaved_den >= bound
 
 
@@ -89,7 +92,8 @@ def test_forced_residual_small_and_order_scaling(sp_modal):
 def test_order_one_keeps_only_leading_coefficient(sp_modal):
     ssm = compute_autonomous_ssm(sp_modal, 1)
     fr = compute_nonautonomous_ssm(ssm, sp_modal.lambda_master.imag)
-    assert fr.half_order == 0
+    assert len(fr.c_res) == 1
+    assert fr.dense(fr.w).shape == (2, 4, 1, 1)
     assert fr.c_res[0] == leading_forcing_coefficient(sp_modal)
     assert np.all(fr.d_pm == 0)
 
@@ -100,7 +104,7 @@ def test_linear_system_has_flat_correction():
     fr = compute_nonautonomous_ssm(ssm, mm.lambda_master.imag)
     assert np.all(fr.c_res[1:] == 0) and np.all(fr.d_pm == 0)
     # the correction is constant in the master coordinates
-    for arr in (fr.w_plus, fr.w_minus):
+    for arr in fr.dense(fr.w):
         flat = arr.copy()
         flat[:, 0, 0] = 0
         assert np.abs(flat).max() == 0.0
@@ -119,7 +123,7 @@ def test_enslaved_near_resonance_is_refused():
         compute_nonautonomous_ssm(ssm, om_second)
     # away from the second modal frequency the solve goes through
     fr = compute_nonautonomous_ssm(ssm, mm.lambda_master.imag)
-    assert np.isfinite(fr.w_plus).all()
+    assert np.isfinite(fr.w).all()
 
 
 @pytest.mark.parametrize("case, order", [("cubic", 5), ("quintic", 5),
@@ -128,7 +132,9 @@ def test_enslaved_near_resonance_is_refused():
 def test_batched_march_equals_one_omega_solves_byte_for_byte(
         case, order, march_bytes, monkeypatch):
     """Each member of a batch is the one-Omega solve, whatever the batch
-    and however it is sliced (march_bytes 1: one Omega per slice)."""
+    and however it is sliced (march_bytes 1: one Omega per slice): the
+    float call equals ``take(i)`` of the array call in every field and in
+    the dense view, as ``take(0)`` of the batch of one does."""
     if case == "beam25":
         mm = modal_decompose(to_first_order(build_beam(
             BeamSpec(elements=25, **BEAM))), normalization="largest")
@@ -143,15 +149,22 @@ def test_batched_march_equals_one_omega_solves_byte_for_byte(
         monkeypatch.setattr(ssm_forced, "MARCH_BYTES", march_bytes)
     batch = compute_nonautonomous_ssm(ssm, omegas)
     assert batch.omega.tolist() == omegas.tolist()
-    for i, one in enumerate(ones):
-        got = batch.reduction(i)
-        assert got.omega == one.omega
-        assert got.min_enslaved_den == one.min_enslaved_den
-        for name in ("w_plus", "w_minus", "r_plus", "r_minus", "c_res",
-                     "d_pm"):
+    single = compute_nonautonomous_ssm(ssm, omegas[:1])
+    assert single.omega.shape == (1,)
+    for got, one in [(single.take(0), ones[0])] + [
+            (batch.take(i), one) for i, one in enumerate(ones)]:
+        for name in ("omega", "min_enslaved_den"):
+            assert type(getattr(one, name)) is float
+            assert type(getattr(got, name)) is float
+            assert getattr(got, name) == getattr(one, name), name
+        assert got.order == one.order == order
+        for name in ("w", "r", "c_res", "d_pm"):
             want = getattr(one, name)
             assert getattr(got, name).shape == want.shape
             assert getattr(got, name).tobytes() == want.tobytes(), name
+        dense = got.dense(got.w)
+        assert dense.shape == (2, len(mm.eigenvalues), order, order)
+        assert dense.tobytes() == one.dense(one.w).tobytes()
 
 
 @pytest.mark.parametrize("case", ["cubic", "beam25", "linear"])
@@ -205,7 +218,9 @@ def test_physical_correction_is_real(sp_forced, sp_modal):
     rng = np.random.default_rng(3)
     s1 = rng.uniform(-0.05, 0.05, 8) + 1j * rng.uniform(-0.05, 0.05, 8)
     for phase in (0.0, 0.7, 2.4):
-        x = sp_modal.T @ sp_forced.w1_at(s1, np.conj(s1), phase)
+        wp, wm = (dense_eval(w, s1, np.conj(s1))
+                  for w in sp_forced.dense(sp_forced.w))
+        x = sp_modal.T @ (np.exp(1j * phase) * wp + np.exp(-1j * phase) * wm)
         assert np.abs(x.imag).max() < 1e-12 * max(np.abs(x.real).max(), 1e-30)
 
 
@@ -214,19 +229,6 @@ def test_truncation_consistency(sp_modal, sp_forced):
     fr3 = compute_nonautonomous_ssm(ssm3, sp_forced.omega)
     assert np.allclose(fr3.c_res, sp_forced.c_res[:2], rtol=1e-12)
     assert np.allclose(fr3.d_pm, sp_forced.d_pm[:2], rtol=1e-12)
-
-
-def test_harmonic_evaluation_helpers(sp_forced):
-    s1 = 0.02 + 0.01j
-    w = sp_forced.w1_at(s1, np.conj(s1), 0.0)
-    from ssm_resolve.polyalg import dense_eval
-    direct = (dense_eval(sp_forced.w_plus, s1, np.conj(s1))
-              + dense_eval(sp_forced.w_minus, s1, np.conj(s1)))
-    assert np.allclose(w, direct, rtol=1e-14)
-    r = sp_forced.r1_at(s1, np.conj(s1), np.pi / 2)
-    direct_r = (1j * dense_eval(sp_forced.r_plus, s1, np.conj(s1))
-                - 1j * dense_eval(sp_forced.r_minus, s1, np.conj(s1)))
-    assert np.allclose(r, direct_r, rtol=1e-14)
 
 
 @pytest.mark.parametrize("case", ["two_mass3", "two_mass5", "beam25_3"])
@@ -245,9 +247,10 @@ def test_compiled_solve_matches_recorded_recursion(case, sp_modal):
         assert omega == pytest.approx((0.97, 1.02)[k]
                                       * mm.lambda_master.imag, rel=1e-15)
         fr = compute_nonautonomous_ssm(ssm, omega)
-        for name in ("c_res", "d_pm", "w_plus", "w_minus"):
+        w_plus, w_minus = fr.dense(fr.w)
+        for name, got in (("c_res", fr.c_res), ("d_pm", fr.d_pm),
+                          ("w_plus", w_plus), ("w_minus", w_minus)):
             want = golden[key + name]
-            got = getattr(fr, name)
             assert got.shape == want.shape
             assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
         assert fr.min_enslaved_den == pytest.approx(
@@ -261,7 +264,7 @@ def test_compile_is_kept_per_manifold(sp_modal):
     compiled = ssm.caches["forced"]
     again = compute_nonautonomous_ssm(ssm, 1.7)
     assert ssm.caches["forced"] is compiled
-    assert np.array_equal(first.w_plus, again.w_plus)
+    assert np.array_equal(first.w, again.w)
     assert np.array_equal(first.c_res, again.c_res)
 
 
