@@ -63,12 +63,6 @@ ROUND_BYTES = 2 << 20
 BRANCHES = ("K+", "K-")
 
 
-def discriminant(rd: ReducedDynamics, rho, eps: float):
-    """eps**2 (f1**2 + f2**2) - a**2 at amplitude rho."""
-    a = rd.a_of(rho)
-    return eps ** 2 * (rd.f1_of(rho) ** 2 + rd.f2_of(rho) ** 2) - a ** 2
-
-
 def _k_roots(rd: ReducedDynamics, rho, eps: float):
     """Roots (K+, K-) of the radial equation at each rho, NaN where there are
     none, and the discriminant there.
@@ -91,18 +85,6 @@ def _k_roots(rd: ReducedDynamics, rho, eps: float):
             disc)
 
 
-def k_branches(rd: ReducedDynamics, rho: float, eps: float) -> list[float]:
-    """Real roots K of the radial equation at amplitude rho.
-
-    Returns zero, one, or two values ordered (K+, K-); an empty list means
-    no response exists at this amplitude.  A degenerate leading coefficient
-    yields the linear root plus ``math.inf`` standing for the K -> infinity
-    solution (psi = pi).
-    """
-    k_plus, k_minus, _ = _k_roots(rd, rho, eps)
-    return [] if np.isnan(k_plus) else [float(k_plus), float(k_minus)]
-
-
 def psi_from_k(k):
     """Phase from the tangent half-angle; infinity maps to psi = pi.
 
@@ -114,33 +96,15 @@ def psi_from_k(k):
     return psi if psi.ndim else float(psi)
 
 
-def frc_G(rd: ReducedDynamics, rho: float, omega: float, eps: float,
-          branch: str) -> float | None:
-    """Phase-equation residual at the branch's psi; None if no such branch.
-
-    The radial equation is satisfied identically by the K construction, so
-    this scalar is the only remaining condition on Omega.
-    """
-    if branch not in BRANCHES:
-        raise ValidationError(f"unknown branch {branch!r}; expected K+ or K-")
-    ks = k_branches(rd, rho, eps)
-    if len(ks) <= BRANCHES.index(branch):
-        return None
-    return float(phase_residual(rd, rho, omega, eps,
-                                psi_from_k(ks[BRANCHES.index(branch)])))
-
-
 @dataclass
 class FrcCurve:
     """Sampled forced response curve at one forcing amplitude."""
     eps: float
-    order: int
     points: list[FixedPointU]
     folds: np.ndarray
     components: list[list[int]]
     rho_max: float
     n_rho: int
-    omega_window: tuple[float, float] | None = None
     skipped: list[tuple[float, str, str]] = field(default_factory=list)
     #: the forced correction at each point's Omega, stacked: row i belongs
     #: to ``points[i]``
@@ -377,11 +341,9 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
                   for i, b in enumerate(BRANCHES)}
     folds = _locate_folds(ssm, eps, disc_trace)
     components = _group_components(points, step, folds)
-    return FrcCurve(eps=eps, order=ssm.order, points=points,
-                    folds=np.asarray(folds), components=components,
-                    rho_max=rho_max, n_rho=n_rho,
-                    omega_window=omega_window, skipped=skipped,
-                    forced=_in_pair_order(ssm, kept))
+    return FrcCurve(eps=eps, points=points, folds=np.asarray(folds),
+                    components=components, rho_max=rho_max, n_rho=n_rho,
+                    skipped=skipped, forced=_in_pair_order(ssm, kept))
 
 
 def _in_pair_order(ssm: AutonomousSsm,
@@ -436,7 +398,7 @@ def _locate_folds(ssm: AutonomousSsm, eps: float,
     """Bisect the discriminant (along the double-root Omega) at sign changes."""
 
     def disc_at(rho: float) -> float:
-        return float(discriminant(_fold_point(ssm, eps, rho)[1], rho, eps))
+        return float(_k_roots(_fold_point(ssm, eps, rho)[1], rho, eps)[2])
 
     folds: list[float] = []
     by_rho: dict[float, float] = {}

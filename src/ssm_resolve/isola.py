@@ -51,9 +51,6 @@ class RootTrack:
     gamma: np.ndarray
     lambda_master: complex
 
-    def last_order(self) -> int:
-        return self.orders[-1]
-
 
 def _radius_estimates(lambda_master: complex, gamma: np.ndarray,
                       orders: list[int]) -> dict[int, float]:

@@ -177,7 +177,6 @@ class ModalModel:
     eigenvalues: np.ndarray   # (2n,) complex
     T: np.ndarray             # (2n, 2n) complex, columns are eigenvectors
     T_inv: np.ndarray
-    master: tuple[int, int]
     #: G carried into modal coordinates: the monomials are still taken of
     #: the physical state x = T q, and each injection becomes T^{-1} inject
     monomials: Monomials
@@ -301,7 +300,7 @@ def modal_decompose(fos: FirstOrderSystem, master: int = 0,
     monomials = Monomials(
         [t.coeff for t in fos.terms], [t.exponents for t in fos.terms],
         np.array([T_inv @ t.inject for t in fos.terms]).reshape(-1, 2 * n).T)
-    return ModalModel(eigenvalues=lam_sorted, T=T, T_inv=T_inv, master=(0, 1),
+    return ModalModel(eigenvalues=lam_sorted, T=T, T_inv=T_inv,
                       monomials=monomials, F_m=T_inv @ fos.F, fos=fos,
                       normalization=normalization)
 
@@ -331,8 +330,6 @@ class NonResonanceReport:
     violations: list[tuple[int, int, int]]
     #: per-eigenvalue-slot margin data: {"q", "abs_margin", "rel_margin"}
     margins: dict[int, dict]
-    #: informational near-coincidences of imaginary parts (never enforced)
-    imag_notes: list[str]
 
 
 def check_nonresonance(mm: ModalModel, sigma: int | None = None,
@@ -361,19 +358,5 @@ def check_nonresonance(mm: ModalModel, sigma: int | None = None,
         if sigma >= 2 and rel_margin <= tol:
             for a in range(q, max(q - 32, -1), -1):
                 violations.append((a, q - a, l))
-    imag_notes = []
-    im1 = mm.lambda_master.imag
-    for l in range(2, len(mm.eigenvalues)):
-        im_l = mm.eigenvalues[l].imag
-        if im_l == 0 or im1 == 0:
-            continue
-        p = round(im_l / im1)
-        if 2 <= abs(p) <= min(sigma, 12):
-            gap = abs(p * im1 - im_l)
-            if gap <= 1e-2 * abs(im_l):
-                imag_notes.append(
-                    f"Im(lam_{l}) is within {gap:.2e} of {p} * Im(lam_1) "
-                    "(informational; imaginary parts are not constrained)")
     return NonResonanceReport(passed=not violations, sigma=sigma,
-                              violations=violations, margins=margins,
-                              imag_notes=imag_notes)
+                              violations=violations, margins=margins)

@@ -1,10 +1,11 @@
 """Brute-force verification by direct time integration of the full system.
 
 This module is the package's independent referee: it integrates the complete
-first-order system with an embedded 4(5) Runge-Kutta pair, runs steady-state
-frequency sweeps with a period-to-period settle detector, and evaluates the
-closed-form response of the linearized model.  Nothing here touches the
-manifold machinery, so agreement between the two paths is meaningful.
+first-order system with Fehlberg's embedded 4(5) Runge-Kutta pair, runs
+steady-state frequency sweeps with a period-to-period settle detector, and
+evaluates the closed-form response of the linearized model.  Nothing here
+touches the manifold machinery, so agreement between the two paths is
+meaningful.
 
 The right-hand side is compiled once per integration (``_rhs``).  Each
 call writes ``A x`` into the stage row with one BLAS product.  With terms
@@ -33,7 +34,7 @@ from .errors import IntegrationError, ValidationError
 from .model import FirstOrderSystem, ModalModel
 from .ssm_forced import leading_forcing_coefficient
 
-# classic embedded 4(5) pair.  The fourth-order combination propagates; the
+# Fehlberg's embedded 4(5) pair.  The fourth-order combination propagates; the
 # difference against the fifth-order one drives the step controller, so the
 # global convergence order of the trajectory is 4.
 _RK_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
@@ -101,11 +102,6 @@ class Trajectory:
     t: np.ndarray                # (m,)
     x: np.ndarray                # (m, 2n)
     n_rejected: int
-    sample_indices: np.ndarray   # indices into t of the requested samples
-
-    @property
-    def samples(self) -> np.ndarray:
-        return self.x[self.sample_indices]
 
 
 def _rhs(fos: FirstOrderSystem, eps: float, omega: float):
@@ -234,7 +230,6 @@ def integrate_full(fos: FirstOrderSystem, eps: float, omega: float,
     t, x = 0.0, x0.copy()
     ax = absolute(x)  # |x|, carried over from |x4| on acceptance
     ts, xs = [0.0], [x]
-    sample_indices = []
     i_sample = 0
     n_samples = len(sample_times)
     n_rejected = 0
@@ -294,7 +289,6 @@ def integrate_full(fos: FirstOrderSystem, eps: float, omega: float,
             ts.append(t)
             xs.append(x4)
             if landing:
-                sample_indices.append(len(ts) - 1)
                 i_sample += 1
         else:
             n_rejected += 1
@@ -315,8 +309,7 @@ def integrate_full(fos: FirstOrderSystem, eps: float, omega: float,
                     "(out of scope)")
 
     return Trajectory(t=np.asarray(ts), x=np.asarray(xs),
-                      n_rejected=n_rejected,
-                      sample_indices=np.asarray(sample_indices, dtype=int))
+                      n_rejected=n_rejected)
 
 
 @dataclass
@@ -335,8 +328,6 @@ class SweepResult:
     amplitude: np.ndarray
     converged: np.ndarray
     periods: np.ndarray
-    monitor: tuple[int, ...]
-    eps: float
     steps_accepted: np.ndarray
     steps_rejected: np.ndarray
 
@@ -420,8 +411,11 @@ def sweep(fos: FirstOrderSystem, eps: float, omega_grid, monitor,
         definition); False starts every point from rest.
     control : IntegratorControl, optional
     transient_time : float, optional
-        Override for the decay horizon (required if the linear part is not
-        asymptotically stable).
+        Override for the decay horizon (> 0; required if the linear part is
+        not asymptotically stable).
+    min_measure_periods, max_measure_periods : int
+        Bounds on the measured periods per point; the maximum may not be
+        below the minimum.
     settle_rel : float
         Relative per-period change below which the response counts as
         settled.
@@ -446,6 +440,10 @@ def sweep(fos: FirstOrderSystem, eps: float, omega_grid, monitor,
         raise ValidationError(
             f"need at least {SETTLE_RUN + 1} measured periods to detect "
             "a settle")
+    if max_measure_periods < min_measure_periods:
+        raise ValidationError(
+            f"max_measure_periods ({max_measure_periods}) must be >= "
+            f"min_measure_periods ({min_measure_periods})")
     if settle_rel <= 0:
         raise ValidationError("settle_rel must be > 0")
     if transient_time is None:
@@ -455,6 +453,8 @@ def sweep(fos: FirstOrderSystem, eps: float, omega_grid, monitor,
                 "the linear part is not asymptotically stable; pass an "
                 "explicit transient_time to sweep")
         transient_time = 5.0 / abs(decay)
+    elif not transient_time > 0:
+        raise ValidationError("transient_time must be > 0")
 
     n_grid = omega_grid.size
     amplitude = np.zeros((n_grid, len(monitor)))
@@ -473,7 +473,6 @@ def sweep(fos: FirstOrderSystem, eps: float, omega_grid, monitor,
 
     return SweepResult(omega=omega_grid.copy(), amplitude=amplitude,
                        converged=converged, periods=periods,
-                       monitor=monitor, eps=eps,
                        steps_accepted=steps[:, 0], steps_rejected=steps[:, 1])
 
 

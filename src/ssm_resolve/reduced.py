@@ -62,8 +62,6 @@ class ReducedDynamics:
     array); every ``*_of`` then takes one rho per column.
     """
     omega: float
-    order: int
-    lambda_master: complex
     a_coeffs: np.ndarray
     b_coeffs: np.ndarray
     f1: np.ndarray
@@ -118,12 +116,6 @@ class FixedPointU:
             raise ValidationError("amplitude rho must be >= 0")
         self.psi = float(np.mod(self.psi, 2 * np.pi))
 
-    @property
-    def stable(self) -> bool | None:
-        if self.stability == "fold-degenerate":
-            return None
-        return self.stability == "stable"
-
 
 def assemble_polar(ssm: AutonomousSsm, fr: ForcedReduction,
                    eps: float | None = None) -> ReducedDynamics:
@@ -139,8 +131,7 @@ def assemble_polar(ssm: AutonomousSsm, fr: ForcedReduction,
             f"forced correction was computed at order {fr.order}, "
             f"manifold at order {ssm.order}")
     c, d = fr.c_res.T, fr.d_pm.T
-    return ReducedDynamics(omega=fr.omega, order=ssm.order,
-                           lambda_master=ssm.lambda_master,
+    return ReducedDynamics(omega=fr.omega,
                            a_coeffs=ssm.radial_coefficients(),
                            b_coeffs=ssm.phase_coefficients(),
                            f1=c.real + d.real, f2=c.imag - d.imag,
@@ -185,12 +176,6 @@ class StabilityReport:
     eigenvalues: np.ndarray
     jacobian: np.ndarray
     label: str  # "stable" | "unstable" | "fold-degenerate"
-
-    @property
-    def stable(self) -> bool | None:
-        if self.label == "fold-degenerate":
-            return None
-        return self.label == "stable"
 
 
 def _polar_jacobian(rd: ReducedDynamics, rho, psi, eps: float) -> np.ndarray:

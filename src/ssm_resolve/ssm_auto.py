@@ -245,17 +245,20 @@ def invariance_residual(ssm: AutonomousSsm, mm: ModalModel, samples) -> dict:
     }
 
 
-def residual_slope(ssm: AutonomousSsm, mm: ModalModel, radii=None,
-                   n_angles: int = 16, seed: int = 0) -> float:
-    """Log-log slope of the max relative invariance defect vs sample radius."""
+def residual_slope(residual, radii=None, n_angles: int = 16,
+                   seed: int = 0) -> float:
+    """Log-log slope of the max relative defect vs sample radius.
+
+    ``residual`` maps complex master samples s1 to a defect dict with a
+    ``"max_relative"`` entry: ``invariance_residual`` or
+    ``ssm_forced.forced_residual`` with its other arguments bound.
+    """
     if radii is None:
         # stay above the floating-point floor of the defect at high orders
         radii = np.logspace(-2, -0.8, 7)
     rng = np.random.default_rng(seed)
     angles = rng.uniform(0, 2 * np.pi, n_angles)
-    worst = []
-    for r in radii:
-        res = invariance_residual(ssm, mm, r * np.exp(1j * angles))
-        worst.append(res["max_relative"])
+    worst = [residual(r * np.exp(1j * angles))["max_relative"]
+             for r in radii]
     slope = np.polyfit(np.log(radii), np.log(worst), 1)[0]
     return float(slope)

@@ -441,18 +441,3 @@ def forced_residual(ssm: AutonomousSsm, fr: ForcedReduction, samples) -> dict:
         "max_absolute": float(worst_abs.max()),
         "max_relative": float(rel.max()),
     }
-
-
-def forced_residual_slope(ssm: AutonomousSsm, fr: ForcedReduction, radii=None,
-                          n_angles: int = 16, seed: int = 0) -> float:
-    """Log-log slope of the max relative O(eps) defect vs sample radius."""
-    if radii is None:
-        radii = np.logspace(-2, -0.8, 7)
-    rng = np.random.default_rng(seed)
-    angles = rng.uniform(0, 2 * np.pi, n_angles)
-    worst = []
-    for r in radii:
-        res = forced_residual(ssm, fr, r * np.exp(1j * angles))
-        worst.append(res["max_relative"])
-    slope = np.polyfit(np.log(radii), np.log(worst), 1)[0]
-    return float(slope)

@@ -237,6 +237,18 @@ def test_verify_reports_integrator_steps(tmp_path, capsys):
     assert body_lines(out.read_text()) == body
 
 
+def test_verify_rejects_impossible_sweep_settings(tmp_path, capsys):
+    sysfile = sp_file(tmp_path)
+    out = tmp_path / "sweep.csv"
+    base = ["verify", "--system", sysfile, "--eps", "0.0027",
+            "--omega", "1.5:1.5:1", "--out", str(out)]
+    for extra, word in ((["--max-periods", "5"], "max_measure_periods"),
+                        (["--transient-time", "-1"], "transient_time")):
+        assert main(base + extra) == 2, extra
+        assert word in capsys.readouterr().err
+        assert not out.exists()
+
+
 def test_frc_reports_skipped_points_by_reason(tmp_path, capsys):
     sysfile = sp_file(tmp_path)
     out = tmp_path / "frc.csv"

@@ -1,6 +1,7 @@
 """Forced response curve extraction: branches, tracing, folds, amplitudes."""
 
 import math
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -11,29 +12,34 @@ from conftest import BEAM, two_mass_system
 from ssm_resolve.beam import BeamSpec, build_beam, tip_index
 from ssm_resolve import frc
 from ssm_resolve.errors import ValidationError
-from ssm_resolve.model import modal_decompose, to_first_order
+from ssm_resolve.isola import leading_isola
+from ssm_resolve.model import (MechanicalSystem, PolyTerm, modal_decompose,
+                               to_first_order)
 from ssm_resolve.polyalg import dense_eval
 from ssm_resolve.ssm_auto import compute_autonomous_ssm
-from ssm_resolve.ssm_forced import compute_nonautonomous_ssm
+from ssm_resolve.ssm_forced import (compute_nonautonomous_ssm,
+                                    leading_forcing_coefficient)
 from ssm_resolve.reduced import (ReducedDynamics, FixedPointU, assemble_polar,
-                                 zero_problem)
-from ssm_resolve.frc import (BRANCHES, k_branches, psi_from_k, frc_G,
-                             discriminant, trace_frc, physical_amplitude,
-                             physical_amplitudes, _fold_point)
+                                 phase_residual, zero_problem)
+from ssm_resolve.frc import (BRANCHES, psi_from_k, trace_frc,
+                             physical_amplitude, physical_amplitudes,
+                             _fold_point, _k_roots)
 
 
 def _synthetic_rd(a, f1, f2):
-    return ReducedDynamics(omega=1.0, order=1, lambda_master=1j,
-                           a_coeffs=np.array([a]), b_coeffs=np.array([1.0]),
+    return ReducedDynamics(omega=1.0, a_coeffs=np.array([a]),
+                           b_coeffs=np.array([1.0]),
                            f1=np.array([f1]), f2=np.array([f2]),
                            g1=np.array([0.0]), g2=np.array([0.0]))
 
 
 class TestKBranches:
+    """The K+ and K- roots of the radial equation (``_k_roots``)."""
+
     def test_pure_in_phase_forcing_gives_quarter_phases(self):
         # a = 0 and f2 = 0: K**2 = 1, so psi = pi/2 and 3*pi/2
         rd = _synthetic_rd(a=0.0, f1=1.0, f2=0.0)
-        ks = k_branches(rd, 0.5, 0.1)
+        ks = [float(k) for k in _k_roots(rd, 0.5, 0.1)[:2]]
         assert sorted(ks) == [-1.0, 1.0]
         psis = sorted(psi_from_k(k) for k in ks)
         assert psis == pytest.approx([math.pi / 2, 3 * math.pi / 2])
@@ -41,45 +47,51 @@ class TestKBranches:
     def test_vanishing_discriminant_gives_double_root(self):
         # f1 = 0 and a(rho) = eps*f2: disc = 0, K double root -eps*f2/a = -1
         rd = _synthetic_rd(a=0.2, f1=0.0, f2=1.0)
-        ks = k_branches(rd, 0.5, 0.1)  # a(0.5) = 0.1 = eps*f2
-        assert len(ks) == 2
-        assert ks[0] == pytest.approx(-1.0, abs=1e-12)
-        assert ks[1] == pytest.approx(-1.0, abs=1e-12)
-        assert abs(discriminant(rd, 0.5, 0.1)) < 1e-15
+        k_plus, k_minus, disc = _k_roots(rd, 0.5, 0.1)  # a(0.5) = eps*f2
+        assert k_plus == pytest.approx(-1.0, abs=1e-12)
+        assert k_minus == pytest.approx(-1.0, abs=1e-12)
+        assert abs(disc) < 1e-15
 
     def test_no_forcing_with_nonzero_drift_gives_no_roots(self):
         rd = _synthetic_rd(a=0.2, f1=0.0, f2=1.0)
-        assert k_branches(rd, 0.5, 0.0) == []
+        assert np.isnan(_k_roots(rd, 0.5, 0.0)[:2]).all()
 
     def test_degenerate_leading_coefficient(self):
         # a(rho) = eps*f1 exactly: one finite root plus K -> inf at psi = pi
         rd = _synthetic_rd(a=0.2, f1=0.2, f2=1.0)
-        ks = k_branches(rd, 0.5, 0.5)
-        assert len(ks) == 2
-        assert math.isinf(ks[1])
-        assert psi_from_k(ks[1]) == pytest.approx(math.pi)
-        assert ks[0] == pytest.approx(-0.2, abs=1e-12)
+        k_plus, k_minus, _ = _k_roots(rd, 0.5, 0.5)
+        assert math.isinf(k_minus)
+        assert psi_from_k(k_minus) == pytest.approx(math.pi)
+        assert k_plus == pytest.approx(-0.2, abs=1e-12)
 
     def test_negative_discriminant_empty(self):
         rd = _synthetic_rd(a=1.0, f1=0.01, f2=0.01)
-        assert k_branches(rd, 1.0, 0.1) == []
+        k_plus, k_minus, disc = _k_roots(rd, 1.0, 0.1)
+        assert disc < 0
+        assert np.isnan([k_plus, k_minus]).all()
 
 
 class TestFrcG:
-    def test_missing_branch_returns_none(self):
-        rd = _synthetic_rd(a=1.0, f1=0.01, f2=0.01)
-        assert frc_G(rd, 1.0, 1.0, 0.1, "K+") is None
+    """G(Omega), the phase residual at a branch root: the scalar the trace
+    solves."""
 
-    def test_unknown_branch_rejected(self):
-        rd = _synthetic_rd(a=0.0, f1=1.0, f2=0.0)
-        with pytest.raises(ValidationError):
-            frc_G(rd, 0.5, 1.0, 0.1, "K2")
+    @staticmethod
+    def _g(rd, rho, omega, eps, branch):
+        k = _k_roots(rd, rho, eps)[BRANCHES.index(branch)]
+        return float(phase_residual(rd, rho, omega, eps, psi_from_k(k)))
+
+    def test_missing_branch_gives_nan(self):
+        # the trace reads NaN as "no branch here"
+        rd = _synthetic_rd(a=1.0, f1=0.01, f2=0.01)
+        assert math.isnan(self._g(rd, 1.0, 1.0, 0.1, "K+"))
 
     def test_zero_at_constructed_solution(self):
         # with only g terms zero, G = (b - omega) * rho at any branch psi
         rd = _synthetic_rd(a=0.0, f1=1.0, f2=0.0)
-        assert frc_G(rd, 0.5, 1.0, 0.1, "K+") == pytest.approx(0.0, abs=1e-15)
-        assert frc_G(rd, 0.5, 1.2, 0.1, "K-") == pytest.approx(-0.1, abs=1e-15)
+        assert self._g(rd, 0.5, 1.0, 0.1, "K+") == pytest.approx(0.0,
+                                                                 abs=1e-15)
+        assert self._g(rd, 0.5, 1.2, 0.1, "K-") == pytest.approx(-0.1,
+                                                                 abs=1e-15)
 
 
 @pytest.fixture(scope="session")
@@ -175,7 +187,7 @@ class TestTwoMassTrace:
             om, rd = _fold_point(sp_ssm3, fc.eps, rho_f)
             assert om is not None
             scale = fc.eps ** 2 * (rd.f1_of(rho_f) ** 2 + rd.f2_of(rho_f) ** 2)
-            assert abs(discriminant(rd, rho_f, fc.eps)) <= 1e-12 * scale
+            assert abs(_k_roots(rd, rho_f, fc.eps)[2]) <= 1e-12 * scale
 
     def test_branches_join_only_near_folds(self, sp_trace_isola):
         # on the isola the K+ and K- arcs coexist over the same rho range
@@ -487,3 +499,64 @@ def test_trace_matches_recorded_golden(name):
     for key in ("rho", "branch", "stability", "members", "sizes",
                 "skip_rho", "skip_branch", "skip_reason"):
         assert got[key].tolist() == want[key].tolist(), key
+
+
+# ---------------------------------------------------------------------------
+# length-unit invariance: the two-mass isola in the unit y / L
+
+
+@lru_cache(maxsize=None)
+def _in_length_unit(L: float, order: int):
+    """The eps 0.0027 isola trace of the two-mass system written in the
+    length unit y' = y / L: a term of degree d scales by L**(d - 1), the
+    forcing by 1 / L and the amplitude grid by 1 / L.  Returns the curve,
+    the peak |y_1| of its points and the cubic-order isola summary."""
+    base = two_mass_system()
+    scaled = MechanicalSystem(
+        M=base.M, C=base.C, K=base.K, f=base.f / L,
+        g=[PolyTerm(t.row, t.coeff * L ** (sum(t.exponents) - 1),
+                    t.exponents) for t in base.g])
+    mm = modal_decompose(to_first_order(scaled))
+    ssm = compute_autonomous_ssm(mm, order)
+    curve = trace_frc(ssm, mm, 0.0027, 0.13 / L, 260)
+    iso = leading_isola(mm, compute_autonomous_ssm(mm, 3),
+                        leading_forcing_coefficient(mm), 0.0027)
+    return curve, physical_amplitudes(ssm, curve, 0), iso
+
+
+@pytest.mark.parametrize("order", [3, 5])
+@pytest.mark.parametrize("L", [1e-3, 3.0, 1e3])
+def test_length_unit_keeps_curve_structure(L, order):
+    ref, _, ref_iso = _in_length_unit(1.0, order)
+    got, _, iso = _in_length_unit(L, order)
+    assert len(got.points) == len(ref.points) > 0
+    assert got.components == ref.components
+    assert len(got.folds) == len(ref.folds)
+    assert ([(p.branch, p.stability) for p in got.points]
+            == [(p.branch, p.stability) for p in ref.points])
+    assert len(got.skipped) == len(ref.skipped)
+    assert abs(iso.eps_m - ref_iso.eps_m) <= 1e-13
+    assert L * iso.rho1 == pytest.approx(ref_iso.rho1, rel=1e-14)
+
+
+G_TOL_IS_ABSOLUTE = (
+    "frc.G_TOL = 1e-12 bounds |G| absolutely, while G scales with rho: in "
+    "the unit y / 1000 the secant stops at a residual 1000 times larger "
+    "against the curve's own scale (Omega off by 3.7e-7 relative, "
+    "amplitudes by 8.4e-6)")
+
+
+@pytest.mark.parametrize("order", [3, 5])
+@pytest.mark.parametrize("L", [
+    1e-3, 3.0,
+    pytest.param(1e3, marks=pytest.mark.xfail(strict=True,
+                                              reason=G_TOL_IS_ABSOLUTE))])
+def test_length_unit_keeps_curve_values(L, order):
+    ref, ref_amp, _ = _in_length_unit(1.0, order)
+    got, amp, _ = _in_length_unit(L, order)
+    assert len(got.points) == len(ref.points)
+    omega = np.array([p.omega for p in got.points])
+    ref_omega = np.array([p.omega for p in ref.points])
+    assert np.all(np.abs(omega - ref_omega) <= 1e-12 * ref_omega)
+    assert np.all(np.abs(L * amp - ref_amp) <= 1e-12 * ref_amp)
+    assert np.all(np.abs(L * got.folds - ref.folds) <= 1e-12 * ref.folds)

@@ -92,7 +92,7 @@ class TestRootTracking:
         assert rho == pytest.approx(0.1055764991, rel=1e-6)
 
     def test_radius_estimate_and_containment(self, sp_track):
-        last = sp_track.last_order()
+        last = sp_track.orders[-1]
         assert sp_track.radius[last] == pytest.approx(0.1701241371013479,
                                                       rel=1e-6)
         (rho, _), = nonspurious_positive_roots(sp_track)
@@ -265,7 +265,7 @@ class TestBeamIsola:
 class TestIsolaReport:
     def test_report_bundles_track_and_predictions(self, sp_modal):
         rt, rep = isola_report(sp_modal, range(1, 26), 0.0027)
-        assert rt.last_order() == 25
+        assert rt.orders[-1] == 25
         assert len(rep.nonspurious_roots) == 1
         assert rep.nonspurious_roots[0][0] == pytest.approx(0.1055764991,
                                                             rel=1e-6)

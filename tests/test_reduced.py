@@ -129,14 +129,13 @@ def test_unforced_radial_flow_sign_structure(sp_ssm, sp_fr):
         assert len(set(signs.tolist())) == 1
     rep = fixed_point_stability(rd, (float(radii[0]), rd.omega, 1.0))
     assert rep.label == "fold-degenerate"
-    assert rep.stable is None
 
 
 def test_fixed_point_u_normalizes_phase():
     u = FixedPointU(rho=0.1, omega=1.7, psi=-0.5, stability="stable")
     assert 0 <= u.psi < 2 * np.pi
     assert abs(u.psi - (2 * np.pi - 0.5)) < 1e-15
-    assert u.stable is True
+    assert u.stability == "stable"
     with pytest.raises(ValidationError):
         FixedPointU(rho=-0.1, omega=1.7, psi=0.0)
 

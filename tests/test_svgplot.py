@@ -21,7 +21,7 @@ def _curve():
         pts.append(FixedPointU(rho=rho, omega=1.73 + 0.002 * i, psi=1.1,
                                stability=stab, branch="K+", eps=1e-3))
         comps[1].append(len(pts) - 1)
-    return FrcCurve(eps=1e-3, order=3, points=pts, folds=np.array([0.05]),
+    return FrcCurve(eps=1e-3, points=pts, folds=np.array([0.05]),
                     components=comps, rho_max=0.13, n_rho=9)
 
 
@@ -83,7 +83,7 @@ class TestFrcSvg:
         assert frc_svg(_curve(), amplitudes=ys) != frc_svg(_curve())
 
     def test_empty_curve_rejected(self):
-        empty = FrcCurve(eps=1e-3, order=3, points=[], folds=np.array([]),
+        empty = FrcCurve(eps=1e-3, points=[], folds=np.array([]),
                          components=[], rho_max=0.1, n_rho=5)
         with pytest.raises(ValidationError):
             frc_svg(empty)
