@@ -20,6 +20,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import MechanicalSystem, PolyTerm
+from .sysio import write_artifacts
 
 
 @dataclass
@@ -151,6 +152,6 @@ def read_beam_params(path) -> BeamSpec:
 
 
 def write_beam_params(spec: BeamSpec, path) -> None:
-    with open(path, "w") as fh:
-        for key, val in asdict(spec).items():
-            fh.write(f"{key} {val!r}\n")
+    """Write a parameter file atomically, one "key value" line per field."""
+    write_artifacts([(path, "".join(f"{key} {val!r}\n"
+                                    for key, val in asdict(spec).items()))])

@@ -9,11 +9,9 @@ atomically, so identical configurations reproduce byte-identical bodies
 from __future__ import annotations
 
 import argparse
-import contextlib
 import hashlib
 import json
 import math
-import os
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, fields, replace
@@ -36,7 +34,7 @@ from .ssm_auto import (RESONANCE_GUARD, compute_autonomous_ssm,
 from .ssm_forced import (compute_nonautonomous_ssm, forced_residual,
                          leading_forcing_coefficient)
 from .svgplot import frc_svg, roots_svg
-from .sysio import format_system, read_system
+from .sysio import format_system, read_system, write_artifacts
 
 TOOL = "ssm-resolve"
 
@@ -85,6 +83,8 @@ class RunConfig:
     jobs: int = 1
     seed: int = 0
     quiet: bool = False
+    #: verify reads the first three, isola the last two; a config file may
+    #: set them for any command
     tol_rel: float = 1e-8
     tol_abs: float = 1e-10
     tol_settle: float = 1e-3
@@ -202,19 +202,6 @@ def _build_parser() -> argparse.ArgumentParser:
                    "points in property checks (default 0)")
     g.add_argument("--quiet", action=argparse.BooleanOptionalAction,
                    help="suppress informational output")
-    g.add_argument("--tol-rel", type=float, dest="tol_rel",
-                   help="integrator relative tolerance (default 1e-8)")
-    g.add_argument("--tol-abs", type=float, dest="tol_abs",
-                   help="integrator absolute tolerance (default 1e-10)")
-    g.add_argument("--tol-settle", type=float, dest="tol_settle",
-                   help="sweep settle threshold, relative per-period change "
-                        "(default 1e-3)")
-    g.add_argument("--tol-cauchy", type=float, dest="tol_cauchy",
-                   help="root-settling threshold for spuriousness "
-                        "classification (default 1e-3)")
-    g.add_argument("--tol-radius-frac", type=float, dest="tol_radius_frac",
-                   help="fraction of the convergence-radius estimate a "
-                        "non-spurious root must stay below (default 0.8)")
 
     p = argparse.ArgumentParser(
         prog=TOOL,
@@ -269,6 +256,12 @@ def _build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--check", action=argparse.BooleanOptionalAction,
                     help="refuse spectra that fail the real-part "
                          "non-resonance check (default on)")
+    pi.add_argument("--tol-cauchy", type=float, dest="tol_cauchy",
+                    help="root-settling threshold for spuriousness "
+                         "classification (default 1e-3)")
+    pi.add_argument("--tol-radius-frac", type=float, dest="tol_radius_frac",
+                    help="fraction of the convergence-radius estimate a "
+                         "non-spurious root must stay below (default 0.8)")
     pi.add_argument("--out", help="JSON output path")
     pi.add_argument("--roots-svg", dest="roots_svg",
                     help="also render the root scatter to this SVG path")
@@ -295,6 +288,13 @@ def _build_parser() -> argparse.ArgumentParser:
                     help="minimum measured periods per point (default 20)")
     pv.add_argument("--max-periods", type=int, dest="max_periods",
                     help="measured-period budget per point (default 100)")
+    pv.add_argument("--tol-rel", type=float, dest="tol_rel",
+                    help="integrator relative tolerance (default 1e-8)")
+    pv.add_argument("--tol-abs", type=float, dest="tol_abs",
+                    help="integrator absolute tolerance (default 1e-10)")
+    pv.add_argument("--tol-settle", type=float, dest="tol_settle",
+                    help="sweep settle threshold, relative per-period change "
+                         "(default 1e-3)")
     pv.add_argument("--out", help="CSV output path")
 
     pb = sub.add_parser("beam", parents=[common],
@@ -372,28 +372,6 @@ def _csv_text(meta: list[str], columns: list[str],
     lines.append(",".join(columns))
     lines.extend(",".join(cells) for cells in rows)
     return "\n".join(lines) + "\n"
-
-
-def _write_artifacts(items: list[tuple[str, str]]) -> None:
-    """Write each (path, text) atomically; on any failure remove everything
-    this call already produced so no partial artifact set survives."""
-    written = []
-    try:
-        for path, text in items:
-            tmp = f"{path}.part"
-            try:
-                with open(tmp, "w") as fh:
-                    fh.write(text)
-                os.replace(tmp, path)
-            finally:
-                with contextlib.suppress(OSError):
-                    os.unlink(tmp)
-            written.append(path)
-    except BaseException:
-        for p in written:
-            with contextlib.suppress(OSError):
-                os.unlink(p)
-        raise
 
 
 def _say(cfg: RunConfig, message: str) -> None:
@@ -485,7 +463,7 @@ def _cmd_analyze(cfg: RunConfig) -> None:
 
     if cfg.dump_ssm:
         eig = f"lambda_master = {complex(mm.lambda_master)!r}"
-        _write_artifacts([(cfg.dump_ssm, _dump_text(cfg, ssm, mm, eig))])
+        write_artifacts([(cfg.dump_ssm, _dump_text(cfg, ssm, mm, eig))])
         _say(cfg, f"wrote {cfg.dump_ssm}")
 
 
@@ -537,7 +515,7 @@ def _cmd_frc(cfg: RunConfig) -> None:
     artifacts = [(cfg.out, _csv_text(meta, columns, rows))]
     if cfg.svg:
         artifacts.append((cfg.svg, frc_svg(curve, amps, header=meta[:3])))
-    _write_artifacts(artifacts)
+    write_artifacts(artifacts)
     _say(cfg, f"wrote {cfg.out}" + (f" and {cfg.svg}" if cfg.svg else ""))
     dens = curve.forced.min_enslaved_den
     _say(cfg, "smallest forced denominator: "
@@ -595,7 +573,7 @@ def _cmd_isola(cfg: RunConfig) -> None:
         eig = f"lambda_master = {complex(mm.lambda_master)!r}"
         artifacts.append((cfg.roots_svg,
                           roots_svg(rt, header=_meta_lines(cfg, eig)[:3])))
-    _write_artifacts(artifacts)
+    write_artifacts(artifacts)
     _say(cfg, f"wrote {cfg.out}"
          + (f" and {cfg.roots_svg}" if cfg.roots_svg else ""))
 
@@ -626,7 +604,7 @@ def _cmd_verify(cfg: RunConfig) -> None:
                     + [repr(float(a)) for a in result.amplitude[i]]
                     + ["true" if result.converged[i] else "false",
                        str(int(result.periods[i]))])
-    _write_artifacts([(cfg.out, _csv_text(meta, columns, rows))])
+    write_artifacts([(cfg.out, _csv_text(meta, columns, rows))])
     n_bad = int((~result.converged).sum())
     _say(cfg, f"wrote {cfg.out} ({result.omega.size} points, "
          f"{n_bad} unconverged)")
@@ -642,7 +620,7 @@ def _cmd_beam(cfg: RunConfig) -> None:
     fos = to_first_order(sys_)
     meta = _meta_lines(cfg, f"slowest pair = {fos.slowest_eigenvalue()!r}")
     meta.insert(3, f"beam: elements={spec.elements} (n={sys_.n} dof)")
-    _write_artifacts([(cfg.out, format_system(sys_, header_lines=meta))])
+    write_artifacts([(cfg.out, format_system(sys_, header_lines=meta))])
     _say(cfg, f"wrote {cfg.out} ({sys_.n} dof)")
 
 

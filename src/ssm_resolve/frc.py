@@ -54,8 +54,6 @@ DEGENERATE_LEAD = 1e-14
 G_TOL = 1e-12
 #: verification bound on the full zero problem at accepted points
 POINT_TOL = 1e-10
-#: relative bound on the discriminant at reported folds
-FOLD_TOL = 1e-12
 #: cap on the forced data one round of the lockstep trace marches at once,
 #: in bytes: the requests past it wait for the next round
 ROUND_BYTES = 2 << 20
@@ -130,7 +128,7 @@ def _columns(rd: ReducedDynamics, idx) -> ReducedDynamics:
                    f2=rd.f2[:, idx], g1=rd.g1[:, idx], g2=rd.g2[:, idx])
 
 
-def _secant(om: float, got=None, max_iter: int = 50):
+def _secant(om: float, got=None):
     """Safeguarded secant iteration for G(Omega) = 0, as a generator.
 
     It yields a tuple of the Omegas whose residuals it needs next and is
@@ -147,7 +145,7 @@ def _secant(om: float, got=None, max_iter: int = 50):
     g = got[0]
     if g is None:
         return None
-    for _ in range(max_iter):
+    for _ in range(50):  # then the solve counts as diverged
         if abs(g) <= G_TOL:
             return om, got
         if probe is None:
@@ -218,7 +216,7 @@ def _rounds(ssm: AutonomousSsm, eps: float, pairs: list, rho: np.ndarray,
         member = np.array([distinct.setdefault(om, len(distinct))
                            for om in omega])
         batch = compute_nonautonomous_ssm(ssm, np.array(list(distinct)))
-        rd = _columns(assemble_polar(ssm, batch, eps), member)
+        rd = _columns(assemble_polar(ssm, batch), member)
         r = rho[owner]
         k_plus, k_minus, disc = _k_roots(rd, r, eps)
         if psi_double:
@@ -255,8 +253,8 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
     forced march per round.  The points that converge in a round are
     checked against the full zero problem and the window and labelled by
     stability together, and only accepted points keep their forced rows.
-    Points, skips and the discriminant trace come out in grid order, K+
-    before K-, whatever round each pair finished in.
+    Points and skips come out in grid order, K+ before K-, whatever round
+    each pair finished in.
 
     Parameters
     ----------
@@ -326,7 +324,7 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
             p = int(ps[j])
             outcome[p] = FixedPointU(rho=float(rho[p]), omega=float(om[j]),
                                      psi=float(psi[at[j]]), stability=label,
-                                     branch=BRANCHES[p % 2], eps=eps)
+                                     branch=BRANCHES[p % 2])
         kept.append((ps[keep], batch.take(member[at[keep]])))
 
     points: list[FixedPointU] = []
@@ -337,9 +335,7 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
             skipped.append((float(rho[p]), BRANCHES[p % 2], got))
         elif got is not None:
             points.append(got)
-    disc_trace = {b: list(zip(grid.tolist(), disc[i::2].tolist()))
-                  for i, b in enumerate(BRANCHES)}
-    folds = _locate_folds(ssm, eps, disc_trace)
+    folds = _locate_folds(ssm, eps, grid, disc[::2])
     components = _group_components(points, step, folds)
     return FrcCurve(eps=eps, points=points, folds=np.asarray(folds),
                     components=components, rho_max=rho_max, n_rho=n_rho,
@@ -393,34 +389,28 @@ def _fold_point(ssm: AutonomousSsm, eps: float, rho: float):
             return om, _columns(rd, at)
 
 
-def _locate_folds(ssm: AutonomousSsm, eps: float,
-                  disc_trace: dict) -> list[float]:
-    """Bisect the discriminant (along the double-root Omega) at sign changes."""
+def _locate_folds(ssm: AutonomousSsm, eps: float, grid: np.ndarray,
+                  disc: np.ndarray) -> list[float]:
+    """Fold amplitudes in ascending order: the rows where the sampled
+    discriminant ``disc[i]`` (the K+ pair's, at amplitude ``grid[i]``) is
+    zero, and a Brent root of the discriminant along the double-root Omega
+    between each pair of rows where it changes sign.  The bracket ends are
+    the rows rounded to 15 decimals."""
 
     def disc_at(rho: float) -> float:
         return float(_k_roots(_fold_point(ssm, eps, rho)[1], rho, eps)[2])
 
+    samples = [(round(r, 15), d) for r, d in zip(grid.tolist(), disc.tolist())]
     folds: list[float] = []
-    by_rho: dict[float, float] = {}
-    for b in disc_trace:
-        for (r, d) in disc_trace[b]:
-            by_rho.setdefault(round(r, 15), d)
-    samples = sorted(by_rho.items())
     for (r0, d0), (r1, d1) in zip(samples[:-1], samples[1:]):
         if d0 == 0.0:
-            folds.append(float(r0))
+            folds.append(r0)
         if d0 * d1 < 0:
-            rho_f = brentq(disc_at, r0, r1, xtol=1e-15, rtol=8.9e-16)
-            folds.append(float(rho_f))
+            folds.append(float(brentq(disc_at, r0, r1, xtol=1e-15,
+                                      rtol=8.9e-16)))
     if samples and samples[-1][1] == 0.0:
-        folds.append(float(samples[-1][0]))
-    # de-duplicate folds found from both branch traces
-    folds.sort()
-    out: list[float] = []
-    for r in folds:
-        if not out or abs(r - out[-1]) > 1e-12 * max(1.0, abs(r)):
-            out.append(r)
-    return out
+        folds.append(samples[-1][0])
+    return folds
 
 
 def _median(values: list[float]) -> float:
@@ -570,14 +560,10 @@ def physical_amplitudes(ssm: AutonomousSsm, curve: FrcCurve,
 
 
 def physical_amplitude(ssm: AutonomousSsm, fr: ForcedReduction,
-                       u: FixedPointU, coord: int,
-                       eps: float | None = None) -> float:
+                       u: FixedPointU, coord: int, eps: float) -> float:
     """Peak |x_coord| of the reconstructed periodic orbit at one point.
 
     The orbit is x(phi) = T (W0 + eps W1)(rho e^{i(psi+phi)},
     rho e^{-i(psi+phi)}, phi) over one forcing period.
     """
-    eps = u.eps if eps is None else eps
-    if eps is None:
-        raise ValidationError("forcing amplitude eps is required")
     return float(_peaks(ssm, [u], fr, coord, eps)[0])

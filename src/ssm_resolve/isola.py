@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import ModalModel
-from .reduced import ReducedDynamics
 from .ssm_auto import AutonomousSsm, compute_autonomous_ssm
 from .ssm_forced import leading_forcing_coefficient
 
@@ -30,8 +29,6 @@ from .ssm_forced import leading_forcing_coefficient
 ROOT_CAUCHY_TOL = 1e-3
 #: a genuine root must sit below this fraction of the convergence radius
 RADIUS_FRACTION = 0.8
-#: transversality floor, scaled by |Re lambda_1| / rho1
-TRANSVERSALITY_FLOOR = 1e-6
 
 
 @dataclass
@@ -69,8 +66,8 @@ def _radius_estimates(lambda_master: complex, gamma: np.ndarray,
     return out
 
 
-def roots_of_a(mm: ModalModel, orders, *, ssm: AutonomousSsm | None = None,
-               check: bool = True) -> RootTrack:
+def roots_of_a(mm: ModalModel, orders, *,
+               ssm: AutonomousSsm | None = None) -> RootTrack:
     """Track all roots of the radial drift for each truncation order.
 
     Parameters
@@ -80,16 +77,15 @@ def roots_of_a(mm: ModalModel, orders, *, ssm: AutonomousSsm | None = None,
         Truncation orders M >= 1 of the drift polynomial in rho**2 (the
         manifold expansion runs to order 2*max(M) + 1).
     ssm : AutonomousSsm, optional
-        Reuse an already computed manifold of sufficient order.
-    check : bool
-        Forwarded to the manifold computation (outer resonance check).
+        Reuse an already computed manifold of sufficient order; without
+        one, the manifold is computed with its resonance check on.
     """
     orders = sorted(set(int(m) for m in orders))
     if not orders or orders[0] < 1:
         raise ValidationError("orders must be positive integers")
     m_max = orders[-1]
     if ssm is None or ssm.half_order < m_max:
-        ssm = compute_autonomous_ssm(mm, 2 * m_max + 1, check=check)
+        ssm = compute_autonomous_ssm(mm, 2 * m_max + 1)
     gamma = np.asarray(ssm.gamma)[:m_max]
     finite = np.isfinite(gamma)
     if not finite.all():
@@ -182,12 +178,10 @@ def drift_slope(rt: RootTrack, rho: float) -> float:
                  + 2 * u * np.polynomial.polynomial.polyval(u, dp))
 
 
-def nonspurious_positive_roots(rt: RootTrack,
-                               labels: list[str] | None = None
+def nonspurious_positive_roots(rt: RootTrack, labels: list[str]
                                ) -> list[tuple[float, float]]:
-    """(rho, transversality margin) for real positive non-spurious roots."""
-    if labels is None:
-        labels = classify_roots(rt)
+    """(rho, transversality margin) for the real positive roots that
+    ``labels`` (classify_roots') calls non-spurious."""
     out = []
     for t, label in zip(rt.trajectories, labels):
         if label != "non-spurious":
@@ -207,7 +201,6 @@ class LeadingIsola:
     rho1: float | None
     eps_m: float | None
     disconnected_at_eps: bool | None
-    eps: float
 
 
 def leading_isola(mm: ModalModel, ssm: AutonomousSsm, c00: complex,
@@ -223,27 +216,27 @@ def leading_isola(mm: ModalModel, ssm: AutonomousSsm, c00: complex,
     re_g1 = float(np.real(ssm.gamma[0])) if len(ssm.gamma) else 0.0
     if re_g1 <= 0:
         return LeadingIsola(exists=False, rho1=None, eps_m=None,
-                            disconnected_at_eps=None, eps=eps)
+                            disconnected_at_eps=None)
     rho1 = math.sqrt(re_lam / re_g1)
     eps_m = math.sqrt(4 * re_lam ** 3 / (27 * re_g1)) / abs(c00)
     return LeadingIsola(exists=True, rho1=rho1, eps_m=eps_m,
-                        disconnected_at_eps=bool(eps < eps_m), eps=eps)
+                        disconnected_at_eps=bool(eps < eps_m))
 
 
-def fold_points(rd: ReducedDynamics, eps: float) -> np.ndarray:
-    """Fold amplitudes of a cubic reduced model at forcing eps.
+def fold_points(mm: ModalModel, ssm: AutonomousSsm, c00: complex,
+                eps: float) -> np.ndarray:
+    """Fold amplitudes of the cubic truncation at forcing eps.
 
-    Real non-negative roots of a(rho) = +- eps*|c00|, deduplicated and
-    sorted: three values between zero forcing and the merger forcing, a
-    double fold at the merger, one value beyond it.
+    Real non-negative roots of Re lambda_1 rho + Re gamma_1 rho**3 =
+    +- eps*|c00|, deduplicated and sorted: three values between zero forcing
+    and the merger forcing, a double fold at the merger, one value beyond
+    it.  Only gamma_1 of ``ssm`` enters, so any order >= 3 gives the same.
     """
-    if rd.M != 1:
-        raise ValidationError("closed-form fold analysis requires a cubic "
-                              "reduced model (drift degree 3)")
     if eps < 0:
         raise ValidationError("eps must be >= 0")
-    c_norm = math.hypot(float(rd.f1[0]), float(rd.g1[0]))
-    a1, a3 = float(rd.a_coeffs[0]), float(rd.a_coeffs[1])
+    c_norm = abs(c00)
+    a1 = mm.lambda_master.real
+    a3 = float(np.real(ssm.gamma[0])) if len(ssm.gamma) else 0.0
     found: list[float] = []
     for rhs in (eps * c_norm, -eps * c_norm):
         r = np.roots([a3, 0.0, a1, -rhs])
@@ -275,18 +268,17 @@ def isola_report(mm: ModalModel, orders, eps: float, *,
                  check: bool = True, cauchy_tol: float = ROOT_CAUCHY_TOL,
                  radius_fraction: float = RADIUS_FRACTION,
                  ) -> tuple[RootTrack, IsolaReport]:
-    """Assemble the root track and the isola report in one pass."""
-    from .reduced import assemble_polar
-    from .ssm_forced import compute_nonautonomous_ssm
-
-    rt = roots_of_a(mm, orders, check=check)
+    """Assemble the root track and the isola report in one pass, from one
+    manifold at the track's deepest order: its gamma_1 also gives the
+    closed forms."""
+    orders = list(orders)
+    ssm = compute_autonomous_ssm(mm, 2 * max(orders, default=0) + 1,
+                                 check=check)
+    rt = roots_of_a(mm, orders, ssm=ssm)
     labels = classify_roots(rt, cauchy_tol, radius_fraction)
     roots = nonspurious_positive_roots(rt, labels)
-    ssm3 = compute_autonomous_ssm(mm, 3, check=False)
     c00 = leading_forcing_coefficient(mm)
-    leading = leading_isola(mm, ssm3, c00, eps)
-    fr = compute_nonautonomous_ssm(ssm3, mm.lambda_master.imag)
-    rd = assemble_polar(ssm3, fr, eps)
-    folds = fold_points(rd, eps)
+    leading = leading_isola(mm, ssm, c00, eps)
+    folds = fold_points(mm, ssm, c00, eps)
     return rt, IsolaReport(labels=labels, nonspurious_roots=roots,
                            leading=leading, fold_rho=folds)

@@ -26,6 +26,8 @@ NORMALIZATIONS = ("first-position", "largest")
 
 # relative symmetry / SPD validation tolerance for structural matrices
 _SYM_TOL = 1e-10
+#: relative margin at or below which check_nonresonance flags a resonance
+NONRESONANCE_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -244,25 +246,19 @@ def modal_decompose(fos: FirstOrderSystem, master: int = 0,
     n = fos.n
     lam, V = np.linalg.eig(A)
 
-    # group spectrum into conjugate pairs (+ real singletons)
+    # group spectrum into conjugate pairs (+ real singletons): each pair is
+    # built from its upper member alone
     plus = [i for i in range(2 * n) if lam[i].imag > 0]
-    used = set()
+    if len(plus) != int(np.count_nonzero(lam.imag < 0)):
+        raise SemisimplicityError("unpaired complex eigenvalue in real spectrum")
     groups = []  # (sort_key, [eigvals], [vectors])
     for i in sorted(plus, key=lambda i: (-lam[i].real, lam[i].imag)):
-        partner_pool = [j for j in range(2 * n)
-                        if j not in used and j != i and lam[j].imag < 0]
-        if not partner_pool:
-            raise SemisimplicityError("unpaired complex eigenvalue in real spectrum")
-        j = min(partner_pool, key=lambda j: abs(lam[j] - np.conj(lam[i])))
-        used.update((i, j))
         v = _normalize_vector(V[:, i], n, normalization)
         groups.append(((-lam[i].real, abs(lam[i].imag)), True,
                        [lam[i], np.conj(lam[i])], [v, np.conj(v)]))
     for i in range(2 * n):
-        if i in used or lam[i].imag > 0:
+        if lam[i].imag != 0:
             continue
-        if lam[i].imag < 0:
-            continue  # consumed as a partner
         vr = np.real(V[:, i])
         vr = _normalize_vector(vr.astype(complex), n, normalization)
         groups.append(((-lam[i].real, 0.0), False, [lam[i].real + 0j], [vr]))
@@ -332,8 +328,7 @@ class NonResonanceReport:
     margins: dict[int, dict]
 
 
-def check_nonresonance(mm: ModalModel, sigma: int | None = None,
-                       tol: float = 1e-8) -> NonResonanceReport:
+def check_nonresonance(mm: ModalModel, sigma: int) -> NonResonanceReport:
     """Check Re(lam_l) != a*Re(lam_1) + b*Re(lam_2) for 2 <= a+b <= sigma.
 
     Because the master pair is exactly conjugate, Re(lam_1) = Re(lam_2) = r and
@@ -342,10 +337,9 @@ def check_nonresonance(mm: ModalModel, sigma: int | None = None,
     per enslaved eigenvalue.  That keeps the check O(n) even when sigma is
     astronomically large (stiff high modes).
 
-    A violation is flagged when the margin is <= tol * |Re(lam_l)|.
+    A violation is flagged when the margin is <= NONRESONANCE_TOL *
+    |Re(lam_l)|.
     """
-    if sigma is None:
-        sigma = spectral_quotient(mm)
     r = mm.lambda_master.real
     margins: dict[int, dict] = {}
     violations: list[tuple[int, int, int]] = []
@@ -355,7 +349,7 @@ def check_nonresonance(mm: ModalModel, sigma: int | None = None,
         abs_margin = abs(q * r - mm.eigenvalues[l].real)
         rel_margin = abs_margin / abs(mm.eigenvalues[l].real)
         margins[l] = {"q": q, "abs_margin": abs_margin, "rel_margin": rel_margin}
-        if sigma >= 2 and rel_margin <= tol:
+        if sigma >= 2 and rel_margin <= NONRESONANCE_TOL:
             for a in range(q, max(q - 32, -1), -1):
                 violations.append((a, q - a, l))
     return NonResonanceReport(passed=not violations, sigma=sigma,

@@ -59,7 +59,8 @@ class ReducedDynamics:
 
     Stacked polar data of several frequencies keep the power on axis 0 of
     ``f1``/``f2``/``g1``/``g2`` and one column per frequency (``omega`` an
-    array); every ``*_of`` then takes one rho per column.
+    array); every ``*_of`` then takes one rho per column.  The forcing
+    amplitude eps is not part of them: the field's functions take it.
     """
     omega: float
     a_coeffs: np.ndarray
@@ -68,12 +69,6 @@ class ReducedDynamics:
     f2: np.ndarray
     g1: np.ndarray
     g2: np.ndarray
-    eps: float | None = None
-
-    @property
-    def M(self) -> int:
-        """Expansion half-order (order = 2M + 1)."""
-        return len(self.a_coeffs) - 1
 
     def a_of(self, rho):
         return np.asarray(rho) * _even_val(self.a_coeffs, rho)
@@ -109,7 +104,6 @@ class FixedPointU:
     psi: float
     stability: str = "fold-degenerate"  # "stable" | "unstable" | "fold-degenerate"
     branch: str | None = None  # "K+" | "K-" when traced from the quadratic
-    eps: float | None = None
 
     def __post_init__(self):
         if self.rho < 0:
@@ -117,8 +111,8 @@ class FixedPointU:
         self.psi = float(np.mod(self.psi, 2 * np.pi))
 
 
-def assemble_polar(ssm: AutonomousSsm, fr: ForcedReduction,
-                   eps: float | None = None) -> ReducedDynamics:
+def assemble_polar(ssm: AutonomousSsm, fr: ForcedReduction
+                   ) -> ReducedDynamics:
     """Combine the unforced and forced reduced coefficients into polar form.
 
     ``f1/g2`` share the real part and ``f2/g1`` the imaginary part of the
@@ -135,25 +129,15 @@ def assemble_polar(ssm: AutonomousSsm, fr: ForcedReduction,
                            a_coeffs=ssm.radial_coefficients(),
                            b_coeffs=ssm.phase_coefficients(),
                            f1=c.real + d.real, f2=c.imag - d.imag,
-                           g1=c.imag + d.imag, g2=c.real - d.real,
-                           eps=eps)
+                           g1=c.imag + d.imag, g2=c.real - d.real)
 
 
-def _resolve(rd: ReducedDynamics, eps) -> float:
-    if eps is None:
-        eps = rd.eps
-    if eps is None:
-        raise ValidationError("forcing amplitude eps is required")
-    return float(eps)
-
-
-def zero_problem(rd: ReducedDynamics, u, eps: float | None = None):
+def zero_problem(rd: ReducedDynamics, u, eps: float):
     """Fixed-point equations F(u) = (rho', rho * psi') at u = (rho, Omega, psi).
 
     Zeros of both components are periodic responses.  The second component
     carries the extra factor rho so the pair stays regular through rho -> 0.
     """
-    eps = _resolve(rd, eps)
     rho, omega, psi = u
     rho = np.asarray(rho, dtype=float)
     f1 = rd.a_of(rho) + eps * (rd.f1_of(rho) * np.cos(psi)
@@ -204,10 +188,9 @@ def _labels(eig: np.ndarray) -> np.ndarray:
 
 
 def stability_labels(rd: ReducedDynamics, rho, psi,
-                     eps: float | None = None) -> np.ndarray:
+                     eps: float) -> np.ndarray:
     """Labels of the fixed points (rho[j], psi[j]) of stacked polar data
     ``rd``, column j each: fixed_point_stability's, for a batch at once."""
-    eps = _resolve(rd, eps)
     rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0):
         raise SingularChartError(
@@ -216,7 +199,7 @@ def stability_labels(rd: ReducedDynamics, rho, psi,
 
 
 def fixed_point_stability(rd: ReducedDynamics, u,
-                          eps: float | None = None) -> StabilityReport:
+                          eps: float) -> StabilityReport:
     """Classify a fixed point u = (rho, Omega, psi) by the polar Jacobian.
 
     The Jacobian differentiates the true planar field (rho', psi') — with its
@@ -224,7 +207,6 @@ def fixed_point_stability(rd: ReducedDynamics, u,
     Both eigenvalue real parts negative means stable; a real part within
     STABILITY_MARGIN of zero is reported as fold-degenerate.
     """
-    eps = _resolve(rd, eps)
     rho, omega, psi = float(u[0]), float(u[1]), float(u[2])
     if rho <= 0:
         raise SingularChartError(
@@ -232,12 +214,11 @@ def fixed_point_stability(rd: ReducedDynamics, u,
     jac = _polar_jacobian(rd, rho, psi, eps)
     eig = np.linalg.eigvals(jac)
     label = str(_labels(eig))
-    point = FixedPointU(rho=rho, omega=omega, psi=psi, stability=label,
-                        eps=eps)
+    point = FixedPointU(rho=rho, omega=omega, psi=psi, stability=label)
     return StabilityReport(u=point, eigenvalues=eig, jacobian=jac, label=label)
 
 
-def polar_field(rd: ReducedDynamics, u, eps: float | None = None):
+def polar_field(rd: ReducedDynamics, u, eps: float):
     """The raw planar field (rho', psi') at u; singular at rho = 0."""
     rho = np.asarray(u[0], dtype=float)
     if np.any(rho <= 0):

@@ -50,8 +50,8 @@ class AutonomousSsm:
     values (equal to conj(gamma) when the computation is consistent;
     asserted in tests, not forced).  ``min_enslaved_den`` is the smallest
     ``|lambda_i - <m, lambda_master>| / |lambda_i|`` over the enslaved
-    slots the solve divided by: the margin above the ``guard`` that aborts
-    the construction (infinite when no degree was solved).
+    slots the solve divided by: the margin above ``RESONANCE_GUARD``, which
+    aborts the construction (infinite when no degree was solved).
     """
     order: int
     lambda_master: complex
@@ -94,8 +94,8 @@ class AutonomousSsm:
         return np.stack([r1, r2])
 
 
-def compute_autonomous_ssm(mm: ModalModel, order: int, *, check: bool = True,
-                           guard: float = RESONANCE_GUARD) -> AutonomousSsm:
+def compute_autonomous_ssm(mm: ModalModel, order: int, *,
+                           check: bool = True) -> AutonomousSsm:
     """Solve the unforced invariance equation up to total degree ``order``.
 
     Parameters
@@ -108,9 +108,10 @@ def compute_autonomous_ssm(mm: ModalModel, order: int, *, check: bool = True,
         Run the low-order real-part resonance check first (orders up to
         min(spectral quotient, order+1)); pass False to override after
         reviewing a failing report.
-    guard : float
-        Relative lower bound on enslaved denominators; below it the spectrum
-        is effectively internally resonant and the construction aborts.
+
+    An enslaved denominator below ``RESONANCE_GUARD`` relative to its
+    |lambda_i| means the spectrum is effectively internally resonant, and
+    the construction aborts.
     """
     if order < 1:
         raise ValidationError("expansion order must be >= 1")
@@ -184,13 +185,13 @@ def compute_autonomous_ssm(mm: ModalModel, order: int, *, check: bool = True,
             resonant[1, jj] = True      # row 2 at (jj, jj+1)
 
         mag = np.abs(denom)
-        small = (mag < guard * abs_lam[:, None]) & ~resonant
+        small = (mag < RESONANCE_GUARD * abs_lam[:, None]) & ~resonant
         if np.any(small):
             i, k = np.argwhere(small)[0]
             raise InternalResonanceError(
                 f"internal resonance: |lambda_{i} - <({m1[k]},{m2[k]}), "
                 f"lambda_master>| = {abs(denom[i, k]):.3e} "
-                f"< {guard:g} * |lambda_{i}|")
+                f"< {RESONANCE_GUARD:g} * |lambda_{i}|")
 
         min_den = min(min_den, (mag / abs_lam[:, None])[~resonant].min())
 

@@ -280,9 +280,7 @@ class ForcedReduction:
         return out.reshape(flat.shape[:-1] + (n, n))
 
 
-def compute_nonautonomous_ssm(ssm: AutonomousSsm, omega,
-                              *, guard: float = ENSLAVED_GUARD
-                              ) -> ForcedReduction:
+def compute_nonautonomous_ssm(ssm: AutonomousSsm, omega) -> ForcedReduction:
     """Solve the O(eps) invariance equation at forcing frequency ``omega``.
 
     ``omega`` is one frequency, which gives a ForcedReduction without a
@@ -310,7 +308,7 @@ def compute_nonautonomous_ssm(ssm: AutonomousSsm, omega,
     for lo in range(0, n_om, per_slice):
         part = slice(lo, lo + per_slice)
         min_den[part] = _march(cache, mm.eigenvalues, f_half, omegas[part],
-                               guard, w[part], r[part])
+                               w[part], r[part])
 
     both = np.arange(2)[:, None]
     r_dense = np.zeros((n_om, 2, 2, d1 + 1, d1 + 1), dtype=complex)
@@ -329,8 +327,7 @@ def compute_nonautonomous_ssm(ssm: AutonomousSsm, omega,
 
 
 def _march(cache: dict, lam: np.ndarray, f_half: np.ndarray,
-           omega: np.ndarray, guard: float, w: np.ndarray,
-           r: np.ndarray) -> np.ndarray:
+           omega: np.ndarray, w: np.ndarray, r: np.ndarray) -> np.ndarray:
     """March a slice of frequencies through the degrees, both harmonics
     stacked: writes the embedding columns into ``w`` and the reduced values
     into ``r``, and returns the smallest enslaved |denominator| of each.
@@ -344,7 +341,7 @@ def _march(cache: dict, lam: np.ndarray, f_half: np.ndarray,
     enslaved = ~cache["resonant"]
     mag = np.abs(den)
     scale = np.maximum(np.abs(lam), np.abs(omega)[:, None])
-    small = (mag < guard * scale[:, None, :, None]) & enslaved
+    small = (mag < ENSLAVED_GUARD * scale[:, None, :, None]) & enslaved
     if np.any(small):
         # report the first offender in march order: frequency, harmonic,
         # degree, row

@@ -113,33 +113,22 @@ def _document(elements: list[str], title: str, header=()) -> str:
     return "\n".join(head + elements + ["</svg>"]) + "\n"
 
 
-def _point_y(point, amplitudes, i):
-    if amplitudes is not None:
-        return float(amplitudes[i])
-    return float(point.rho)
-
-
-def frc_svg(curve, amplitudes=None, title: str | None = None,
-            xlabel: str = "forcing frequency",
-            ylabel: str = "response amplitude", header=()) -> str:
+def frc_svg(curve, amplitudes, header=()) -> str:
     """Render a traced response curve as amplitude vs forcing frequency.
 
     Stable runs are solid, unstable runs dashed, fold-degenerate points open
     circles; each connected component gets its own color.  ``amplitudes``
-    optionally overrides the per-point y values (defaults to the reduced
-    amplitude rho).
+    holds the y value of each point.
 
     Returns the SVG document as a string.
     """
     if not curve.points:
         raise ValidationError("cannot plot an empty response curve")
     xs = [p.omega for p in curve.points]
-    ys = [_point_y(p, amplitudes, i) for i, p in enumerate(curve.points)]
+    ys = [float(a) for a in amplitudes]
     fr = _Frame(min(xs), max(xs), min(0.0, min(ys)), max(ys))
-    if title is None:
-        title = f"response curve, forcing amplitude {curve.eps:g}"
 
-    elements = fr.axes(xlabel, ylabel)
+    elements = fr.axes("forcing frequency", "response amplitude")
     gap = 2.5 * curve.rho_max / curve.n_rho
     degenerate: list[tuple[float, float, str]] = []
     for ci, members in enumerate(curve.components):
@@ -178,7 +167,9 @@ def frc_svg(curve, amplitudes=None, title: str | None = None,
                     f'y2="{ly + 16}" stroke="#404040" stroke-width="1.5" '
                     'stroke-dasharray="6 4"/>')
     elements.append(f'<text x="{lx + 34}" y="{ly + 20}">unstable</text>')
-    return _document(elements, title, header)
+    return _document(elements,
+                     f"response curve, forcing amplitude {curve.eps:g}",
+                     header)
 
 
 def _polyline(run, color, style) -> str:
@@ -193,7 +184,7 @@ def _grade(t: float) -> str:
     return "#" + "".join(f"{c:02x}" for c in rgb)
 
 
-def roots_svg(track, title: str | None = None, header=()) -> str:
+def roots_svg(track, header=()) -> str:
     """Complex-plane scatter of drift-polynomial roots across orders.
 
     Markers darken with increasing truncation order; thin gray lines connect
@@ -208,9 +199,6 @@ def roots_svg(track, title: str | None = None, header=()) -> str:
                            for m in track.orders])
     fr = _Frame(float(allz.real.min()), float(allz.real.max()),
                 float(allz.imag.min()), float(allz.imag.max()))
-    if title is None:
-        title = (f"roots of the radial drift polynomial, orders "
-                 f"{track.orders[0]}..{track.orders[-1]}")
 
     elements = fr.axes("root (real part)", "root (imaginary part)")
     span = max(len(track.orders) - 1, 1)
@@ -237,4 +225,5 @@ def roots_svg(track, title: str | None = None, header=()) -> str:
                     f'fill="{_grade(1.0)}"/>')
     elements.append(f'<text x="{lx + 10}" y="{ly + 20}">order '
                     f'{track.orders[-1]}</text>')
-    return _document(elements, title, header)
+    return _document(elements, f"roots of the radial drift polynomial, "
+                     f"orders {track.orders[0]}..{track.orders[-1]}", header)

@@ -2,10 +2,14 @@
 
 The format is plain text, '#' comments allowed anywhere, described
 field-by-field in docs/formats.md.  Floats are written with ``repr`` so a
-write/read round trip reproduces every value bit-exactly.
+write/read round trip reproduces every value bit-exactly.  Every file the
+package writes goes through ``write_artifacts``.
 """
 
 from __future__ import annotations
+
+import contextlib
+import os
 
 import numpy as np
 
@@ -34,10 +38,33 @@ def format_system(sys: MechanicalSystem, header_lines=()) -> str:
     return "\n".join(lines) + "\n"
 
 
+def write_artifacts(items) -> None:
+    """Write each (path, text) atomically, through ``<path>.part`` and
+    ``os.replace``; on any failure remove everything this call already
+    produced, so no partial file or artifact set survives."""
+    written = []
+    try:
+        for path, text in items:
+            tmp = f"{path}.part"
+            try:
+                with open(tmp, "w") as fh:
+                    fh.write(text)
+                os.replace(tmp, path)
+            finally:
+                with contextlib.suppress(OSError):
+                    os.unlink(tmp)
+            written.append(path)
+    except BaseException:
+        for p in written:
+            with contextlib.suppress(OSError):
+                os.unlink(p)
+        raise
+
+
 def write_system(sys: MechanicalSystem, path, header_lines=()) -> None:
-    """Write a system file; ``header_lines`` become leading '#' comments."""
-    with open(path, "w") as fh:
-        fh.write(format_system(sys, header_lines))
+    """Write a system file atomically; ``header_lines`` become leading '#'
+    comments."""
+    write_artifacts([(path, format_system(sys, header_lines))])
 
 
 class _Lines:

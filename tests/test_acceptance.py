@@ -334,9 +334,9 @@ def test_stability_labels_match_finite_difference_jacobian(sp_ssm3,
     for ssm, curve in curves:
         for p in curve.points:
             fr = compute_nonautonomous_ssm(ssm, p.omega)
-            rd = assemble_polar(ssm, fr, curve.eps)
+            rd = assemble_polar(ssm, fr)
             analytic = fixed_point_stability(
-                rd, (p.rho, p.omega, p.psi)).label
+                rd, (p.rho, p.omega, p.psi), curve.eps).label
             assert analytic == p.stability  # the traced tag is reproducible
             fd = _finite_difference_label(rd, p, curve.eps)
             if "fold-degenerate" in (analytic, fd):

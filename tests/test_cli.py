@@ -1,5 +1,6 @@
 """Command-line driver: artifact contents, reproducibility, exit codes."""
 
+import argparse
 import json
 import re
 
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 from ssm_resolve.beam import BeamSpec, build_beam, write_beam_params
-from ssm_resolve.cli import main
+from ssm_resolve.cli import _build_parser, main
 from ssm_resolve.frc import trace_frc
 from ssm_resolve.model import (MechanicalSystem, to_first_order,
                                modal_decompose)
@@ -382,3 +383,47 @@ def test_failed_run_leaves_no_partial_artifacts(tmp_path, capsys):
                  "--out", str(out), "--svg", str(svg)]) == 2
     assert "error:" in capsys.readouterr().err
     assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# option placement
+
+
+def test_tolerance_flags_sit_only_on_the_commands_that_read_them():
+    shared = {"--config", "--jobs", "--seed", "--quiet", "--no-quiet"}
+    own = {"verify": {"--tol-rel", "--tol-abs", "--tol-settle"},
+           "isola": {"--tol-cauchy", "--tol-radius-frac"}}
+    tolerances = set().union(*own.values())
+    sub, = (a for a in _build_parser()._actions
+            if isinstance(a, argparse._SubParsersAction))
+    assert set(sub.choices) == {"analyze", "frc", "isola", "verify", "beam"}
+    for name, parser in sub.choices.items():
+        flags = set(parser._option_string_actions)
+        assert shared <= flags, name
+        assert flags & tolerances == own.get(name, set()), name
+
+
+def test_tolerance_flags_are_refused_where_nothing_reads_them(tmp_path,
+                                                              capsys):
+    sysfile = sp_file(tmp_path)
+    frc = ["frc", "--system", sysfile, "--eps", "0.0027", "--rho-max",
+           "0.05", "--n-rho", "10", "--out", str(tmp_path / "c.csv"),
+           "--quiet"]
+    assert main(frc + ["--tol-rel", "0"]) == 2
+    assert "unrecognized arguments: --tol-rel" in capsys.readouterr().err
+    # one config file still serves every command: frc ignores the keys
+    # only verify and isola read
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"tol_rel": 1e-9, "tol_cauchy": 2e-3}))
+    assert main(frc + ["--config", str(cfgfile)]) == 0
+    # and the commands that read them still check them
+    assert main(["verify", "--system", sysfile, "--eps", "0.001",
+                 "--omega", "1.7:1.7:1", "--tol-rel", "0",
+                 "--out", str(tmp_path / "v.csv")]) == 2
+    assert "--tol-rel must be > 0" in capsys.readouterr().err
+    assert main(["isola", "--system", sysfile, "--eps", "0.001",
+                 "--tol-radius-frac", "1.5",
+                 "--out", str(tmp_path / "i.json")]) == 2
+    assert "--tol-radius-frac must be in (0, 1]" in capsys.readouterr().err
+    assert not (tmp_path / "v.csv").exists()
+    assert not (tmp_path / "i.json").exists()

@@ -1,0 +1,42 @@
+"""Every module-level UPPER_CASE constant of the package is read by the
+package itself: a tolerance or limit that no code reads only looks like a
+setting."""
+
+import ast
+import re
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src" / "ssm_resolve"
+CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
+
+
+def _defined(tree: ast.Module) -> list[str]:
+    names = []
+    for node in tree.body:
+        targets = (node.targets if isinstance(node, ast.Assign)
+                   else [node.target] if isinstance(node, ast.AnnAssign)
+                   else [])
+        names += [t.id for t in targets if isinstance(t, ast.Name)
+                  and CONSTANT.fullmatch(t.id)]
+    return names
+
+
+def _read(tree: ast.Module) -> set[str]:
+    """Names loaded bare (``G_TOL``) or as an attribute (``frc.G_TOL``)."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+    return out
+
+
+def test_every_module_constant_is_read_in_src():
+    trees = {p.name: ast.parse(p.read_text(), str(p))
+             for p in sorted(SRC.glob("*.py"))}
+    assert "frc.py" in trees
+    read = set().union(*(_read(t) for t in trees.values()))
+    unread = [f"{name}:{c}" for name, tree in trees.items()
+              for c in _defined(tree) if c not in read]
+    assert not unread, f"module constants that src/ never reads: {unread}"

@@ -176,7 +176,7 @@ class TestTwoMassTrace:
         fc = sp_trace_isola
         for p in fc.points[::5]:
             rd = assemble_polar(
-                sp_ssm3, compute_nonautonomous_ssm(sp_ssm3, p.omega), fc.eps)
+                sp_ssm3, compute_nonautonomous_ssm(sp_ssm3, p.omega))
             f1v, f2v = zero_problem(rd, (p.rho, p.omega, p.psi), eps=fc.eps)
             assert max(abs(float(f1v)), abs(float(f2v))) <= 1e-10
 
@@ -231,7 +231,7 @@ class TestPhysicalAmplitude:
         # the e^{+} harmonic's constant monomial, flat column 0
         a0 = mm.T @ fr.w[0, :, 0]
         for coord in range(4):
-            amp = physical_amplitude(ssm, fr, p, coord)
+            amp = physical_amplitude(ssm, fr, p, coord, eps)
             peak = 2 * abs(p.rho * np.exp(1j * p.psi) * mm.T[coord, 0]
                            + eps * a0[coord])
             assert amp == pytest.approx(peak, abs=1e-10)
@@ -249,10 +249,9 @@ class TestPhysicalAmplitude:
         mm, ssm = linear_modal
         eps = 0.003
         fr = compute_nonautonomous_ssm(ssm, mm.lambda_master.imag)
-        u = FixedPointU(rho=0.0, omega=mm.lambda_master.imag, psi=0.0,
-                        eps=eps)
+        u = FixedPointU(rho=0.0, omega=mm.lambda_master.imag, psi=0.0)
         a0 = mm.T @ fr.w[0, :, 0]
-        amp = physical_amplitude(ssm, fr, u, 0)
+        amp = physical_amplitude(ssm, fr, u, 0, eps)
         assert amp == pytest.approx(2 * eps * abs(a0[0]), abs=1e-12)
 
     def test_kept_reductions_match_fresh_solves(self, sp_ssm3,
@@ -269,15 +268,8 @@ class TestPhysicalAmplitude:
             for name in ("w", "r", "c_res", "d_pm"):
                 assert (getattr(fr, name).tobytes()
                         == getattr(fresh, name).tobytes()), (i, name)
-            assert (physical_amplitude(sp_ssm3, fr, p, 0)
-                    == physical_amplitude(sp_ssm3, fresh, p, 0))
-
-    def test_requires_eps(self, linear_modal):
-        mm, ssm = linear_modal
-        fr = compute_nonautonomous_ssm(ssm, mm.lambda_master.imag)
-        u = FixedPointU(rho=0.01, omega=mm.lambda_master.imag, psi=0.0)
-        with pytest.raises(ValidationError):
-            physical_amplitude(ssm, fr, u, 0)
+            assert (physical_amplitude(sp_ssm3, fr, p, 0, fc.eps)
+                    == physical_amplitude(sp_ssm3, fresh, p, 0, fc.eps))
 
     def test_nonlinear_peak_dominated_by_leading_term(self, sp_modal,
                                                       sp_ssm3,
@@ -286,7 +278,7 @@ class TestPhysicalAmplitude:
         p = max((fc.points[i] for i in fc.components[0]),
                 key=lambda q: q.rho)
         fr = compute_nonautonomous_ssm(sp_ssm3, p.omega)
-        amp = physical_amplitude(sp_ssm3, fr, p, 0)
+        amp = physical_amplitude(sp_ssm3, fr, p, 0, fc.eps)
         lead = 2 * p.rho * abs(sp_modal.T[0, 0])
         assert amp == pytest.approx(lead, rel=0.05)
         assert amp != pytest.approx(lead, rel=1e-12)
@@ -357,7 +349,8 @@ class TestPhysicalAmplitudes:
                                                     sp_trace_isola):
         fc = sp_trace_isola
         amps = physical_amplitudes(sp_ssm3, fc, 1)
-        one = np.array([physical_amplitude(sp_ssm3, fc.forced.take(i), p, 1)
+        one = np.array([physical_amplitude(sp_ssm3, fc.forced.take(i), p, 1,
+                                           fc.eps)
                         for i, p in enumerate(fc.points)])
         assert np.all(np.abs(amps - one) <= 1e-14 * one)
 
@@ -477,7 +470,7 @@ def test_diverged_fold_point_keeps_round_zero_backbone(sp_ssm3, monkeypatch):
     assert om is None
     backbone = frc._backbone_omega(sp_ssm3, rho)
     want = assemble_polar(sp_ssm3,
-                          compute_nonautonomous_ssm(sp_ssm3, backbone), eps)
+                          compute_nonautonomous_ssm(sp_ssm3, backbone))
     assert rd.omega == backbone
     for name in ("a_coeffs", "b_coeffs", "f1", "f2", "g1", "g2"):
         assert getattr(rd, name).tobytes() == getattr(want, name).tobytes()

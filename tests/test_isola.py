@@ -19,10 +19,8 @@ from ssm_resolve.isola import (classify_roots, fold_points, isola_report,
                                leading_isola, nonspurious_positive_roots,
                                roots_of_a)
 from ssm_resolve.model import modal_decompose, to_first_order
-from ssm_resolve.reduced import assemble_polar
 from ssm_resolve.ssm_auto import compute_autonomous_ssm
-from ssm_resolve.ssm_forced import (compute_nonautonomous_ssm,
-                                    leading_forcing_coefficient)
+from ssm_resolve.ssm_forced import leading_forcing_coefficient
 
 
 def _closed_form_radius_and_merger():
@@ -40,11 +38,15 @@ def sp_track(sp_modal):
     return roots_of_a(sp_modal, range(1, 26))
 
 
+def _nonspurious(rt):
+    return nonspurious_positive_roots(rt, classify_roots(rt))
+
+
 @pytest.fixture(scope="module")
-def sp_rd3(sp_modal):
-    ssm3 = compute_autonomous_ssm(sp_modal, 3)
-    fr = compute_nonautonomous_ssm(ssm3, sp_modal.lambda_master.imag)
-    return assemble_polar(ssm3, fr)
+def sp_cubic(sp_modal):
+    """The closed forms' inputs: modal model, order-3 manifold, c00."""
+    return (sp_modal, compute_autonomous_ssm(sp_modal, 3),
+            leading_forcing_coefficient(sp_modal))
 
 
 @pytest.fixture(scope="module")
@@ -88,18 +90,18 @@ class TestRootTracking:
         assert labels.count("non-spurious") == 1
 
     def test_converged_root_value(self, sp_track):
-        (rho, _margin), = nonspurious_positive_roots(sp_track)
+        (rho, _margin), = _nonspurious(sp_track)
         assert rho == pytest.approx(0.1055764991, rel=1e-6)
 
     def test_radius_estimate_and_containment(self, sp_track):
         last = sp_track.orders[-1]
         assert sp_track.radius[last] == pytest.approx(0.1701241371013479,
                                                       rel=1e-6)
-        (rho, _), = nonspurious_positive_roots(sp_track)
+        (rho, _), = _nonspurious(sp_track)
         assert rho < 0.8 * sp_track.radius[last]
 
     def test_transversality_margin(self, sp_track, sp_modal):
-        (rho, margin), = nonspurious_positive_roots(sp_track)
+        (rho, margin), = _nonspurious(sp_track)
         floor = 1e-6 * abs(sp_modal.lambda_master.real) / rho
         assert abs(margin) > floor
 
@@ -111,10 +113,11 @@ class TestRootTracking:
     def test_linear_system_tracks_nothing(self):
         mm = modal_decompose(to_first_order(two_mass_system(kappa=0.0,
                                                             alpha=0.0)))
-        rt = roots_of_a(mm, range(1, 6), check=False)
+        rt = roots_of_a(mm, range(1, 6),
+                        ssm=compute_autonomous_ssm(mm, 11, check=False))
         assert rt.trajectories == []
         assert classify_roots(rt) == []
-        assert nonspurious_positive_roots(rt) == []
+        assert _nonspurious(rt) == []
 
 
 class TestQuinticRoots:
@@ -139,7 +142,7 @@ class TestQuinticRoots:
 
     def test_converged_pair_is_nonspurious(self, quintic_modal):
         rt = roots_of_a(quintic_modal, range(1, 13))
-        nsp = nonspurious_positive_roots(rt)
+        nsp = _nonspurious(rt)
         assert len(nsp) == 2
         assert nsp[0][0] == pytest.approx(0.12962369893358353, rel=1e-6)
         assert nsp[1][0] == pytest.approx(0.1825603131923245, rel=1e-6)
@@ -207,25 +210,25 @@ class TestLeadingIsola:
 
 
 class TestFoldPoints:
-    def test_zero_amplitude_folds(self, sp_rd3, sp_isola):
-        folds = fold_points(sp_rd3, 0.0)
+    def test_zero_amplitude_folds(self, sp_cubic, sp_isola):
+        folds = fold_points(*sp_cubic, 0.0)
         assert len(folds) == 2
         assert folds[0] == pytest.approx(0.0, abs=1e-15)
         assert folds[1] == pytest.approx(sp_isola.rho1, rel=1e-12)
 
-    def test_three_folds_below_merger(self, sp_rd3):
-        folds = fold_points(sp_rd3, 0.0027)
+    def test_three_folds_below_merger(self, sp_cubic):
+        folds = fold_points(*sp_cubic, 0.0027)
         assert list(folds) == sorted(folds)
         assert folds == pytest.approx([0.05070572, 0.07047411, 0.12117983],
                                       rel=1e-6)
 
-    def test_single_fold_above_merger(self, sp_rd3):
-        folds = fold_points(sp_rd3, 0.0029)
+    def test_single_fold_above_merger(self, sp_cubic):
+        folds = fold_points(*sp_cubic, 0.0029)
         assert len(folds) == 1
         assert folds[0] == pytest.approx(0.12214326, rel=1e-6)
 
-    def test_double_fold_at_merger_amplitude(self, sp_rd3, sp_isola):
-        folds = fold_points(sp_rd3, sp_isola.eps_m)
+    def test_double_fold_at_merger_amplitude(self, sp_cubic, sp_isola):
+        folds = fold_points(*sp_cubic, sp_isola.eps_m)
         rho_tilde = sp_isola.rho1 / np.sqrt(3.0)
         # the tangency point sits at rho1/sqrt(3); the remaining fold of the
         # merged curve lands at exactly twice that radius
@@ -233,16 +236,9 @@ class TestFoldPoints:
         assert folds[1] == pytest.approx(rho_tilde, rel=1e-4)
         assert folds[-1] == pytest.approx(2 * rho_tilde, rel=1e-9)
 
-    def test_rejects_higher_order_reduction(self, quintic_modal):
-        ssm5 = compute_autonomous_ssm(quintic_modal, 5)
-        fr = compute_nonautonomous_ssm(ssm5, quintic_modal.lambda_master.imag)
-        rd = assemble_polar(ssm5, fr)
+    def test_rejects_negative_amplitude(self, sp_cubic):
         with pytest.raises(ValidationError):
-            fold_points(rd, 0.001)
-
-    def test_rejects_negative_amplitude(self, sp_rd3):
-        with pytest.raises(ValidationError):
-            fold_points(sp_rd3, -0.001)
+            fold_points(*sp_cubic, -0.001)
 
 
 class TestBeamIsola:
@@ -256,14 +252,16 @@ class TestBeamIsola:
         assert lib.disconnected_at_eps is True
 
     def test_one_nonspurious_trajectory(self, beam_modal):
-        rt = roots_of_a(beam_modal, range(1, 8), check=False)
-        nsp = nonspurious_positive_roots(rt)
+        rt = roots_of_a(beam_modal, range(1, 8), ssm=compute_autonomous_ssm(
+            beam_modal, 15, check=False))
+        nsp = _nonspurious(rt)
         assert len(nsp) == 1
         assert nsp[0][0] == pytest.approx(0.413367, rel=1e-4)
 
 
 class TestIsolaReport:
-    def test_report_bundles_track_and_predictions(self, sp_modal):
+    def test_report_bundles_track_and_predictions(self, sp_modal, sp_cubic,
+                                                  sp_isola):
         rt, rep = isola_report(sp_modal, range(1, 26), 0.0027)
         assert rt.orders[-1] == 25
         assert len(rep.nonspurious_roots) == 1
@@ -272,3 +270,8 @@ class TestIsolaReport:
         assert rep.leading.exists
         assert rep.leading.disconnected_at_eps is True
         assert len(rep.fold_rho) == 3
+        # the closed forms read gamma_1 off the order-51 manifold; it is
+        # bit for bit the order-3 manifold's
+        assert rep.leading == sp_isola
+        assert (rep.fold_rho.tobytes()
+                == fold_points(*sp_cubic, 0.0027).tobytes())

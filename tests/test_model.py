@@ -176,7 +176,7 @@ def test_spectral_quotient(sp_modal):
 
 
 def test_nonresonance_passes_for_benchmark(sp_modal):
-    rep = check_nonresonance(sp_modal)
+    rep = check_nonresonance(sp_modal, spectral_quotient(sp_modal))
     assert rep.passed
     assert rep.sigma == 4
     assert not rep.violations

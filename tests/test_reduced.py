@@ -26,7 +26,11 @@ def sp_fr(sp_ssm, sp_modal):
 
 @pytest.fixture(scope="module")
 def sp_rd(sp_ssm, sp_fr):
-    return assemble_polar(sp_ssm, sp_fr, eps=0.002)
+    return assemble_polar(sp_ssm, sp_fr)
+
+
+#: forcing amplitude of the checks on ``sp_rd``
+EPS = 0.002
 
 
 def test_coefficient_assembly(sp_ssm, sp_fr, sp_rd):
@@ -35,7 +39,7 @@ def test_coefficient_assembly(sp_ssm, sp_fr, sp_rd):
     assert rd.a_coeffs[0] == lam.real and rd.b_coeffs[0] == lam.imag
     assert np.allclose(rd.a_coeffs[1:], sp_ssm.gamma.real)
     assert np.allclose(rd.b_coeffs[1:], sp_ssm.gamma.imag)
-    assert rd.M == 3
+    assert len(rd.a_coeffs) == 4  # order 7: lambda and gamma_1..3
     c, d = sp_fr.c_res, sp_fr.d_pm
     # f1/g2 share the c real part, f2/g1 its imaginary part; the d term
     # enters the four with alternating sign
@@ -57,7 +61,7 @@ def test_polar_field_matches_complex_reduced_flow(sp_ssm, sp_fr, sp_rd):
     # the polar form must reproduce the rotating-frame projection of the
     # complex reduced flow at any drive phase: psi-dependence only, no
     # explicit time left
-    eps = 0.002
+    eps = EPS
     om = sp_fr.omega
     rng = np.random.default_rng(11)
     worst = 0.0
@@ -78,10 +82,8 @@ def test_polar_field_matches_complex_reduced_flow(sp_ssm, sp_fr, sp_rd):
     assert worst < 1e-12
 
 
-def test_zero_problem_requires_eps_and_handles_origin(sp_ssm, sp_fr):
+def test_zero_problem_handles_origin(sp_ssm, sp_fr):
     rd = assemble_polar(sp_ssm, sp_fr)
-    with pytest.raises(ValidationError):
-        zero_problem(rd, (0.01, rd.omega, 0.3))
     f1, f2 = zero_problem(rd, (0.0, rd.omega, 0.3), eps=0.0)
     assert f1 == 0.0 and f2 == 0.0
 
@@ -92,12 +94,12 @@ def test_jacobian_matches_finite_differences(sp_rd):
     for _ in range(50):
         rho = rng.uniform(0.01, 0.12)
         psi = rng.uniform(0, 2 * np.pi)
-        rep = fixed_point_stability(sp_rd, (rho, om, psi))
+        rep = fixed_point_stability(sp_rd, (rho, om, psi), EPS)
         h_r, h_p = 1e-6 * max(rho, 0.01), 1e-6
         fd = np.zeros((2, 2))
         for col, (dr, dp) in enumerate(((h_r, 0.0), (0.0, h_p))):
-            fp = polar_field(sp_rd, (rho + dr, om, psi + dp))
-            fm = polar_field(sp_rd, (rho - dr, om, psi - dp))
+            fp = polar_field(sp_rd, (rho + dr, om, psi + dp), EPS)
+            fm = polar_field(sp_rd, (rho - dr, om, psi - dp), EPS)
             step = 2 * (dr + dp)
             fd[0, col] = (fp[0] - fm[0]) / step
             fd[1, col] = (fp[1] - fm[1]) / step
@@ -107,16 +109,16 @@ def test_jacobian_matches_finite_differences(sp_rd):
 
 def test_singular_chart_at_zero_amplitude(sp_rd):
     with pytest.raises(SingularChartError):
-        fixed_point_stability(sp_rd, (0.0, sp_rd.omega, 0.3))
+        fixed_point_stability(sp_rd, (0.0, sp_rd.omega, 0.3), EPS)
     with pytest.raises(SingularChartError):
-        polar_field(sp_rd, (0.0, sp_rd.omega, 0.3))
+        polar_field(sp_rd, (0.0, sp_rd.omega, 0.3), EPS)
 
 
 def test_unforced_radial_flow_sign_structure(sp_ssm, sp_fr):
     # with eps = 0 the radial equation is scalar: between consecutive real
     # rest radii the sign of a never changes, and on a rest circle one
     # Jacobian eigenvalue is exactly zero (fold-degenerate)
-    rd = assemble_polar(sp_ssm, sp_fr, eps=0.0)
+    rd = assemble_polar(sp_ssm, sp_fr)
     roots = np.roots(rd.a_coeffs[::-1])
     radii = np.sqrt(sorted(r.real for r in roots
                            if abs(r.imag) < 1e-12 and r.real > 0))
@@ -127,7 +129,7 @@ def test_unforced_radial_flow_sign_structure(sp_ssm, sp_fr):
         inner = np.linspace(lo, hi, 50)[1:-1]
         signs = np.sign(rd.a_of(inner))
         assert len(set(signs.tolist())) == 1
-    rep = fixed_point_stability(rd, (float(radii[0]), rd.omega, 1.0))
+    rep = fixed_point_stability(rd, (float(radii[0]), rd.omega, 1.0), 0.0)
     assert rep.label == "fold-degenerate"
 
 
@@ -147,7 +149,7 @@ def test_linear_fixed_point_matches_closed_form_and_is_stable():
     eps = 0.003
     for om in (lam.imag * 0.9, lam.imag, lam.imag * 1.1):
         fr = compute_nonautonomous_ssm(ssm, om)
-        rd = assemble_polar(ssm, fr, eps=eps)
+        rd = assemble_polar(ssm, fr)
         c00 = fr.c_res[0]
         rho = eps * abs(c00) / np.hypot(lam.real, lam.imag - om)
         # solve the two linear equations for the phase directly

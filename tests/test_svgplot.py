@@ -14,15 +14,22 @@ def _curve():
     pts, comps = [], [[], []]
     for i, rho in enumerate(np.linspace(0.01, 0.05, 9)):
         pts.append(FixedPointU(rho=rho, omega=1.7 + 0.01 * i, psi=0.3,
-                               stability="stable", branch="K-", eps=1e-3))
+                               stability="stable", branch="K-"))
         comps[0].append(len(pts) - 1)
     for i, rho in enumerate(np.linspace(0.08, 0.12, 9)):
         stab = "fold-degenerate" if i == 4 else "unstable"
         pts.append(FixedPointU(rho=rho, omega=1.73 + 0.002 * i, psi=1.1,
-                               stability=stab, branch="K+", eps=1e-3))
+                               stability=stab, branch="K+"))
         comps[1].append(len(pts) - 1)
     return FrcCurve(eps=1e-3, points=pts, folds=np.array([0.05]),
                     components=comps, rho_max=0.13, n_rho=9)
+
+
+def _svg(curve=None, **kw):
+    """frc_svg of ``curve`` (the default ``_curve()``) with each point's
+    reduced amplitude rho as its y value."""
+    curve = curve or _curve()
+    return frc_svg(curve, [p.rho for p in curve.points], **kw)
 
 
 def _track():
@@ -56,14 +63,14 @@ class TestHelpers:
 
 class TestFrcSvg:
     def test_document_structure(self):
-        svg = frc_svg(_curve(), header=["tool x", "hash y"])
+        svg = _svg(header=["tool x", "hash y"])
         assert svg.startswith("<svg ")
         assert svg.endswith("</svg>\n")
         assert "<!-- tool x -->" in svg
         assert svg.count("<polyline") >= 2
 
     def test_unstable_runs_are_dashed(self):
-        svg = frc_svg(_curve())
+        svg = _svg()
         dashed = [ln for ln in svg.splitlines()
                   if "polyline" in ln and "stroke-dasharray" in ln]
         solid = [ln for ln in svg.splitlines()
@@ -72,21 +79,21 @@ class TestFrcSvg:
         assert dashed and solid
 
     def test_fold_degenerate_points_are_open_circles(self):
-        svg = frc_svg(_curve())
+        svg = _svg()
         assert 'fill="white"' in svg
 
     def test_deterministic(self):
-        assert frc_svg(_curve()) == frc_svg(_curve())
+        assert _svg() == _svg()
 
     def test_amplitude_override_changes_geometry(self):
         ys = np.linspace(1.0, 2.0, 18)
-        assert frc_svg(_curve(), amplitudes=ys) != frc_svg(_curve())
+        assert frc_svg(_curve(), ys) != _svg()
 
     def test_empty_curve_rejected(self):
         empty = FrcCurve(eps=1e-3, points=[], folds=np.array([]),
                          components=[], rho_max=0.1, n_rho=5)
         with pytest.raises(ValidationError):
-            frc_svg(empty)
+            _svg(empty)
 
 
 class TestRootsSvg:

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from ssm_resolve import sysio
+from ssm_resolve.beam import BeamSpec, write_beam_params
 from ssm_resolve.errors import ValidationError
-from ssm_resolve.sysio import read_system, write_system, MAGIC
+from ssm_resolve.sysio import read_system, write_artifacts, write_system, MAGIC
 
-from conftest import two_mass_system
+from conftest import BEAM, two_mass_system
 
 
 def test_round_trip_is_exact(tmp_path):
@@ -69,3 +71,31 @@ def test_row_width_checked(tmp_path):
     with pytest.raises(ValidationError) as err:
         read_system(path)
     assert "expected 2 entries" in str(err.value)
+
+
+@pytest.mark.parametrize("writer", ["system", "beam_params", "artifacts"])
+def test_failed_replace_leaves_neither_target_nor_part_file(writer, tmp_path,
+                                                            monkeypatch):
+    """Every writer goes through ``write_artifacts``: when the final rename
+    fails, no target and no ``.part`` file remain, and an artifact set
+    loses the members it had already written."""
+    first, path = tmp_path / "first.txt", tmp_path / "out.txt"
+    calls = []
+    real_replace = sysio.os.replace
+
+    def replace(src, dst):
+        calls.append(str(dst))
+        if str(dst) == str(path):
+            raise OSError("disk full")
+        real_replace(src, dst)
+
+    monkeypatch.setattr(sysio.os, "replace", replace)
+    with pytest.raises(OSError, match="disk full"):
+        if writer == "system":
+            write_system(two_mass_system(), path)
+        elif writer == "beam_params":
+            write_beam_params(BeamSpec(**BEAM), path)
+        else:
+            write_artifacts([(str(first), "a\n"), (str(path), "b\n")])
+    assert calls[-1] == str(path)
+    assert sorted(tmp_path.iterdir()) == []
