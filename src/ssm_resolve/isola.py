@@ -66,26 +66,29 @@ def _radius_estimates(lambda_master: complex, gamma: np.ndarray,
     return out
 
 
-def roots_of_a(mm: ModalModel, orders, *,
-               ssm: AutonomousSsm | None = None) -> RootTrack:
+def _tracked_orders(orders) -> list[int]:
+    orders = sorted(set(int(m) for m in orders))
+    if not orders or orders[0] < 1:
+        raise ValidationError("orders must be positive integers")
+    return orders
+
+
+def roots_of_a(ssm: AutonomousSsm, orders) -> RootTrack:
     """Track all roots of the radial drift for each truncation order.
 
     Parameters
     ----------
-    mm : ModalModel
+    ssm : AutonomousSsm
+        Manifold whose drift coefficients gamma_1..gamma_max(M) are
+        tracked; its order must be at least 2*max(M) + 1.
     orders : iterable of int
-        Truncation orders M >= 1 of the drift polynomial in rho**2 (the
-        manifold expansion runs to order 2*max(M) + 1).
-    ssm : AutonomousSsm, optional
-        Reuse an already computed manifold of sufficient order; without
-        one, the manifold is computed with its resonance check on.
+        Truncation orders M >= 1 of the drift polynomial in rho**2.
     """
-    orders = sorted(set(int(m) for m in orders))
-    if not orders or orders[0] < 1:
-        raise ValidationError("orders must be positive integers")
+    orders = _tracked_orders(orders)
     m_max = orders[-1]
-    if ssm is None or ssm.half_order < m_max:
-        ssm = compute_autonomous_ssm(mm, 2 * m_max + 1)
+    if ssm.half_order < m_max:
+        raise ValidationError(f"tracking order {m_max} needs a manifold of "
+                              f"order >= {2 * m_max + 1}, got {ssm.order}")
     gamma = np.asarray(ssm.gamma)[:m_max]
     finite = np.isfinite(gamma)
     if not finite.all():
@@ -98,7 +101,7 @@ def roots_of_a(mm: ModalModel, orders, *,
             raise ValidationError("no finite drift coefficients available")
         m_max = orders[-1]
 
-    lam = complex(mm.lambda_master)
+    lam = ssm.lambda_master
     roots: dict[int, np.ndarray] = {}
     for m in orders:
         # the radial drift a(rho)/rho as a real degree-m polynomial in
@@ -271,10 +274,9 @@ def isola_report(mm: ModalModel, orders, eps: float, *,
     """Assemble the root track and the isola report in one pass, from one
     manifold at the track's deepest order: its gamma_1 also gives the
     closed forms."""
-    orders = list(orders)
-    ssm = compute_autonomous_ssm(mm, 2 * max(orders, default=0) + 1,
-                                 check=check)
-    rt = roots_of_a(mm, orders, ssm=ssm)
+    orders = _tracked_orders(orders)
+    ssm = compute_autonomous_ssm(mm, 2 * orders[-1] + 1, check=check)
+    rt = roots_of_a(ssm, orders)
     labels = classify_roots(rt, cauchy_tol, radius_fraction)
     roots = nonspurious_positive_roots(rt, labels)
     c00 = leading_forcing_coefficient(mm)

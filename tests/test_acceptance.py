@@ -81,7 +81,7 @@ def quintic_data():
     system with the added degree-five damper nonlinearity."""
     t0 = time.perf_counter()
     mm = modal_decompose(to_first_order(two_mass_system(quintic=1.2)))
-    rt = roots_of_a(mm, range(1, 13))
+    rt = roots_of_a(compute_autonomous_ssm(mm, 25), range(1, 13))
     labels = classify_roots(rt)
     roots = nonspurious_positive_roots(rt, labels)
     ssm5 = compute_autonomous_ssm(mm, 5)

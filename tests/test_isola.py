@@ -35,7 +35,7 @@ def _closed_form_radius_and_merger():
 
 @pytest.fixture(scope="module")
 def sp_track(sp_modal):
-    return roots_of_a(sp_modal, range(1, 26))
+    return roots_of_a(compute_autonomous_ssm(sp_modal, 51), range(1, 26))
 
 
 def _nonspurious(rt):
@@ -105,16 +105,26 @@ class TestRootTracking:
         floor = 1e-6 * abs(sp_modal.lambda_master.real) / rho
         assert abs(margin) > floor
 
+    def test_rejects_a_manifold_below_the_tracked_order(self, sp_modal):
+        ssm5 = compute_autonomous_ssm(sp_modal, 5)
+        assert roots_of_a(ssm5, [1, 2]).orders == [1, 2]
+        with pytest.raises(ValidationError, match="order >= 7"):
+            roots_of_a(ssm5, [1, 2, 3])
+        with pytest.raises(ValidationError, match="positive integers"):
+            roots_of_a(ssm5, [0, 1])
+        with pytest.raises(ValidationError, match="positive integers"):
+            isola_report(sp_modal, [], 0.0027)
+
     def test_classification_needs_three_orders(self, sp_modal):
-        rt = roots_of_a(sp_modal, [1, 2])
+        rt = roots_of_a(compute_autonomous_ssm(sp_modal, 5), [1, 2])
         with pytest.raises(ValidationError):
             classify_roots(rt)
 
     def test_linear_system_tracks_nothing(self):
         mm = modal_decompose(to_first_order(two_mass_system(kappa=0.0,
                                                             alpha=0.0)))
-        rt = roots_of_a(mm, range(1, 6),
-                        ssm=compute_autonomous_ssm(mm, 11, check=False))
+        rt = roots_of_a(compute_autonomous_ssm(mm, 11, check=False),
+                        range(1, 6))
         assert rt.trajectories == []
         assert classify_roots(rt) == []
         assert _nonspurious(rt) == []
@@ -122,7 +132,7 @@ class TestRootTracking:
 
 class TestQuinticRoots:
     def test_order_two_roots(self, quintic_modal):
-        rt = roots_of_a(quintic_modal, [1, 2])
+        rt = roots_of_a(compute_autonomous_ssm(quintic_modal, 5), [1, 2])
         pos = sorted(r.real for r in rt.roots[2]
                      if r.real > 1e-12 and abs(r.imag) < 1e-9 * abs(r))
         assert len(pos) == 2
@@ -141,7 +151,8 @@ class TestQuinticRoots:
         assert g2_full - g2_cubic == pytest.approx(hand, rel=1e-12)
 
     def test_converged_pair_is_nonspurious(self, quintic_modal):
-        rt = roots_of_a(quintic_modal, range(1, 13))
+        rt = roots_of_a(compute_autonomous_ssm(quintic_modal, 25),
+                        range(1, 13))
         nsp = _nonspurious(rt)
         assert len(nsp) == 2
         assert nsp[0][0] == pytest.approx(0.12962369893358353, rel=1e-6)
@@ -252,8 +263,8 @@ class TestBeamIsola:
         assert lib.disconnected_at_eps is True
 
     def test_one_nonspurious_trajectory(self, beam_modal):
-        rt = roots_of_a(beam_modal, range(1, 8), ssm=compute_autonomous_ssm(
-            beam_modal, 15, check=False))
+        rt = roots_of_a(compute_autonomous_ssm(beam_modal, 15, check=False),
+                        range(1, 8))
         nsp = _nonspurious(rt)
         assert len(nsp) == 1
         assert nsp[0][0] == pytest.approx(0.413367, rel=1e-4)
