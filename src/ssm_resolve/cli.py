@@ -1,9 +1,14 @@
 """Command-line front end: reproducible analysis runs with CSV/JSON/SVG output.
 
-Every run resolves a single RunConfig (flags > config file > defaults),
-stamps its SHA-256 hash into each artifact header, and writes artifacts
-atomically, so identical configurations reproduce byte-identical bodies
-(only the timestamp header line differs between runs).
+``_build_parser`` is the one table of settings: each option is declared
+once, with its type, default and help, and options that several commands
+share come from parent parsers.  A config file's keys enter as the same
+flags in front of the typed ones, so they get the same conversion and
+checks, and flags win over the file, the file over the defaults.  Every run
+stamps the SHA-256 hash of its command's resolved settings into each
+artifact header and writes artifacts atomically, so identical settings
+reproduce byte-identical bodies (only the timestamp header line differs
+between runs).
 """
 
 from __future__ import annotations
@@ -14,7 +19,7 @@ import json
 import math
 import sys
 from collections import Counter
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import replace
 from datetime import datetime, timezone
 
 import numpy as np
@@ -50,126 +55,37 @@ CHECK_RADIUS = 1e-3
 CHECK_SAMPLES = 24
 
 
-@dataclass
-class RunConfig:
-    """One fully resolved command invocation."""
-    command: str
-    system: str | None = None
-    params: str | None = None
-    out: str | None = None
-    svg: str | None = None
-    roots_svg: str | None = None
-    dump_ssm: str | None = None
-    config: str | None = None
-    mode: int = 0
-    order: int = 3
-    orders: str = "1..25"
-    eps: float = 0.0
-    rho_max: float = 1.0
-    n_rho: int = 2000
-    omega: str | None = None
-    omega_window: str | None = None
-    coord: str = "drive"
-    monitor: str = "drive"
-    sweep: str = "up"
-    cold: bool = False
-    transient_time: float | None = None
-    min_periods: int = 20
-    max_periods: int = 100
-    elements: int | None = None
-    normalization: str | None = None
-    check: bool = True
-    #: accepted and checked (existing scripts pass it); nothing reads it
-    jobs: int = 1
-    seed: int = 0
-    quiet: bool = False
-    #: verify reads the first three, isola the last two; a config file may
-    #: set them for any command
-    tol_rel: float = 1e-8
-    tol_abs: float = 1e-10
-    tol_settle: float = 1e-3
-    tol_cauchy: float = 1e-3
-    tol_radius_frac: float = 0.8
-
-    def validate(self) -> None:
-        if self.command in ("analyze", "frc", "isola", "verify") \
-                and not self.system:
-            raise ValidationError(f"{self.command} requires --system")
-        if self.command in ("analyze", "frc"):
-            if self.order < 3 or self.order % 2 == 0:
-                raise ValidationError("expansion order must be odd and >= 3")
-        if self.command in ("frc", "isola") and self.eps <= 0:
-            raise ValidationError(f"{self.command} requires --eps > 0")
-        if self.eps < 0:
-            raise ValidationError("eps must be >= 0")
-        if self.command == "isola":
-            _parse_orders(self.orders)
-        if self.command == "frc":
-            if not self.out:
-                raise ValidationError("frc requires --out")
-            if self.rho_max <= 0 or self.n_rho < 2:
-                raise ValidationError("need rho_max > 0 and n_rho >= 2")
-        if self.command == "isola" and not self.out:
-            raise ValidationError("isola requires --out")
-        if self.command == "verify":
-            if not self.omega:
-                raise ValidationError("verify requires --omega start:stop:n")
-            _parse_omega(self.omega)
-            if not self.out:
-                raise ValidationError("verify requires --out")
-            if self.sweep not in ("up", "down"):
-                raise ValidationError("--sweep must be 'up' or 'down'")
-        if self.command == "beam":
-            if not self.params or not self.out:
-                raise ValidationError("beam requires --params and --out")
-            if self.elements is not None and self.elements < 1:
-                raise ValidationError("--elements must be >= 1")
-        if self.mode < 0:
-            raise ValidationError("--mode must be >= 0")
-        if self.jobs < 1:
-            raise ValidationError("--jobs must be >= 1")
-        for name in ("tol_rel", "tol_abs", "tol_settle", "tol_cauchy"):
-            if getattr(self, name) <= 0:
-                raise ValidationError(f"--{name.replace('_', '-')} must be "
-                                      "> 0")
-        if not 0 < self.tol_radius_frac <= 1:
-            raise ValidationError("--tol-radius-frac must be in (0, 1]")
+#: the settings each command cannot run without, checked once flags and
+#: config file are resolved
+REQUIRED = {"analyze": ("system",), "frc": ("system", "eps", "out"),
+            "isola": ("system", "eps", "out"),
+            "verify": ("system", "omega", "out"), "beam": ("params", "out")}
 
 
 # ---------------------------------------------------------------------------
-# argument parsing and config resolution
+# the option table: argument parsing and config resolution
 
 
-def _parse_omega(txt: str) -> np.ndarray:
-    try:
-        a, b, n = txt.split(":")
-        a, b, n = float(a), float(b), int(n)
-    except ValueError:
-        raise ValidationError(f"--omega expects start:stop:n, got {txt!r}")
-    if n < 1 or (n > 1 and b <= a):
-        raise ValidationError("--omega needs stop > start and n >= 1")
-    return np.linspace(a, b, n)
+def _typed(casts, ok=None, need="finite", form="a number", sep=":"):
+    """An argparse ``type``: split the text at ``sep``, cast field i with
+    ``casts[i]``, and refuse non-finite fields and, given ``ok``, fields it
+    rejects (``need`` says what is wanted).  One field gives a scalar."""
+    def convert(text: str):
+        try:
+            values = tuple(cast(v) for cast, v
+                           in zip(casts, text.split(sep), strict=True))
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expects {form}, got {text!r}")
+        if not all(map(math.isfinite, values)) or (ok and not ok(*values)):
+            raise argparse.ArgumentTypeError(f"must be {need}, got {text!r}")
+        return values if len(values) > 1 else values[0]
+    return convert
 
 
-def _parse_orders(txt: str) -> range:
-    try:
-        a, b = txt.split("..")
-        a, b = int(a), int(b)
-    except ValueError:
-        raise ValidationError(f"--orders expects lo..hi, got {txt!r}")
-    if a < 1 or b < a:
-        raise ValidationError("--orders needs 1 <= lo <= hi")
-    return range(a, b + 1)
-
-
-def _parse_window(txt: str) -> tuple[float, float]:
-    try:
-        a, b = (float(v) for v in txt.split(":"))
-    except ValueError:
-        raise ValidationError(f"--omega-window expects lo:hi, got {txt!r}")
-    if b <= a:
-        raise ValidationError("--omega-window needs hi > lo")
-    return a, b
+FINITE = _typed((float,))
+POSITIVE = _typed((float,), lambda v: v > 0, "> 0")
+COUNT = _typed((int,), lambda v: v >= 0, ">= 0", "an integer")
+AT_LEAST_ONE = _typed((int,), lambda v: v >= 1, ">= 1", "an integer")
 
 
 def _resolve_coord(txt: str, sys_) -> int:
@@ -192,16 +108,32 @@ def _resolve_monitor(txt: str, sys_) -> list[int]:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    """The one table of settings: every option with its type, default and
+    help; options that several commands share sit in parent parsers."""
+    common, system, modal, order, forced = (
+        argparse.ArgumentParser(add_help=False) for _ in range(5))
     g = common.add_argument_group("global options")
     g.add_argument("--config", help="JSON file of option defaults "
                    "(flags win over the file, the file over built-ins)")
-    g.add_argument("--jobs", type=int, help="accepted for compatibility "
-                   "and checked to be >= 1; nothing reads it (default 1)")
-    g.add_argument("--seed", type=int, help="seed for randomized sample "
-                   "points in property checks (default 0)")
+    g.add_argument("--jobs", type=AT_LEAST_ONE, default=1, help="accepted "
+                   "for compatibility and checked to be >= 1; nothing reads "
+                   "it (default 1)")
+    g.add_argument("--seed", type=COUNT, default=0, help="seed for "
+                   "randomized sample points in property checks (default 0)")
     g.add_argument("--quiet", action=argparse.BooleanOptionalAction,
-                   help="suppress informational output")
+                   default=False, help="suppress informational output")
+    system.add_argument("--system", help="system definition file")
+    modal.add_argument("--mode", type=COUNT, default=0, help="master mode "
+                       "pair index (0 = slowest decaying, the default)")
+    modal.add_argument("--normalization",
+                       choices=("first-position", "largest"),
+                       help="eigenvector scaling (default: the system "
+                            "file's preference, else first-position)")
+    order.add_argument("--order", default=3,
+                       type=_typed((int,), lambda v: v >= 3 and v % 2 == 1,
+                                   "odd and >= 3", "an integer"),
+                       help="expansion order (odd, >= 3)")
+    forced.add_argument("--eps", type=POSITIVE, help="forcing amplitude")
 
     p = argparse.ArgumentParser(
         prog=TOOL,
@@ -213,95 +145,91 @@ def _build_parser() -> argparse.ArgumentParser:
                    version=f"{TOOL} {__version__}")
     sub = p.add_subparsers(dest="command", required=True)
 
-    pa = sub.add_parser("analyze", parents=[common],
+    pa = sub.add_parser("analyze", parents=[common, system, modal, order],
                         help="reduce a system and report its coefficients")
-    pa.add_argument("--system", help="system definition file")
-    pa.add_argument("--mode", type=int, help="master mode pair index "
-                    "(0 = slowest decaying, the default)")
-    pa.add_argument("--order", type=int, help="expansion order (odd, >= 3)")
-    pa.add_argument("--normalization", choices=("first-position", "largest"),
-                    help="eigenvector scaling (default: the system file's "
-                         "preference, else first-position)")
     pa.add_argument("--dump-ssm", dest="dump_ssm",
                     help="write all embedding and drift coefficients to "
                          "this file")
 
-    pf = sub.add_parser("frc", parents=[common],
+    pf = sub.add_parser("frc", parents=[common, system, modal, order, forced],
                         help="trace the forced response curve to CSV/SVG")
-    pf.add_argument("--system")
-    pf.add_argument("--mode", type=int)
-    pf.add_argument("--order", type=int)
-    pf.add_argument("--normalization", choices=("first-position", "largest"))
-    pf.add_argument("--eps", type=float, help="forcing amplitude")
-    pf.add_argument("--rho-max", type=float, dest="rho_max",
+    pf.add_argument("--rho-max", type=FINITE, default=1.0, dest="rho_max",
                     help="upper end of the reduced amplitude grid")
-    pf.add_argument("--n-rho", type=int, dest="n_rho",
+    pf.add_argument("--n-rho", type=int, default=2000, dest="n_rho",
                     help="number of amplitude grid points")
     pf.add_argument("--omega-window", dest="omega_window",
+                    type=_typed((float, float), lambda lo, hi: hi > lo,
+                                "lo:hi with hi > lo", "lo:hi"),
                     help="keep only responses with frequency in lo:hi")
-    pf.add_argument("--coord", help="physical coordinate for the amplitude "
-                    "column: an index or 'drive' (default)")
+    pf.add_argument("--coord", default="drive", help="physical coordinate "
+                    "for the amplitude column: an index or 'drive' (default)")
     pf.add_argument("--out", help="CSV output path")
     pf.add_argument("--svg", help="also render the curve to this SVG path")
 
-    pi = sub.add_parser("isola", parents=[common],
+    pi = sub.add_parser("isola", parents=[common, system, modal, forced],
                         help="track drift-polynomial roots and report "
                              "detached-branch structure to JSON/SVG")
-    pi.add_argument("--system")
-    pi.add_argument("--mode", type=int)
-    pi.add_argument("--orders", help="truncation order range lo..hi "
-                    "(default 1..25)")
-    pi.add_argument("--normalization", choices=("first-position", "largest"))
-    pi.add_argument("--eps", type=float, help="forcing amplitude")
+    pi.add_argument("--orders", default="1..25",
+                    type=_typed((int, int), lambda lo, hi: 1 <= lo <= hi,
+                                "lo..hi with 1 <= lo <= hi", "lo..hi", ".."),
+                    help="truncation order range lo..hi (default 1..25)")
     pi.add_argument("--check", action=argparse.BooleanOptionalAction,
-                    help="refuse spectra that fail the real-part "
-                         "non-resonance check (default on)")
-    pi.add_argument("--tol-cauchy", type=float, dest="tol_cauchy",
-                    help="root-settling threshold for spuriousness "
-                         "classification (default 1e-3)")
-    pi.add_argument("--tol-radius-frac", type=float, dest="tol_radius_frac",
-                    help="fraction of the convergence-radius estimate a "
-                         "non-spurious root must stay below (default 0.8)")
+                    default=True, help="refuse spectra that fail the "
+                    "real-part non-resonance check (default on)")
+    pi.add_argument("--tol-cauchy", type=POSITIVE, default=1e-3,
+                    dest="tol_cauchy", help="root-settling threshold for "
+                    "spuriousness classification (default 1e-3)")
+    pi.add_argument("--tol-radius-frac", dest="tol_radius_frac",
+                    type=_typed((float,), lambda v: 0 < v <= 1, "in (0, 1]"),
+                    default=0.8, help="fraction of the convergence-radius "
+                    "estimate a non-spurious root must stay below "
+                    "(default 0.8)")
     pi.add_argument("--out", help="JSON output path")
     pi.add_argument("--roots-svg", dest="roots_svg",
                     help="also render the root scatter to this SVG path")
 
-    pv = sub.add_parser("verify", parents=[common],
+    pv = sub.add_parser("verify", parents=[common, system],
                         help="brute-force frequency sweep of the full "
                              "system to CSV")
-    pv.add_argument("--system")
-    pv.add_argument("--eps", type=float, help="forcing amplitude")
+    pv.add_argument("--eps", type=_typed((float,), lambda v: v >= 0, ">= 0"),
+                    default=0.0, help="forcing amplitude")
     pv.add_argument("--omega", help="frequency grid start:stop:n "
-                    "(inclusive ends)")
-    pv.add_argument("--monitor", help="comma-separated position coordinates "
-                    "to measure; 'drive'/'tip' = the forced coordinate "
-                    "(default)")
-    pv.add_argument("--sweep", choices=("up", "down"),
+                    "(inclusive ends)",
+                    type=_typed((float, float, int),
+                                lambda a, b, n: n == 1 or (n > 1 and b > a),
+                                "start:stop:n with stop > start and n >= 1",
+                                "start:stop:n"))
+    pv.add_argument("--monitor", default="drive", help="comma-separated "
+                    "position coordinates to measure; 'drive'/'tip' = the "
+                    "forced coordinate (default)")
+    pv.add_argument("--sweep", choices=("up", "down"), default="up",
                     help="sweep direction (default up)")
     pv.add_argument("--cold", action=argparse.BooleanOptionalAction,
-                    help="start every grid point from rest instead of "
-                         "warm-starting from the previous steady state")
-    pv.add_argument("--transient-time", type=float, dest="transient_time",
+                    default=False, help="start every grid point from rest "
+                    "instead of warm-starting from the previous steady state")
+    pv.add_argument("--transient-time", type=FINITE, dest="transient_time",
                     help="override the transient burn-off horizon (time "
                          "units; default 5 / |slowest decay rate|)")
-    pv.add_argument("--min-periods", type=int, dest="min_periods",
+    pv.add_argument("--min-periods", type=int, default=20, dest="min_periods",
                     help="minimum measured periods per point (default 20)")
-    pv.add_argument("--max-periods", type=int, dest="max_periods",
+    pv.add_argument("--max-periods", type=int, default=100,
+                    dest="max_periods",
                     help="measured-period budget per point (default 100)")
-    pv.add_argument("--tol-rel", type=float, dest="tol_rel",
+    pv.add_argument("--tol-rel", type=POSITIVE, default=1e-8, dest="tol_rel",
                     help="integrator relative tolerance (default 1e-8)")
-    pv.add_argument("--tol-abs", type=float, dest="tol_abs",
+    pv.add_argument("--tol-abs", type=POSITIVE, default=1e-10,
+                    dest="tol_abs",
                     help="integrator absolute tolerance (default 1e-10)")
-    pv.add_argument("--tol-settle", type=float, dest="tol_settle",
-                    help="sweep settle threshold, relative per-period change "
-                         "(default 1e-3)")
+    pv.add_argument("--tol-settle", type=POSITIVE, default=1e-3,
+                    dest="tol_settle", help="sweep settle threshold, relative "
+                    "per-period change (default 1e-3)")
     pv.add_argument("--out", help="CSV output path")
 
     pb = sub.add_parser("beam", parents=[common],
                         help="build the cantilever model and emit a system "
                              "file")
     pb.add_argument("--params", help="beam parameter file")
-    pb.add_argument("--elements", type=int,
+    pb.add_argument("--elements", type=AT_LEAST_ONE,
                     help="finite-element count (default: the parameter "
                          "file's value, else 25)")
     pb.add_argument("--out", help="system file output path")
@@ -309,33 +237,75 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    file_cfg: dict = {}
-    if getattr(args, "config", None):
-        try:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
-        except OSError as exc:
-            raise ValidationError(f"cannot read config file: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"config file is not valid JSON: {exc}")
-        if not isinstance(file_cfg, dict):
-            raise ValidationError("config file must hold a JSON object")
-    kwargs = {}
-    for f in fields(RunConfig):
-        if f.name == "command":
-            continue
-        value = getattr(args, f.name, None)
-        if value is None and f.name in file_cfg:
-            value = file_cfg[f.name]
-        if value is None:
-            continue  # keep the dataclass default
-        kwargs[f.name] = value
-    unknown = set(file_cfg) - {f.name for f in fields(RunConfig)}
+def _commands(parser: argparse.ArgumentParser) -> dict:
+    """Command name -> its subparser."""
+    sub, = (a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction))
+    return sub.choices
+
+
+def _options(command: argparse.ArgumentParser) -> dict:
+    """Setting name (the option's dest) -> its action, help excluded."""
+    return {a.dest: a for a in command._actions
+            if a.option_strings and a.dest != "help"}
+
+
+def _file_flags(path: str, parser: argparse.ArgumentParser,
+                command: str) -> list[str]:
+    """A config file's keys as flags of ``command``, so that each value
+    converts and is checked exactly as the same text typed after the flag.
+    Numbers keep their JSON text; keys that only other commands read are
+    dropped, keys that no command reads are refused."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh, parse_int=str, parse_float=str,
+                             parse_constant=str)
+    except OSError as exc:
+        raise ValidationError(f"cannot read config file: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"config file is not valid JSON: {exc}")
+    if not isinstance(data, dict):
+        raise ValidationError("config file must hold a JSON object")
+    commands = _commands(parser)
+    unknown = set(data).difference(*map(_options, commands.values()))
     if unknown:
         raise ValidationError(
             f"unknown config file keys: {', '.join(sorted(unknown))}")
-    return RunConfig(command=args.command, **kwargs)
+    own = _options(commands[command])
+    flags = []
+    for key, value in data.items():
+        action = own.get(key)
+        if action is None:
+            continue
+        if isinstance(action, argparse.BooleanOptionalAction):
+            if not isinstance(value, bool):
+                raise ValidationError(f"config file key {key!r} must be "
+                                      "true or false")
+            flags.append(action.option_strings[0 if value else 1])
+        elif isinstance(value, str):
+            flags.append(f"{action.option_strings[0]}={value}")
+        else:
+            raise ValidationError(f"config file key {key!r} must be a "
+                                  "number or a string")
+    return flags
+
+
+def _resolve(parser: argparse.ArgumentParser,
+             argv: list[str]) -> argparse.Namespace:
+    """The running command's settings: flags over config file over
+    defaults.  The file's keys enter as flags in front of the typed ones,
+    so the later, typed flag wins."""
+    cfg = parser.parse_args(argv)
+    if cfg.config:
+        cut = argv.index(cfg.command) + 1
+        cfg = parser.parse_args(
+            argv[:cut] + _file_flags(cfg.config, parser, cfg.command)
+            + argv[cut:])
+    missing = [f"--{name}" for name in REQUIRED[cfg.command]
+               if not getattr(cfg, name)]
+    if missing:
+        raise ValidationError(f"{cfg.command} requires {', '.join(missing)}")
+    return cfg
 
 
 # ---------------------------------------------------------------------------
@@ -346,18 +316,18 @@ def _utcnow() -> str:
     return datetime.now(timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
-def _config_hash(cfg: RunConfig) -> str:
-    """SHA-256 over the resolved settings that can influence artifact
-    content; verbosity, the unread --jobs, and the config file path (whose
-    contents are already resolved in) are excluded, so equal hashes mean
-    equal expected bodies."""
-    payload = {k: v for k, v in asdict(cfg).items()
+def _config_hash(cfg: argparse.Namespace) -> str:
+    """SHA-256 over the running command's resolved settings, which can
+    influence artifact content; verbosity, the unread --jobs, and the config
+    file path (whose contents are already resolved in) are excluded, so
+    equal hashes mean equal expected bodies."""
+    payload = {k: v for k, v in vars(cfg).items()
                if k not in ("quiet", "jobs", "config")}
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _meta_lines(cfg: RunConfig, eig_summary: str) -> list[str]:
+def _meta_lines(cfg: argparse.Namespace, eig_summary: str) -> list[str]:
     """Header lines for text artifacts; the timestamp gets its own line so
     byte-identity of reruns holds for everything else."""
     return [f"{TOOL} {__version__}",
@@ -374,7 +344,7 @@ def _csv_text(meta: list[str], columns: list[str],
     return "\n".join(lines) + "\n"
 
 
-def _say(cfg: RunConfig, message: str) -> None:
+def _say(cfg: argparse.Namespace, message: str) -> None:
     if not cfg.quiet:
         print(message)
 
@@ -403,12 +373,12 @@ def _jsonable(value):
 # shared pipeline pieces
 
 
-def _load_system(cfg: RunConfig):
+def _load_system(cfg: argparse.Namespace):
     sys_ = read_system(cfg.system)
     return sys_, to_first_order(sys_)
 
 
-def _modal(cfg: RunConfig, sys_, fos):
+def _modal(cfg: argparse.Namespace, sys_, fos):
     norm = cfg.normalization or sys_.normalization or "first-position"
     return modal_decompose(fos, master=cfg.mode, normalization=norm)
 
@@ -417,7 +387,7 @@ def _modal(cfg: RunConfig, sys_, fos):
 # commands
 
 
-def _cmd_analyze(cfg: RunConfig) -> None:
+def _cmd_analyze(cfg: argparse.Namespace) -> None:
     sys_, fos = _load_system(cfg)
     mm = _modal(cfg, sys_, fos)
     ssm = compute_autonomous_ssm(mm, cfg.order)
@@ -451,7 +421,7 @@ def _cmd_analyze(cfg: RunConfig) -> None:
     rng = np.random.default_rng(cfg.seed)
     angles = rng.uniform(0.0, 2 * np.pi, CHECK_SAMPLES)
     samples = CHECK_RADIUS * np.exp(1j * angles)
-    res0 = invariance_residual(ssm, mm, samples)
+    res0 = invariance_residual(ssm, samples)
     lines.append(f"unforced invariance defect: max relative "
                  f"{res0['max_relative']:.3e} over {CHECK_SAMPLES} samples "
                  f"at radius {CHECK_RADIUS:g} (seed {cfg.seed})")
@@ -467,7 +437,7 @@ def _cmd_analyze(cfg: RunConfig) -> None:
         _say(cfg, f"wrote {cfg.dump_ssm}")
 
 
-def _dump_text(cfg: RunConfig, ssm, mm, eig_summary: str) -> str:
+def _dump_text(cfg: argparse.Namespace, ssm, mm, eig_summary: str) -> str:
     """All embedding and drift coefficients, multi-indices in graded-lex
     order (ascending total degree, then descending first exponent)."""
     out = [f"# {ln}" for ln in _meta_lines(cfg, eig_summary)]
@@ -489,14 +459,13 @@ def _dump_text(cfg: RunConfig, ssm, mm, eig_summary: str) -> str:
     return "\n".join(out) + "\n"
 
 
-def _cmd_frc(cfg: RunConfig) -> None:
+def _cmd_frc(cfg: argparse.Namespace) -> None:
     sys_, fos = _load_system(cfg)
     mm = _modal(cfg, sys_, fos)
     coord = _resolve_coord(cfg.coord, sys_)
-    window = _parse_window(cfg.omega_window) if cfg.omega_window else None
     ssm = compute_autonomous_ssm(mm, cfg.order)
     curve = trace_frc(ssm, mm, cfg.eps, cfg.rho_max, cfg.n_rho,
-                      omega_window=window)
+                      omega_window=cfg.omega_window)
     amps = physical_amplitudes(ssm, curve, coord).tolist()
 
     meta = _meta_lines(cfg,
@@ -530,12 +499,12 @@ def _skip_summary(skipped) -> str:
     return f"skipped points: {len(skipped)}" + (f" ({detail})" if detail else "")
 
 
-def _cmd_isola(cfg: RunConfig) -> None:
+def _cmd_isola(cfg: argparse.Namespace) -> None:
     sys_, fos = _load_system(cfg)
     mm = _modal(cfg, sys_, fos)
-    orders = _parse_orders(cfg.orders)
-    rt, report = isola_report(mm, orders, cfg.eps, check=cfg.check,
-                              cauchy_tol=cfg.tol_cauchy,
+    lo, hi = cfg.orders
+    rt, report = isola_report(mm, range(lo, hi + 1), cfg.eps,
+                              check=cfg.check, cauchy_tol=cfg.tol_cauchy,
                               radius_fraction=cfg.tol_radius_frac)
 
     doc = {
@@ -578,9 +547,9 @@ def _cmd_isola(cfg: RunConfig) -> None:
          + (f" and {cfg.roots_svg}" if cfg.roots_svg else ""))
 
 
-def _cmd_verify(cfg: RunConfig) -> None:
+def _cmd_verify(cfg: argparse.Namespace) -> None:
     sys_, fos = _load_system(cfg)
-    grid = _parse_omega(cfg.omega)
+    grid = np.linspace(*cfg.omega)
     if cfg.sweep == "down":
         grid = grid[::-1]
     monitor = _resolve_monitor(cfg.monitor, sys_)
@@ -612,7 +581,7 @@ def _cmd_verify(cfg: RunConfig) -> None:
          f"accepted, {int(result.steps_rejected.sum())} rejected")
 
 
-def _cmd_beam(cfg: RunConfig) -> None:
+def _cmd_beam(cfg: argparse.Namespace) -> None:
     spec = read_beam_params(cfg.params)
     if cfg.elements is not None:
         spec = replace(spec, elements=cfg.elements)
@@ -634,17 +603,13 @@ _DISPATCH = {
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:  # argparse usage errors already exit with 2
-        code = exc.code
-        return code if isinstance(code, int) else EXIT_USAGE
-    try:
-        cfg = _resolve_config(args)
-        cfg.validate()
+        cfg = _resolve(_build_parser(), argv)
         _DISPATCH[cfg.command](cfg)
         return EXIT_OK
+    except SystemExit as exc:  # argparse usage errors already exit with 2
+        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     except ValidationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

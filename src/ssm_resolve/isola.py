@@ -206,28 +206,29 @@ class LeadingIsola:
     disconnected_at_eps: bool | None
 
 
-def leading_isola(mm: ModalModel, ssm: AutonomousSsm, c00: complex,
-                  eps: float) -> LeadingIsola:
+def leading_isola(ssm: AutonomousSsm, eps: float) -> LeadingIsola:
     """Existence, rest radius, and merger forcing of the cubic-order isola.
 
     An isola requires the cubic drift coefficient to oppose the linear decay
     (positive real part); then rho1 = sqrt(|Re lambda_1| / Re gamma_1) and
     the isola merges with the main branch at
-    eps_m = sqrt(4 |Re lambda_1|**3 / (27 Re gamma_1)) / |c00|.
+    eps_m = sqrt(4 |Re lambda_1|**3 / (27 Re gamma_1)) / |c00|, with c00
+    the leading forcing coefficient of the manifold's modal model.
     """
+    mm = ssm.mm
     re_lam = abs(mm.lambda_master.real)
     re_g1 = float(np.real(ssm.gamma[0])) if len(ssm.gamma) else 0.0
     if re_g1 <= 0:
         return LeadingIsola(exists=False, rho1=None, eps_m=None,
                             disconnected_at_eps=None)
     rho1 = math.sqrt(re_lam / re_g1)
-    eps_m = math.sqrt(4 * re_lam ** 3 / (27 * re_g1)) / abs(c00)
+    eps_m = (math.sqrt(4 * re_lam ** 3 / (27 * re_g1))
+             / abs(leading_forcing_coefficient(mm)))
     return LeadingIsola(exists=True, rho1=rho1, eps_m=eps_m,
                         disconnected_at_eps=bool(eps < eps_m))
 
 
-def fold_points(mm: ModalModel, ssm: AutonomousSsm, c00: complex,
-                eps: float) -> np.ndarray:
+def fold_points(ssm: AutonomousSsm, eps: float) -> np.ndarray:
     """Fold amplitudes of the cubic truncation at forcing eps.
 
     Real non-negative roots of Re lambda_1 rho + Re gamma_1 rho**3 =
@@ -237,8 +238,8 @@ def fold_points(mm: ModalModel, ssm: AutonomousSsm, c00: complex,
     """
     if eps < 0:
         raise ValidationError("eps must be >= 0")
-    c_norm = abs(c00)
-    a1 = mm.lambda_master.real
+    c_norm = abs(leading_forcing_coefficient(ssm.mm))
+    a1 = ssm.mm.lambda_master.real
     a3 = float(np.real(ssm.gamma[0])) if len(ssm.gamma) else 0.0
     found: list[float] = []
     for rhs in (eps * c_norm, -eps * c_norm):
@@ -279,8 +280,7 @@ def isola_report(mm: ModalModel, orders, eps: float, *,
     rt = roots_of_a(ssm, orders)
     labels = classify_roots(rt, cauchy_tol, radius_fraction)
     roots = nonspurious_positive_roots(rt, labels)
-    c00 = leading_forcing_coefficient(mm)
-    leading = leading_isola(mm, ssm, c00, eps)
-    folds = fold_points(mm, ssm, c00, eps)
+    leading = leading_isola(ssm, eps)
+    folds = fold_points(ssm, eps)
     return rt, IsolaReport(labels=labels, nonspurious_roots=roots,
                            leading=leading, fold_rho=folds)

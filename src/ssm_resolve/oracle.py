@@ -405,7 +405,7 @@ def sweep(fos: FirstOrderSystem, eps: float, omega_grid, monitor,
     omega_grid : array_like
         Strictly monotone; increasing sweeps up, decreasing sweeps down.
     monitor : sequence of int
-        State indices whose per-period max is measured.
+        Distinct state indices whose per-period max is measured.
     warm_start : bool
         Start each frequency from the previous steady state (sequential by
         definition); False starts every point from rest.
@@ -436,6 +436,9 @@ def sweep(fos: FirstOrderSystem, eps: float, omega_grid, monitor,
     dim = fos.A.shape[0]
     if not monitor or any(not 0 <= c < dim for c in monitor):
         raise ValidationError(f"monitor indices must lie in [0, {dim})")
+    if len(set(monitor)) < len(monitor):
+        raise ValidationError(f"monitor indices must be distinct, got "
+                              f"{list(monitor)}")
     if min_measure_periods < SETTLE_RUN + 1:
         raise ValidationError(
             f"need at least {SETTLE_RUN + 1} measured periods to detect "

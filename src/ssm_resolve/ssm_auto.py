@@ -211,7 +211,7 @@ def compute_autonomous_ssm(mm: ModalModel, order: int, *,
                          min_enslaved_den=float(min_den))
 
 
-def invariance_residual(ssm: AutonomousSsm, mm: ModalModel, samples) -> dict:
+def invariance_residual(ssm: AutonomousSsm, samples) -> dict:
     """Evaluate the unforced invariance defect at sample points.
 
     ``samples`` is an array of complex master coordinates s1; the conjugate
@@ -223,6 +223,7 @@ def invariance_residual(ssm: AutonomousSsm, mm: ModalModel, samples) -> dict:
     """
     s1 = np.atleast_1d(np.asarray(samples, dtype=complex))
     s2 = np.conj(s1)
+    mm = ssm.mm
     n2 = len(mm.eigenvalues)
 
     W = ssm.w0_dense

@@ -58,8 +58,7 @@ def merger_data(sp_mm, sp_ssm3):
     """Closed-form merger forcing plus traced curves just below and just
     above it, with the wall time of the whole computation."""
     t0 = time.perf_counter()
-    c00 = leading_forcing_coefficient(sp_mm)
-    iso = leading_isola(sp_mm, sp_ssm3, c00, eps=0.0027)
+    iso = leading_isola(sp_ssm3, eps=0.0027)
     below = trace_frc(sp_ssm3, sp_mm, 0.0027, rho_max=0.13, n_rho=260)
     above = trace_frc(sp_ssm3, sp_mm, 0.0029, rho_max=0.13, n_rho=260)
     seconds = time.perf_counter() - t0
@@ -159,7 +158,7 @@ def test_beam_reduced_coefficients_and_isola_reference(beam25):
     c10 = leading_forcing_coefficient(mm)
     assert c10.real == pytest.approx(0.54645, rel=0.01)
     assert c10.imag == pytest.approx(0.00048, rel=0.01)
-    iso = leading_isola(mm, ssm, c10, eps=0.002)
+    iso = leading_isola(ssm, eps=0.002)
     assert iso.exists
     assert iso.rho1 == pytest.approx(0.413, rel=0.01)
     assert iso.eps_m == pytest.approx(0.0018, rel=0.05)
@@ -209,9 +208,9 @@ def test_invariance_residuals_scale_with_order(sp_mm):
         ssm = compute_autonomous_ssm(sp_mm, order)
         rng = np.random.default_rng(20 + order)
         pts = 1e-3 * np.exp(2j * np.pi * rng.uniform(size=12))
-        res0 = invariance_residual(ssm, sp_mm, pts)
+        res0 = invariance_residual(ssm, pts)
         assert res0["max_relative"] <= 1e-9
-        slope0 = residual_slope(lambda s: invariance_residual(ssm, sp_mm, s))
+        slope0 = residual_slope(lambda s: invariance_residual(ssm, s))
         assert slope0 >= order - 0.2
         fr = compute_nonautonomous_ssm(ssm, sp_mm.lambda_master.imag)
         res1 = forced_residual(ssm, fr, pts)

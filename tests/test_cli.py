@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from ssm_resolve.beam import BeamSpec, build_beam, write_beam_params
-from ssm_resolve.cli import _build_parser, main
+from ssm_resolve.cli import (REQUIRED, _build_parser, _commands,
+                             _config_hash, _options, _resolve, main)
 from ssm_resolve.frc import trace_frc
 from ssm_resolve.model import (MechanicalSystem, to_first_order,
                                modal_decompose)
@@ -330,6 +331,139 @@ def test_config_file_defaults_yield_to_flags(tmp_path, capsys):
     assert "unknown config file keys" in capsys.readouterr().err
 
 
+def _sample(action) -> str | bool:
+    """A value for an option that differs from its default: the other state
+    of an on/off option, another choice, or the first candidate text that
+    the option's type accepts."""
+    if isinstance(action, argparse.BooleanOptionalAction):
+        return not action.default
+    candidates = action.choices or ["5", "0.5", "1.5:2.5", "1.5:2.5:3",
+                                    "2..4"]
+    for text in candidates:
+        try:
+            value = action.type(text) if action.type else text
+        except (argparse.ArgumentTypeError, ValueError):
+            continue
+        if value != action.default:
+            return text
+    raise AssertionError(f"no sample value for {action.option_strings}")
+
+
+def _as_flags(action, value) -> list[str]:
+    if isinstance(value, bool):
+        return [action.option_strings[0 if value else 1]]
+    return [action.option_strings[0], value]
+
+
+def _as_json(name: str, value) -> str:
+    """A config file setting ``name``; a numeric text stays a JSON number
+    with the same digits."""
+    try:
+        number = json.loads(value) if isinstance(value, str) else None
+    except json.JSONDecodeError:
+        number = None
+    literal = value if isinstance(number, (int, float)) else json.dumps(value)
+    return f'{{"{name}": {literal}}}'
+
+
+def test_flag_and_config_file_are_one_route(tmp_path, capsys):
+    parser = _build_parser()
+    cfgfile = tmp_path / "cfg.json"
+
+    def resolve(argv, text="{}"):
+        cfgfile.write_text(text)
+        return _resolve(parser, argv + ["--config", str(cfgfile)])
+
+    checked = 0
+    for command, sub in _commands(parser).items():
+        options = _options(sub)
+        for name, action in options.items():
+            if name == "config":  # the file route itself
+                continue
+            value = _sample(action)
+            base = [command]
+            for need in REQUIRED[command]:
+                if need != name:
+                    base += _as_flags(options[need], _sample(options[need]))
+            by_flag = resolve(base + _as_flags(action, value))
+            by_file = resolve(base, _as_json(name, value))
+            assert vars(by_flag) == vars(by_file), (command, name)
+            assert _config_hash(by_flag) == _config_hash(by_file)
+            default = parser.parse_args(base)
+            assert getattr(by_file, name) != getattr(default, name)
+            checked += 1
+    assert checked > 50
+
+    frc = ["frc", "--system", "s.txt", "--out", "c.csv", "--eps", "0.002"]
+    # a key that only another command reads changes nothing for frc
+    assert (_config_hash(resolve(frc, '{"tol_rel": 0, "orders": "1..3"}'))
+            == _config_hash(resolve(frc)))
+    # a typed flag beats the file
+    assert resolve(frc, '{"eps": 0.001, "n_rho": 7}').eps == 0.002
+    assert resolve(frc, '{"eps": 0.001, "n_rho": 7}').n_rho == 7
+    # a key that no command reads is refused
+    cfgfile.write_text('{"ordre": 5}')
+    assert main(frc + ["--config", str(cfgfile)]) == 2
+    assert "unknown config file keys: ordre" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, config, word", [
+    (["frc", "--eps", "nan"], None, "--eps"),
+    (["frc", "--eps", "0.0027", "--rho-max", "nan"], None, "--rho-max"),
+    (["frc", "--eps", "0.0027", "--rho-max", "inf"], None, "--rho-max"),
+    (["isola", "--eps", "nan", "--orders", "1..4"], None, "--eps"),
+    (["verify", "--eps", "nan"], None, "--eps"),
+    (["verify", "--eps", "0.001", "--tol-settle", "nan"], None,
+     "--tol-settle"),
+    (["analyze"], {"order": 5.0}, "--order"),
+    (["analyze"], {"order": "x"}, "--order"),
+    (["verify", "--eps", "0.001"], {"cold": "no"}, "'cold'"),
+    (["frc", "--eps", "0.0027"], {"rho_max": None}, "'rho_max'"),
+    (["frc", "--eps", "0.0027"], {"svg": ["a.svg"]}, "'svg'"),
+], ids=["frc-eps-nan", "frc-rho-max-nan", "frc-rho-max-inf",
+        "isola-eps-nan", "verify-eps-nan", "verify-tol-settle-nan",
+        "config-order-float", "config-order-text", "config-cold-text",
+        "config-null", "config-list"])
+def test_non_finite_and_mistyped_inputs_are_refused(tmp_path, capsys, argv,
+                                                    config, word):
+    out = tmp_path / ("o.json" if argv[0] == "isola" else "o.csv")
+    out_flag = "--dump-ssm" if argv[0] == "analyze" else "--out"
+    argv = argv + ["--system", sp_file(tmp_path), out_flag, str(out)]
+    if argv[0] == "frc":
+        argv += ["--n-rho", "10"]
+    if argv[0] == "verify":
+        argv += ["--omega", "1.7:1.7:1", "--transient-time", "10",
+                 "--min-periods", "4", "--max-periods", "5"]
+    if config is not None:
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(config))
+        argv += ["--config", str(cfgfile)]
+    assert main(argv) == 2
+    assert word in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_keys_of_other_commands_are_not_checked(tmp_path, capsys):
+    # verify's tolerance is refused there, yet frc never reads it
+    sysfile = sp_file(tmp_path)
+    out = tmp_path / "c.csv"
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"tol_rel": 0}))
+    assert main(["frc", "--system", sysfile, "--eps", "0.0027", "--rho-max",
+                 "0.05", "--n-rho", "10", "--out", str(out), "--quiet",
+                 "--config", str(cfgfile)]) == 0
+    assert out.exists()
+
+
+def test_verify_refuses_repeated_monitor_coordinates(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["verify", "--system", sp_file(tmp_path), "--eps", "0.001",
+                 "--omega", "1.7:1.7:1", "--monitor", "drive,0",
+                 "--out", str(out)]) == 2
+    assert "monitor indices must be distinct" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------------------
 # failure modes
 
@@ -420,10 +554,11 @@ def test_tolerance_flags_are_refused_where_nothing_reads_them(tmp_path,
     assert main(["verify", "--system", sysfile, "--eps", "0.001",
                  "--omega", "1.7:1.7:1", "--tol-rel", "0",
                  "--out", str(tmp_path / "v.csv")]) == 2
-    assert "--tol-rel must be > 0" in capsys.readouterr().err
+    assert "argument --tol-rel: must be > 0" in capsys.readouterr().err
     assert main(["isola", "--system", sysfile, "--eps", "0.001",
                  "--tol-radius-frac", "1.5",
                  "--out", str(tmp_path / "i.json")]) == 2
-    assert "--tol-radius-frac must be in (0, 1]" in capsys.readouterr().err
+    assert ("argument --tol-radius-frac: must be in (0, 1]"
+            in capsys.readouterr().err)
     assert not (tmp_path / "v.csv").exists()
     assert not (tmp_path / "i.json").exists()

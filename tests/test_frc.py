@@ -17,8 +17,7 @@ from ssm_resolve.model import (MechanicalSystem, PolyTerm, modal_decompose,
                                to_first_order)
 from ssm_resolve.polyalg import dense_eval
 from ssm_resolve.ssm_auto import compute_autonomous_ssm
-from ssm_resolve.ssm_forced import (compute_nonautonomous_ssm,
-                                    leading_forcing_coefficient)
+from ssm_resolve.ssm_forced import compute_nonautonomous_ssm
 from ssm_resolve.reduced import (ReducedDynamics, FixedPointU, assemble_polar,
                                  phase_residual, zero_problem)
 from ssm_resolve.frc import (BRANCHES, psi_from_k, trace_frc,
@@ -512,8 +511,7 @@ def _in_length_unit(L: float, order: int):
     mm = modal_decompose(to_first_order(scaled))
     ssm = compute_autonomous_ssm(mm, order)
     curve = trace_frc(ssm, mm, 0.0027, 0.13 / L, 260)
-    iso = leading_isola(mm, compute_autonomous_ssm(mm, 3),
-                        leading_forcing_coefficient(mm), 0.0027)
+    iso = leading_isola(compute_autonomous_ssm(mm, 3), 0.0027)
     return curve, physical_amplitudes(ssm, curve, 0), iso
 
 

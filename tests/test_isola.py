@@ -44,16 +44,13 @@ def _nonspurious(rt):
 
 @pytest.fixture(scope="module")
 def sp_cubic(sp_modal):
-    """The closed forms' inputs: modal model, order-3 manifold, c00."""
-    return (sp_modal, compute_autonomous_ssm(sp_modal, 3),
-            leading_forcing_coefficient(sp_modal))
+    """The closed forms' input: the order-3 manifold."""
+    return compute_autonomous_ssm(sp_modal, 3)
 
 
 @pytest.fixture(scope="module")
 def sp_isola(sp_modal):
-    ssm3 = compute_autonomous_ssm(sp_modal, 3)
-    c00 = leading_forcing_coefficient(sp_modal)
-    return leading_isola(sp_modal, ssm3, c00, 0.0027)
+    return leading_isola(compute_autonomous_ssm(sp_modal, 3), 0.0027)
 
 
 @pytest.fixture(scope="module")
@@ -194,16 +191,14 @@ class TestLeadingIsola:
 
     def test_disconnected_flag_flips_at_merger(self, sp_modal):
         ssm3 = compute_autonomous_ssm(sp_modal, 3)
-        c00 = leading_forcing_coefficient(sp_modal)
-        below = leading_isola(sp_modal, ssm3, c00, 0.0027)
-        above = leading_isola(sp_modal, ssm3, c00, 0.0029)
+        below = leading_isola(ssm3, 0.0027)
+        above = leading_isola(ssm3, 0.0029)
         assert below.disconnected_at_eps is True
         assert above.disconnected_at_eps is False
 
     def test_hardening_spring_has_no_isola(self):
         mm = modal_decompose(to_first_order(two_mass_system(alpha=0.6)))
-        ssm3 = compute_autonomous_ssm(mm, 3)
-        lib = leading_isola(mm, ssm3, leading_forcing_coefficient(mm), 0.0027)
+        lib = leading_isola(compute_autonomous_ssm(mm, 3), 0.0027)
         assert lib.exists is False
         assert lib.rho1 is None
         assert lib.eps_m is None
@@ -213,33 +208,31 @@ class TestLeadingIsola:
         libs = []
         for P in (3.0, 6.0):
             mm = modal_decompose(to_first_order(two_mass_system(P=P)))
-            ssm3 = compute_autonomous_ssm(mm, 3)
-            libs.append(leading_isola(mm, ssm3,
-                                      leading_forcing_coefficient(mm), 0.001))
+            libs.append(leading_isola(compute_autonomous_ssm(mm, 3), 0.001))
         assert libs[0].rho1 == pytest.approx(libs[1].rho1, rel=1e-14)
         assert libs[0].eps_m / libs[1].eps_m == pytest.approx(2.0, rel=1e-12)
 
 
 class TestFoldPoints:
     def test_zero_amplitude_folds(self, sp_cubic, sp_isola):
-        folds = fold_points(*sp_cubic, 0.0)
+        folds = fold_points(sp_cubic, 0.0)
         assert len(folds) == 2
         assert folds[0] == pytest.approx(0.0, abs=1e-15)
         assert folds[1] == pytest.approx(sp_isola.rho1, rel=1e-12)
 
     def test_three_folds_below_merger(self, sp_cubic):
-        folds = fold_points(*sp_cubic, 0.0027)
+        folds = fold_points(sp_cubic, 0.0027)
         assert list(folds) == sorted(folds)
         assert folds == pytest.approx([0.05070572, 0.07047411, 0.12117983],
                                       rel=1e-6)
 
     def test_single_fold_above_merger(self, sp_cubic):
-        folds = fold_points(*sp_cubic, 0.0029)
+        folds = fold_points(sp_cubic, 0.0029)
         assert len(folds) == 1
         assert folds[0] == pytest.approx(0.12214326, rel=1e-6)
 
     def test_double_fold_at_merger_amplitude(self, sp_cubic, sp_isola):
-        folds = fold_points(*sp_cubic, sp_isola.eps_m)
+        folds = fold_points(sp_cubic, sp_isola.eps_m)
         rho_tilde = sp_isola.rho1 / np.sqrt(3.0)
         # the tangency point sits at rho1/sqrt(3); the remaining fold of the
         # merged curve lands at exactly twice that radius
@@ -249,14 +242,12 @@ class TestFoldPoints:
 
     def test_rejects_negative_amplitude(self, sp_cubic):
         with pytest.raises(ValidationError):
-            fold_points(*sp_cubic, -0.001)
+            fold_points(sp_cubic, -0.001)
 
 
 class TestBeamIsola:
     def test_isola_radius_and_merger(self, beam_modal):
-        ssm3 = compute_autonomous_ssm(beam_modal, 3)
-        lib = leading_isola(beam_modal, ssm3,
-                            leading_forcing_coefficient(beam_modal), 0.0015)
+        lib = leading_isola(compute_autonomous_ssm(beam_modal, 3), 0.0015)
         assert lib.exists
         assert lib.rho1 == pytest.approx(0.413450, rel=1e-4)
         assert lib.eps_m == pytest.approx(0.00180218, rel=1e-4)
@@ -285,4 +276,4 @@ class TestIsolaReport:
         # bit for bit the order-3 manifold's
         assert rep.leading == sp_isola
         assert (rep.fold_rho.tobytes()
-                == fold_points(*sp_cubic, 0.0027).tobytes())
+                == fold_points(sp_cubic, 0.0027).tobytes())

@@ -10,7 +10,6 @@ from ssm_resolve.model import (MechanicalSystem, PolyTerm, to_first_order,
                                modal_decompose, spectral_quotient,
                                check_nonresonance)
 from ssm_resolve.ssm_auto import compute_autonomous_ssm
-from ssm_resolve.ssm_forced import leading_forcing_coefficient
 
 from conftest import (MIXED_TERMS, SP, two_mass_lambda, two_mass_system,
                       with_terms)
@@ -155,8 +154,7 @@ def test_merger_forcing_is_independent_of_normalization(system):
     eps_m = []
     for policy in ("first-position", "largest"):
         mm = modal_decompose(fos, normalization=policy)
-        iso = leading_isola(mm, compute_autonomous_ssm(mm, 3),
-                            leading_forcing_coefficient(mm), eps=0.002)
+        iso = leading_isola(compute_autonomous_ssm(mm, 3), eps=0.002)
         eps_m.append(iso.eps_m)
     assert eps_m[0] == pytest.approx(eps_m[1], rel=1e-9)
 

@@ -335,6 +335,12 @@ class TestSweep:
         with pytest.raises(ValidationError):
             sweep(fos, 0.01, [1.7], monitor=[])
 
+    def test_rejects_repeated_monitor_indices(self):
+        # a repeated index would give two CSV columns of one name
+        fos = to_first_order(two_mass_system())
+        with pytest.raises(ValidationError, match="distinct"):
+            sweep(fos, 0.01, [1.7], monitor=[0, 0])
+
     def test_rejects_impossible_measure_settings(self):
         # a measuring ceiling below its floor, or a burn-off of no length,
         # used to run anyway and come back unconverged or unsettled

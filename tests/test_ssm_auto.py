@@ -96,10 +96,10 @@ def test_invariance_residual_small_and_order_scaling(sp_modal):
         ssm = compute_autonomous_ssm(sp_modal, order)
         rng = np.random.default_rng(order)
         pts = 1e-3 * np.exp(2j * np.pi * rng.uniform(size=10))
-        res = invariance_residual(ssm, sp_modal, pts)
+        res = invariance_residual(ssm, pts)
         assert res["max_relative"] < 1e-9
         slope = residual_slope(
-            lambda s: invariance_residual(ssm, sp_modal, s))
+            lambda s: invariance_residual(ssm, s))
         assert slope >= order - 0.2
 
 
@@ -113,7 +113,7 @@ def test_linear_system_gives_trivial_manifold():
     W[0, 1, 0] -= 1.0
     W[1, 0, 1] -= 1.0
     assert np.abs(W).max() == 0.0
-    res = invariance_residual(ssm, mm, [0.1 + 0.05j])
+    res = invariance_residual(ssm, [0.1 + 0.05j])
     assert res["max_absolute"] < 1e-14
 
 
