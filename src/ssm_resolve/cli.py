@@ -44,11 +44,20 @@ from .sysio import format_system, read_system, write_artifacts
 TOOL = "ssm-resolve"
 
 EXIT_OK = 0
-EXIT_UNEXPECTED = 1
 EXIT_USAGE = 2
-EXIT_NONRESONANCE = 3
-EXIT_EXISTENCE = 4
-EXIT_INTEGRATION = 5
+#: exit code of each error ``main`` reports, the first match in this order:
+#: 2 bad input, 3 a decay-rate resonance, 4 failed existence premises of
+#: the manifold, 5 failed brute-force integration, 1 any other package error
+EXIT_CODES = {
+    ValidationError: EXIT_USAGE,
+    NonResonanceError: 3,
+    SemisimplicityError: 4,
+    InternalResonanceError: 4,
+    SingularChartError: 4,
+    IntegrationError: 5,
+    SsmResolveError: 1,
+    OSError: EXIT_USAGE,
+}
 
 #: sample radius and count for the analyze command's invariance spot check
 CHECK_RADIUS = 1e-3
@@ -610,25 +619,10 @@ def main(argv=None) -> int:
         return EXIT_OK
     except SystemExit as exc:  # argparse usage errors already exit with 2
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except ValidationError as exc:
+    except (SsmResolveError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except NonResonanceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NONRESONANCE
-    except (SemisimplicityError, InternalResonanceError,
-            SingularChartError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EXISTENCE
-    except IntegrationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INTEGRATION
-    except SsmResolveError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_UNEXPECTED
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kind, code in EXIT_CODES.items()
+                    if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

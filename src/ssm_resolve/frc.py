@@ -24,6 +24,14 @@ points keep the forced rows they were solved with, taken from each round's
 stack as one stacked ``ForcedReduction`` (``FrcCurve.forced``), so their
 physical amplitudes need no further forced solve.
 
+Folds are the amplitudes where the discriminant vanishes along the
+double-root Omega (K = -eps*f2/(a - eps*f1), which stays defined past the
+fold).  Each pair of grid rows whose sampled discriminant changes sign
+brackets one fold, solved by Brent's method (``_brent``, a port of SciPy's
+``brentq`` written as a generator).  All brackets advance in lockstep: each
+round, every pending amplitude runs its own double-root secant, and those
+secants share the batched marches of one lockstep solve.
+
 The physical amplitude is the peak of one coordinate over a forcing period.
 On the manifold s1**p s2**q = rho**(p+q) e^{i(p-q)(psi+phi)}, and the two
 forced harmonics shift p - q by +-1, so the coordinate is the trigonometric
@@ -40,7 +48,6 @@ from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import ValidationError
 from .ssm_auto import AutonomousSsm
@@ -57,6 +64,9 @@ POINT_TOL = 1e-10
 #: cap on the forced data one round of the lockstep trace marches at once,
 #: in bytes: the requests past it wait for the next round
 ROUND_BYTES = 2 << 20
+#: Brent's absolute and relative tolerance on a fold amplitude, and its
+#: iteration cap
+BRENT_XTOL, BRENT_RTOL, BRENT_ITER = 1e-15, 8.9e-16, 100
 
 BRANCHES = ("K+", "K-")
 
@@ -122,8 +132,7 @@ def _backbone_omega(ssm: AutonomousSsm, rho: float) -> float:
 
 
 def _columns(rd: ReducedDynamics, idx) -> ReducedDynamics:
-    """The frequencies ``idx`` of stacked polar data (one integer gives the
-    plain one-frequency form)."""
+    """The frequencies ``idx`` (an index array) of stacked polar data."""
     return replace(rd, omega=rd.omega[idx], f1=rd.f1[:, idx],
                    f2=rd.f2[:, idx], g1=rd.g1[:, idx], g2=rd.g2[:, idx])
 
@@ -136,15 +145,17 @@ def _secant(om: float, got=None):
     does not exist there, the discriminant, and where ``_rounds`` keeps that
     Omega's data.  ``got`` is that triple at ``om`` when already known;
     otherwise the first difference probe rides along with ``om`` itself.
-    Returns ``(omega, got)`` at convergence, None on divergence.
+    Returns ``(omega, got)`` at convergence and ``(None, got at om)`` on
+    divergence.
     """
     h = 1e-7 * max(1.0, abs(om))
     probe = None
     if got is None:
         got, probe = yield om, om + h
+    start = got
     g = got[0]
     if g is None:
-        return None
+        return None, start
     for _ in range(50):  # then the solve counts as diverged
         if abs(g) <= G_TOL:
             return om, got
@@ -152,7 +163,7 @@ def _secant(om: float, got=None):
             probe, = yield om + h,
         g2, probe = probe[0], None
         if g2 is None or g2 == g:
-            return None
+            return None, start
         slope = (g2 - g) / h
         step = -g / slope
         # safeguard: halve the step until the residual actually shrinks
@@ -162,10 +173,10 @@ def _secant(om: float, got=None):
                 break
             step /= 2
         else:
-            return None
+            return None, start
         om, got = om + step, trial
         g = got[0]
-    return (om, got) if abs(g) <= G_TOL else None
+    return (om, got) if abs(g) <= G_TOL else (None, start)
 
 
 def _trace_pair(backbone: float, rho: float, sign: int):
@@ -180,7 +191,7 @@ def _trace_pair(backbone: float, rho: float, sign: int):
     if seed == backbone:
         return (yield from _secant(seed, got)), disc0
     sol = yield from _secant(seed)
-    if sol is None:
+    if sol[0] is None:
         # try the plain backbone seed before giving up
         sol = yield from _secant(backbone)
     return sol, disc0
@@ -294,14 +305,14 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
     for batch, member, rd, psi, finished in _rounds(ssm, eps, pairs, rho,
                                                     branch):
         done = []
-        for p, (sol, disc0) in finished:
-            if sol is None:
+        for p, ((om, got), disc0) in finished:
+            if om is None:
                 disc[p] = disc0
                 if disc0 >= 0:
                     outcome[p] = "omega iteration diverged"
             else:
-                om, (_, disc[p], at) = sol
-                done.append((p, om, at))
+                disc[p] = got[1]
+                done.append((p, om, got[2]))
         if not done:
             continue
         ps, om, at = (np.array(c) for c in zip(*done))
@@ -367,26 +378,87 @@ def _in_pair_order(ssm: AutonomousSsm,
     return ForcedReduction(order=ssm.order, **stack)
 
 
-def _fold_point(ssm: AutonomousSsm, eps: float, rho: float):
-    """Double-root Omega at amplitude rho and the polar data there.
+def _brent(xa: float, xb: float):
+    """Brent's zero finder on the bracket [xa, xb], as a generator: it
+    yields an abscissa, is sent f there, and returns the root.
 
-    The secant runs through the lockstep solver as a batch of one; when it
-    diverges, the Omega is None and the polar data are the backbone's, kept
-    from the first round, which marches the backbone first.
+    A line-for-line port of SciPy's C ``brentq`` (R. P. Brent, *Algorithms
+    for Minimization without Derivatives*, 1973, ch. 4) with xtol
+    ``BRENT_XTOL``, rtol ``BRENT_RTOL`` and at most ``BRENT_ITER``
+    iterations, in the same order of operations, so that it visits the same
+    abscissae and returns the same root bit for bit.  Raises ValueError when
+    f has the same sign at both ends and RuntimeError when the iterations
+    run out.
     """
-    backbone = _backbone_omega(ssm, rho)
-    first = None
-    for _, _, rd, _, finished in _rounds(
-            ssm, eps, [_secant(backbone)], np.array([rho]), np.zeros(1, int),
-            psi_double=True):
-        if first is None:
-            first = _columns(rd, 0)
-        if finished:
-            sol = finished[0][1]
-            if sol is None:
-                return None, first
-            om, (_, _, at) = sol
-            return om, _columns(rd, at)
+    xpre, xcur = xa, xb
+    xblk = fblk = spre = scur = 0.0
+    fpre = yield xpre
+    fcur = yield xcur
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(BRENT_ITER):
+        if (fpre != 0 and fcur != 0
+                and math.copysign(1.0, fpre) != math.copysign(1.0, fcur)):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (BRENT_XTOL + BRENT_RTOL * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:  # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:  # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                den = dblk * dpre * (fblk - fpre)
+                # C's x / 0 is inf or NaN, which fails the step test: bisect
+                stry = (-fcur * (fblk * dblk - fpre * dpre) / den if den
+                        else math.inf)
+            bound = 3 * abs(sbis) - delta  # C's MIN(a, b): a < b ? a : b
+            if 2 * abs(stry) < (abs(spre) if abs(spre) < bound else bound):
+                # good short step
+                spre, scur = scur, stry
+            else:  # bisect
+                spre = scur = sbis
+        else:  # bisect
+            spre = scur = sbis
+
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = yield xcur
+    raise RuntimeError(f"Failed to converge after {BRENT_ITER} iterations.")
+
+
+def _fold_point(ssm: AutonomousSsm, eps: float, rho: np.ndarray):
+    """Double-root Omega at each amplitude ``rho[i]`` and the discriminant
+    there, as a list (None where the secant diverged) and an array.
+
+    One secant per amplitude starts at its backbone Omega, and all of them
+    run through the lockstep solver together.  Where a secant diverges, the
+    discriminant is the one at its backbone Omega, kept from the round that
+    marched that backbone.
+    """
+    secants = [_secant(_backbone_omega(ssm, r)) for r in rho.tolist()]
+    omega, disc = [None] * len(secants), np.empty(len(secants))
+    for *_, finished in _rounds(ssm, eps, secants, rho,
+                                np.zeros(len(secants), int),
+                                psi_double=True):
+        for p, (om, got) in finished:
+            omega[p], disc[p] = om, got[1]
+    return omega, disc
 
 
 def _locate_folds(ssm: AutonomousSsm, eps: float, grid: np.ndarray,
@@ -395,21 +467,37 @@ def _locate_folds(ssm: AutonomousSsm, eps: float, grid: np.ndarray,
     discriminant ``disc[i]`` (the K+ pair's, at amplitude ``grid[i]``) is
     zero, and a Brent root of the discriminant along the double-root Omega
     between each pair of rows where it changes sign.  The bracket ends are
-    the rows rounded to 15 decimals."""
+    the rows rounded to 15 decimals.
 
-    def disc_at(rho: float) -> float:
-        return float(_k_roots(_fold_point(ssm, eps, rho)[1], rho, eps)[2])
-
+    Every bracket starts one ``_brent``, and the brents run in lockstep:
+    each round evaluates the discriminant at all their pending amplitudes
+    with one ``_fold_point`` call, whose double-root secants share the
+    batched forced marches of ``_rounds``.
+    """
     samples = [(round(r, 15), d) for r, d in zip(grid.tolist(), disc.tolist())]
-    folds: list[float] = []
+    folds: list[float | None] = []
+    brents = {}
     for (r0, d0), (r1, d1) in zip(samples[:-1], samples[1:]):
         if d0 == 0.0:
             folds.append(r0)
         if d0 * d1 < 0:
-            folds.append(float(brentq(disc_at, r0, r1, xtol=1e-15,
-                                      rtol=8.9e-16)))
+            brents[len(folds)] = _brent(r0, r1)
+            folds.append(None)
     if samples and samples[-1][1] == 0.0:
         folds.append(samples[-1][0])
+
+    wanted = {i: next(brent) for i, brent in brents.items()}
+    while wanted:
+        _, disc_at = _fold_point(ssm, eps, np.array(list(wanted.values())))
+        for i, d in zip(list(wanted), disc_at.tolist()):
+            if math.isnan(d):
+                raise ValueError(f"the fold discriminant at rho={wanted[i]} "
+                                 "is NaN; Brent cannot continue")
+            try:
+                wanted[i] = brents[i].send(d)
+            except StopIteration as stop:
+                del wanted[i]
+                folds[i] = stop.value
     return folds
 
 

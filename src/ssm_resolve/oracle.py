@@ -441,8 +441,8 @@ def sweep(fos: FirstOrderSystem, eps: float, omega_grid, monitor,
                               f"{list(monitor)}")
     if min_measure_periods < SETTLE_RUN + 1:
         raise ValidationError(
-            f"need at least {SETTLE_RUN + 1} measured periods to detect "
-            "a settle")
+            f"min_measure_periods ({min_measure_periods}; verify "
+            f"--min-periods) must be >= {SETTLE_RUN + 1} to detect a settle")
     if max_measure_periods < min_measure_periods:
         raise ValidationError(
             f"max_measure_periods ({max_measure_periods}) must be >= "

@@ -2,11 +2,16 @@
 
 import argparse
 import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from ssm_resolve import cli, errors
 from ssm_resolve.beam import BeamSpec, build_beam, write_beam_params
 from ssm_resolve.cli import (REQUIRED, _build_parser, _commands,
                              _config_hash, _options, _resolve, main)
@@ -145,6 +150,29 @@ def test_frc_reports_detached_branch_as_second_component(tmp_path, capsys):
                                   rel=1e-3)
 
 
+def test_commands_run_without_scipy(tmp_path):
+    """A fresh interpreter imports the CLI, traces a curve with folds and
+    analyzes the system without loading SciPy: its import alone costs more
+    than half a second."""
+    sysfile, out = sp_file(tmp_path), tmp_path / "frc.csv"
+    frc = ["frc", "--system", sysfile, "--eps", "0.0027", "--rho-max", "0.13",
+           "--n-rho", "60", "--out", str(out), "--quiet"]
+    analyze = ["analyze", "--system", sysfile, "--quiet"]
+    probe = ("import sys\nfrom ssm_resolve import cli\n"
+             f"assert cli.main({frc!r}) == 0\n"
+             f"assert cli.main({analyze!r}) == 0\n"
+             "assert 'scipy' not in sys.modules, 'SciPy was imported'\n")
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    run = subprocess.run([sys.executable, "-c", probe], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert run.returncode == 0, run.stderr
+    fold_line = next(ln for ln in out.read_text().splitlines()
+                     if "fold rho:" in ln)
+    assert len(fold_line.split("fold rho:")[1].split()) == 3
+
+
 def test_isola_reports_reference_rest_radius_and_merger(tmp_path, capsys):
     params = tmp_path / "beam.params"
     write_beam_params(BeamSpec(elements=25, **BEAM), params)
@@ -249,6 +277,18 @@ def test_verify_rejects_impossible_sweep_settings(tmp_path, capsys):
         assert main(base + extra) == 2, extra
         assert word in capsys.readouterr().err
         assert not out.exists()
+
+
+def test_verify_names_the_measuring_floor_it_refuses(tmp_path, capsys):
+    """Too few measured periods to detect a settle: the message names the
+    library setting and the flag that sets it."""
+    out = tmp_path / "sweep.csv"
+    assert main(["verify", "--system", sp_file(tmp_path), "--eps", "0.0027",
+                 "--omega", "1.5:1.5:1", "--min-periods", "2",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "min_measure_periods" in err and "--min-periods" in err
+    assert not out.exists()
 
 
 def test_frc_reports_skipped_points_by_reason(tmp_path, capsys):
@@ -506,6 +546,23 @@ def test_usage_errors_exit_with_code_two(tmp_path, capsys):
         capsys.readouterr()
     assert main(["--version"]) == 0
     assert "ssm-resolve" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("error, code", [
+    (errors.ValidationError, 2), (errors.NonResonanceError, 3),
+    (errors.SemisimplicityError, 4), (errors.InternalResonanceError, 4),
+    (errors.SingularChartError, 4), (errors.IntegrationError, 5),
+    (errors.SsmResolveError, 1), (OSError, 2)])
+def test_each_error_exits_with_its_documented_code(tmp_path, capsys,
+                                                   monkeypatch, error, code):
+    """The exit codes of README.md's table, one error class at a time,
+    through the whole of ``main``."""
+    def fail(cfg):
+        raise error("probe")
+
+    monkeypatch.setitem(cli._DISPATCH, "analyze", fail)
+    assert main(["analyze", "--system", sp_file(tmp_path)]) == code
+    assert capsys.readouterr().err == "error: probe\n"
 
 
 def test_failed_run_leaves_no_partial_artifacts(tmp_path, capsys):

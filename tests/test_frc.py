@@ -6,7 +6,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize_scalar
+from hypothesis import assume, given, settings, strategies as st
+from scipy.optimize import brentq, minimize_scalar
 
 from conftest import BEAM, two_mass_system
 from ssm_resolve.beam import BeamSpec, build_beam, tip_index
@@ -182,11 +183,13 @@ class TestTwoMassTrace:
     def test_fold_discriminant_vanishes_to_relative_tolerance(
             self, sp_ssm3, sp_trace_isola):
         fc = sp_trace_isola
-        for rho_f in fc.folds:
-            om, rd = _fold_point(sp_ssm3, fc.eps, rho_f)
+        omega, disc = _fold_point(sp_ssm3, fc.eps, fc.folds)
+        for rho_f, om, d in zip(fc.folds, omega, disc):
             assert om is not None
+            rd = assemble_polar(sp_ssm3,
+                                compute_nonautonomous_ssm(sp_ssm3, om))
             scale = fc.eps ** 2 * (rd.f1_of(rho_f) ** 2 + rd.f2_of(rho_f) ** 2)
-            assert abs(_k_roots(rd, rho_f, fc.eps)[2]) <= 1e-12 * scale
+            assert abs(d) <= 1e-12 * scale
 
     def test_branches_join_only_near_folds(self, sp_trace_isola):
         # on the isola the K+ and K- arcs coexist over the same rho range
@@ -460,19 +463,154 @@ def test_forced_rows_are_stacked_in_pair_order(sp_ssm3):
 
 
 def test_diverged_fold_point_keeps_round_zero_backbone(sp_ssm3, monkeypatch):
-    """When the double-root secant diverges, the polar data are the
-    backbone's from the first round, bit for bit those of a fresh solve at
-    the backbone Omega."""
+    """When the double-root secants diverge, each row's discriminant is
+    its own backbone's from the round that marched it (with a one-byte
+    budget, the second row's first round comes after the first row is
+    done), bit for bit that of a fresh solve at the backbone Omega."""
     monkeypatch.setattr(frc, "G_TOL", -1.0)  # no residual is small enough
-    eps, rho = 0.0027, 0.06
-    om, rd = frc._fold_point(sp_ssm3, eps, rho)
-    assert om is None
-    backbone = frc._backbone_omega(sp_ssm3, rho)
-    want = assemble_polar(sp_ssm3,
-                          compute_nonautonomous_ssm(sp_ssm3, backbone))
-    assert rd.omega == backbone
-    for name in ("a_coeffs", "b_coeffs", "f1", "f2", "g1", "g2"):
-        assert getattr(rd, name).tobytes() == getattr(want, name).tobytes()
+    eps, rho = 0.0027, np.array([0.06, 0.09])
+    want = []
+    for r in rho.tolist():
+        backbone = frc._backbone_omega(sp_ssm3, r)
+        rd = assemble_polar(sp_ssm3,
+                            compute_nonautonomous_ssm(sp_ssm3, backbone))
+        want.append(float(_k_roots(rd, r, eps)[2]))
+    for round_bytes in (frc.ROUND_BYTES, 1):
+        monkeypatch.setattr(frc, "ROUND_BYTES", round_bytes)
+        omega, disc = frc._fold_point(sp_ssm3, eps, rho)
+        assert omega == [None, None]
+        assert disc.tolist() == want, round_bytes
+
+
+# ---------------------------------------------------------------------------
+# the fold finder: Brent's method as a generator, all brackets in lockstep
+
+
+def _run_brent(f, a: float, b: float):
+    """``frc._brent`` driven to completion on f: the root, or the type and
+    message of the error it raised."""
+    brent = frc._brent(a, b)
+    try:
+        x = next(brent)
+        while True:
+            x = brent.send(f(x))
+    except StopIteration as stop:
+        return stop.value
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _scipy_brentq(f, a: float, b: float):
+    """SciPy's ``brentq`` at the fold finder's tolerances, reported as
+    ``_run_brent`` reports."""
+    try:
+        return brentq(f, a, b, xtol=1e-15, rtol=8.9e-16)
+    except (ValueError, RuntimeError) as exc:
+        return type(exc), str(exc)
+
+
+def _same(got, want) -> bool:
+    if isinstance(want, float):
+        return isinstance(got, float) and got.hex() == want.hex()
+    return got == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(-10, 10), min_size=4, max_size=4),
+       st.floats(-10, 10), st.floats(1e-9, 20))
+def test_brent_matches_scipy_brentq_bit_for_bit(coeffs, a, width):
+    c0, c1, c2, c3 = coeffs
+
+    def cubic(x):
+        return ((c3 * x + c2) * x + c1) * x + c0
+
+    b = a + width
+    assume(cubic(a) * cubic(b) < 0)
+    got, want = _run_brent(cubic, a, b), _scipy_brentq(cubic, a, b)
+    assert _same(got, want), (got, want)
+
+
+@pytest.mark.parametrize("f, a, b", [
+    (lambda x: x, 0.0, 1.0),             # zero at the lower end
+    (lambda x: x - 1.0, 0.0, 1.0),       # zero at the upper end
+    (lambda x: x - 0.5, 0.0, 1.0),       # the first step lands on the zero
+    (lambda x: x * x + 1.0, 0.0, 1.0),   # no sign change: ValueError
+    # a jump and no zero over a huge bracket: RuntimeError after 100 steps
+    (lambda x: -1.0 if x < 0.1 else 1.0, -1e300, 1e300),
+], ids=["zero-at-a", "zero-at-b", "exact-zero-mid-iteration",
+        "same-sign", "no-convergence"])
+def test_brent_matches_scipy_brentq_in_corner_cases(f, a, b):
+    got, want = _run_brent(f, a, b), _scipy_brentq(f, a, b)
+    assert _same(got, want), (got, want)
+
+
+def test_brent_visits_the_ends_first_then_the_exact_zero():
+    brent = frc._brent(0.0, 1.0)
+    visited = [next(brent)]
+    with pytest.raises(StopIteration) as stop:
+        while True:
+            visited.append(brent.send(visited[-1] - 0.5))
+    assert visited == [0.0, 1.0, 0.5] and stop.value.value == 0.5
+
+
+@lru_cache(maxsize=None)
+def _fold_problem(name):
+    """A golden curve's manifold, eps and the arguments that its trace
+    passes to ``_locate_folds``."""
+    build, normalization, order, kwargs = GOLDEN_CURVES[name]
+    mm = modal_decompose(to_first_order(build()),
+                         normalization=normalization)
+    ssm = compute_autonomous_ssm(mm, order)
+    seen = []
+    locate = frc._locate_folds
+    frc._locate_folds = lambda *args: seen.append(args) or locate(*args)
+    try:
+        trace_frc(ssm, mm, **kwargs)
+    finally:
+        frc._locate_folds = locate
+    return seen[0]
+
+
+def test_folds_do_not_depend_on_lockstep():
+    """The five quintic folds solved together come out bit for bit as
+    each bracket solved alone: a Brent's steps and each discriminant's
+    double-root secant are independent of the rest of the batch."""
+    ssm, eps, grid, disc = _fold_problem("quintic")
+    together = frc._locate_folds(ssm, eps, grid, disc)
+    change = np.flatnonzero(disc[:-1] * disc[1:] < 0)
+    alone = [fold for i in change.tolist()
+             for fold in frc._locate_folds(ssm, eps, grid[i:i + 2],
+                                           disc[i:i + 2])]
+    assert len(together) == 5 and 0.0 not in disc
+    assert [f.hex() for f in together] == [f.hex() for f in alone]
+
+
+def test_nan_discriminant_stops_the_fold_search(monkeypatch):
+    """A NaN discriminant raises, as SciPy's ``brentq`` does, instead of
+    steering Brent's sign tests."""
+    ssm, eps, grid, disc = _fold_problem("cubic")
+    monkeypatch.setattr(frc, "_fold_point", lambda ssm, eps, rho: (
+        [None] * len(rho), np.full(len(rho), np.nan)))
+    with pytest.raises(ValueError, match="NaN"):
+        frc._locate_folds(ssm, eps, grid, disc)
+
+
+@pytest.mark.parametrize("name", ["cubic", "quintic"])
+def test_folds_match_scipy_brentq_on_the_discriminant(name):
+    """Each fold is bit for bit SciPy's ``brentq`` root of the double-root
+    discriminant, evaluated one amplitude at a time."""
+    ssm, eps, grid, disc = _fold_problem(name)
+    folds = frc._locate_folds(ssm, eps, grid, disc)
+
+    def disc_at(rho):
+        return float(_fold_point(ssm, eps, np.array([rho]))[1][0])
+
+    change = np.flatnonzero(disc[:-1] * disc[1:] < 0).tolist()
+    want = [brentq(disc_at, round(float(grid[i]), 15),
+                   round(float(grid[i + 1]), 15), xtol=1e-15, rtol=8.9e-16)
+            for i in change]
+    assert len(folds) == len(want) > 0
+    assert [f.hex() for f in folds] == [f.hex() for f in want]
 
 
 @pytest.mark.parametrize("name", list(GOLDEN_CURVES))

@@ -345,6 +345,8 @@ class TestSweep:
         # a measuring ceiling below its floor, or a burn-off of no length,
         # used to run anyway and come back unconverged or unsettled
         fos = to_first_order(_one_dof())
+        with pytest.raises(ValidationError, match="min_measure_periods"):
+            sweep(fos, 0.01, [1.5], monitor=[0], min_measure_periods=3)
         with pytest.raises(ValidationError, match="max_measure_periods"):
             sweep(fos, 0.01, [1.5], monitor=[0], min_measure_periods=20,
                   max_measure_periods=5)
