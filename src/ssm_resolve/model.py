@@ -28,6 +28,8 @@ NORMALIZATIONS = ("first-position", "largest")
 _SYM_TOL = 1e-10
 #: relative margin at or below which check_nonresonance flags a resonance
 NONRESONANCE_TOL = 1e-8
+#: unit-column eigenvector condition number at which modal_decompose refuses
+COND_LIMIT = 1e8
 
 
 @dataclass(frozen=True)
@@ -215,6 +217,16 @@ def _normalize_vector(v: np.ndarray, n: int, policy: str) -> np.ndarray:
     raise ValidationError(f"unknown normalization policy {policy!r}")
 
 
+def _check_conditioning(groups) -> None:
+    """The exact gate: the SVD condition number of unit eigenvector columns."""
+    T_probe = np.column_stack([v for g in groups for v in g[3]])
+    cond = np.linalg.cond(T_probe / np.linalg.norm(T_probe, axis=0))
+    if not np.isfinite(cond) or cond >= COND_LIMIT:
+        raise SemisimplicityError(
+            f"eigenvector matrix condition number {cond:.3g} >= 1e8; "
+            "the linear part is too close to defective for diagonal coordinates")
+
+
 def modal_decompose(fos: FirstOrderSystem, master: int = 0,
                     normalization: str = "first-position") -> ModalModel:
     """Diagonalize the linear part and transform nonlinearity and forcing.
@@ -236,9 +248,11 @@ def modal_decompose(fos: FirstOrderSystem, master: int = 0,
     ------
     SemisimplicityError
         If the eigenvector matrix, with its columns scaled to unit norm, is
-        ill-conditioned (cond >= 1e8) or the similarity residual exceeds
-        1e-10 * ||A|| * ||T||.  Both gates are independent of the
-        normalization policy.
+        ill-conditioned (cond >= COND_LIMIT) or the similarity residual
+        exceeds 1e-10 * ||A|| * ||T||.  Both gates are independent of the
+        normalization policy.  The Frobenius bound
+        cond(U) <= ||U||_F * ||U^-1||_F settles the first gate; the SVD runs
+        only where the bound does not, so the verdict is the SVD's.
     ValidationError
         If the requested master pair does not exist.
     """
@@ -264,18 +278,10 @@ def modal_decompose(fos: FirstOrderSystem, master: int = 0,
         groups.append(((-lam[i].real, 0.0), False, [lam[i].real + 0j], [vr]))
     groups.sort(key=lambda g: g[0])
 
-    # semisimplicity is a property of the assembled transform, checked before
-    # master selection so defective spectra fail with the right error; unit
-    # columns keep the eigenvector scaling policy out of the verdict
-    T_probe = np.column_stack([v for g in groups for v in g[3]])
-    cond = np.linalg.cond(T_probe / np.linalg.norm(T_probe, axis=0))
-    if not np.isfinite(cond) or cond >= 1e8:
-        raise SemisimplicityError(
-            f"eigenvector matrix condition number {cond:.3g} >= 1e8; "
-            "the linear part is too close to defective for diagonal coordinates")
-
+    # a defective spectrum reports that before a bad master index
     pair_positions = [gi for gi, g in enumerate(groups) if g[1]]
     if master >= len(pair_positions) or master < 0:
+        _check_conditioning(groups)
         raise ValidationError(
             f"master pair index {master} out of range "
             f"({len(pair_positions)} underdamped pairs found)")
@@ -285,7 +291,17 @@ def modal_decompose(fos: FirstOrderSystem, master: int = 0,
 
     lam_sorted = np.array([l for g in ordered for l in g[2]])
     T = np.column_stack([v for g in ordered for v in g[3]])
-    T_inv = np.linalg.inv(T)
+    try:
+        T_inv = np.linalg.inv(T)
+    except np.linalg.LinAlgError:
+        _check_conditioning(groups)
+        raise
+    # U = T D^-1 (D the column norms) has ||U||_F = sqrt(2n), U^-1 = D T^-1;
+    # a NaN bound or one within 1e-3 of the limit (rounding) takes the SVD
+    bound = np.sqrt(2 * n) * np.linalg.norm(
+        np.linalg.norm(T, axis=0)[:, None] * T_inv)
+    if not bound < COND_LIMIT * (1 - 1e-3):
+        _check_conditioning(groups)
     # the residual scales with the columns of T, so its bound does too
     residual = np.linalg.norm(A @ T - T * lam_sorted[None, :])
     if residual > 1e-10 * np.linalg.norm(A) * np.linalg.norm(T):

@@ -445,8 +445,9 @@ def sweep(fos: FirstOrderSystem, eps: float, omega_grid, monitor,
             f"--min-periods) must be >= {SETTLE_RUN + 1} to detect a settle")
     if max_measure_periods < min_measure_periods:
         raise ValidationError(
-            f"max_measure_periods ({max_measure_periods}) must be >= "
-            f"min_measure_periods ({min_measure_periods})")
+            f"max_measure_periods ({max_measure_periods}; verify "
+            f"--max-periods) must be >= min_measure_periods "
+            f"({min_measure_periods}; verify --min-periods)")
     if settle_rel <= 0:
         raise ValidationError("settle_rel must be > 0")
     if transient_time is None:
@@ -457,7 +458,8 @@ def sweep(fos: FirstOrderSystem, eps: float, omega_grid, monitor,
                 "explicit transient_time to sweep")
         transient_time = 5.0 / abs(decay)
     elif not transient_time > 0:
-        raise ValidationError("transient_time must be > 0")
+        raise ValidationError(f"transient_time ({transient_time}; verify "
+                              "--transient-time) must be > 0")
 
     n_grid = omega_grid.size
     amplitude = np.zeros((n_grid, len(monitor)))

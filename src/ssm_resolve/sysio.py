@@ -19,10 +19,6 @@ from .model import MechanicalSystem, PolyTerm
 MAGIC = "ssm-resolve-system v1"
 
 
-def _fmt(x: float) -> str:
-    return repr(float(x))
-
-
 def format_system(sys: MechanicalSystem, header_lines=()) -> str:
     """System file text; ``header_lines`` become leading '#' comments."""
     lines = [f"# {line}" for line in header_lines] + [MAGIC, f"n {sys.n}"]
@@ -30,11 +26,11 @@ def format_system(sys: MechanicalSystem, header_lines=()) -> str:
         lines.append(f"normalization {sys.normalization}")
     for name, mat in (("M", sys.M), ("C", sys.C), ("K", sys.K)):
         lines.append(name)
-        lines.extend(" ".join(_fmt(x) for x in row) for row in mat)
+        lines.extend(" ".join(map(repr, row)) for row in mat.tolist())
     lines.append(f"g {len(sys.g)}")
-    lines.extend(f"{t.row} {_fmt(t.coeff)} "
+    lines.extend(f"{t.row} {float(t.coeff)!r} "
                  + " ".join(str(e) for e in t.exponents) for t in sys.g)
-    lines += ["f", " ".join(_fmt(x) for x in sys.f)]
+    lines += ["f", " ".join(map(repr, sys.f.tolist()))]
     return "\n".join(lines) + "\n"
 
 

@@ -275,7 +275,9 @@ def test_verify_rejects_impossible_sweep_settings(tmp_path, capsys):
     for extra, word in ((["--max-periods", "5"], "max_measure_periods"),
                         (["--transient-time", "-1"], "transient_time")):
         assert main(base + extra) == 2, extra
-        assert word in capsys.readouterr().err
+        # the message names the library setting and the flag that sets it
+        err = capsys.readouterr().err
+        assert word in err and f"verify {extra[0]}" in err, err
         assert not out.exists()
 
 

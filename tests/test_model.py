@@ -1,12 +1,15 @@
 """Model layer: first-order embedding, modal coordinates, resonance checks."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from ssm_resolve.beam import BeamSpec, build_beam
 from ssm_resolve.errors import (ValidationError, SemisimplicityError)
 from ssm_resolve.isola import leading_isola
-from ssm_resolve.model import (MechanicalSystem, PolyTerm, to_first_order,
+from ssm_resolve.model import (COND_LIMIT, NORMALIZATIONS, FirstOrderSystem,
+                               MechanicalSystem, PolyTerm, to_first_order,
                                modal_decompose, spectral_quotient,
                                check_nonresonance)
 from ssm_resolve.ssm_auto import compute_autonomous_ssm
@@ -18,6 +21,32 @@ from conftest import (MIXED_TERMS, SP, two_mass_lambda, two_mass_system,
 BEAM = dict(length=2700.0, height=10.0, width=10.0, density=1780e-9,
             modulus=45e6, cubic_spring=6.0, cubic_damper=-0.02,
             mass_damping=1.25e-4, stiffness_damping=2.5e-4, tip_force=0.1)
+
+#: modal models of modal_golden_systems() under both normalizations,
+#: recorded before the conditioning gate stopped computing an SVD: keys
+#: "<system>_<policy>_<field>" for the fields of modal_fields(). They are
+#: compared bit for bit, as recorded on x86-64 with NumPy 2.4 and OpenBLAS.
+MODAL_GOLDEN = Path(__file__).parent / "data" / "modal_golden.npz"
+
+
+def overdamped_system():
+    """Two DOF, the second overdamped: real eigenvalue singletons."""
+    return MechanicalSystem(M=np.eye(2), C=np.diag([0.1, 5.0]),
+                            K=np.eye(2), g=[PolyTerm(1, 0.3, (0, 3, 0, 0))],
+                            f=np.array([1.0, 0.0]))
+
+
+def modal_golden_systems():
+    """System name -> first-order system pinned by MODAL_GOLDEN."""
+    return {"two_mass": to_first_order(two_mass_system()),
+            "beam25": to_first_order(build_beam(BeamSpec(elements=25, **BEAM))),
+            "overdamped": to_first_order(overdamped_system())}
+
+
+def modal_fields(mm):
+    """The arrays of a modal model that MODAL_GOLDEN pins, by name."""
+    return {"eigenvalues": mm.eigenvalues, "T": mm.T, "T_inv": mm.T_inv,
+            "F_m": mm.F_m, "inject": mm.monomials.inject}
 
 
 def test_first_order_blocks(sp_system):
@@ -204,11 +233,7 @@ def test_semisimplicity_error_on_critical_damping():
 
 
 def test_overdamped_modes_are_handled():
-    # second DOF overdamped: real eigenvalue singletons in the spectrum
-    sys = MechanicalSystem(M=np.eye(2), C=np.diag([0.1, 5.0]),
-                           K=np.eye(2), g=[PolyTerm(1, 0.3, (0, 3, 0, 0))],
-                           f=np.array([1.0, 0.0]))
-    mm = modal_decompose(to_first_order(sys))
+    mm = modal_decompose(to_first_order(overdamped_system()))
     lam = mm.eigenvalues
     assert lam[0].imag > 0 and lam[1] == np.conj(lam[0])
     assert lam[2].imag == 0 and lam[3].imag == 0
@@ -220,6 +245,102 @@ def test_overdamped_modes_are_handled():
     x = mm.T @ q
     rhs = mm.fos.A @ x + mm.fos.nonlinearity(x)
     assert np.allclose(lhs, rhs, atol=1e-12)
+
+
+@pytest.mark.parametrize("system", ["two_mass", "beam25", "overdamped"])
+def test_modal_model_matches_golden_bit_for_bit(system):
+    fos = modal_golden_systems()[system]
+    with np.load(MODAL_GOLDEN) as npz:
+        for policy in NORMALIZATIONS:
+            mm = modal_decompose(fos, normalization=policy)
+            for name, got in modal_fields(mm).items():
+                want = npz[f"{system}_{policy}_{name}"]
+                assert got.dtype == want.dtype, (policy, name)
+                assert got.shape == want.shape, (policy, name)
+                assert got.tobytes() == want.tobytes(), (policy, name)
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("the conditioning gate computed an SVD")
+
+
+@pytest.mark.parametrize("system", ["two_mass", "beam25"])
+@pytest.mark.parametrize("policy", NORMALIZATIONS)
+def test_well_conditioned_models_need_no_svd(monkeypatch, system, policy):
+    """The Frobenius bound settles the gate on the benchmark systems."""
+    fos = modal_golden_systems()[system]
+    monkeypatch.setattr(np.linalg, "cond", _refuse)
+    monkeypatch.setattr(np.linalg, "svd", _refuse)
+    mm = modal_decompose(fos, normalization=policy)
+    assert len(mm.eigenvalues) == len(fos.A)
+
+
+def synthetic_system(spread, n=4, seed=1):
+    """x' = A x with A = W B W^-1: B holds n decaying rotation blocks and W
+    has n singular values 1 and n equal to 1 / spread, so the eigenvector
+    matrix's conditioning is tuned by spread; no nonlinearity, no forcing."""
+    rng = np.random.default_rng(seed)
+    R1, _ = np.linalg.qr(rng.standard_normal((2 * n, 2 * n)))
+    R2, _ = np.linalg.qr(rng.standard_normal((2 * n, 2 * n)))
+    W = R1 @ np.diag([1.0] * n + [1.0 / spread] * n) @ R2
+    B = np.zeros((2 * n, 2 * n))
+    for k in range(n):
+        a, b = -0.01 * (k + 1), 1.0 + k
+        B[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[a, b], [-b, a]]
+    return FirstOrderSystem(A=W @ B @ np.linalg.inv(W), terms=[],
+                            F=np.zeros(2 * n))
+
+
+def _unit_column_cond_and_bound(A):
+    """The exact gate's number and the Frobenius bound, from eig directly."""
+    V = np.linalg.eig(A)[1]
+    norms = np.linalg.norm(V, axis=0)
+    s = np.linalg.svd(V / norms, compute_uv=False)
+    return (s[0] / s[-1],
+            np.sqrt(len(A)) * np.linalg.norm(norms[:, None] * np.linalg.inv(V)))
+
+
+@pytest.fixture
+def svd_conds(monkeypatch):
+    """Every condition number the code under test computes, in order."""
+    seen, cond = [], np.linalg.cond
+
+    def record(*args, **kwargs):
+        seen.append(cond(*args, **kwargs))
+        return seen[-1]
+    monkeypatch.setattr(np.linalg, "cond", record)
+    return seen
+
+
+def test_bound_above_limit_falls_back_to_the_svd_and_passes(svd_conds):
+    fos = synthetic_system(6e7)
+    cond, bound = _unit_column_cond_and_bound(fos.A)
+    assert 0.5 * COND_LIMIT < cond < COND_LIMIT < bound
+    mm = modal_decompose(fos)
+    assert len(svd_conds) == 1
+    assert svd_conds[0] == pytest.approx(cond, rel=1e-4)
+    assert np.allclose(mm.T @ np.diag(mm.eigenvalues) @ mm.T_inv, fos.A,
+                       rtol=0, atol=1e-6 * np.abs(fos.A).max())
+
+
+def test_condition_just_above_limit_raises_with_the_svd_number(svd_conds):
+    fos = synthetic_system(7e7)
+    cond, _ = _unit_column_cond_and_bound(fos.A)
+    assert COND_LIMIT < cond < 2 * COND_LIMIT
+    with pytest.raises(SemisimplicityError) as err:
+        modal_decompose(fos)
+    assert len(svd_conds) == 1 and svd_conds[0] >= COND_LIMIT
+    assert f"condition number {svd_conds[0]:.3g} >= 1e8" in str(err.value)
+
+
+@pytest.mark.parametrize("master", [0, 5])
+def test_defective_spectrum_is_reported_before_a_bad_master(master):
+    # the second DOF is critically damped: a double eigenvalue -1 with one
+    # eigenvector; master 5 does not exist, master 0 does
+    sys = MechanicalSystem(M=np.eye(2), C=np.diag([0.1, 2.0]), K=np.eye(2),
+                           g=[], f=np.ones(2))
+    with pytest.raises(SemisimplicityError):
+        modal_decompose(to_first_order(sys), master=master)
 
 
 def test_single_dof_is_vacuously_nonresonant():

@@ -6,6 +6,7 @@ import pytest
 from ssm_resolve import sysio
 from ssm_resolve.beam import BeamSpec, write_beam_params
 from ssm_resolve.errors import ValidationError
+from ssm_resolve.model import MechanicalSystem, PolyTerm
 from ssm_resolve.sysio import read_system, write_artifacts, write_system, MAGIC
 
 from conftest import BEAM, two_mass_system
@@ -22,6 +23,23 @@ def test_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.f, sys.f)
     assert back.g == sys.g
     assert back.normalization is None
+
+
+def test_entries_are_written_as_float_reprs(tmp_path):
+    """Signed zeros and extreme magnitudes keep their repr text, and an
+    integer coefficient is written as a float."""
+    sys = MechanicalSystem(M=np.eye(2), C=np.array([[-0.0, 0.0], [0.0, -0.0]]),
+                           K=np.diag([1e-300, 5e-324]),
+                           g=[PolyTerm(0, 3, (3, 0, 0, 0))],
+                           f=np.array([-0.0, 1e308]))
+    text = sysio.format_system(sys)
+    assert "\nC\n-0.0 0.0\n0.0 -0.0\nK\n1e-300 0.0\n0.0 5e-324\n" in text
+    assert text.endswith("\ng 1\n0 3.0 3 0 0 0\nf\n-0.0 1e+308\n")
+    path = tmp_path / "sys.txt"
+    write_system(sys, path)
+    back = read_system(path)
+    assert np.signbit(back.C).tolist() == [[True, False], [False, True]]
+    assert back.K[1, 1] == 5e-324 and back.f[1] == 1e308
 
 
 def test_normalization_field_round_trips(tmp_path):
