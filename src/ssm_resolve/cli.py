@@ -498,14 +498,15 @@ def _cmd_frc(cfg: argparse.Namespace) -> None:
     dens = curve.forced.min_enslaved_den
     _say(cfg, "smallest forced denominator: "
          + (f"{dens.min():.1e}" if dens.size else "none (no accepted points)"))
-    _say(cfg, _skip_summary(curve.skipped))
+    _say(cfg, _reason_summary("skipped points",
+                              [reason for _, _, reason in curve.skipped]))
 
 
-def _skip_summary(skipped) -> str:
-    """One line counting a trace's skipped points by reason."""
-    counts = Counter(reason for _, _, reason in skipped)
+def _reason_summary(label: str, reasons) -> str:
+    """One line counting points by reason."""
+    counts = Counter(reasons)
     detail = "; ".join(f"{reason}: {n}" for reason, n in sorted(counts.items()))
-    return f"skipped points: {len(skipped)}" + (f" ({detail})" if detail else "")
+    return f"{label}: {len(reasons)}" + (f" ({detail})" if detail else "")
 
 
 def _cmd_isola(cfg: argparse.Namespace) -> None:
@@ -586,6 +587,8 @@ def _cmd_verify(cfg: argparse.Namespace) -> None:
     n_bad = int((~result.converged).sum())
     _say(cfg, f"wrote {cfg.out} ({result.omega.size} points, "
          f"{n_bad} unconverged)")
+    _say(cfg, _reason_summary("unconverged points",
+                              [f for f in result.failure.tolist() if f]))
     _say(cfg, f"integrator steps: {int(result.steps_accepted.sum())} "
          f"accepted, {int(result.steps_rejected.sum())} rejected")
 

@@ -32,3 +32,7 @@ class SingularChartError(SsmResolveError):
 
 class IntegrationError(SsmResolveError):
     """Time integration failed (step underflow / stiffness / divergence)."""
+
+
+class DivergenceError(IntegrationError):
+    """The integrated state escaped: non-finite, or beyond 1e50 in size."""

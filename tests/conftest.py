@@ -8,10 +8,20 @@ cubic spring + cubic damper on the first mass) has closed-form modal data:
 * lambda = (-c_mode + i*sqrt(4*m*k_mode - c_mode**2)) / (2*m).
 
 Those closed forms (not the package's own eigensolver) are the oracles here.
+
+BLAS runs on one thread, set before NumPy loads, whatever the environment
+asks: a threaded inverse or eigensolve rounds differently, and the
+bit-for-bit goldens in ``data/`` were recorded on one thread.  Subprocesses
+the tests start inherit the setting.
 """
 
-import numpy as np
-import pytest
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
 
 from ssm_resolve.model import (MechanicalSystem, PolyTerm, to_first_order,
                                modal_decompose)

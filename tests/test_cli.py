@@ -267,6 +267,27 @@ def test_verify_reports_integrator_steps(tmp_path, capsys):
     assert body_lines(out.read_text()) == body
 
 
+def test_verify_counts_unconverged_points_by_reason(tmp_path, capsys):
+    # forced past the unstable cycle, the cubic damper blows the response
+    # up after the one-period burn-off; a four-period cap cannot settle
+    out = tmp_path / "sweep.csv"
+    base = ["verify", "--system", sp_file(tmp_path), "--eps", "0.01",
+            "--omega", "1.73:1.74:2", "--transient-time", "3.7",
+            "--out", str(out)]
+    for extra, want in (([], "unconverged points: 2 (underflow: 2)"),
+                        (["--eps", "0.001", "--min-periods", "4",
+                          "--max-periods", "4"],
+                         "unconverged points: 2 (unsettled: 2)")):
+        assert main(base + extra) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[-2] == want
+        assert lines[-1].startswith("integrator steps: ")
+        body = body_lines(out.read_text())
+        assert main(base + extra + ["--quiet"]) == 0
+        assert capsys.readouterr().out == ""
+        assert body_lines(out.read_text()) == body
+
+
 def test_verify_rejects_impossible_sweep_settings(tmp_path, capsys):
     sysfile = sp_file(tmp_path)
     out = tmp_path / "sweep.csv"

@@ -19,7 +19,8 @@ from ssm_resolve.frc import _k_roots, physical_amplitude, trace_frc
 from ssm_resolve.model import (MechanicalSystem, modal_decompose,
                                to_first_order)
 from ssm_resolve.oracle import (TRANSIENT_STEPS_PER_PERIOD,
-                                IntegratorControl, _rhs, integrate_full,
+                                IntegratorControl, _period_peak, _rhs,
+                                _sweep_point, integrate_full,
                                 linear_frc_closed_form, sweep)
 from ssm_resolve.polyalg import dense_eval
 from ssm_resolve.reduced import assemble_polar
@@ -57,7 +58,7 @@ def golden_cases():
                    3 * T1), {}),
         # adaptive, a few periods from rest
         "cubic": ((cubic, 0.0027, 1.73, np.zeros(4), 4 * T1), {}),
-        # the sweep's transient step ceiling: the stiff beam modes reject
+        # the sweep's step ceiling: the stiff beam modes reject
         "beam2": ((beam2, 0.002, 7.0, np.zeros(8), 3 * T7), dict(
             control=IntegratorControl(
                 max_step=T7 / TRANSIENT_STEPS_PER_PERIOD),
@@ -285,8 +286,73 @@ class TestSweep:
         sr = sweep(to_first_order(beam), 0.002, [7.0], [tip_index(beam)],
                    warm_start=False, transient_time=60.0,
                    min_measure_periods=40, max_measure_periods=40)
-        assert sr.steps_accepted.tolist() == [21134]
-        assert sr.steps_rejected.tolist() == [4164]
+        assert sr.steps_accepted.tolist() == [20441]
+        assert sr.steps_rejected.tolist() == [6942]
+
+    @pytest.mark.parametrize("case", ["two_mass", "beam2"])
+    def test_amplitude_is_the_period_maximum(self, case):
+        # the last measured period, integrated again from its start state
+        # at 20000 steps and tight tolerances: the refined peak must match
+        # its maximum (the step-sampled one was 1.2e-4 low on two-mass)
+        if case == "two_mass":
+            fos, eps, om, c = to_first_order(two_mass_system()), 0.0027, \
+                1.68, 0
+            kw = dict(settle_rel=1e-4, max_measure_periods=900)
+        else:
+            beam = build_beam(BeamSpec(elements=2, **BEAM))
+            fos, eps, om, c = to_first_order(beam), 0.002, 7.0, \
+                tip_index(beam)
+            kw = dict(transient_time=10.0, min_measure_periods=6,
+                      max_measure_periods=6)
+        sr = sweep(fos, eps, [om], [c], warm_start=False, **kw)
+        assert case == "beam2" or sr.converged.all()
+        T = 2 * math.pi / om
+        transient = kw.get("transient_time",
+                           5.0 / abs(fos.slowest_eigenvalue().real))
+        n_meas = int(sr.periods[0]) - math.ceil(transient / T)
+        # the same point stopped one period early ends where the last
+        # measured period starts
+        *_, start = _sweep_point(fos, eps, om, np.zeros(fos.A.shape[0]),
+                                 (c,), None, transient, n_meas - 1,
+                                 n_meas - 1, 1e-300)
+        dense = integrate_full(fos, eps, om, start, T, control=(
+            IntegratorControl(rel_tol=1e-11, abs_tol=1e-13,
+                              max_step=T / 20000)))
+        ref = float(np.max(np.abs(dense.x[:, c])))
+        assert sr.amplitude[0, 0] == pytest.approx(ref, rel=1e-6)
+
+    def test_escape_during_measurement_has_nan_amplitude(self):
+        # past the unstable cycle the cubic damper blows the response up in
+        # finite time, periods after the one-period burn-off; the step
+        # shrinks to its floor before the state reaches divergence size
+        fos = to_first_order(two_mass_system())
+        T = 2 * math.pi / 1.73
+        sr = sweep(fos, 0.01, [1.73, 1.74], [0, 1], warm_start=True,
+                   transient_time=T)
+        assert sr.periods[0] > 2  # measured periods were recorded
+        assert np.isnan(sr.amplitude).all()
+        assert not sr.converged.any()
+        assert sr.failure.tolist() == ["underflow", "underflow"]
+
+    def test_failure_reasons(self):
+        # negative damping grows the state exponentially until it
+        # overflows: diverged; a measuring cap below the settle time:
+        # unsettled, with the last period's amplitude
+        unstable = MechanicalSystem(M=np.array([[1.0]]),
+                                    C=np.array([[-20.0]]),
+                                    K=np.array([[4.0]]), g=[],
+                                    f=np.array([1.0]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            sr = sweep(to_first_order(unstable), 0.01, [1.7], [0],
+                       transient_time=1.0)
+        assert sr.failure.tolist() == ["diverged"]
+        assert np.isnan(sr.amplitude).all()
+        sr = sweep(to_first_order(_one_dof()), 0.01, [1.7], [0],
+                   transient_time=1.0, min_measure_periods=4,
+                   max_measure_periods=4)
+        assert sr.failure.tolist() == ["unsettled"]
+        assert np.isfinite(sr.amplitude).all()
+        assert not sr.converged.any()
 
     def test_escape_window_brackets_the_saddle_nodes(self):
         # the 0.0029 merged response keeps an unstable upper structure (the
@@ -353,6 +419,40 @@ class TestSweep:
         for bad in (-1.0, 0.0, math.nan):
             with pytest.raises(ValidationError, match="transient_time"):
                 sweep(fos, 0.01, [1.5], monitor=[0], transient_time=bad)
+
+
+class TestPeriodPeak:
+    @staticmethod
+    def _parabola(t, vertex):
+        return 3.0 - 20.0 * (t - vertex) ** 2
+
+    def test_exact_on_a_parabola_at_uneven_times(self):
+        t = np.array([0.0, 0.07, 0.19, 0.26, 0.41, 0.5, 0.66, 0.8, 1.0])
+        for vertex in (0.2, 0.23, 0.45, 0.7):
+            peak = _period_peak(t, self._parabola(t, vertex), 1.0)
+            assert peak == pytest.approx(3.0, rel=1e-14)
+
+    def test_a_maximum_at_the_period_end_wraps(self):
+        # a periodic parabola peaked just after the period boundary
+        t = np.array([0.0, 0.05, 0.3, 0.6, 0.97, 1.0])
+        y = self._parabola(np.where(t < 0.5, t + 1.0, t), 1.004)
+        assert _period_peak(t, y, 1.0) == pytest.approx(3.0, rel=1e-14)
+        # largest at the last sample only, as in a period not yet settled
+        y[0] -= 1e-3
+        assert _period_peak(t, y, 1.0) == pytest.approx(3.0, rel=1e-14)
+
+    def test_the_lower_sampled_lobe_can_hold_the_peak(self):
+        # two bumps: the taller one (3.0 at 0.25) is sampled off its top,
+        # the other (2.995 at 0.75) on it
+        t = np.array([0.0, 0.1, 0.2, 0.27, 0.33, 0.5, 0.7, 0.75, 0.8, 1.0])
+        y = np.maximum(np.maximum(self._parabola(t, 0.25),
+                                  self._parabola(t, 0.75) - 0.005), 2.0)
+        assert y.max() == 2.995
+        assert _period_peak(t, y, 1.0) == pytest.approx(3.0, rel=1e-14)
+
+    def test_a_flat_signal_keeps_the_sampled_value(self):
+        t = np.array([0.0, 0.2, 0.45, 0.7, 1.0])
+        assert _period_peak(t, np.full(5, 2.0), 1.0) == 2.0
 
 
 def _reconstruct_state(ssm3, fr, point, eps):
