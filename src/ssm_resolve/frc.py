@@ -18,19 +18,25 @@ round sends the Omegas that all pending pairs ask for through one batched
 forced march (``compute_nonautonomous_ssm`` on an array).  Round 0 marches
 every row's backbone Omega, which seeds both branches.  Converged points are
 verified against the full zero problem, window-filtered and
-stability-tagged in one batch per round, and grouped at the end into
-connected components by proximity in the (Omega, rho) plane.  The accepted
-points keep the forced rows they were solved with, taken from each round's
-stack as one stacked ``ForcedReduction`` (``FrcCurve.forced``), so their
-physical amplitudes need no further forced solve.
+stability-tagged in one batch per round.  The accepted points keep the
+forced rows they were solved with, taken from each round's stack as one
+stacked ``ForcedReduction`` (``FrcCurve.forced``), so their physical
+amplitudes need no further forced solve.
+
+On each maximal rho-run of disc >= 0 the K+ and K- branches join at the
+run's two folds, so each run of grid rows with a sampled disc >= 0 that
+holds an accepted point is one component, and an isola is a run that does
+not reach the bottom of the grid.  The Omega window filters points; it
+never splits a run.
 
 Folds are the amplitudes where the discriminant vanishes along the
 double-root Omega (K = -eps*f2/(a - eps*f1), which stays defined past the
-fold).  Each pair of grid rows whose sampled discriminant changes sign
-brackets one fold, solved by Brent's method (``_brent``, a port of SciPy's
-``brentq`` written as a generator).  All brackets advance in lockstep: each
-round, every pending amplitude runs its own double-root secant, and those
-secants share the batched marches of one lockstep solve.
+fold).  The same runs place them: each run's end next to a row where the
+sampled discriminant is negative brackets one fold, solved by Brent's
+method (``_brent``, a port of SciPy's ``brentq`` written as a generator).
+All brackets advance in lockstep: each round, every pending amplitude runs
+its own double-root secant, and those secants share the batched marches of
+one lockstep solve.
 
 The physical amplitude is the peak of one coordinate over a forcing period.
 On the manifold s1**p s2**q = rho**(p+q) e^{i(p-q)(psi+phi)}, and the two
@@ -44,7 +50,6 @@ Newton steps on the analytic derivatives polish it.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -106,7 +111,10 @@ def psi_from_k(k):
 
 @dataclass
 class FrcCurve:
-    """Sampled forced response curve at one forcing amplitude."""
+    """Sampled forced response curve at one forcing amplitude.  Each
+    component (point indices, in ascending rho) is a rho-run of disc >= 0
+    between folds that holds an accepted point; the window never splits
+    one."""
     eps: float
     points: list[FixedPointU]
     folds: np.ndarray
@@ -267,6 +275,10 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
     Points and skips come out in grid order, K+ before K-, whatever round
     each pair finished in.
 
+    A component is a maximal run of rows whose K+ sampled discriminant is
+    >= 0 or that hold a point, if it holds any point: ``_locate_folds``
+    brackets the same runs' ends.  The window never splits a run.
+
     Parameters
     ----------
     ssm : AutonomousSsm
@@ -287,7 +299,6 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
         raise ValidationError("need rho_max > 0 and n_rho >= 2")
 
     grid = np.linspace(0.0, rho_max, n_rho + 1)[1:]
-    step = grid[1] - grid[0]
     # pair p is grid row p // 2 on branch p % 2 (K+ first)
     rho = np.repeat(grid, 2)
     branch = np.tile([0, 1], n_rho)
@@ -339,6 +350,7 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
         kept.append((ps[keep], batch.take(member[at[keep]])))
 
     points: list[FixedPointU] = []
+    rows: list[int] = []
     skipped: list[tuple[float, str, str]] = []
     for p in range(2 * n_rho):
         got = outcome.get(p)
@@ -346,8 +358,13 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
             skipped.append((float(rho[p]), BRANCHES[p % 2], got))
         elif got is not None:
             points.append(got)
+            rows.append(p // 2)
     folds = _locate_folds(ssm, eps, grid, disc[::2])
-    components = _group_components(points, step, folds)
+    # points come in row order: each run's points are one index range
+    inside = disc[::2] >= 0
+    inside[rows] = True
+    ends = np.searchsorted(rows, _runs(inside)).tolist()
+    components = [list(range(lo, hi)) for lo, hi in ends if hi > lo]
     return FrcCurve(eps=eps, points=points, folds=np.asarray(folds),
                     components=components, rho_max=rho_max, n_rho=n_rho,
                     skipped=skipped, forced=_in_pair_order(ssm, kept))
@@ -461,30 +478,39 @@ def _fold_point(ssm: AutonomousSsm, eps: float, rho: np.ndarray):
     return omega, disc
 
 
+def _runs(inside: np.ndarray) -> np.ndarray:
+    """(first, after) rows of each maximal run of True in ``inside``, in
+    ascending order, ``after`` one past the run's last row."""
+    return np.flatnonzero(np.diff(inside, prepend=False,
+                                  append=False)).reshape(-1, 2)
+
+
 def _locate_folds(ssm: AutonomousSsm, eps: float, grid: np.ndarray,
                   disc: np.ndarray) -> list[float]:
-    """Fold amplitudes in ascending order: the rows where the sampled
-    discriminant ``disc[i]`` (the K+ pair's, at amplitude ``grid[i]``) is
-    zero, and a Brent root of the discriminant along the double-root Omega
-    between each pair of rows where it changes sign.  The bracket ends are
-    the rows rounded to 15 decimals.
+    """Fold amplitudes in ascending order: the ends of each run of rows
+    where the sampled discriminant ``disc[i]`` (the K+ pair's, at amplitude
+    ``grid[i]``) is >= 0.  An end row where it is exactly zero is the fold;
+    an end next to a row where it is negative brackets a Brent root of the
+    discriminant along the double-root Omega, the bracket ends being the
+    two rows rounded to 15 decimals.  An end at the end of the grid with a
+    positive discriminant is no fold.
 
     Every bracket starts one ``_brent``, and the brents run in lockstep:
     each round evaluates the discriminant at all their pending amplitudes
     with one ``_fold_point`` call, whose double-root secants share the
     batched forced marches of ``_rounds``.
     """
-    samples = [(round(r, 15), d) for r, d in zip(grid.tolist(), disc.tolist())]
+    samples = [round(r, 15) for r in grid.tolist()]
     folds: list[float | None] = []
     brents = {}
-    for (r0, d0), (r1, d1) in zip(samples[:-1], samples[1:]):
-        if d0 == 0.0:
-            folds.append(r0)
-        if d0 * d1 < 0:
-            brents[len(folds)] = _brent(r0, r1)
-            folds.append(None)
-    if samples and samples[-1][1] == 0.0:
-        folds.append(samples[-1][0])
+    for first, after in _runs(disc >= 0).tolist():
+        for end, out in ((first, first - 1), (after - 1, after)):
+            if disc[end] == 0.0:
+                folds.append(samples[end])
+            elif 0 <= out < len(samples):
+                brents[len(folds)] = _brent(samples[min(end, out)],
+                                            samples[max(end, out)])
+                folds.append(None)
 
     wanted = {i: next(brent) for i, brent in brents.items()}
     while wanted:
@@ -499,98 +525,6 @@ def _locate_folds(ssm: AutonomousSsm, eps: float, grid: np.ndarray,
                 del wanted[i]
                 folds[i] = stop.value
     return folds
-
-
-def _median(values: list[float]) -> float:
-    """np.median of a short list, in plain Python: (a + b) / 2 for two
-    middle values, as NumPy takes it."""
-    v = sorted(values)
-    mid = len(v) // 2
-    return v[mid] if len(v) % 2 else (v[mid - 1] + v[mid]) / 2
-
-
-def _group_components(points: list[FixedPointU], step: float,
-                      folds=()) -> list[list[int]]:
-    """Union points within (2 grid steps, 4 * median Omega-gap) adjacency.
-
-    The Omega scale is measured locally: each same-branch chain gap is
-    compared against the median of itself and its two flanking gaps, and a
-    point's own scale (used for cross-branch pairing near folds) is the
-    median of its nearest chain gaps.  A local median is essential: the
-    low-amplitude tail of the main branch has Omega steps growing like
-    1/rho**2, so a single global median would cut a perfectly smooth curve
-    into fragments, while a genuine jump still towers over its neighbors.
-
-    The two branch segments of one curve meet exactly at folds, where their
-    Omega values coalesce only in the limit; on a fine rho grid the last
-    sampled rows can still be several local Omega scales apart.  Each
-    located fold therefore stitches together the nearest point of either
-    branch within two grid steps of it.
-    """
-    n = len(points)
-    if n == 0:
-        return []
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    def union(i, j):
-        ri, rj = find(i), find(j)
-        if ri != rj:
-            parent[rj] = ri
-
-    rho_tol = 2 * step * (1 + 1e-9)
-    scale = [0.0] * n
-    chains = {b: [] for b in BRANCHES}
-    for i, p in enumerate(points):
-        chains[p.branch].append(i)
-    for chain in chains.values():
-        chain.sort(key=lambda i: points[i].rho)
-        gaps = [abs(points[i].omega - points[j].omega)
-                for i, j in zip(chain[:-1], chain[1:])]
-        for k, (i, j) in enumerate(zip(chain[:-1], chain[1:])):
-            if points[j].rho - points[i].rho > rho_tol:
-                continue
-            local = _median(gaps[max(0, k - 1):k + 2])
-            if gaps[k] <= 4 * max(local, 1e-15):
-                union(i, j)
-        for pos, i in enumerate(chain):
-            near = gaps[max(0, pos - 2):pos + 2]
-            scale[i] = _median(near) if near else 0.0
-
-    by_rho = sorted(range(n), key=lambda i: points[i].rho)
-    rhos = [points[i].rho for i in by_rho]
-    for pos, i in enumerate(by_rho):
-        lo = bisect_left(rhos, points[i].rho - rho_tol, 0, pos)
-        for j in by_rho[lo:pos]:
-            if points[i].branch == points[j].branch:
-                continue
-            if abs(points[i].omega - points[j].omega) <= 4 * max(scale[i],
-                                                                 scale[j]):
-                union(i, j)
-
-    for rho_f in folds:
-        pair = []
-        for chain in chains.values():
-            best = min((i for i in chain
-                        if abs(points[i].rho - rho_f) <= rho_tol),
-                       key=lambda i: abs(points[i].rho - rho_f),
-                       default=None)
-            if best is not None:
-                pair.append(best)
-        if len(pair) == 2:
-            union(*pair)
-
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    comps = list(groups.values())
-    comps.sort(key=lambda members: min(points[i].rho for i in members))
-    return comps
 
 
 #: phase-grid points that bracket each amplitude peak

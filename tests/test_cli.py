@@ -122,6 +122,52 @@ def test_verify_worker_count_does_not_change_artifacts(tmp_path, capsys):
     assert drop_timestamps(texts[0]) == drop_timestamps(texts[1])
 
 
+def test_frc_curve_agrees_across_blas_thread_counts(tmp_path, capsys):
+    """The byte-for-byte claim holds at one BLAS thread count; across one
+    and two OpenBLAS threads, beam25's curve keeps its structure (rows,
+    components, branches, labels, skips) and its values within 1e-12
+    relative.  Each count runs in a fresh interpreter, with the thread
+    variables set explicitly, since BLAS reads them when NumPy loads."""
+    params, sysfile = tmp_path / "beam.params", tmp_path / "beam_sys.txt"
+    write_beam_params(BeamSpec(elements=25, **BEAM), params)
+    assert main(["beam", "--params", str(params), "--out", str(sysfile)]) == 0
+    capsys.readouterr()
+    src = str(Path(cli.__file__).parents[1])
+
+    def run_frc(threads: str):
+        """(structure, values, folds) of the curve traced at that count."""
+        out = tmp_path / f"frc{threads}.csv"
+        argv = ["frc", "--system", str(sysfile), "--eps", "0.002",
+                "--rho-max", "0.5", "--n-rho", "300", "--out", str(out)]
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join(
+                   [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+        run = subprocess.run(
+            [sys.executable, "-c",
+             f"from ssm_resolve import cli\nassert cli.main({argv!r}) == 0\n"],
+            env=env, capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        text = out.read_text()
+        head, folds = next(ln for ln in text.splitlines()
+                           if "fold rho:" in ln).split("fold rho:")
+        rows = [ln.split(",") for ln in body_lines(text)[1:]]
+        skips = [ln for ln in run.stdout.splitlines()
+                 if ln.startswith("skipped points:")]
+        # component, branch and stability label of every row
+        structure = (head, skips, [(r[0], r[1], r[5]) for r in rows])
+        # Omega, rho, psi and physical amplitude of every row
+        values = np.array([r[2:5] + r[6:] for r in rows], dtype=float)
+        return structure, values, np.array(folds.split(), dtype=float)
+
+    one, two = run_frc("1"), run_frc("2")
+    assert len(one[1]) > 500 and len(one[2]) > 0 and one[0][1]
+    assert one[0] == two[0]
+    for got, want in zip(two[1:], one[1:]):
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-12 * np.abs(want))
+
+
 # ---------------------------------------------------------------------------
 # artifact contents
 

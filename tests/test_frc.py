@@ -116,6 +116,36 @@ def sp_trace_merged(sp_modal, sp_ssm3):
     return trace_frc(sp_ssm3, sp_modal, 0.0029, rho_max=0.13, n_rho=260)
 
 
+#: the traced curves of GOLDEN_CURVES recorded before the trace solved its
+#: rows in lockstep; see tests/data/README.md for how to re-record them
+FRC_GOLDEN = Path(__file__).parent / "data" / "frc_golden.npz"
+
+#: name -> (system builder, normalization, order, trace_frc arguments): the
+#: four frc curves of the benchmark's reduced-path workload at seed 0
+GOLDEN_CURVES = {
+    "cubic": (two_mass_system, "first-position", 3,
+              dict(eps=0.0027, rho_max=0.13, n_rho=260)),
+    "quintic": (lambda: two_mass_system(quintic=1.2), "first-position", 5,
+                dict(eps=0.001, rho_max=0.26, n_rho=400,
+                     omega_window=(1.58, 1.82))),
+    "beam25": (lambda: build_beam(BeamSpec(elements=25, **BEAM)), "largest",
+               3, dict(eps=0.002, rho_max=0.5, n_rho=300)),
+    "linear": (lambda: two_mass_system(kappa=0.0, alpha=0.0),
+               "first-position", 3, dict(eps=0.001, rho_max=0.0145,
+                                         n_rho=220)),
+}
+
+
+@lru_cache(maxsize=None)
+def golden_trace(name):
+    """The traced golden curve ``name``, traced once per session."""
+    build, normalization, order, kwargs = GOLDEN_CURVES[name]
+    mm = modal_decompose(to_first_order(build()),
+                         normalization=normalization)
+    ssm = compute_autonomous_ssm(mm, order)
+    return trace_frc(ssm, mm, **kwargs)
+
+
 class TestLinearTrace:
     def test_matches_closed_form_response(self, linear_modal):
         mm, ssm = linear_modal
@@ -161,10 +191,16 @@ class TestTwoMassTrace:
         # main-branch peak below isola bottom, below isola top
         assert len(sp_trace_merged.folds) == 1
 
-    def test_components_are_disjoint_and_exhaustive(self, sp_trace_isola):
-        fc = sp_trace_isola
+    @pytest.mark.parametrize("name", list(GOLDEN_CURVES))
+    def test_components_are_disjoint_and_exhaustive(self, name):
+        """Every point lies in exactly one component, and a component is
+        closed at its folds: no fold lies strictly inside its rho span."""
+        fc = golden_trace(name)
         seen = sorted(i for mem in fc.components for i in mem)
         assert seen == list(range(len(fc.points)))
+        for mem in fc.components:
+            rhos = [fc.points[i].rho for i in mem]
+            assert not [f for f in fc.folds if min(rhos) < f < max(rhos)]
 
     def test_component_zero_reaches_smallest_rho(self, sp_trace_isola):
         fc = sp_trace_isola
@@ -213,6 +249,34 @@ class TestTwoMassTrace:
             assert window[0] <= p.omega <= window[1]
         assert any(reason == "omega outside window"
                    for (_, _, reason) in fc.skipped)
+
+    @pytest.mark.parametrize("eps, count, unwindowed", [
+        (0.0029, 1, "sp_trace_merged"), (0.0027, 2, "sp_trace_isola")])
+    def test_omega_window_never_splits_a_component(self, sp_modal, sp_ssm3,
+                                                   eps, count, unwindowed,
+                                                   request):
+        """The narrow window cuts components into arcs that do not meet
+        inside it; each component's arcs stay one component, the
+        unwindowed one with the outside points dropped."""
+        fc = trace_frc(sp_ssm3, sp_modal, eps, rho_max=0.13, n_rho=260,
+                       omega_window=(1.73, 1.735))
+        assert len(fc.components) == count
+        full = request.getfixturevalue(unwindowed)
+        index = {(p.rho, p.branch): i for i, p in enumerate(full.points)}
+        owner = [full.component_of(index[p.rho, p.branch])
+                 for p in fc.points]
+        assert [sorted({owner[i] for i in mem}) for mem in fc.components] \
+            == [[c] for c in sorted(set(owner))]
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "the isola at eps 3e-5 is about 4.3e-4 wide in rho and the rows are "
+        "5e-4 apart: no row falls inside it, so the trace reports 1 "
+        "component and 2 folds; rows added inside the leading-order "
+        "intervals would find it"))
+    def test_isola_narrower_than_the_grid_step_is_found(self, sp_modal,
+                                                        sp_ssm3):
+        fc = trace_frc(sp_ssm3, sp_modal, 3e-5, rho_max=0.13, n_rho=260)
+        assert len(fc.components) == 2
 
     def test_invalid_arguments_rejected(self, sp_modal, sp_ssm3):
         with pytest.raises(ValidationError):
@@ -374,34 +438,6 @@ class TestPhysicalAmplitudes:
         assert fc.points == []
         amps = physical_amplitudes(sp_ssm3, fc, 0)
         assert amps.shape == (0,)
-
-
-#: the traced curves of GOLDEN_CURVES recorded before the trace solved its
-#: rows in lockstep; see tests/data/README.md for how to re-record them
-FRC_GOLDEN = Path(__file__).parent / "data" / "frc_golden.npz"
-
-#: name -> (system builder, normalization, order, trace_frc arguments): the
-#: four frc curves of the benchmark's reduced-path workload at seed 0
-GOLDEN_CURVES = {
-    "cubic": (two_mass_system, "first-position", 3,
-              dict(eps=0.0027, rho_max=0.13, n_rho=260)),
-    "quintic": (lambda: two_mass_system(quintic=1.2), "first-position", 5,
-                dict(eps=0.001, rho_max=0.26, n_rho=400,
-                     omega_window=(1.58, 1.82))),
-    "beam25": (lambda: build_beam(BeamSpec(elements=25, **BEAM)), "largest",
-               3, dict(eps=0.002, rho_max=0.5, n_rho=300)),
-    "linear": (lambda: two_mass_system(kappa=0.0, alpha=0.0),
-               "first-position", 3, dict(eps=0.001, rho_max=0.0145,
-                                         n_rho=220)),
-}
-
-
-def golden_trace(name):
-    build, normalization, order, kwargs = GOLDEN_CURVES[name]
-    mm = modal_decompose(to_first_order(build()),
-                         normalization=normalization)
-    ssm = compute_autonomous_ssm(mm, order)
-    return trace_frc(ssm, mm, **kwargs)
 
 
 def curve_record(curve) -> dict:
@@ -632,20 +668,26 @@ def test_trace_matches_recorded_golden(name):
 
 
 # ---------------------------------------------------------------------------
-# length-unit invariance: the two-mass isola in the unit y / L
+# unit invariance: the two-mass isola in other length, time and mass units
 
 
 @lru_cache(maxsize=None)
-def _in_length_unit(L: float, order: int):
+def _in_units(L: float, T: float, m: float, order: int):
     """The eps 0.0027 isola trace of the two-mass system written in the
-    length unit y' = y / L: a term of degree d scales by L**(d - 1), the
-    forcing by 1 / L and the amplitude grid by 1 / L.  Returns the curve,
-    the peak |y_1| of its points and the cubic-order isola summary."""
+    length unit y' = y / L, the time unit tau = t / T and a mass unit 1 / m.
+    A term of degree d with velocity degree d_v scales by
+    m * L**(d - 1) * T**(2 - d_v), the matrices to m * (M, T C, T**2 K),
+    the forcing by m * T**2 / L, Omega by T and the amplitude grid by 1 / L.
+    Returns the curve, the peak |y_1| of its points and the cubic-order
+    isola summary."""
     base = two_mass_system()
+    n = base.M.shape[0]
     scaled = MechanicalSystem(
-        M=base.M, C=base.C, K=base.K, f=base.f / L,
-        g=[PolyTerm(t.row, t.coeff * L ** (sum(t.exponents) - 1),
-                    t.exponents) for t in base.g])
+        M=m * base.M, C=m * T * base.C, K=m * T ** 2 * base.K,
+        f=m * T ** 2 * base.f / L,
+        g=[PolyTerm(t.row, t.coeff * m * L ** (sum(t.exponents) - 1)
+                    * T ** (2 - sum(t.exponents[n:])), t.exponents)
+           for t in base.g])
     mm = modal_decompose(to_first_order(scaled))
     ssm = compute_autonomous_ssm(mm, order)
     curve = trace_frc(ssm, mm, 0.0027, 0.13 / L, 260)
@@ -653,16 +695,29 @@ def _in_length_unit(L: float, order: int):
     return curve, physical_amplitudes(ssm, curve, 0), iso
 
 
+def _units(L=1.0, T=1.0, m=1.0, xfail=None):
+    """One (L, T, m) case.  A length-unit case is named by its bare L, as
+    before the time and mass units were added; ``xfail`` is the reason of
+    a strict xfail."""
+    name = (repr(L) if (T, m) == (1.0, 1.0)
+            else f"T={T:g}" if m == 1.0 else f"m={m:g}")
+    marks = [pytest.mark.xfail(strict=True, reason=xfail)] if xfail else []
+    return pytest.param(L, T, m, id=name, marks=marks)
+
+
 @pytest.mark.parametrize("order", [3, 5])
-@pytest.mark.parametrize("L", [1e-3, 3.0, 1e3])
-def test_length_unit_keeps_curve_structure(L, order):
-    ref, _, ref_iso = _in_length_unit(1.0, order)
-    got, _, iso = _in_length_unit(L, order)
+@pytest.mark.parametrize("L, T, m", [
+    _units(L=1e-3), _units(L=3.0), _units(L=1e3),
+    _units(T=1e-3), _units(T=7.0), _units(T=1e3),
+    _units(m=1e-3), _units(m=1e3)])
+def test_length_unit_keeps_curve_structure(L, T, m, order):
+    """Components, folds, branches and skips do not depend on the units."""
+    ref, _, ref_iso = _in_units(1.0, 1.0, 1.0, order)
+    got, _, iso = _in_units(L, T, m, order)
     assert len(got.points) == len(ref.points) > 0
     assert got.components == ref.components
     assert len(got.folds) == len(ref.folds)
-    assert ([(p.branch, p.stability) for p in got.points]
-            == [(p.branch, p.stability) for p in ref.points])
+    assert [p.branch for p in got.points] == [p.branch for p in ref.points]
     assert len(got.skipped) == len(ref.skipped)
     assert abs(iso.eps_m - ref_iso.eps_m) <= 1e-13
     assert L * iso.rho1 == pytest.approx(ref_iso.rho1, rel=1e-14)
@@ -674,17 +729,39 @@ G_TOL_IS_ABSOLUTE = (
     "against the curve's own scale (Omega off by 3.7e-7 relative, "
     "amplitudes by 8.4e-6)")
 
+ABSOLUTE_GATES_IN_TIME = (
+    "frc.G_TOL and reduced.STABILITY_MARGIN are absolute, while G and the "
+    "reduced Jacobian scale with the time unit: in the unit t / 1000 Omega "
+    "drifts by 3.7e-7 relative and one K+ label (rho 0.1045 at order 3, "
+    "0.0975 at order 5) turns from unstable to fold-degenerate")
+
 
 @pytest.mark.parametrize("order", [3, 5])
-@pytest.mark.parametrize("L", [
-    1e-3, 3.0,
-    pytest.param(1e3, marks=pytest.mark.xfail(strict=True,
-                                              reason=G_TOL_IS_ABSOLUTE))])
-def test_length_unit_keeps_curve_values(L, order):
-    ref, ref_amp, _ = _in_length_unit(1.0, order)
-    got, amp, _ = _in_length_unit(L, order)
+@pytest.mark.parametrize("L, T, m", [
+    _units(L=1e-3), _units(L=3.0), _units(L=1e3),
+    _units(T=1e-3, xfail=ABSOLUTE_GATES_IN_TIME), _units(T=7.0),
+    _units(T=1e3), _units(m=1e-3), _units(m=1e3)])
+def test_length_unit_keeps_stability_labels(L, T, m, order):
+    """The stability label of every point does not depend on the units."""
+    ref, _, _ = _in_units(1.0, 1.0, 1.0, order)
+    got, _, _ = _in_units(L, T, m, order)
+    assert len(got.points) == len(ref.points) > 0
+    assert ([p.stability for p in got.points]
+            == [p.stability for p in ref.points])
+
+
+@pytest.mark.parametrize("order", [3, 5])
+@pytest.mark.parametrize("L, T, m", [
+    _units(L=1e-3), _units(L=3.0), _units(L=1e3, xfail=G_TOL_IS_ABSOLUTE),
+    _units(T=1e-3, xfail=ABSOLUTE_GATES_IN_TIME), _units(T=7.0),
+    _units(T=1e3), _units(m=1e-3), _units(m=1e3)])
+def test_length_unit_keeps_curve_values(L, T, m, order):
+    """Omega / T, the amplitudes and the folds do not depend on the
+    units."""
+    ref, ref_amp, _ = _in_units(1.0, 1.0, 1.0, order)
+    got, amp, _ = _in_units(L, T, m, order)
     assert len(got.points) == len(ref.points)
-    omega = np.array([p.omega for p in got.points])
+    omega = np.array([p.omega for p in got.points]) / T
     ref_omega = np.array([p.omega for p in ref.points])
     assert np.all(np.abs(omega - ref_omega) <= 1e-12 * ref_omega)
     assert np.all(np.abs(L * amp - ref_amp) <= 1e-12 * ref_amp)
