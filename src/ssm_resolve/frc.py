@@ -12,10 +12,11 @@ Real responses exist where disc >= 0; disc = 0 marks folds of the response
 curve over the frequency axis.  The curve is traced on a rho grid: at each
 admissible rho and branch, the remaining phase equation G = 0 is solved for
 Omega.  The f/g coefficients themselves depend on Omega, so every G value
-needs a forced solve, and the trace solves a whole curve in lockstep: each
-(rho, branch) pair runs its own safeguarded secant iteration, and each
-round sends the Omegas that all pending pairs ask for through one batched
-forced march (``compute_nonautonomous_ssm`` on an array).  Round 0 marches
+needs a forced solve, and one lockstep driver (``_rounds``) makes them all:
+each solve is a generator that asks for G at (rho, Omega, root) requests,
+and each round sends the Omegas of all pending requests through one batched
+forced march (``compute_nonautonomous_ssm`` on an array).  The trace runs
+a safeguarded secant iteration per (rho, branch) pair.  Round 0 marches
 every row's backbone Omega, which seeds both branches.  Converged points are
 verified against the full zero problem, window-filtered and
 stability-tagged in one batch per round.  The accepted points keep the
@@ -34,9 +35,10 @@ double-root Omega (K = -eps*f2/(a - eps*f1), which stays defined past the
 fold).  The same runs place them: each run's end next to a row where the
 sampled discriminant is negative brackets one fold, solved by Brent's
 method (``_brent``, a port of SciPy's ``brentq`` written as a generator).
-All brackets advance in lockstep: each round, every pending amplitude runs
-its own double-root secant, and those secants share the batched marches of
-one lockstep solve.
+Each bracket is one generator for the same driver: its Brent asks for the
+discriminant at an amplitude, and a double-root secant from that
+amplitude's backbone Omega finds it.  All of a curve's brackets share the
+batched marches of one ``_rounds`` run.
 
 The physical amplitude is the peak of one coordinate over a forcing period.
 On the manifold s1**p s2**q = rho**(p+q) e^{i(p-q)(psi+phi)}, and the two
@@ -58,7 +60,8 @@ from .errors import ValidationError
 from .ssm_auto import AutonomousSsm
 from .ssm_forced import ForcedReduction, compute_nonautonomous_ssm
 from .reduced import (ReducedDynamics, FixedPointU, assemble_polar,
-                      phase_residual, zero_problem, stability_labels)
+                      phase_residual, zero_problem, stability_labels,
+                      _even_val)
 
 #: |a - eps*f1| below this switches the K quadratic to its linear limit
 DEGENERATE_LEAD = 1e-14
@@ -74,6 +77,8 @@ ROUND_BYTES = 2 << 20
 BRENT_XTOL, BRENT_RTOL, BRENT_ITER = 1e-15, 8.9e-16, 100
 
 BRANCHES = ("K+", "K-")
+#: a request's root index for the double root (0 and 1 index BRANCHES)
+DOUBLE_ROOT = 2
 
 
 def _k_roots(rd: ReducedDynamics, rho, eps: float):
@@ -135,8 +140,7 @@ class FrcCurve:
 
 def _backbone_omega(ssm: AutonomousSsm, rho: float) -> float:
     """Frequency b(rho) of the unforced backbone curve at amplitude rho."""
-    return float(np.polynomial.polynomial.polyval(rho ** 2,
-                                                  ssm.phase_coefficients()))
+    return float(_even_val(ssm.phase_coefficients(), rho))
 
 
 def _columns(rd: ReducedDynamics, idx) -> ReducedDynamics:
@@ -145,13 +149,12 @@ def _columns(rd: ReducedDynamics, idx) -> ReducedDynamics:
                    f2=rd.f2[:, idx], g1=rd.g1[:, idx], g2=rd.g2[:, idx])
 
 
-def _secant(om: float, got=None):
+def _secant(rho: float, root: int, om: float, got=None):
     """Safeguarded secant iteration for G(Omega) = 0, as a generator.
 
-    It yields a tuple of the Omegas whose residuals it needs next and is
-    sent back one ``(G or None, disc, at)`` for each: None where the branch
-    does not exist there, the discriminant, and where ``_rounds`` keeps that
-    Omega's data.  ``got`` is that triple at ``om`` when already known;
+    It yields a tuple of the requests ``(rho, Omega, root)`` whose residuals
+    it needs next and is sent back one ``(G or None, disc, at)`` for each
+    (see ``_rounds``).  ``got`` is that triple at ``om`` when already known;
     otherwise the first difference probe rides along with ``om`` itself.
     Returns ``(omega, got)`` at convergence and ``(None, got at om)`` on
     divergence.
@@ -159,7 +162,7 @@ def _secant(om: float, got=None):
     h = 1e-7 * max(1.0, abs(om))
     probe = None
     if got is None:
-        got, probe = yield om, om + h
+        got, probe = yield (rho, om, root), (rho, om + h, root)
     start = got
     g = got[0]
     if g is None:
@@ -168,7 +171,7 @@ def _secant(om: float, got=None):
         if abs(g) <= G_TOL:
             return om, got
         if probe is None:
-            probe, = yield om + h,
+            probe, = yield (rho, om + h, root),
         g2, probe = probe[0], None
         if g2 is None or g2 == g:
             return None, start
@@ -176,7 +179,7 @@ def _secant(om: float, got=None):
         step = -g / slope
         # safeguard: halve the step until the residual actually shrinks
         for _ in range(12):
-            trial, = yield om + step,
+            trial, = yield (rho, om + step, root),
             if trial[0] is not None and abs(trial[0]) < abs(g):
                 break
             step /= 2
@@ -187,66 +190,69 @@ def _secant(om: float, got=None):
     return (om, got) if abs(g) <= G_TOL else (None, start)
 
 
-def _trace_pair(backbone: float, rho: float, sign: int):
-    """One (rho, branch) pair of the trace, as a generator for ``_rounds``.
+def _trace_pair(backbone: float, rho: float, root: int):
+    """One (rho, branch) pair of the trace, ``root`` its ``BRANCHES`` index,
+    as a generator for ``_rounds``.
 
     The backbone Omega seeds the branch (its discriminant places the seed);
     the plain backbone is the fallback seed.  Returns (solution, disc0).
     """
-    got, = yield backbone,
+    got, = yield (rho, backbone, root),
     disc0 = got[1]
-    seed = backbone + sign * math.sqrt(max(disc0, 0.0)) / rho
+    seed = backbone + (1, -1)[root] * math.sqrt(max(disc0, 0.0)) / rho
     if seed == backbone:
-        return (yield from _secant(seed, got)), disc0
-    sol = yield from _secant(seed)
+        return (yield from _secant(rho, root, seed, got)), disc0
+    sol = yield from _secant(rho, root, seed)
     if sol[0] is None:
         # try the plain backbone seed before giving up
-        sol = yield from _secant(backbone)
+        sol = yield from _secant(rho, root, backbone)
     return sol, disc0
 
 
-def _rounds(ssm: AutonomousSsm, eps: float, pairs: list, rho: np.ndarray,
-            branch: np.ndarray, psi_double: bool = False):
-    """Drive the pair generators in lockstep.
+def _rounds(ssm: AutonomousSsm, eps: float, gens: dict):
+    """Drive the generators ``gens`` (by key) in lockstep: the one driver of
+    a curve's forced solves, trace and folds alike.
 
-    Each round marches every distinct Omega the pending pairs ask for as
-    one batch (as many pairs, first come first, as ``ROUND_BYTES`` holds),
-    evaluates their phase residuals together and sends each pair a
-    ``(G, disc, at)`` per Omega, ``at`` indexing the round's requests.  G
-    is taken at the pair's branch root (0: K+, 1: K-), or with
-    ``psi_double`` at the double root K = -eps*f2/(a - eps*f1), which keeps
-    the iteration defined on the far side of a fold.  Yields per round
+    A generator yields a tuple of requests ``(rho, Omega, root)`` and is
+    sent one ``(G, disc, at)`` per request: G with psi from that root (0:
+    K+, 1: K-, ``DOUBLE_ROOT``: -eps*f2/(a - eps*f1), defined on the far
+    side of a fold), None where it is NaN; the discriminant; and ``at``,
+    the request's index in the round.  Each round marches every distinct
+    Omega that the pending generators ask for (as many generators, first
+    come first, as ``ROUND_BYTES`` holds) as one batch.  Yields per round
     ``(batch, member, rd, psi, finished)``: the stacked forced correction,
     the batch member of each request, the polar data and psi per request,
-    and the (pair, result) of the pairs that returned in this round.
+    and the (key, result) of the generators that returned in this round.
     """
     # both harmonics' embedding columns of one Omega, complex
     per_omega = 32 * ssm.w0_dense.shape[0] * ssm.order * (ssm.order + 1) // 2
     capacity = max(1, ROUND_BYTES // per_omega)
-    pending = {p: next(gen) for p, gen in enumerate(pairs)}
+    pending = {p: next(gen) for p, gen in gens.items()}
     while pending:
-        owner, omega = [], []
+        owner, asked = [], []
         for p, wanted in pending.items():
-            if omega and len(omega) + len(wanted) > capacity:
+            if asked and len(asked) + len(wanted) > capacity:
                 break
             owner += [p] * len(wanted)
-            omega += wanted
+            asked += wanted
+        rho, omega, root = (np.array(c) for c in zip(*asked))
         distinct: dict[float, int] = {}
         member = np.array([distinct.setdefault(om, len(distinct))
-                           for om in omega])
+                           for om in omega.tolist()])
         batch = compute_nonautonomous_ssm(ssm, np.array(list(distinct)))
         rd = _columns(assemble_polar(ssm, batch), member)
-        r = rho[owner]
-        k_plus, k_minus, disc = _k_roots(rd, r, eps)
-        if psi_double:
-            lead = rd.a_of(r) - eps * rd.f1_of(r)
-            with np.errstate(divide="ignore"):
-                k = np.where(np.abs(lead) < DEGENERATE_LEAD, np.inf,
-                             -eps * rd.f2_of(r) / lead)
-        else:
-            k = np.where(branch[owner] == 0, k_plus, k_minus)
+        k_plus, k_minus, disc = _k_roots(rd, rho, eps)
+        k = np.where(root == 0, k_plus, k_minus)
+        # the double root only where it is asked for: the trace asks for
+        # none, and a full-width evaluation per round costs peak memory
+        double = np.flatnonzero(root == DOUBLE_ROOT)
+        here, r = _columns(rd, double), rho[double]
+        lead = here.a_of(r) - eps * here.f1_of(r)
+        with np.errstate(divide="ignore"):
+            k[double] = np.where(np.abs(lead) < DEGENERATE_LEAD, np.inf,
+                                 -eps * here.f2_of(r) / lead)
         psi = psi_from_k(k)
-        g = phase_residual(rd, r, np.array(omega), eps, psi).tolist()
+        g = phase_residual(rd, rho, omega, eps, psi).tolist()
         got = [(None if math.isnan(gi) else gi, di, at)
                for at, (gi, di) in enumerate(zip(g, disc.tolist()))]
         finished = []
@@ -254,7 +260,7 @@ def _rounds(ssm: AutonomousSsm, eps: float, pairs: list, rho: np.ndarray,
         for p in dict.fromkeys(owner):
             wanted = pending[p]
             try:
-                pending[p] = pairs[p].send(tuple(got[at:at + len(wanted)]))
+                pending[p] = gens[p].send(tuple(got[at:at + len(wanted)]))
             except StopIteration as stop:
                 del pending[p]
                 finished.append((p, stop.value))
@@ -286,26 +292,25 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
         The modal model the manifold was built from (kept for signature
         symmetry with the rest of the pipeline; the manifold carries it too).
     eps : float
-        Forcing amplitude (> 0).
+        Forcing amplitude (finite, > 0).
     rho_max, n_rho : float, int
         Upper end and resolution of the amplitude grid.
     omega_window : (float, float), optional
         Keep only responses with Omega inside this closed interval.
     """
-    if eps <= 0:
-        raise ValidationError("eps must be > 0 (use the unforced analysis "
-                              "for eps = 0)")
-    if rho_max <= 0 or n_rho < 2:
-        raise ValidationError("need rho_max > 0 and n_rho >= 2")
+    if not 0 < eps < math.inf:
+        raise ValidationError("eps must be finite and > 0 (use the unforced "
+                              "analysis for eps = 0)")
+    if not 0 < rho_max < math.inf or n_rho < 2:
+        raise ValidationError("need a finite rho_max > 0 and n_rho >= 2")
 
     grid = np.linspace(0.0, rho_max, n_rho + 1)[1:]
     # pair p is grid row p // 2 on branch p % 2 (K+ first)
     rho = np.repeat(grid, 2)
-    branch = np.tile([0, 1], n_rho)
     pairs = []
     for r in grid.tolist():
         backbone = _backbone_omega(ssm, r)
-        pairs += [_trace_pair(backbone, r, +1), _trace_pair(backbone, r, -1)]
+        pairs += [_trace_pair(backbone, r, 0), _trace_pair(backbone, r, 1)]
 
     disc = np.empty(2 * n_rho)
     # per pair: a skip reason or the accepted point
@@ -313,8 +318,8 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
     # per round: the pairs accepted and their forced rows, taken out of the
     # round's stack so that the stack itself can go
     kept: list[tuple[np.ndarray, ForcedReduction]] = []
-    for batch, member, rd, psi, finished in _rounds(ssm, eps, pairs, rho,
-                                                    branch):
+    for batch, member, rd, psi, finished in _rounds(ssm, eps,
+                                                    dict(enumerate(pairs))):
         done = []
         for p, ((om, got), disc0) in finished:
             if om is None:
@@ -459,23 +464,24 @@ def _brent(xa: float, xb: float):
     raise RuntimeError(f"Failed to converge after {BRENT_ITER} iterations.")
 
 
-def _fold_point(ssm: AutonomousSsm, eps: float, rho: np.ndarray):
-    """Double-root Omega at each amplitude ``rho[i]`` and the discriminant
-    there, as a list (None where the secant diverged) and an array.
-
-    One secant per amplitude starts at its backbone Omega, and all of them
-    run through the lockstep solver together.  Where a secant diverges, the
-    discriminant is the one at its backbone Omega, kept from the round that
-    marched that backbone.
+def _fold(ssm: AutonomousSsm, xa: float, xb: float):
+    """One fold bracket [xa, xb] as a generator for ``_rounds``: ``_brent``
+    on the discriminant at a double-root ``_secant`` from the backbone Omega
+    (the backbone's own where the secant diverges).  Returns the fold; a NaN
+    discriminant, which would steer Brent's sign tests, raises ValueError.
     """
-    secants = [_secant(_backbone_omega(ssm, r)) for r in rho.tolist()]
-    omega, disc = [None] * len(secants), np.empty(len(secants))
-    for *_, finished in _rounds(ssm, eps, secants, rho,
-                                np.zeros(len(secants), int),
-                                psi_double=True):
-        for p, (om, got) in finished:
-            omega[p], disc[p] = om, got[1]
-    return omega, disc
+    brent = _brent(xa, xb)
+    rho = next(brent)
+    while True:
+        _, got = yield from _secant(rho, DOUBLE_ROOT,
+                                    _backbone_omega(ssm, rho))
+        if math.isnan(got[1]):
+            raise ValueError(f"the fold discriminant at rho={rho} is NaN; "
+                             "Brent cannot continue")
+        try:
+            rho = brent.send(got[1])
+        except StopIteration as stop:
+            return stop.value
 
 
 def _runs(inside: np.ndarray) -> np.ndarray:
@@ -495,35 +501,24 @@ def _locate_folds(ssm: AutonomousSsm, eps: float, grid: np.ndarray,
     two rows rounded to 15 decimals.  An end at the end of the grid with a
     positive discriminant is no fold.
 
-    Every bracket starts one ``_brent``, and the brents run in lockstep:
-    each round evaluates the discriminant at all their pending amplitudes
-    with one ``_fold_point`` call, whose double-root secants share the
-    batched forced marches of ``_rounds``.
+    Every bracket is one ``_fold`` generator, and one ``_rounds`` run
+    drives them all: the double-root secants of every bracket's pending
+    Brent step share its batched forced marches.
     """
     samples = [round(r, 15) for r in grid.tolist()]
     folds: list[float | None] = []
-    brents = {}
+    brackets = {}
     for first, after in _runs(disc >= 0).tolist():
         for end, out in ((first, first - 1), (after - 1, after)):
             if disc[end] == 0.0:
                 folds.append(samples[end])
             elif 0 <= out < len(samples):
-                brents[len(folds)] = _brent(samples[min(end, out)],
-                                            samples[max(end, out)])
+                brackets[len(folds)] = _fold(ssm, samples[min(end, out)],
+                                             samples[max(end, out)])
                 folds.append(None)
-
-    wanted = {i: next(brent) for i, brent in brents.items()}
-    while wanted:
-        _, disc_at = _fold_point(ssm, eps, np.array(list(wanted.values())))
-        for i, d in zip(list(wanted), disc_at.tolist()):
-            if math.isnan(d):
-                raise ValueError(f"the fold discriminant at rho={wanted[i]} "
-                                 "is NaN; Brent cannot continue")
-            try:
-                wanted[i] = brents[i].send(d)
-            except StopIteration as stop:
-                del wanted[i]
-                folds[i] = stop.value
+    for *_, finished in _rounds(ssm, eps, brackets):
+        for i, fold in finished:
+            folds[i] = fold
     return folds
 
 

@@ -215,6 +215,8 @@ def leading_isola(ssm: AutonomousSsm, eps: float) -> LeadingIsola:
     eps_m = sqrt(4 |Re lambda_1|**3 / (27 Re gamma_1)) / |c00|, with c00
     the leading forcing coefficient of the manifold's modal model.
     """
+    if not 0 <= eps < math.inf:
+        raise ValidationError("eps must be finite and >= 0")
     mm = ssm.mm
     re_lam = abs(mm.lambda_master.real)
     re_g1 = float(np.real(ssm.gamma[0])) if len(ssm.gamma) else 0.0
@@ -236,8 +238,8 @@ def fold_points(ssm: AutonomousSsm, eps: float) -> np.ndarray:
     and the merger forcing, a double fold at the merger, one value beyond
     it.  Only gamma_1 of ``ssm`` enters, so any order >= 3 gives the same.
     """
-    if eps < 0:
-        raise ValidationError("eps must be >= 0")
+    if not 0 <= eps < math.inf:
+        raise ValidationError("eps must be finite and >= 0")
     c_norm = abs(leading_forcing_coefficient(ssm.mm))
     a1 = ssm.mm.lambda_master.real
     a3 = float(np.real(ssm.gamma[0])) if len(ssm.gamma) else 0.0

@@ -200,8 +200,8 @@ def integrate_full(fos: FirstOrderSystem, eps: float, omega: float,
     """
     if omega <= 0:
         raise ValidationError("forcing frequency must be positive")
-    if eps < 0:
-        raise ValidationError("forcing amplitude must be >= 0")
+    if not 0 <= eps < math.inf:
+        raise ValidationError("forcing amplitude must be finite and >= 0")
     if t_end <= 0:
         raise ValidationError("t_end must be positive")
     x0 = np.asarray(x0, dtype=float)

@@ -1,6 +1,7 @@
-"""Every module-level UPPER_CASE constant of the package is read by the
-package itself: a tolerance or limit that no code reads only looks like a
-setting."""
+"""Every module-level UPPER_CASE constant and every private function or
+class of the package is read by the package itself: a tolerance or limit
+that no code reads only looks like a setting, and a private helper that
+only the tests call is dead code that the tests keep alive."""
 
 import ast
 import re
@@ -21,6 +22,14 @@ def _defined(tree: ast.Module) -> list[str]:
     return names
 
 
+def _private(tree: ast.Module) -> list[str]:
+    """Functions and classes named ``_x`` (not ``__x__``), at any depth."""
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")]
+
+
 def _read(tree: ast.Module) -> set[str]:
     """Names loaded bare (``G_TOL``) or as an attribute (``frc.G_TOL``)."""
     out = set()
@@ -32,11 +41,22 @@ def _read(tree: ast.Module) -> set[str]:
     return out
 
 
-def test_every_module_constant_is_read_in_src():
+def _unread(names) -> list[str]:
+    """``module:name`` for each name that ``names(tree)`` gives and no module
+    of the package reads."""
     trees = {p.name: ast.parse(p.read_text(), str(p))
              for p in sorted(SRC.glob("*.py"))}
     assert "frc.py" in trees
     read = set().union(*(_read(t) for t in trees.values()))
-    unread = [f"{name}:{c}" for name, tree in trees.items()
-              for c in _defined(tree) if c not in read]
+    return [f"{name}:{c}" for name, tree in trees.items()
+            for c in names(tree) if c not in read]
+
+
+def test_every_module_constant_is_read_in_src():
+    unread = _unread(_defined)
     assert not unread, f"module constants that src/ never reads: {unread}"
+
+
+def test_every_private_function_and_class_is_read_in_src():
+    unread = _unread(_private)
+    assert not unread, f"private names that src/ never reads: {unread}"

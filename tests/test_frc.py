@@ -13,9 +13,10 @@ from conftest import BEAM, two_mass_system
 from ssm_resolve.beam import BeamSpec, build_beam, tip_index
 from ssm_resolve import frc
 from ssm_resolve.errors import ValidationError
-from ssm_resolve.isola import leading_isola
+from ssm_resolve.isola import fold_points, leading_isola
 from ssm_resolve.model import (MechanicalSystem, PolyTerm, modal_decompose,
                                to_first_order)
+from ssm_resolve.oracle import integrate_full, sweep
 from ssm_resolve.polyalg import dense_eval
 from ssm_resolve.ssm_auto import compute_autonomous_ssm
 from ssm_resolve.ssm_forced import compute_nonautonomous_ssm
@@ -23,7 +24,21 @@ from ssm_resolve.reduced import (ReducedDynamics, FixedPointU, assemble_polar,
                                  phase_residual, zero_problem)
 from ssm_resolve.frc import (BRANCHES, psi_from_k, trace_frc,
                              physical_amplitude, physical_amplitudes,
-                             _fold_point, _k_roots)
+                             _k_roots)
+
+
+def _double_roots(ssm, eps: float, rho):
+    """Double-root Omega at each amplitude ``rho[i]`` (None where its secant
+    diverged) and the discriminant there: one double-root secant per
+    amplitude from its backbone Omega, all driven through ``frc._rounds``
+    together, as a fold bracket drives them."""
+    secants = {i: frc._secant(r, frc.DOUBLE_ROOT, frc._backbone_omega(ssm, r))
+               for i, r in enumerate(np.asarray(rho).tolist())}
+    omega, disc = [None] * len(secants), np.empty(len(secants))
+    for *_, finished in frc._rounds(ssm, eps, secants):
+        for i, (om, got) in finished:
+            omega[i], disc[i] = om, got[1]
+    return omega, disc
 
 
 def _synthetic_rd(a, f1, f2):
@@ -219,7 +234,7 @@ class TestTwoMassTrace:
     def test_fold_discriminant_vanishes_to_relative_tolerance(
             self, sp_ssm3, sp_trace_isola):
         fc = sp_trace_isola
-        omega, disc = _fold_point(sp_ssm3, fc.eps, fc.folds)
+        omega, disc = _double_roots(sp_ssm3, fc.eps, fc.folds)
         for rho_f, om, d in zip(fc.folds, omega, disc):
             assert om is not None
             rd = assemble_polar(sp_ssm3,
@@ -285,6 +300,23 @@ class TestTwoMassTrace:
             trace_frc(sp_ssm3, sp_modal, 0.001, rho_max=-1.0, n_rho=50)
         with pytest.raises(ValidationError):
             trace_frc(sp_ssm3, sp_modal, 0.001, rho_max=0.1, n_rho=1)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+@pytest.mark.parametrize("call", [
+    lambda mm, ssm, x: trace_frc(ssm, mm, x, rho_max=0.1, n_rho=50),
+    lambda mm, ssm, x: trace_frc(ssm, mm, 0.001, rho_max=x, n_rho=50),
+    lambda mm, ssm, x: fold_points(ssm, x),
+    lambda mm, ssm, x: leading_isola(ssm, x),
+    lambda mm, ssm, x: integrate_full(mm.fos, x, 1.7, np.zeros(4), 1.0),
+    lambda mm, ssm, x: sweep(mm.fos, x, [1.7], [0]),
+], ids=["trace_frc-eps", "trace_frc-rho_max", "fold_points", "leading_isola",
+        "integrate_full", "sweep"])
+def test_non_finite_input_is_refused(call, bad, sp_modal, sp_ssm3):
+    """A NaN or infinite forcing amplitude (or trace range) is a usage
+    error, not an empty curve, a NumPy error or a step-size underflow."""
+    with pytest.raises(ValidationError, match="finite"):
+        call(sp_modal, sp_ssm3, bad)
 
 
 class TestPhysicalAmplitude:
@@ -513,9 +545,28 @@ def test_diverged_fold_point_keeps_round_zero_backbone(sp_ssm3, monkeypatch):
         want.append(float(_k_roots(rd, r, eps)[2]))
     for round_bytes in (frc.ROUND_BYTES, 1):
         monkeypatch.setattr(frc, "ROUND_BYTES", round_bytes)
-        omega, disc = frc._fold_point(sp_ssm3, eps, rho)
+        omega, disc = _double_roots(sp_ssm3, eps, rho)
         assert omega == [None, None]
         assert disc.tolist() == want, round_bytes
+
+
+def test_trace_pair_retries_from_the_plain_backbone():
+    """A K- pair whose disc-placed seed's secant diverges (no branch at the
+    seed) starts a second secant at the plain backbone Omega, and that
+    secant's solution is the pair's."""
+    backbone, rho, disc0 = 1.5, 0.05, 4e-6
+    pair = frc._trace_pair(backbone, rho, 1)
+    assert next(pair) == ((rho, backbone, 1),)
+    seed = backbone - math.sqrt(disc0) / rho
+    assert seed < backbone
+    asked = pair.send(((0.3, disc0, 0),))
+    assert asked == ((rho, seed, 1), (rho, seed + 1e-7 * seed, 1))
+    asked = pair.send(((None, -1.0, 0), (None, -1.0, 1)))
+    assert asked == ((rho, backbone, 1), (rho, backbone + 1e-7 * backbone, 1))
+    converged = (0.5 * frc.G_TOL, disc0, 5)
+    with pytest.raises(StopIteration) as stop:
+        pair.send((converged, (frc.G_TOL, disc0, 6)))
+    assert stop.value.value == ((backbone, converged), disc0)
 
 
 # ---------------------------------------------------------------------------
@@ -625,10 +676,32 @@ def test_nan_discriminant_stops_the_fold_search(monkeypatch):
     """A NaN discriminant raises, as SciPy's ``brentq`` does, instead of
     steering Brent's sign tests."""
     ssm, eps, grid, disc = _fold_problem("cubic")
-    monkeypatch.setattr(frc, "_fold_point", lambda ssm, eps, rho: (
-        [None] * len(rho), np.full(len(rho), np.nan)))
+    k_roots = frc._k_roots
+    monkeypatch.setattr(frc, "_k_roots", lambda rd, rho, eps: (
+        *k_roots(rd, rho, eps)[:2], np.full(len(rho), np.nan)))
     with pytest.raises(ValueError, match="NaN"):
         frc._locate_folds(ssm, eps, grid, disc)
+
+
+#: (batched forced marches, marched Omegas) of each golden curve's fold
+#: search with all brackets in lockstep; one march per bracket and Brent
+#: step would be several times more (quintic: 66 marches)
+FOLD_MARCHES = {"cubic": (14, 54), "quintic": (14, 99), "beam25": (18, 25),
+                "linear": (8, 13)}
+
+
+@pytest.mark.parametrize("name", list(GOLDEN_CURVES))
+def test_fold_search_shares_its_marches(name, monkeypatch):
+    """The fold search marches no more often, and no more Omegas, than
+    ``FOLD_MARCHES`` records."""
+    ssm, eps, grid, disc = _fold_problem(name)
+    marched = []
+    march = frc.compute_nonautonomous_ssm
+    monkeypatch.setattr(frc, "compute_nonautonomous_ssm", lambda ssm, om: (
+        marched.append(np.size(om)) or march(ssm, om)))
+    frc._locate_folds(ssm, eps, grid, disc)
+    calls, omegas = FOLD_MARCHES[name]
+    assert 0 < len(marched) <= calls and sum(marched) <= omegas
 
 
 @pytest.mark.parametrize("name", ["cubic", "quintic"])
@@ -639,7 +712,7 @@ def test_folds_match_scipy_brentq_on_the_discriminant(name):
     folds = frc._locate_folds(ssm, eps, grid, disc)
 
     def disc_at(rho):
-        return float(_fold_point(ssm, eps, np.array([rho]))[1][0])
+        return float(_double_roots(ssm, eps, [rho])[1][0])
 
     change = np.flatnonzero(disc[:-1] * disc[1:] < 0).tolist()
     want = [brentq(disc_at, round(float(grid[i]), 15),
