@@ -32,7 +32,6 @@ from .errors import (IntegrationError, InternalResonanceError,
 from .frc import physical_amplitudes, trace_frc
 from .isola import isola_report
 from .model import modal_decompose, spectral_quotient, to_first_order
-from .oracle import IntegratorControl
 from .oracle import sweep as oracle_sweep
 from .ssm_auto import (RESONANCE_GUARD, compute_autonomous_ssm,
                        invariance_residual)
@@ -224,11 +223,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--max-periods", type=int, default=100,
                     dest="max_periods",
                     help="measured-period budget per point (default 100)")
-    pv.add_argument("--tol-rel", type=POSITIVE, default=1e-8, dest="tol_rel",
-                    help="integrator relative tolerance (default 1e-8)")
-    pv.add_argument("--tol-abs", type=POSITIVE, default=1e-10,
-                    dest="tol_abs",
-                    help="integrator absolute tolerance (default 1e-10)")
     pv.add_argument("--tol-settle", type=POSITIVE, default=1e-3,
                     dest="tol_settle", help="sweep settle threshold, relative "
                     "per-period change (default 1e-3)")
@@ -563,9 +557,8 @@ def _cmd_verify(cfg: argparse.Namespace) -> None:
     if cfg.sweep == "down":
         grid = grid[::-1]
     monitor = _resolve_monitor(cfg.monitor, sys_)
-    control = IntegratorControl(rel_tol=cfg.tol_rel, abs_tol=cfg.tol_abs)
     result = oracle_sweep(fos, cfg.eps, grid, monitor,
-                          warm_start=not cfg.cold, control=control,
+                          warm_start=not cfg.cold,
                           transient_time=cfg.transient_time,
                           min_measure_periods=cfg.min_periods,
                           max_measure_periods=cfg.max_periods,
@@ -589,8 +582,7 @@ def _cmd_verify(cfg: argparse.Namespace) -> None:
          f"{n_bad} unconverged)")
     _say(cfg, _reason_summary("unconverged points",
                               [f for f in result.failure.tolist() if f]))
-    _say(cfg, f"integrator steps: {int(result.steps_accepted.sum())} "
-         f"accepted, {int(result.steps_rejected.sum())} rejected")
+    _say(cfg, f"integrator steps: {int(result.steps.sum())}")
 
 
 def _cmd_beam(cfg: argparse.Namespace) -> None:

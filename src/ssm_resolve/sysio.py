@@ -125,7 +125,9 @@ def read_system(path) -> MechanicalSystem:
                 raise ValidationError(
                     f"line {no}: expected {n} entries in row of {label}, got {len(vals)}")
             try:
-                rows.append([float(v) for v in vals])
+                # one conversion a row: NumPy reads each string as float()
+                # does
+                rows.append(np.array(vals, dtype=float))
             except ValueError as exc:
                 raise ValidationError(f"line {no}: bad number in {label} row") from exc
         return np.array(rows)
@@ -166,7 +168,7 @@ def read_system(path) -> MechanicalSystem:
     if len(vals) != n:
         raise ValidationError(f"line {no}: forcing vector needs {n} entries")
     try:
-        f = np.array([float(v) for v in vals])
+        f = np.array(vals, dtype=float)
     except ValueError as exc:
         raise ValidationError(f"line {no}: bad number in forcing vector") from exc
 

@@ -197,16 +197,24 @@ def test_frc_reports_detached_branch_as_second_component(tmp_path, capsys):
 
 
 def test_commands_run_without_scipy(tmp_path):
-    """A fresh interpreter imports the CLI, traces a curve with folds and
-    analyzes the system without loading SciPy: its import alone costs more
-    than half a second."""
+    """A fresh interpreter imports the CLI, traces a curve with folds,
+    analyzes the system and runs a short sweep, whose exponential
+    integrator needs a matrix exponential, without loading SciPy: its
+    import alone costs more than half a second."""
     sysfile, out = sp_file(tmp_path), tmp_path / "frc.csv"
     frc = ["frc", "--system", sysfile, "--eps", "0.0027", "--rho-max", "0.13",
            "--n-rho", "60", "--out", str(out), "--quiet"]
     analyze = ["analyze", "--system", sysfile, "--quiet"]
+    verify = ["verify", "--system",
+              sp_file(tmp_path, "linear.txt", kappa=0.0, alpha=0.0),
+              "--eps", "0.001", "--omega", "1.72:1.72:1",
+              "--transient-time", "20", "--min-periods", "4",
+              "--max-periods", "4", "--out", str(tmp_path / "sweep.csv"),
+              "--quiet"]
     probe = ("import sys\nfrom ssm_resolve import cli\n"
              f"assert cli.main({frc!r}) == 0\n"
              f"assert cli.main({analyze!r}) == 0\n"
+             f"assert cli.main({verify!r}) == 0\n"
              "assert 'scipy' not in sys.modules, 'SciPy was imported'\n")
     src = str(Path(cli.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
@@ -305,8 +313,7 @@ def test_verify_reports_integrator_steps(tmp_path, capsys):
     sr = sweep(to_first_order(two_mass_system(kappa=0.0, alpha=0.0)), 0.001,
                [1.72, 1.75], [0], warm_start=False, transient_time=20.0,
                min_measure_periods=4, max_measure_periods=4)
-    assert line == (f"integrator steps: {sr.steps_accepted.sum()} accepted, "
-                    f"{sr.steps_rejected.sum()} rejected")
+    assert line == f"integrator steps: {sr.steps.sum()}"
     body = body_lines(out.read_text())
     assert main(argv + ["--quiet"]) == 0
     assert capsys.readouterr().out == ""
@@ -320,7 +327,7 @@ def test_verify_counts_unconverged_points_by_reason(tmp_path, capsys):
     base = ["verify", "--system", sp_file(tmp_path), "--eps", "0.01",
             "--omega", "1.73:1.74:2", "--transient-time", "3.7",
             "--out", str(out)]
-    for extra, want in (([], "unconverged points: 2 (underflow: 2)"),
+    for extra, want in (([], "unconverged points: 2 (diverged: 2)"),
                         (["--eps", "0.001", "--min-periods", "4",
                           "--max-periods", "4"],
                          "unconverged points: 2 (unsettled: 2)")):
@@ -505,7 +512,7 @@ def test_flag_and_config_file_are_one_route(tmp_path, capsys):
 
     frc = ["frc", "--system", "s.txt", "--out", "c.csv", "--eps", "0.002"]
     # a key that only another command reads changes nothing for frc
-    assert (_config_hash(resolve(frc, '{"tol_rel": 0, "orders": "1..3"}'))
+    assert (_config_hash(resolve(frc, '{"tol_settle": 0, "orders": "1..3"}'))
             == _config_hash(resolve(frc)))
     # a typed flag beats the file
     assert resolve(frc, '{"eps": 0.001, "n_rho": 7}').eps == 0.002
@@ -557,7 +564,7 @@ def test_config_keys_of_other_commands_are_not_checked(tmp_path, capsys):
     sysfile = sp_file(tmp_path)
     out = tmp_path / "c.csv"
     cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"tol_rel": 0}))
+    cfgfile.write_text(json.dumps({"tol_settle": 0}))
     assert main(["frc", "--system", sysfile, "--eps", "0.0027", "--rho-max",
                  "0.05", "--n-rho", "10", "--out", str(out), "--quiet",
                  "--config", str(cfgfile)]) == 0
@@ -651,9 +658,11 @@ def test_failed_run_leaves_no_partial_artifacts(tmp_path, capsys):
 
 def test_tolerance_flags_sit_only_on_the_commands_that_read_them():
     shared = {"--config", "--jobs", "--seed", "--quiet", "--no-quiet"}
-    own = {"verify": {"--tol-rel", "--tol-abs", "--tol-settle"},
+    own = {"verify": {"--tol-settle"},
            "isola": {"--tol-cauchy", "--tol-radius-frac"}}
-    tolerances = set().union(*own.values())
+    # the sweep steps a fixed count a period: no command takes the
+    # integrator's tolerances
+    tolerances = set().union(*own.values(), {"--tol-rel", "--tol-abs"})
     sub, = (a for a in _build_parser()._actions
             if isinstance(a, argparse._SubParsersAction))
     assert set(sub.choices) == {"analyze", "frc", "isola", "verify", "beam"}
@@ -669,18 +678,27 @@ def test_tolerance_flags_are_refused_where_nothing_reads_them(tmp_path,
     frc = ["frc", "--system", sysfile, "--eps", "0.0027", "--rho-max",
            "0.05", "--n-rho", "10", "--out", str(tmp_path / "c.csv"),
            "--quiet"]
-    assert main(frc + ["--tol-rel", "0"]) == 2
-    assert "unrecognized arguments: --tol-rel" in capsys.readouterr().err
+    assert main(frc + ["--tol-settle", "0"]) == 2
+    assert "unrecognized arguments: --tol-settle" in capsys.readouterr().err
+    # nothing reads an integrator tolerance, verify included
+    verify = ["verify", "--system", sysfile, "--eps", "0.001", "--omega",
+              "1.7:1.7:1", "--out", str(tmp_path / "v.csv")]
+    for cmd in (frc, verify):
+        assert main(cmd + ["--tol-rel", "1e-11"]) == 2
+        assert ("unrecognized arguments: --tol-rel"
+                in capsys.readouterr().err)
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"tol_abs": 1e-13}))
+    assert main(verify + ["--config", str(cfgfile)]) == 2
+    assert ("unknown config file keys: tol_abs"
+            in capsys.readouterr().err)
     # one config file still serves every command: frc ignores the keys
     # only verify and isola read
-    cfgfile = tmp_path / "cfg.json"
-    cfgfile.write_text(json.dumps({"tol_rel": 1e-9, "tol_cauchy": 2e-3}))
+    cfgfile.write_text(json.dumps({"tol_settle": 1e-4, "tol_cauchy": 2e-3}))
     assert main(frc + ["--config", str(cfgfile)]) == 0
     # and the commands that read them still check them
-    assert main(["verify", "--system", sysfile, "--eps", "0.001",
-                 "--omega", "1.7:1.7:1", "--tol-rel", "0",
-                 "--out", str(tmp_path / "v.csv")]) == 2
-    assert "argument --tol-rel: must be > 0" in capsys.readouterr().err
+    assert main(verify + ["--tol-settle", "0"]) == 2
+    assert "argument --tol-settle: must be > 0" in capsys.readouterr().err
     assert main(["isola", "--system", sysfile, "--eps", "0.001",
                  "--tol-radius-frac", "1.5",
                  "--out", str(tmp_path / "i.json")]) == 2

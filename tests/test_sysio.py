@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from ssm_resolve import sysio
-from ssm_resolve.beam import BeamSpec, write_beam_params
+from ssm_resolve.beam import BeamSpec, build_beam, write_beam_params
 from ssm_resolve.errors import ValidationError
 from ssm_resolve.model import MechanicalSystem, PolyTerm
 from ssm_resolve.sysio import read_system, write_artifacts, write_system, MAGIC
 
-from conftest import BEAM, two_mass_system
+from conftest import BEAM, MIXED_TERMS, two_mass_system, with_terms
 
 
 def test_round_trip_is_exact(tmp_path):
@@ -89,6 +89,71 @@ def test_row_width_checked(tmp_path):
     with pytest.raises(ValidationError) as err:
         read_system(path)
     assert "expected 2 entries" in str(err.value)
+
+
+def _entries_one_by_one(text: str, n: int) -> dict:
+    """M, C, K and f of a system file without comments, each entry read by
+    ``float``: the parse ``read_system`` made before it converted a row at
+    a time."""
+    lines = [ln.strip() for ln in text.splitlines()]
+    out = {}
+    for label in ("M", "C", "K", "f"):
+        at = lines.index(label) + 1
+        rows = lines[at:at + (1 if label == "f" else n)]
+        out[label] = np.array([[float(v) for v in row.split()]
+                               for row in rows])
+    out["f"] = out["f"][0]
+    return out
+
+
+@pytest.mark.parametrize("name", ["cubic", "quintic", "linear", "mixed",
+                                  "beam2", "beam25", "beam100", "spelled"])
+def test_matrices_read_bit_for_bit_as_entry_by_entry(tmp_path, name):
+    path = tmp_path / "sys.txt"
+    if name == "spelled":
+        # valid float spellings that repr never writes
+        path.write_text(f"{MAGIC}\nn 2\nM\n1 0\n-0 +2.\nC\n.5 1_0e-3\n"
+                        "1_0e-3 5e-324\nK\n 1e308   3\n3  \t4.0E2\n"
+                        "g 0\nf\n-0.0 1\n")
+    else:
+        system = {"cubic": two_mass_system(),
+                  "quintic": two_mass_system(quintic=1.2),
+                  "linear": two_mass_system(kappa=0.0, alpha=0.0),
+                  "mixed": with_terms(MIXED_TERMS)}.get(name)
+        if system is None:
+            system = build_beam(BeamSpec(**{**BEAM,
+                                            "elements": int(name[4:])}))
+        write_system(system, path)
+    back = read_system(path)
+    want = _entries_one_by_one(path.read_text(), back.n)
+    for label, got in (("M", back.M), ("C", back.C), ("K", back.K),
+                       ("f", back.f)):
+        assert got.dtype == want[label].dtype, label
+        assert got.shape == want[label].shape, label
+        assert got.tobytes() == want[label].tobytes(), label
+
+
+@pytest.mark.parametrize("rows, line, message", [
+    # a bad number in the first row outranks the short second row
+    (["1.0 x", "2.0"], 10, "bad number in K row"),
+    (["1.0 2.0", "2.0 1..0"], 11, "bad number in K row"),
+    (["1.0 2.0", "2.0"], 11, "expected 2 entries in row of K, got 1"),
+    # and the end of the file
+    (["1.0 x"], 10, "bad number in K row"),
+    (["1.0 2.0"], 10, "unexpected end of file while reading row of K"),
+])
+def test_matrix_errors_name_the_first_bad_line(tmp_path, rows, line,
+                                               message):
+    # K's rows are lines 10 and 11
+    head = [MAGIC, "n 2", "M", "1 0", "0 1", "C", "0 0", "0 0", "K"]
+    tail = ["g 0", "f", "1.0 0.0"] if len(rows) == 2 else []
+    path = tmp_path / "sys.txt"
+    path.write_text("\n".join(head + rows + tail) + "\n")
+    with pytest.raises(ValidationError) as err:
+        read_system(path)
+    want = message if message.startswith("unexpected") else \
+        f"line {line}: {message}"
+    assert str(err.value) == want
 
 
 @pytest.mark.parametrize("writer", ["system", "beam_params", "artifacts"])
