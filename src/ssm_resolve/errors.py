@@ -31,7 +31,8 @@ class SingularChartError(SsmResolveError):
 
 
 class IntegrationError(SsmResolveError):
-    """Time integration failed (step underflow / stiffness / divergence)."""
+    """Time integration failed.  The fixed-step stepper has no step to
+    underflow, so the one failure is divergence (:class:`DivergenceError`)."""
 
 
 class DivergenceError(IntegrationError):

@@ -25,63 +25,34 @@ Each measured period's maximum is read off the m + 1 step ends: the
 parabola through each local maximum of the samples and its two neighbours
 gives the peak between steps (``_period_peak``).
 
-``integrate_full`` is the adaptive reference beside it: Fehlberg's
-embedded 4(5) Runge-Kutta pair with a step controller, held to the
-stability limit of the fastest mode.  Its right-hand side is compiled once
-per integration (``_rhs``).  Each call writes ``A x`` into the stage row
-with one BLAS product.  With terms it adds 0.0 and then overwrites only the
-live rows (rows that a term or the forcing writes: one of four on the
-two-mass system) with ``((A x)_i + G_i(x)) + (eps cos(Omega t)) F_i`` in
-Python floats, the term products taken from ``Monomials.products``; a
-linear system adds the forcing over the whole vector.  The floating-point
-operations are those of the plain formula ``A x + G(x) + (eps cos(Omega
-t)) F``, in the same order, so trajectories do not depend on this
-bookkeeping (``test_field_equals_plain_formula_byte_for_byte``).
+``integrate_full`` steps whole forcing periods with the same stepper and
+returns every step end, so a trajectory and a sweep point from the same
+state agree bit for bit.
 
 ``sweep`` runs its grid points one after another, cold sweeps included.
-The stepper is Python-level and holds the GIL, so worker threads made cold
-sweeps slower, not faster (four cold two-mass points on two cores: 2.2-3.2 s
-on one thread, 4.0-4.3 s on two, with the adaptive stepper).
+Most of a step is Python-level work that holds the GIL, so worker threads
+do not speed cold sweeps up (four cold two-mass points on a 2-core x86_64
+host: 0.36-0.41 s on one thread, 0.37-0.51 s on two).
 """
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DivergenceError, IntegrationError, ValidationError
+from .errors import DivergenceError, ValidationError
 from .model import FirstOrderSystem, ModalModel
 from .ssm_forced import leading_forcing_coefficient
-
-# Fehlberg's embedded 4(5) pair.  The fourth-order combination propagates; the
-# difference against the fifth-order one drives the step controller, so the
-# global convergence order of the trajectory is 4.
-_RK_C = (0.0, 1 / 4, 3 / 8, 12 / 13, 1.0, 1 / 2)
-_RK_A = tuple(np.array(row) for row in (
-    (),
-    (1 / 4,),
-    (3 / 32, 9 / 32),
-    (1932 / 2197, -7200 / 2197, 7296 / 2197),
-    (439 / 216, -8.0, 3680 / 513, -845 / 4104),
-    (-8 / 27, 2.0, -3544 / 2565, 1859 / 4104, -11 / 40),
-))
-_RK_B4 = np.array([25 / 216, 0.0, 1408 / 2565, 2197 / 4104, -1 / 5, 0.0])
-_RK_B5 = np.array([16 / 135, 0.0, 6656 / 12825, 28561 / 56430, -9 / 50,
-                   2 / 55])
-
-STEP_SAFETY = 0.9
-STEP_GROW_MAX = 5.0
-STEP_SHRINK_MIN = 0.2
-MIN_STEPS_PER_PERIOD = 200
 
 SETTLE_REL = 1e-3
 SETTLE_RUN = 3
 MIN_MEASURE_PERIODS = 20
 MAX_MEASURE_PERIODS = 100
-#: ETDRK4 steps per forcing period in a sweep, burn-off and measured
-#: periods alike
+#: ETDRK4 steps per forcing period, in a sweep's burn-off and measured
+#: periods alike and in ``integrate_full``
 SWEEP_STEPS_PER_PERIOD = 96
-#: state magnitude above which a sweep reports the response as diverged
+#: state magnitude above which a period's end state counts as diverged
 DIVERGED_STATE = 1e50
 
 # the [13/13] Pade approximant's coefficients and the 1-norm up to which it
@@ -91,256 +62,6 @@ _PADE13 = (64764752532480000.0, 32382376266240000.0, 7771770303897600.0,
            670442572800.0, 33522128640.0, 1323241920.0, 40840800.0,
            960960.0, 16380.0, 182.0, 1.0)
 _THETA13 = 5.371920351148152
-
-
-@dataclass
-class IntegratorControl:
-    """Step-size policy for the embedded 4(5) integrator.
-
-    Parameters
-    ----------
-    rel_tol, abs_tol : float
-        Per-component error weights: a step is accepted when the embedded
-        error estimate is below ``abs_tol + rel_tol * |x|`` everywhere.
-    max_step : float or None
-        Hard step ceiling.  None resolves to period / 200, a dense
-        sampling of each forcing period.
-    min_step : float or None
-        Floor below which the controller gives up and reports the problem as
-        stiff.  None resolves to 1e-12 * period.
-    fixed_step : float or None
-        When set, adaptivity is disabled and every step uses exactly this
-        size (convergence-order testing).
-    """
-    rel_tol: float = 1e-8
-    abs_tol: float = 1e-10
-    max_step: float | None = None
-    min_step: float | None = None
-    fixed_step: float | None = None
-
-    def validate(self) -> None:
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise ValidationError("integrator tolerances must be positive")
-        for name in ("max_step", "min_step", "fixed_step"):
-            v = getattr(self, name)
-            if v is not None and v <= 0:
-                raise ValidationError(f"{name} must be positive when given")
-
-
-@dataclass
-class Trajectory:
-    """Accepted integration states, including every requested sample time."""
-    t: np.ndarray                # (m,)
-    x: np.ndarray                # (m, 2n)
-    n_rejected: int
-
-
-def _rhs(fos: FirstOrderSystem, eps: float, omega: float):
-    """The right-hand side as ``f(t, x, out)``, written into ``out``.
-
-    Row ``i`` of ``out`` is ``((A x)_i + G_i(x)) + (eps cos(omega t)) F_i``,
-    with ``G_i`` summed over the terms in order from 0.0, the forcing part
-    absent when ``eps`` is 0 and ``G`` absent when there are no terms.  ``A
-    x`` is one BLAS product, and the monomials come from
-    :meth:`Monomials.products`.
-
-    Every row a term or the forcing does not write gets ``+ 0.0`` (so a
-    -0.0 becomes +0.0, as a zero ``G_i`` would make it), and the live rows
-    are summed in Python floats, the same operations in the same order.
-    On a live row a term whose injection entry is zero still adds its ``0 *
-    mono``, so an overflowed monomial makes it NaN as the array sum does.
-    Without terms the forcing is added over the whole vector.
-    """
-    A, F, mono = fos.A, fos.F, fos.monomials
-    forced = eps != 0.0
-    dot, cos = np.dot, math.cos
-
-    if not fos.terms:
-        def linear(t, x, out):
-            dot(A, x, out=out)
-            if forced:
-                out += (eps * cos(omega * t)) * F
-        return linear
-
-    live = np.flatnonzero(mono.inject.any(axis=1) | (forced & (F != 0)))
-    rows = [(i, mono.inject[i].tolist(), F.item(i)) for i in live.tolist()]
-    products = mono.products
-
-    def f(t, x, out):
-        dot(A, x, out=out)
-        out += 0.0
-        monos = products(x)
-        # eps = 0 gives s = +-0.0, and adding +-0.0 to a sum that is never
-        # -0.0 changes nothing
-        s = eps * cos(omega * t)
-        for i, inject, fi in rows:
-            g = 0.0
-            for a, m in zip(inject, monos):
-                g = g + a * m
-            out[i] = (out.item(i) + g) + s * fi
-    return f
-
-
-def integrate_full(fos: FirstOrderSystem, eps: float, omega: float,
-                   x0, t_end: float,
-                   control: IntegratorControl | None = None,
-                   sample_times=None) -> Trajectory:
-    """Integrate x' = A x + G(x) + eps F cos(omega t) from x0 over [0, t_end].
-
-    Every accepted step is recorded, and the stepper lands exactly on each
-    requested sample time (period boundaries by default), so downstream code
-    can read phase-aligned states without interpolation.
-
-    Parameters
-    ----------
-    fos : FirstOrderSystem
-    eps : float
-        Forcing amplitude scale; 0 integrates the unforced system.
-    omega : float
-        Forcing frequency (positive; it also sets the step ceiling).
-    x0 : array_like, shape (2n,)
-    t_end : float
-    control : IntegratorControl, optional
-    sample_times : array_like, optional
-        Strictly increasing times in (0, t_end]; defaults to the forcing
-        period boundaries plus t_end.
-
-    Returns
-    -------
-    Trajectory
-
-    Raises
-    ------
-    ValidationError
-        On malformed arguments.
-    IntegrationError
-        When the controller underflows its minimum step (stiffness): an
-        implicit method would be needed, which is out of scope here.
-    """
-    if omega <= 0:
-        raise ValidationError("forcing frequency must be positive")
-    if not 0 <= eps < math.inf:
-        raise ValidationError("forcing amplitude must be finite and >= 0")
-    if t_end <= 0:
-        raise ValidationError("t_end must be positive")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (fos.A.shape[0],):
-        raise ValidationError(
-            f"x0 must have shape ({fos.A.shape[0]},), got {x0.shape}")
-    control = control or IntegratorControl()
-    control.validate()
-
-    period = 2 * math.pi / omega
-    max_step = control.max_step or period / MIN_STEPS_PER_PERIOD
-    min_step = control.min_step or 1e-12 * period
-    if sample_times is None:
-        n_per = int(math.floor(t_end / period + 1e-12))
-        sample_times = [k * period for k in range(1, n_per + 1)]
-        if not sample_times or sample_times[-1] < t_end * (1 - 1e-12):
-            sample_times.append(t_end)
-    sample_times = np.asarray(sample_times, dtype=float)
-    if sample_times.size == 0 or np.any(np.diff(sample_times) <= 0):
-        raise ValidationError("sample times must be strictly increasing")
-    if sample_times[0] <= 0 or sample_times[-1] > t_end * (1 + 1e-12):
-        raise ValidationError("sample times must lie in (0, t_end]")
-    sample_times = sample_times.tolist()
-
-    f = _rhs(fos, eps, omega)
-    fixed = control.fixed_step is not None
-    abs_tol, rel_tol = control.abs_tol, control.rel_tol
-    land_tol = 1e-12 * period
-    # stage derivatives and work buffers; local to the call, so concurrent
-    # calls share nothing
-    dim = x0.size
-    k = np.empty((6, dim))
-    stages = [(_RK_C[s], _RK_A[s], k[s], k[:s]) for s in range(1, 6)]
-    k0 = k[0]
-    xi, x5, weight, ax4 = (np.empty(dim) for _ in range(4))
-    dot, absolute, maximum, isfinite = np.dot, np.abs, np.maximum, np.isfinite
-
-    t, x = 0.0, x0.copy()
-    ax = absolute(x)  # |x|, carried over from |x4| on acceptance
-    ts, xs = [0.0], [x]
-    i_sample = 0
-    n_samples = len(sample_times)
-    n_rejected = 0
-    h = control.fixed_step or min(max_step, period / MIN_STEPS_PER_PERIOD)
-
-    while i_sample < n_samples:
-        target = sample_times[i_sample]
-        h_try = min(h, max_step, target - t)
-        landing = h_try >= target - t - land_tol
-        if landing:
-            h_try = target - t
-
-        # x + h (a . k[:s]) and x + h (b . k), each product formed in place
-        f(t, x, k0)
-        for c, a, ks, head in stages:
-            dot(a, head, out=xi)
-            xi *= h_try
-            xi += x
-            f(t + c * h_try, xi, ks)
-        x4 = dot(_RK_B4, k)
-        x4 *= h_try
-        x4 += x
-
-        if fixed:
-            if not isfinite(x4).all():
-                raise DivergenceError(
-                    f"solution diverged (non-finite state) at t = {t:.6g}")
-            accept = True
-        else:
-            dot(_RK_B5, k, out=x5)
-            x5 *= h_try
-            x5 += x
-            absolute(x4, out=ax4)
-            maximum(ax, ax4, out=weight)
-            weight *= rel_tol
-            weight += abs_tol
-            x5 -= x4
-            absolute(x5, out=x5)
-            x5 /= weight
-            err = float(x5.max())
-            accept = err <= 1.0
-            if err > 0:
-                scale = STEP_SAFETY * err ** -0.2
-            elif err == 0:
-                scale = STEP_SAFETY * STEP_GROW_MAX
-            else:
-                # NaN: a stage or x4 overflowed, which rejects the step.
-                # Growing it would retry the overflow forever; shrinking
-                # ends at the underflow or divergence report below.
-                scale = STEP_SHRINK_MIN
-            scale = min(STEP_GROW_MAX, max(STEP_SHRINK_MIN, scale))
-
-        if accept:
-            t = target if landing else t + h_try
-            x = x4
-            ax, ax4 = ax4, ax
-            ts.append(t)
-            xs.append(x4)
-            if landing:
-                i_sample += 1
-        else:
-            n_rejected += 1
-
-        if not fixed:
-            h = h_try * scale
-            if h < min_step:
-                big = float(np.max(np.abs(x)))
-                if big > DIVERGED_STATE:
-                    raise DivergenceError(
-                        f"solution diverged near t = {t:.6g} "
-                        f"(state magnitude {big:.2e})")
-                raise IntegrationError(
-                    f"step size underflow ({h:.3e} < {min_step:.3e}) at "
-                    f"t = {t:.6g}, state magnitude {big:.2e}: the solution "
-                    "is blowing up or the problem is stiff at this "
-                    "tolerance; an implicit integrator would be required "
-                    "(out of scope)")
-
-    return Trajectory(t=np.asarray(ts), x=np.asarray(xs),
-                      n_rejected=n_rejected)
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
@@ -431,7 +152,10 @@ def _etdrk4(fos: FirstOrderSystem, eps: float, omega: float, steps: int):
 
     ``traj`` is a ``(steps + 1, dim)`` array whose row 0 holds the state at
     a period boundary; the call writes the states at the ``steps`` equal
-    step ends into rows 1 to ``steps``.  With h = period / steps, E =
+    step ends into rows 1 to ``steps``.  It raises
+    :class:`DivergenceError` when the period ends in a non-finite state or
+    one larger than ``DIVERGED_STATE``; a blow-up overflows inside the
+    stages, so floating-point warnings are silenced there.  With h = period / steps, E =
     e^{hA}, E2 = e^{hA/2}, Q = (h/2) phi_1(hA/2), and the nonlinearity N_u
     at the step start (time t):
 
@@ -471,17 +195,70 @@ def _etdrk4(fos: FirstOrderSystem, eps: float, omega: float, steps: int):
 
     def period(traj):
         x[:] = traj[0]
-        for j in range(steps):
-            row[nu_u] = products(x) + [force[2 * j]]
-            dot(Ma, row, out=a)
-            row[nu_a] = products(a) + [force[2 * j + 1]]
-            dot(Mb, row, out=b)
-            row[nu_b] = products(b) + [force[2 * j + 1]]
-            dot(Mc, row, out=c)
-            row[nu_c] = products(c) + [force[2 * j + 2]]
-            dot(Mx, row, out=traj[j + 1])
-            x[:] = traj[j + 1]
+        with np.errstate(over="ignore", invalid="ignore"):
+            for j in range(steps):
+                row[nu_u] = products(x) + [force[2 * j]]
+                dot(Ma, row, out=a)
+                row[nu_a] = products(a) + [force[2 * j + 1]]
+                dot(Mb, row, out=b)
+                row[nu_b] = products(b) + [force[2 * j + 1]]
+                dot(Mc, row, out=c)
+                row[nu_c] = products(c) + [force[2 * j + 2]]
+                dot(Mx, row, out=traj[j + 1])
+                x[:] = traj[j + 1]
+        big = float(np.abs(traj[steps]).max())
+        if not big <= DIVERGED_STATE:
+            raise DivergenceError(
+                f"solution diverged at Omega = {omega!r} (state magnitude "
+                f"{big:.2e})")
     return period
+
+
+@dataclass
+class Trajectory:
+    """The state at every step end: ``x[k]`` at time ``t[k]``."""
+    t: np.ndarray                # (periods * SWEEP_STEPS_PER_PERIOD + 1,)
+    x: np.ndarray                # (periods * SWEEP_STEPS_PER_PERIOD + 1, 2n)
+
+
+def integrate_full(fos: FirstOrderSystem, eps: float, omega: float,
+                   x0, periods: int) -> Trajectory:
+    """Step x' = A x + G(x) + eps F cos(omega t) from x0 at t = 0 over
+    ``periods`` whole forcing periods.
+
+    This is the sweep's own stepper: ``SWEEP_STEPS_PER_PERIOD`` ETDRK4
+    steps a period (``_etdrk4``), so the state after k periods is the one
+    a sweep point started from x0 holds after k periods.  Period k fills
+    rows ``k*m`` to ``(k+1)*m`` of the trajectory, m the step count, and
+    the step ends fall at times ``T * (j / m)``, T the forcing period.
+
+    Raises
+    ------
+    ValidationError
+        On malformed arguments.
+    DivergenceError
+        When a period ends in a non-finite state or one larger than
+        ``DIVERGED_STATE``.
+    """
+    if not 0 < omega < math.inf:
+        raise ValidationError("forcing frequency must be finite and positive")
+    if not 0 <= eps < math.inf:
+        raise ValidationError("forcing amplitude must be finite and >= 0")
+    if not isinstance(periods, numbers.Integral) or periods < 1:
+        raise ValidationError(
+            f"periods must be a positive integer, got {periods!r}")
+    x0 = np.asarray(x0, dtype=float)
+    if x0.shape != (fos.A.shape[0],):
+        raise ValidationError(
+            f"x0 must have shape ({fos.A.shape[0]},), got {x0.shape}")
+    m = SWEEP_STEPS_PER_PERIOD
+    period = _etdrk4(fos, eps, omega, m)
+    traj = np.empty((periods * m + 1, x0.size))
+    traj[0] = x0
+    for k in range(periods):
+        period(traj[k * m:(k + 1) * m + 1])
+    t = 2 * math.pi / omega * (np.arange(periods * m + 1) / m)
+    return Trajectory(t=t, x=traj)
 
 
 @dataclass
@@ -557,16 +334,8 @@ def _sweep_point(fos, eps, om, state, monitor, transient_time,
 
     def advance():
         nonlocal n_steps
-        # a blow-up overflows inside the stages; the period's end state
-        # reports it
-        with np.errstate(over="ignore", invalid="ignore"):
-            step(traj)
         n_steps += m
-        big = float(np.abs(traj[m]).max())
-        if not big <= DIVERGED_STATE:
-            raise DivergenceError(
-                f"solution diverged at Omega = {om!r} (state magnitude "
-                f"{big:.2e})")
+        step(traj)
 
     try:
         for _ in range(n_tr):
@@ -613,9 +382,10 @@ def sweep(fos: FirstOrderSystem, eps: float, omega_grid, monitor,
     refined between them (see :class:`SweepResult`).  Nothing estimates
     the step's error.  Doubling the step count over a fixed horizon moved
     amplitudes by at most 5e-7 near resonance (two-mass at Omega 1.5 to
-    2.0, the two- and three-element beams at 7.0 and 7.02) and by up to
-    3e-4 off it (two-mass 0.2 to 10, those beams 1 to 44); elsewhere,
-    recheck the count.  A grid point whose
+    2.0, the two- and three-element beams at 7.0 and 7.02; a test holds
+    two-mass and the two-element beam to it) and by up to 3e-4 off it
+    (two-mass 0.2 to 10, those beams 1 to 44); elsewhere, recheck the
+    count.  A grid point whose
     response escapes to an unbounded one is flagged ``"diverged"``, with
     NaN amplitude, and the sweep continues from rest at the next
     frequency.
@@ -650,6 +420,8 @@ def sweep(fos: FirstOrderSystem, eps: float, omega_grid, monitor,
     omega_grid = np.asarray(omega_grid, dtype=float)
     if omega_grid.ndim != 1 or omega_grid.size == 0:
         raise ValidationError("omega grid must be a nonempty 1-D array")
+    if not np.isfinite(omega_grid).all():
+        raise ValidationError("omega grid must be finite")
     d = np.diff(omega_grid)
     if omega_grid.size > 1 and not (np.all(d > 0) or np.all(d < 0)):
         raise ValidationError("omega grid must be strictly monotone")
@@ -671,8 +443,8 @@ def sweep(fos: FirstOrderSystem, eps: float, omega_grid, monitor,
             f"max_measure_periods ({max_measure_periods}; verify "
             f"--max-periods) must be >= min_measure_periods "
             f"({min_measure_periods}; verify --min-periods)")
-    if settle_rel <= 0:
-        raise ValidationError("settle_rel must be > 0")
+    if not 0 < settle_rel < math.inf:
+        raise ValidationError("settle_rel must be finite and > 0")
     if transient_time is None:
         decay = fos.slowest_eigenvalue().real
         if decay >= 0:
@@ -680,9 +452,9 @@ def sweep(fos: FirstOrderSystem, eps: float, omega_grid, monitor,
                 "the linear part is not asymptotically stable; pass an "
                 "explicit transient_time to sweep")
         transient_time = 5.0 / abs(decay)
-    elif not transient_time > 0:
+    elif not 0 < transient_time < math.inf:
         raise ValidationError(f"transient_time ({transient_time}; verify "
-                              "--transient-time) must be > 0")
+                              "--transient-time) must be finite and > 0")
 
     n_grid = omega_grid.size
     amplitude = np.zeros((n_grid, len(monitor)))

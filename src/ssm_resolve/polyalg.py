@@ -192,8 +192,7 @@ class Monomials:
     ``odd`` is true when there are terms and every one has odd degree.
 
     :meth:`products` is the one kernel for the term products at a point;
-    :meth:`value` sums them into G, and the oracle's right-hand side sums
-    them row by row.
+    :meth:`value` sums them into G.
     """
 
     def __init__(self, coeffs, exponents, inject: np.ndarray):

@@ -308,13 +308,21 @@ class TestTwoMassTrace:
     lambda mm, ssm, x: trace_frc(ssm, mm, 0.001, rho_max=x, n_rho=50),
     lambda mm, ssm, x: fold_points(ssm, x),
     lambda mm, ssm, x: leading_isola(ssm, x),
-    lambda mm, ssm, x: integrate_full(mm.fos, x, 1.7, np.zeros(4), 1.0),
+    lambda mm, ssm, x: integrate_full(mm.fos, x, 1.7, np.zeros(4), 1),
+    lambda mm, ssm, x: integrate_full(mm.fos, 0.001, x, np.zeros(4), 1),
     lambda mm, ssm, x: sweep(mm.fos, x, [1.7], [0]),
+    lambda mm, ssm, x: sweep(mm.fos, 0.001, [x], [0]),
+    lambda mm, ssm, x: sweep(mm.fos, 0.001, [1.7, x], [0]),
+    lambda mm, ssm, x: sweep(mm.fos, 0.001, [1.7], [0], transient_time=x),
+    lambda mm, ssm, x: sweep(mm.fos, 0.001, [1.7], [0], settle_rel=x),
 ], ids=["trace_frc-eps", "trace_frc-rho_max", "fold_points", "leading_isola",
-        "integrate_full", "sweep"])
+        "integrate_full", "integrate_full-omega", "sweep",
+        "sweep-omega", "sweep-omega_grid", "sweep-transient_time",
+        "sweep-settle_rel"])
 def test_non_finite_input_is_refused(call, bad, sp_modal, sp_ssm3):
-    """A NaN or infinite forcing amplitude (or trace range) is a usage
-    error, not an empty curve, a NumPy error or a step-size underflow."""
+    """A NaN or infinite forcing amplitude, frequency, trace range or
+    sweep setting is a usage error, not an empty curve, a NumPy or
+    arithmetic error, or a sweep that silently never settles."""
     with pytest.raises(ValidationError, match="finite"):
         call(sp_modal, sp_ssm3, bad)
 
