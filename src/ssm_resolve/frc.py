@@ -1,13 +1,15 @@
 """Forced response curves: tracing, folds, components, physical amplitudes.
 
 A periodic response at amplitude rho and frequency Omega exists when the
-polar fixed-point equations admit a solution in psi.  Eliminating psi with
-the tangent half-angle K = tan(psi/2) turns the radial equation into the
-quadratic
+polar fixed-point equations admit a solution in psi.  With
+f1 + i f2 = R e^{i phi}, the radial equation reads
 
-    (a - eps*f1) K**2 + 2*eps*f2 K + (a + eps*f1) = 0,
+    eps R cos(psi - phi) = -a,
 
-whose discriminant (up to a factor 4) is  disc = eps**2 (f1**2 + f2**2) - a**2.
+so its two phases are psi = phi -+ theta, theta = atan2(sqrt(disc), -a),
+with the discriminant  disc = eps**2 (f1**2 + f2**2) - a**2.  The branches
+keep the names of the tangent half-angle roots K = tan(psi/2) they equal:
+K+ is psi = phi - theta and K- is psi = phi + theta.
 Real responses exist where disc >= 0; disc = 0 marks folds of the response
 curve over the frequency axis.  The curve is traced on a rho grid: at each
 admissible rho and branch, the remaining phase equation G = 0 is solved for
@@ -31,13 +33,13 @@ not reach the bottom of the grid.  The Omega window filters points; it
 never splits a run.
 
 Folds are the amplitudes where the discriminant vanishes along the
-double-root Omega (K = -eps*f2/(a - eps*f1), which stays defined past the
-fold).  The same runs place them: each run's end next to a row where the
-sampled discriminant is negative brackets one fold, solved by Brent's
-method (``_brent``, a port of SciPy's ``brentq`` written as a generator).
-Each bracket is one generator for the same driver: its Brent asks for the
-discriminant at an amplitude, and a double-root secant from that
-amplitude's backbone Omega finds it.  All of a curve's brackets share the
+double-root Omega (theta with sqrt(disc) taken as 0, which stays defined
+past the fold).  The same runs place them: each run's end next to a row
+where the sampled discriminant is negative brackets one fold, solved by
+Brent's method (``_brent``, a port of SciPy's ``brentq`` written as a
+generator).  Each bracket is one generator for the same driver: its Brent
+asks for the discriminant at an amplitude, and a double-root secant from
+that amplitude's backbone Omega finds it.  All of a curve's brackets share the
 batched marches of one ``_rounds`` run.
 
 The physical amplitude is the peak of one coordinate over a forcing period.
@@ -63,8 +65,6 @@ from .reduced import (ReducedDynamics, FixedPointU, assemble_polar,
                       phase_residual, zero_problem, stability_labels,
                       _even_val)
 
-#: |a - eps*f1| below this switches the K quadratic to its linear limit
-DEGENERATE_LEAD = 1e-14
 #: convergence target on |G| in the Omega solve
 G_TOL = 1e-12
 #: verification bound on the full zero problem at accepted points
@@ -81,37 +81,23 @@ BRANCHES = ("K+", "K-")
 DOUBLE_ROOT = 2
 
 
-def _k_roots(rd: ReducedDynamics, rho, eps: float):
-    """Roots (K+, K-) of the radial equation at each rho, NaN where there are
-    none, and the discriminant there.
+def _psi_roots(rd: ReducedDynamics, rho, eps: float, root):
+    """Phase psi of the response at each rho for each request's ``root``
+    (0: K+, 1: K-, ``DOUBLE_ROOT``), NaN where there is none, and the
+    discriminant there.
 
-    A degenerate leading coefficient yields the linear root plus ``inf``
-    standing for the K -> infinity solution (psi = pi).
+    With R e^{i phi} = f1 + i f2 the radial equation reads
+    eps R cos(psi - phi) = -a, so K+ is psi = phi - theta and K- is
+    psi = phi + theta, theta = atan2(sqrt(disc), -a).  The double root
+    takes sqrt(disc) as 0: the merged root at a fold, and past one still
+    defined (psi = phi where a < 0, phi + pi where a > 0).
     """
     a, f1, f2 = rd.a_of(rho), rd.f1_of(rho), rd.f2_of(rho)
-    lead = a - eps * f1
     disc = eps ** 2 * (f1 ** 2 + f2 ** 2) - a ** 2
-    b_lin = 2 * eps * f2
-    degenerate = np.abs(lead) < DEGENERATE_LEAD
-    with np.errstate(divide="ignore", invalid="ignore"):
-        root = np.sqrt(disc)
-        k_plus = np.where(degenerate, -(a + eps * f1) / b_lin,
-                          (-eps * f2 + root) / lead)
-        k_minus = np.where(degenerate, np.inf, (-eps * f2 - root) / lead)
-    none = np.where(degenerate, np.abs(b_lin) < DEGENERATE_LEAD, disc < 0)
-    return (np.where(none, np.nan, k_plus), np.where(none, np.nan, k_minus),
-            disc)
-
-
-def psi_from_k(k):
-    """Phase from the tangent half-angle; infinity maps to psi = pi.
-
-    Takes one K or an array of them (NaN stays NaN).
-    """
-    k = np.asarray(k, dtype=float)
-    psi = np.where(np.isinf(k), np.pi,
-                   np.arctan2(2 * k, 1 - k * k) % (2 * np.pi))
-    return psi if psi.ndim else float(psi)
+    with np.errstate(invalid="ignore"):
+        theta = np.arctan2(np.where(root == DOUBLE_ROOT, 0.0, np.sqrt(disc)),
+                           -a)
+    return np.arctan2(f2, f1) + np.where(root == 0, -theta, theta), disc
 
 
 @dataclass
@@ -214,9 +200,8 @@ def _rounds(ssm: AutonomousSsm, eps: float, gens: dict):
     a curve's forced solves, trace and folds alike.
 
     A generator yields a tuple of requests ``(rho, Omega, root)`` and is
-    sent one ``(G, disc, at)`` per request: G with psi from that root (0:
-    K+, 1: K-, ``DOUBLE_ROOT``: -eps*f2/(a - eps*f1), defined on the far
-    side of a fold), None where it is NaN; the discriminant; and ``at``,
+    sent one ``(G, disc, at)`` per request: G with psi from that root
+    (``_psi_roots``), None where it is NaN; the discriminant; and ``at``,
     the request's index in the round.  Each round marches every distinct
     Omega that the pending generators ask for (as many generators, first
     come first, as ``ROUND_BYTES`` holds) as one batch.  Yields per round
@@ -241,17 +226,7 @@ def _rounds(ssm: AutonomousSsm, eps: float, gens: dict):
                            for om in omega.tolist()])
         batch = compute_nonautonomous_ssm(ssm, np.array(list(distinct)))
         rd = _columns(assemble_polar(ssm, batch), member)
-        k_plus, k_minus, disc = _k_roots(rd, rho, eps)
-        k = np.where(root == 0, k_plus, k_minus)
-        # the double root only where it is asked for: the trace asks for
-        # none, and a full-width evaluation per round costs peak memory
-        double = np.flatnonzero(root == DOUBLE_ROOT)
-        here, r = _columns(rd, double), rho[double]
-        lead = here.a_of(r) - eps * here.f1_of(r)
-        with np.errstate(divide="ignore"):
-            k[double] = np.where(np.abs(lead) < DEGENERATE_LEAD, np.inf,
-                                 -eps * here.f2_of(r) / lead)
-        psi = psi_from_k(k)
+        psi, disc = _psi_roots(rd, rho, eps, root)
         g = phase_residual(rd, rho, omega, eps, psi).tolist()
         got = [(None if math.isnan(gi) else gi, di, at)
                for at, (gi, di) in enumerate(zip(g, disc.tolist()))]

@@ -330,12 +330,13 @@ def _sweep_point(fos, eps, om, state, monitor, transient_time,
     traj[0] = state
     maxima = []  # per measured period, per monitored coordinate
     failure = "unsettled"
-    n_meas = n_steps = 0
+    n_meas = n_steps = n_periods = 0
 
     def advance():
-        nonlocal n_steps
+        nonlocal n_steps, n_periods
         n_steps += m
         step(traj)
+        n_periods += 1
 
     try:
         for _ in range(n_tr):
@@ -361,7 +362,7 @@ def _sweep_point(fos, eps, om, state, monitor, transient_time,
         failure = "diverged"
         maxima.append([math.nan] * len(monitor))
         state = np.zeros(state.size)
-    return maxima[-1], failure, n_tr + n_meas, n_steps, state
+    return maxima[-1], failure, n_periods, n_steps, state
 
 
 def sweep(fos: FirstOrderSystem, eps: float, omega_grid, monitor,

@@ -103,7 +103,7 @@ class FixedPointU:
     omega: float
     psi: float
     stability: str = "fold-degenerate"  # "stable" | "unstable" | "fold-degenerate"
-    branch: str | None = None  # "K+" | "K-" when traced from the quadratic
+    branch: str | None = None  # "K+" | "K-" when traced by frc
 
     def __post_init__(self):
         if self.rho < 0:

@@ -22,9 +22,9 @@ from ssm_resolve.ssm_auto import compute_autonomous_ssm
 from ssm_resolve.ssm_forced import compute_nonautonomous_ssm
 from ssm_resolve.reduced import (ReducedDynamics, FixedPointU, assemble_polar,
                                  phase_residual, zero_problem)
-from ssm_resolve.frc import (BRANCHES, psi_from_k, trace_frc,
+from ssm_resolve.frc import (BRANCHES, DOUBLE_ROOT, trace_frc,
                              physical_amplitude, physical_amplitudes,
-                             _k_roots)
+                             _psi_roots)
 
 
 def _double_roots(ssm, eps: float, rho):
@@ -48,42 +48,83 @@ def _synthetic_rd(a, f1, f2):
                            g1=np.array([0.0]), g2=np.array([0.0]))
 
 
-class TestKBranches:
-    """The K+ and K- roots of the radial equation (``_k_roots``)."""
+#: request roots K+, K- and the double root, in turn
+ROOTS = np.array([0, 1, DOUBLE_ROOT])
+
+
+class TestPsiRoots:
+    """The phases of the radial equation per root (``_psi_roots``); K+ and
+    K- are the tangent half-angle roots K = tan(psi/2) of the same
+    phases."""
 
     def test_pure_in_phase_forcing_gives_quarter_phases(self):
-        # a = 0 and f2 = 0: K**2 = 1, so psi = pi/2 and 3*pi/2
+        # a = 0 and f2 = 0: cos(psi) = 0, so psi = pi/2 and 3*pi/2, the
+        # roots K+ = -1 and K- = 1
         rd = _synthetic_rd(a=0.0, f1=1.0, f2=0.0)
-        ks = [float(k) for k in _k_roots(rd, 0.5, 0.1)[:2]]
-        assert sorted(ks) == [-1.0, 1.0]
-        psis = sorted(psi_from_k(k) for k in ks)
-        assert psis == pytest.approx([math.pi / 2, 3 * math.pi / 2])
+        psi, _ = _psi_roots(rd, 0.5, 0.1, ROOTS[:2])
+        assert np.tan(psi / 2) == pytest.approx([-1.0, 1.0], abs=1e-15)
+        assert sorted(psi % (2 * math.pi)) == pytest.approx(
+            [math.pi / 2, 3 * math.pi / 2])
 
-    def test_vanishing_discriminant_gives_double_root(self):
-        # f1 = 0 and a(rho) = eps*f2: disc = 0, K double root -eps*f2/a = -1
-        rd = _synthetic_rd(a=0.2, f1=0.0, f2=1.0)
-        k_plus, k_minus, disc = _k_roots(rd, 0.5, 0.1)  # a(0.5) = eps*f2
-        assert k_plus == pytest.approx(-1.0, abs=1e-12)
-        assert k_minus == pytest.approx(-1.0, abs=1e-12)
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_vanishing_discriminant_gives_double_root(self, sign):
+        # f1 = 0 and a(rho) = eps*f2: disc = 0, and K+, K- and the double
+        # root are all K = -eps*f2/a = -1, psi = 3*pi/2 (psi = phi + pi
+        # where a > 0, phi where a < 0)
+        rd = _synthetic_rd(a=0.2 * sign, f1=0.0, f2=sign)
+        psi, disc = _psi_roots(rd, 0.5, 0.1, ROOTS)  # a(0.5) = eps*f2
         assert abs(disc) < 1e-15
+        assert psi % (2 * math.pi) == pytest.approx([1.5 * math.pi] * 3,
+                                                    abs=1e-12)
+        assert np.tan(psi / 2) == pytest.approx([-1.0] * 3, abs=1e-12)
 
     def test_no_forcing_with_nonzero_drift_gives_no_roots(self):
         rd = _synthetic_rd(a=0.2, f1=0.0, f2=1.0)
-        assert np.isnan(_k_roots(rd, 0.5, 0.0)[:2]).all()
+        assert np.isnan(_psi_roots(rd, 0.5, 0.0, ROOTS[:2])[0]).all()
 
     def test_degenerate_leading_coefficient(self):
-        # a(rho) = eps*f1 exactly: one finite root plus K -> inf at psi = pi
+        # a(rho) = eps*f1 exactly, where the K quadratic loses its leading
+        # term: K- -> inf is psi = pi, and K+ = -0.2 stays finite
         rd = _synthetic_rd(a=0.2, f1=0.2, f2=1.0)
-        k_plus, k_minus, _ = _k_roots(rd, 0.5, 0.5)
-        assert math.isinf(k_minus)
-        assert psi_from_k(k_minus) == pytest.approx(math.pi)
-        assert k_plus == pytest.approx(-0.2, abs=1e-12)
+        (psi_plus, psi_minus), _ = _psi_roots(rd, 0.5, 0.5, ROOTS[:2])
+        assert psi_minus == pytest.approx(math.pi)
+        assert math.tan(psi_plus / 2) == pytest.approx(-0.2, abs=1e-12)
 
     def test_negative_discriminant_empty(self):
+        # no branch, but the double root stays defined past a fold
         rd = _synthetic_rd(a=1.0, f1=0.01, f2=0.01)
-        k_plus, k_minus, disc = _k_roots(rd, 1.0, 0.1)
+        psi, disc = _psi_roots(rd, 1.0, 0.1, ROOTS)
         assert disc < 0
-        assert np.isnan([k_plus, k_minus]).all()
+        assert np.isnan(psi[:2]).all() and np.isfinite(psi[2])
+
+    @pytest.mark.parametrize("a, f1, f2", [
+        (0.3, 0.7, -1.1), (0.2, 0.2, 1.0), (-0.05, 0.6, 0.35),
+        (0.2, 0.0, 1.0), (0.51, -0.03, 0.42)])
+    def test_scale_free(self, a, f1, f2):
+        """Scaling a, f1 and f2 by 2**k scales the discriminant by 4**k
+        and leaves every psi bit for bit: no decision depends on their
+        size."""
+        psi, disc = _psi_roots(_synthetic_rd(a, f1, f2), 0.5, 0.5, ROOTS)
+        for k in range(-60, 61):
+            scaled = _synthetic_rd(a * 2.0 ** k, f1 * 2.0 ** k, f2 * 2.0 ** k)
+            got, got_disc = _psi_roots(scaled, 0.5, 0.5, ROOTS)
+            assert got.tobytes() == psi.tobytes(), k
+            assert got_disc == disc * 4.0 ** k, k
+
+    # coefficients whose squares stay normal floats: below that, disc
+    # underflows and so no longer tells the branches apart
+    _coefficient = st.floats(-1, 1).filter(lambda x: x == 0
+                                           or abs(x) > 1e-100)
+
+    @settings(max_examples=300, deadline=None)
+    @given(_coefficient, _coefficient, _coefficient, st.floats(1e-4, 1))
+    def test_radial_residual_vanishes_to_rounding(self, a, f1, f2, eps):
+        rd = _synthetic_rd(a, f1, f2)
+        psi, disc = _psi_roots(rd, 0.5, eps, ROOTS[:2])
+        assume(disc >= 0)
+        radial, _ = zero_problem(rd, (0.5, 1.0, psi), eps=eps)
+        scale = abs(rd.a_of(0.5)) + eps * math.hypot(f1, f2)
+        assert np.abs(radial).max() <= 8 * 2.0 ** -52 * scale
 
 
 class TestFrcG:
@@ -92,8 +133,8 @@ class TestFrcG:
 
     @staticmethod
     def _g(rd, rho, omega, eps, branch):
-        k = _k_roots(rd, rho, eps)[BRANCHES.index(branch)]
-        return float(phase_residual(rd, rho, omega, eps, psi_from_k(k)))
+        psi, _ = _psi_roots(rd, rho, eps, BRANCHES.index(branch))
+        return float(phase_residual(rd, rho, omega, eps, psi))
 
     def test_missing_branch_gives_nan(self):
         # the trace reads NaN as "no branch here"
@@ -550,7 +591,7 @@ def test_diverged_fold_point_keeps_round_zero_backbone(sp_ssm3, monkeypatch):
         backbone = frc._backbone_omega(sp_ssm3, r)
         rd = assemble_polar(sp_ssm3,
                             compute_nonautonomous_ssm(sp_ssm3, backbone))
-        want.append(float(_k_roots(rd, r, eps)[2]))
+        want.append(float(_psi_roots(rd, r, eps, 0)[1]))
     for round_bytes in (frc.ROUND_BYTES, 1):
         monkeypatch.setattr(frc, "ROUND_BYTES", round_bytes)
         omega, disc = _double_roots(sp_ssm3, eps, rho)
@@ -684,9 +725,9 @@ def test_nan_discriminant_stops_the_fold_search(monkeypatch):
     """A NaN discriminant raises, as SciPy's ``brentq`` does, instead of
     steering Brent's sign tests."""
     ssm, eps, grid, disc = _fold_problem("cubic")
-    k_roots = frc._k_roots
-    monkeypatch.setattr(frc, "_k_roots", lambda rd, rho, eps: (
-        *k_roots(rd, rho, eps)[:2], np.full(len(rho), np.nan)))
+    psi_roots = frc._psi_roots
+    monkeypatch.setattr(frc, "_psi_roots", lambda rd, rho, eps, root: (
+        psi_roots(rd, rho, eps, root)[0], np.full(len(rho), np.nan)))
     with pytest.raises(ValueError, match="NaN"):
         frc._locate_folds(ssm, eps, grid, disc)
 
@@ -694,8 +735,8 @@ def test_nan_discriminant_stops_the_fold_search(monkeypatch):
 #: (batched forced marches, marched Omegas) of each golden curve's fold
 #: search with all brackets in lockstep; one march per bracket and Brent
 #: step would be several times more (quintic: 66 marches)
-FOLD_MARCHES = {"cubic": (14, 54), "quintic": (14, 99), "beam25": (18, 25),
-                "linear": (8, 13)}
+FOLD_MARCHES = {"cubic": (14, 54), "quintic": (14, 99), "beam25": (14, 21),
+                "linear": (5, 10)}
 
 
 @pytest.mark.parametrize("name", list(GOLDEN_CURVES))

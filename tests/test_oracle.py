@@ -18,7 +18,7 @@ from scipy.linalg import matrix_balance
 from conftest import two_mass_system
 from ssm_resolve.beam import BeamSpec, build_beam, tip_index
 from ssm_resolve.errors import DivergenceError, ValidationError
-from ssm_resolve.frc import _k_roots, physical_amplitude, trace_frc
+from ssm_resolve.frc import _psi_roots, physical_amplitude, trace_frc
 from ssm_resolve.model import (MechanicalSystem, modal_decompose,
                                to_first_order)
 from ssm_resolve.oracle import (SWEEP_STEPS_PER_PERIOD, _THETA13, _etdrk4,
@@ -239,6 +239,20 @@ class TestSweep:
         assert sr.steps.tolist() == (
             SWEEP_STEPS_PER_PERIOD * (sr.periods + 1)).tolist()
 
+    def test_escape_during_burn_off_counts_completed_periods(self):
+        # negative damping: the state diverges in the 13th of 28 burn-off
+        # periods, so 12 periods completed and 13 were stepped
+        unstable = MechanicalSystem(M=np.array([[1.0]]),
+                                    C=np.array([[-3.0]]),
+                                    K=np.array([[1.0]]), g=[],
+                                    f=np.array([1.0]))
+        assert math.ceil(100 / (2 * math.pi / 1.7)) == 28
+        sr = sweep(to_first_order(unstable), 0.1, [1.7], [0],
+                   transient_time=100)
+        assert sr.failure.tolist() == ["diverged"]
+        assert sr.periods.tolist() == [12]
+        assert sr.steps.tolist() == [13 * SWEEP_STEPS_PER_PERIOD]
+
     def test_failure_reasons(self):
         # negative damping grows the state exponentially until it
         # overflows: diverged; a measuring cap below the settle time:
@@ -272,7 +286,7 @@ class TestSweep:
         eps = 0.0029
 
         def om_branch(rho, sign):
-            d = float(_k_roots(rd, rho, eps)[2])
+            d = float(_psi_roots(rd, rho, eps, 0)[1])
             return rd.b_of(rho) + sign * math.sqrt(max(d, 0.0)) / rho
 
         rhos = np.linspace(0.03, 0.11, 4000)
