@@ -30,9 +30,10 @@ from .errors import (IntegrationError, InternalResonanceError,
                      NonResonanceError, SemisimplicityError,
                      SingularChartError, SsmResolveError, ValidationError)
 from .frc import physical_amplitudes, trace_frc
-from .isola import isola_report
+from .isola import RADIUS_FRACTION, ROOT_CAUCHY_TOL, isola_report
 from .model import modal_decompose, spectral_quotient, to_first_order
-from .oracle import sweep as oracle_sweep
+from .oracle import (MAX_MEASURE_PERIODS, MIN_MEASURE_PERIODS, SETTLE_REL,
+                     sweep as oracle_sweep)
 from .ssm_auto import (RESONANCE_GUARD, compute_autonomous_ssm,
                        invariance_residual)
 from .ssm_forced import (compute_nonautonomous_ssm, forced_residual,
@@ -184,14 +185,14 @@ def _build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--check", action=argparse.BooleanOptionalAction,
                     default=True, help="refuse spectra that fail the "
                     "real-part non-resonance check (default on)")
-    pi.add_argument("--tol-cauchy", type=POSITIVE, default=1e-3,
+    pi.add_argument("--tol-cauchy", type=POSITIVE, default=ROOT_CAUCHY_TOL,
                     dest="tol_cauchy", help="root-settling threshold for "
-                    "spuriousness classification (default 1e-3)")
+                    "spuriousness classification (default %(default)s)")
     pi.add_argument("--tol-radius-frac", dest="tol_radius_frac",
                     type=_typed((float,), lambda v: 0 < v <= 1, "in (0, 1]"),
-                    default=0.8, help="fraction of the convergence-radius "
-                    "estimate a non-spurious root must stay below "
-                    "(default 0.8)")
+                    default=RADIUS_FRACTION, help="fraction of the "
+                    "convergence-radius estimate a non-spurious root must "
+                    "stay below (default %(default)s)")
     pi.add_argument("--out", help="JSON output path")
     pi.add_argument("--roots-svg", dest="roots_svg",
                     help="also render the root scatter to this SVG path")
@@ -218,14 +219,15 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--transient-time", type=FINITE, dest="transient_time",
                     help="override the transient burn-off horizon (time "
                          "units; default 5 / |slowest decay rate|)")
-    pv.add_argument("--min-periods", type=int, default=20, dest="min_periods",
-                    help="minimum measured periods per point (default 20)")
-    pv.add_argument("--max-periods", type=int, default=100,
-                    dest="max_periods",
-                    help="measured-period budget per point (default 100)")
-    pv.add_argument("--tol-settle", type=POSITIVE, default=1e-3,
+    pv.add_argument("--min-periods", type=int, default=MIN_MEASURE_PERIODS,
+                    dest="min_periods", help="minimum measured periods per "
+                    "point (default %(default)s)")
+    pv.add_argument("--max-periods", type=int, default=MAX_MEASURE_PERIODS,
+                    dest="max_periods", help="measured-period budget per "
+                    "point (default %(default)s)")
+    pv.add_argument("--tol-settle", type=POSITIVE, default=SETTLE_REL,
                     dest="tol_settle", help="sweep settle threshold, relative "
-                    "per-period change (default 1e-3)")
+                    "per-period change (default %(default)s)")
     pv.add_argument("--out", help="CSV output path")
 
     pb = sub.add_parser("beam", parents=[common],

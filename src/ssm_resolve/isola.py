@@ -22,6 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import ModalModel
+from .reduced import _even_dval, _even_val
 from .ssm_auto import AutonomousSsm, compute_autonomous_ssm
 from .ssm_forced import leading_forcing_coefficient
 
@@ -173,12 +174,10 @@ def classify_roots(rt: RootTrack, cauchy_tol: float = ROOT_CAUCHY_TOL,
 
 
 def drift_slope(rt: RootTrack, rho: float) -> float:
-    """d a / d rho of the highest-order tracked drift polynomial."""
-    u = rho ** 2
+    """d a / d rho of the highest-order tracked drift polynomial, by the
+    formula of ``ReducedDynamics.da_of``."""
     p = np.concatenate(([rt.lambda_master.real], rt.gamma.real))
-    dp = np.polynomial.polynomial.polyder(p)
-    return float(np.polynomial.polynomial.polyval(u, p)
-                 + 2 * u * np.polynomial.polynomial.polyval(u, dp))
+    return float(_even_val(p, rho) + rho * _even_dval(p, rho))
 
 
 def nonspurious_positive_roots(rt: RootTrack, labels: list[str]

@@ -10,11 +10,16 @@ model diagonalizes the linear part, ``x = T q``, carrying the nonlinearity and
 forcing into the new coordinates; the slowest underdamped pair is placed first
 and everything downstream (manifold construction, reduction) works in these
 coordinates.
+
+The nonlinearity is one :class:`~ssm_resolve.polyalg.Monomials` from the
+first-order form on: ``to_first_order`` builds it from the terms of ``g``, and
+``modal_decompose`` keeps its coefficients and exponents and maps each
+injection column through ``T^{-1}``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -105,28 +110,14 @@ class MechanicalSystem:
         return self.M.shape[0]
 
 
-@dataclass(frozen=True)
-class FirstOrderTerm:
-    """Nonlinear monomial in first-order coordinates: ``coeff * x**exponents * inject``."""
-    coeff: float
-    exponents: tuple[int, ...]
-    inject: np.ndarray  # (2n,), top half zero
-
-
 @dataclass
 class FirstOrderSystem:
     """x' = A x + G(x) + eps * F cos(Omega t), with x = (y, y')."""
     A: np.ndarray
-    terms: list[FirstOrderTerm]
+    #: G: the monomials of the second-order terms, each injected by a
+    #: column of shape (2n,) whose top half is zero
+    monomials: Monomials
     F: np.ndarray
-    #: G compiled from the terms
-    monomials: Monomials = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self.monomials = Monomials(
-            [t.coeff for t in self.terms], [t.exponents for t in self.terms],
-            np.array([t.inject for t in self.terms]).reshape(
-                -1, len(self.A)).T)
 
     @property
     def n(self) -> int:
@@ -159,14 +150,14 @@ def to_first_order(sys: MechanicalSystem) -> FirstOrderSystem:
     A[:n, n:] = np.eye(n)
     A[n:, :n] = -Minv @ sys.K
     A[n:, n:] = -Minv @ sys.C
-    terms = []
-    for t in sys.g:
-        inject = np.zeros(2 * n)
-        inject[n:] = -Minv[:, t.row]
-        terms.append(FirstOrderTerm(t.coeff, t.exponents, inject))
+    inject = np.zeros((2 * n, len(sys.g)))
+    inject[n:] = -Minv[:, [t.row for t in sys.g]]
     F = np.zeros(2 * n)
     F[n:] = Minv @ sys.f
-    return FirstOrderSystem(A=A, terms=terms, F=F)
+    return FirstOrderSystem(
+        A=A, monomials=Monomials([t.coeff for t in sys.g],
+                                 [t.exponents for t in sys.g], inject),
+        F=F)
 
 
 @dataclass
@@ -309,9 +300,11 @@ def modal_decompose(fos: FirstOrderSystem, master: int = 0,
             f"similarity residual {residual:.3g} exceeds "
             "1e-10 * ||A|| * ||T||")
 
+    g = fos.monomials
     monomials = Monomials(
-        [t.coeff for t in fos.terms], [t.exponents for t in fos.terms],
-        np.array([T_inv @ t.inject for t in fos.terms]).reshape(-1, 2 * n).T)
+        g.coeffs, g.exponents,
+        np.array([T_inv @ col for col in np.ascontiguousarray(g.inject.T)]
+                 ).reshape(-1, 2 * n).T)
     return ModalModel(eigenvalues=lam_sorted, T=T, T_inv=T_inv,
                       monomials=monomials, F_m=T_inv @ fos.F, fos=fos,
                       normalization=normalization)

@@ -276,79 +276,75 @@ class SweepResult:
     period ended in a non-finite state or one larger than
     ``DIVERGED_STATE``; the amplitude is NaN).  ``periods[i]`` counts the
     burn-off periods and the measured periods that completed at
-    ``omega[i]``, and ``steps[i]`` the ETDRK4 steps taken there:
-    ``SWEEP_STEPS_PER_PERIOD`` for each period stepped, the one in which
-    the state diverged included.
+    ``omega[i]``.
     """
     omega: np.ndarray
     amplitude: np.ndarray
     failure: np.ndarray
     periods: np.ndarray
-    steps: np.ndarray
 
     @property
     def converged(self) -> np.ndarray:
         """Per point, whether the response settled."""
         return self.failure == ""
 
+    @property
+    def steps(self) -> np.ndarray:
+        """Per point, the ETDRK4 steps taken: ``SWEEP_STEPS_PER_PERIOD``
+        for each period stepped, the one in which the state diverged
+        included."""
+        return SWEEP_STEPS_PER_PERIOD * (self.periods
+                                         + (self.failure == "diverged"))
 
-def _period_peak(t: np.ndarray, y: np.ndarray, period: float) -> float:
-    """The maximum of ``y`` over one period sampled at times ``t``.
 
-    ``t`` runs from 0 to ``period``, in steps that may be uneven.  At each
-    local maximum of the samples, the parabola through it and its two
-    neighbours gives a peak at its vertex, the dense-output argument of
-    Hairer, Norsett & Wanner (Solving ODEs I, sec. II.6); the largest of
-    these and of the samples is returned.  A sample at either end of the period wraps round:
-    its neighbours are the samples at ``t[-2]`` and ``t[1] + period``.
-    Where three points are not concave the sampled value stands.
+def _period_peak(y: np.ndarray) -> np.ndarray:
+    """The maximum of each column of ``y`` over one period.
+
+    ``y`` holds the m + 1 samples at the equal step ends of the period,
+    0 to m, one column per monitored coordinate.  At each local maximum of
+    a column, the parabola through it and its two neighbours peaks at
+    ``y - (rise + fall)**2 / (8 * (fall - rise))``, with rise and fall the
+    differences to and from the sample: the dense-output argument of
+    Hairer, Norsett & Wanner (Solving ODEs I, sec. II.6).  The largest of
+    these and of the samples is returned.  A sample at either end of the
+    period wraps round: its neighbours are samples m - 1 and 1.  Where
+    three points are not concave the sampled value stands.
 
     Every local maximum is refined, not only the largest sample: ``|x|``
     has a lobe for each sign of ``x``, and the lobe whose samples fall
     nearer its top can outrank the higher one.
     """
-    ts = np.concatenate(((t[-2] - period,), t, (t[1] + period,)))
-    ys = np.concatenate(((y[-2],), y, (y[1],)))
-    h1, h2 = np.diff(ts[:-1]), np.diff(ts[1:])
-    rise, fall = np.diff(ys[:-1]), np.diff(ys[1:])
-    curv = (fall / h2 - rise / h1) / (h1 + h2)
-    top = (rise >= 0) & (fall <= 0) & (curv < 0)
-    slope = rise[top] / h1[top] + curv[top] * h1[top]  # at the sample
-    vertex = y[top] - slope * slope / (4 * curv[top])
-    return float(max(y.max(), vertex.max(initial=-math.inf)))
+    ys = np.concatenate((y[-2:-1], y, y[1:2]))
+    rise, fall = np.diff(ys[:-1], axis=0), np.diff(ys[1:], axis=0)
+    top = (rise >= 0) & (fall <= 0) & (fall < rise)
+    drop = (rise + fall) ** 2 / (8 * np.where(top, fall - rise, -1.0))
+    return np.maximum(y.max(axis=0),
+                      np.where(top, y - drop, -math.inf).max(axis=0))
 
 
 def _sweep_point(fos, eps, om, state, monitor, transient_time,
                  min_measure_periods, max_measure_periods, settle_rel):
     """One grid frequency: burn off the transient, measure period maxima."""
-    period = 2 * math.pi / om
     m = SWEEP_STEPS_PER_PERIOD
-    n_tr = max(1, int(math.ceil(transient_time / period)))
+    n_tr = max(1, int(math.ceil(transient_time / (2 * math.pi / om))))
     step = _etdrk4(fos, eps, om, m)
-    t = np.linspace(0.0, period, m + 1)
     traj = np.empty((m + 1, state.size))
     traj[0] = state
     maxima = []  # per measured period, per monitored coordinate
     failure = "unsettled"
-    n_meas = n_steps = n_periods = 0
-
-    def advance():
-        nonlocal n_steps, n_periods
-        n_steps += m
-        step(traj)
-        n_periods += 1
+    n_periods = 0
 
     try:
         for _ in range(n_tr):
-            advance()
+            step(traj)
+            n_periods += 1
             traj[0] = traj[m]
-        while n_meas < max_measure_periods:
-            advance()
-            maxima.append([_period_peak(t, np.abs(traj[:, c]), period)
-                           for c in monitor])
+        while len(maxima) < max_measure_periods:
+            step(traj)
+            n_periods += 1
+            maxima.append(_period_peak(np.abs(traj[:, monitor])))
             traj[0] = traj[m]
-            n_meas += 1
-            if n_meas >= max(min_measure_periods, SETTLE_RUN + 1):
+            if len(maxima) >= max(min_measure_periods, SETTLE_RUN + 1):
                 tail = np.asarray(maxima[-(SETTLE_RUN + 1):])
                 change = np.abs(np.diff(tail, axis=0)) / np.maximum(
                     np.abs(tail[1:]), 1e-300)
@@ -360,9 +356,9 @@ def _sweep_point(fos, eps, om, state, monitor, transient_time,
         # escape to an unbounded response: the grid point has no
         # amplitude; the next starts from rest
         failure = "diverged"
-        maxima.append([math.nan] * len(monitor))
+        maxima.append(np.full(len(monitor), math.nan))
         state = np.zeros(state.size)
-    return maxima[-1], failure, n_periods, n_steps, state
+    return maxima[-1], failure, n_periods, state
 
 
 def sweep(fos: FirstOrderSystem, eps: float, omega_grid, monitor,
@@ -461,20 +457,19 @@ def sweep(fos: FirstOrderSystem, eps: float, omega_grid, monitor,
     amplitude = np.zeros((n_grid, len(monitor)))
     failure = []
     periods = np.zeros(n_grid, dtype=int)
-    steps = np.zeros(n_grid, dtype=int)
 
     state = np.zeros(dim)
     for i, om in enumerate(omega_grid):
         if not warm_start:
             state = np.zeros(dim)
-        amplitude[i], why, periods[i], steps[i], state = _sweep_point(
+        amplitude[i], why, periods[i], state = _sweep_point(
             fos, eps, float(om), state, monitor, transient_time,
             min_measure_periods, max_measure_periods, settle_rel)
         failure.append(why)
 
     return SweepResult(omega=omega_grid.copy(), amplitude=amplitude,
                        failure=np.asarray(failure, dtype=str),
-                       periods=periods, steps=steps)
+                       periods=periods)
 
 
 def linear_frc_closed_form(mm: ModalModel, eps: float, omega):

@@ -14,8 +14,10 @@ Two representations of a polynomial in the master coordinates live here:
 
 :class:`Monomials` is the one place that knows how a monomial
 nonlinearity ``G(x) = sum_t coeff_t * prod_v x_v**e_tv * inject_t`` is
-evaluated, differentiated and composed with a graded series; the
-first-order system and the modal model each hold one.
+evaluated and composed with a graded series; the first-order system and
+the modal model each hold one.  Its Jacobian is another ``Monomials``
+(:meth:`Monomials.jacobian`), so G and DG share one kernel at points
+(:meth:`Monomials.products`) and one on series (:meth:`Monomials.graded`).
 
 :func:`dense_mul` and :func:`dense_pow` are the straightforward dense
 products that the graded kernels are tested against.  :class:`MultiPoly`
@@ -183,19 +185,24 @@ def dense_to_poly(arr: np.ndarray, trunc_order: int | None = None) -> MultiPoly:
 
 
 class Monomials:
-    """A monomial nonlinearity, compiled once for evaluation,
-    differentiation and graded composition.
+    """A monomial nonlinearity, compiled once for evaluation and graded
+    composition.
 
     ``G(x) = sum_t coeffs[t] * prod_v x[v]**exponents[t][v] * inject[:, t]``,
-    with ``inject`` of shape ``(n_out, n_terms)``.  Each term keeps only its
-    non-zero exponents.  ``active`` lists the variables some term reads;
-    ``odd`` is true when there are terms and every one has odd degree.
+    with ``inject`` of shape ``(n_out, n_terms)``.  ``coeffs`` and
+    ``exponents`` are kept as given; the compiled ``terms`` keep only each
+    term's non-zero exponents.  ``active`` lists the variables some term
+    reads; ``odd`` is true when there are terms and every one has odd
+    degree.
 
     :meth:`products` is the one kernel for the term products at a point;
-    :meth:`value` sums them into G.
+    :meth:`value` sums them into G and :meth:`jacobian_apply` the products
+    of :meth:`jacobian` into DG u.
     """
 
     def __init__(self, coeffs, exponents, inject: np.ndarray):
+        self.coeffs = coeffs
+        self.exponents = exponents
         self.inject = np.ascontiguousarray(inject)
         #: (coeff, ((var, exp), ...), inject column), in the given order
         self.terms = [(c, tuple((v, e) for v, e in enumerate(ex) if e),
@@ -259,30 +266,38 @@ class Monomials:
             out = out + inject * mono
         return out
 
+    def jacobian(self) -> tuple[Monomials, list]:
+        """The partial derivatives of the terms, as a ``Monomials`` of their
+        own, and the ``(t, v)`` of each.
+
+        For each variable v of each term t, in order, the derivative term
+        is ``coeffs[t] * e_v * x**(e - 1_v)``, injected by column t.
+        """
+        pairs = [(t, v) for t, (_, fs, _) in enumerate(self.terms)
+                 for v, _ in fs]
+        jac = Monomials(
+            [self.coeffs[t] * self.exponents[t][v] for t, v in pairs],
+            [tuple(e - (w == v) for w, e in enumerate(self.exponents[t]))
+             for t, v in pairs],
+            self.inject[:, [t for t, _ in pairs]])
+        return jac, pairs
+
     def jacobian_apply(self, x: np.ndarray, u: np.ndarray) -> np.ndarray:
         """DG(x) @ u for one point (n,) or a batch (n, npts) of x and u."""
         out = np.zeros((self.inject.shape[0],) + x.shape[1:],
                        np.result_type(x, u, self.inject))
-        for coeff, factors, inject in self.terms:
-            acc = 0.0
-            for v, e in factors:
-                part = coeff * e * u[v]
-                for w, f in factors:
-                    p = f - (w == v)
-                    if p:
-                        part = part * x[w] ** p
-                acc = acc + part
-            out += np.multiply.outer(inject, acc)
+        jac, pairs = self.jacobian()
+        for (_, v), (_, _, inject), part in zip(
+                pairs, jac.terms, jac._products(x.__getitem__)):
+            out += np.multiply.outer(inject, part * u[v])
         return out
 
-    def graded(self, x1: np.ndarray, derivatives: bool = False):
+    def graded(self, x1: np.ndarray) -> GradedComposition:
         """Start the graded composition of the terms with ``x = x1 + ...``.
 
         ``x1`` holds the degree-1 slices, one row per ``active`` variable.
-        With ``derivatives``, each term's partial derivative with respect
-        to each of its variables is composed as well.
         """
-        return GradedComposition(self, x1, derivatives)
+        return GradedComposition(self, x1)
 
 
 class GradedComposition:
@@ -292,14 +307,14 @@ class GradedComposition:
     2016, *The Parameterization Method for Invariant Manifolds*, ch. 2).
     ``xs[a]`` holds the slices of the a-th active variable, extended by
     :meth:`push`.  A term ``x_a * x_b * ... * x_z`` is a chain of partial
-    products ``P_k = P_{k-1} * x_{v_k}`` (prefixes shared between terms and
-    derivatives), each grown one slice per degree by :meth:`grow`:
+    products ``P_k = P_{k-1} * x_{v_k}`` (prefixes shared between terms),
+    each grown one slice per degree by :meth:`grow`:
     ``(P_k)_d = sum_i (P_{k-1})_i * (x_{v_k})_{d-i}``, which reads only
     slices below d.  So every slice is computed once, in O(D^3)
     convolutions overall.  Structural zeros (``None``) are skipped.
     """
 
-    def __init__(self, mono: Monomials, x1: np.ndarray, derivatives: bool):
+    def __init__(self, mono: Monomials, x1: np.ndarray):
         if len(x1) != len(mono.active):
             raise ValueError(f"{len(x1)} series for "
                              f"{len(mono.active)} active variables")
@@ -307,25 +322,13 @@ class GradedComposition:
         self.xs = [[None, row] for row in x1]
         slot = {v: a for a, v in enumerate(mono.active)}
         chains = {(v,): self.xs[a] for v, a in slot.items()}
-
-        def chain(key):
-            for k in range(2, len(key) + 1):
-                chains.setdefault(key[:k], [None, None])
-            return chains[key]
-
         keys = [tuple(v for v, e in fs for _ in range(e))
                 for _, fs, _ in mono.terms]
+        for key in keys:
+            for k in range(2, len(key) + 1):
+                chains.setdefault(key[:k], [None, None])
         #: slices of each term's monomial, without its coefficient
-        self.terms = [chain(key) for key in keys]
-        #: (term, active slot, coeff * exponent, slices of the monomial
-        #: with one factor x_v removed) for every variable v of every term
-        self.derivatives = []
-        if derivatives:
-            for t, ((coeff, fs, _), key) in enumerate(zip(mono.terms, keys)):
-                for v, e in fs:
-                    i = key.index(v)
-                    self.derivatives.append(
-                        (t, slot[v], coeff * e, chain(key[:i] + key[i + 1:])))
+        self.terms = [chains[key] for key in keys]
         self._links = [(chains[key], chains[key[:-1]], self.xs[slot[key[-1]]])
                        for key in chains if len(key) > 1]
 

@@ -37,6 +37,8 @@ from .model import ModalModel, check_nonresonance, spectral_quotient
 from .polyalg import dense_diff, dense_zero, dense_eval
 
 #: relative threshold on |lambda_i - <m, lambda_master>| for enslaved solves
+#: (vs |lambda_i|); the forced solve holds its denominators, which carry
+#: -/+ i*Omega, to it vs max(|lambda_i|, |Omega|)
 RESONANCE_GUARD = 1e-8
 
 

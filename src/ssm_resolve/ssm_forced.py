@@ -33,9 +33,10 @@ therefore split in two:
   as a scalar map over monomials, shared by all rows; the carry term as a
   map from the earlier reduced (resonant-slot) values to ``w0`` columns, one
   per harmonic; the Jacobian term as ``beta ⊗ (J_d · T[active] W_{<d})``,
-  with J_d read off the graded derivative chains of ``Monomials.graded``
-  (each term's partial derivatives composed with ``T[active] W0`` one
-  slice per degree);
+  with J_d read off the nonlinearity's Jacobian ``Monomials.jacobian``
+  (each term's partial derivatives, a ``Monomials`` of their own) composed
+  with ``T[active] W0`` by ``Monomials.graded``, one slice per degree, as
+  the unforced manifold composes the nonlinearity itself;
 * a march per batch of Omegas (``compute_nonautonomous_ssm``), which forms
   the denominators of every Omega in the batch, checks them all against the
   guard, and marches degree by degree on a (frequencies, harmonics, rows,
@@ -63,10 +64,7 @@ import numpy as np
 
 from .errors import InternalResonanceError
 from .polyalg import dense_diff, dense_eval
-from .ssm_auto import AutonomousSsm
-
-#: relative threshold on enslaved denominators (vs max(|lam_i|, |Omega|))
-ENSLAVED_GUARD = 1e-8
+from .ssm_auto import RESONANCE_GUARD, AutonomousSsm
 
 #: the e^{+i Omega t} and e^{-i Omega t} harmonics, stacked on axis 0
 SIGNS = np.array([1, -1])
@@ -113,25 +111,28 @@ def _jacobian_factors(mono, t_active: np.ndarray, w0: np.ndarray,
     """(n_terms, n_active, d1+1, d1+1): d(term)/d(x_v) along the manifold.
 
     Entry [t, a] is coeff * e_v * prod_u x_u**(e_u - [u == v]) with
-    x = T[active] W0 truncated at degree d1 and v the a-th active variable,
-    grown slice by slice on the derivative chains of ``mono.graded``.
+    x = T[active] W0 truncated at degree d1 and v the a-th active variable:
+    the terms of ``mono.jacobian()`` composed with x by ``graded``.  Every
+    term has degree >= 2, so the derivatives read the same variables.
     """
+    jac, pairs = mono.jacobian()
     k = np.arange(d1 + 2)
 
     def x(c):
         return t_active @ w0[:, k[:c + 1], c - k[:c + 1]]
 
-    comp = mono.graded(x(1), derivatives=True)
+    comp = jac.graded(x(1))
     for d in range(2, d1 + 1):
         comp.grow(d)
         xd = x(d)
         comp.push(xd if np.any(xd) else None)
     out = np.zeros((len(mono.terms), len(mono.active), d1 + 1, d1 + 1),
                    dtype=complex)
-    for t, a, scale, prod in comp.derivatives:
+    for (t, v), coeff, prod in zip(pairs, jac.coeffs, comp.terms):
+        a = mono.active.index(v)
         for d, sl in enumerate(prod[:d1 + 1]):
             if sl is not None:
-                out[t, a, k[:d + 1], d - k[:d + 1]] = scale * sl
+                out[t, a, k[:d + 1], d - k[:d + 1]] = coeff * sl
     return out
 
 
@@ -341,7 +342,7 @@ def _march(cache: dict, lam: np.ndarray, f_half: np.ndarray,
     enslaved = ~cache["resonant"]
     mag = np.abs(den)
     scale = np.maximum(np.abs(lam), np.abs(omega)[:, None])
-    small = (mag < ENSLAVED_GUARD * scale[:, None, :, None]) & enslaved
+    small = (mag < RESONANCE_GUARD * scale[:, None, :, None]) & enslaved
     if np.any(small):
         # report the first offender in march order: frequency, harmonic,
         # degree, row

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssm_resolve import cli, errors
+from ssm_resolve import cli, errors, isola, oracle
 from ssm_resolve.beam import BeamSpec, build_beam, write_beam_params
 from ssm_resolve.cli import (REQUIRED, _build_parser, _commands,
                              _config_hash, _options, _resolve, main)
@@ -670,6 +670,22 @@ def test_tolerance_flags_sit_only_on_the_commands_that_read_them():
         flags = set(parser._option_string_actions)
         assert shared <= flags, name
         assert flags & tolerances == own.get(name, set()), name
+
+
+def test_tolerance_and_period_defaults_are_the_library_constants():
+    # one home per default: the flag reads the constant the library
+    # defaults to, and its help prints it
+    want = {"isola": {"tol_cauchy": isola.ROOT_CAUCHY_TOL,
+                      "tol_radius_frac": isola.RADIUS_FRACTION},
+            "verify": {"min_periods": oracle.MIN_MEASURE_PERIODS,
+                       "max_periods": oracle.MAX_MEASURE_PERIODS,
+                       "tol_settle": oracle.SETTLE_REL}}
+    commands = _commands(_build_parser())
+    for command, defaults in want.items():
+        options = _options(commands[command])
+        for dest, constant in defaults.items():
+            assert options[dest].default is constant, (command, dest)
+            assert options[dest].help.endswith("(default %(default)s)")
 
 
 def test_tolerance_flags_are_refused_where_nothing_reads_them(tmp_path,

@@ -15,12 +15,14 @@ import pytest
 from conftest import two_mass_system, two_mass_gamma1, two_mass_lambda
 from ssm_resolve.beam import BeamSpec, build_beam
 from ssm_resolve.errors import ValidationError
-from ssm_resolve.isola import (classify_roots, fold_points, isola_report,
-                               leading_isola, nonspurious_positive_roots,
-                               roots_of_a)
+from ssm_resolve.isola import (classify_roots, drift_slope, fold_points,
+                               isola_report, leading_isola,
+                               nonspurious_positive_roots, roots_of_a)
 from ssm_resolve.model import modal_decompose, to_first_order
+from ssm_resolve.reduced import assemble_polar
 from ssm_resolve.ssm_auto import compute_autonomous_ssm
-from ssm_resolve.ssm_forced import leading_forcing_coefficient
+from ssm_resolve.ssm_forced import (compute_nonautonomous_ssm,
+                                    leading_forcing_coefficient)
 
 
 def _closed_form_radius_and_merger():
@@ -259,6 +261,24 @@ class TestBeamIsola:
         nsp = _nonspurious(rt)
         assert len(nsp) == 1
         assert nsp[0][0] == pytest.approx(0.413367, rel=1e-4)
+
+
+@pytest.mark.parametrize("case,m_max", [("sp_modal", 25),
+                                        ("quintic_modal", 12),
+                                        ("beam_modal", 25)])
+def test_drift_slope_is_the_polar_fields_da(request, case, m_max):
+    # the transversality margin of each non-spurious root is a'(rho) of the
+    # reduced dynamics, bit for bit, on the manifold the track reads
+    mm = request.getfixturevalue(case)
+    ssm = compute_autonomous_ssm(mm, 2 * m_max + 1,
+                                 check=case != "beam_modal")
+    rt = roots_of_a(ssm, range(1, m_max + 1))
+    rd = assemble_polar(ssm, compute_nonautonomous_ssm(
+        ssm, mm.lambda_master.imag))
+    roots = _nonspurious(rt)
+    assert roots
+    for rho, margin in roots:
+        assert margin == drift_slope(rt, rho) == float(rd.da_of(rho))
 
 
 class TestIsolaReport:

@@ -41,15 +41,17 @@ def _plain_field(fos, eps, omega, t, x):
     integrations: ``A x``, then ``+ G(x)`` with NumPy-scalar monomials
     summed from 0.0, then ``+ (eps cos(omega t)) F``."""
     out = np.dot(fos.A, x)
-    if fos.terms:
-        g = 0.0
-        for term in fos.terms:
-            mono = term.coeff
-            for v, e in enumerate(term.exponents):
+    g = fos.monomials
+    if g.coeffs:
+        total = 0.0
+        for coeff, exponents, inject in zip(
+                g.coeffs, g.exponents, np.ascontiguousarray(g.inject.T)):
+            mono = coeff
+            for v, e in enumerate(exponents):
                 if e:
                     mono = mono * x[v] ** e
-            g = g + term.inject * mono
-        out = out + g
+            total = total + inject * mono
+        out = out + total
     if eps:
         out = out + (eps * math.cos(omega * t)) * fos.F
     return out
@@ -441,8 +443,7 @@ class TestExponentialIntegrator:
             for _ in range(n):
                 traj[0] = traj[m]
                 period(traj)
-            peaks.append(_period_peak(np.linspace(0.0, T, m + 1),
-                                      np.abs(traj[:, c]), T))
+            peaks.append(_period_peak(np.abs(traj[:, [c]]))[0])
         assert abs(peaks[0] - peaks[1]) <= 5e-7 * peaks[1]
 
 
@@ -451,33 +452,34 @@ class TestPeriodPeak:
     def _parabola(t, vertex):
         return 3.0 - 20.0 * (t - vertex) ** 2
 
-    def test_exact_on_a_parabola_at_uneven_times(self):
-        t = np.array([0.0, 0.07, 0.19, 0.26, 0.41, 0.5, 0.66, 0.8, 1.0])
-        for vertex in (0.2, 0.23, 0.45, 0.7):
-            peak = _period_peak(t, self._parabola(t, vertex), 1.0)
-            assert peak == pytest.approx(3.0, rel=1e-14)
+    def test_exact_on_a_parabola_column_by_column(self):
+        # one column per vertex, all refined in one call
+        t = np.linspace(0.0, 1.0, 9)
+        vertices = np.array([0.2, 0.23, 0.45, 0.7])
+        peaks = _period_peak(self._parabola(t[:, None], vertices))
+        assert peaks.shape == (4,)
+        assert peaks == pytest.approx([3.0] * 4, rel=1e-14)
 
     def test_a_maximum_at_the_period_end_wraps(self):
         # a periodic parabola peaked just after the period boundary
-        t = np.array([0.0, 0.05, 0.3, 0.6, 0.97, 1.0])
-        y = self._parabola(np.where(t < 0.5, t + 1.0, t), 1.004)
-        assert _period_peak(t, y, 1.0) == pytest.approx(3.0, rel=1e-14)
+        t = np.linspace(0.0, 1.0, 11)
+        y = self._parabola(np.where(t < 0.5, t + 1.0, t), 1.004)[:, None]
+        assert _period_peak(y) == pytest.approx([3.0], rel=1e-14)
         # largest at the last sample only, as in a period not yet settled
         y[0] -= 1e-3
-        assert _period_peak(t, y, 1.0) == pytest.approx(3.0, rel=1e-14)
+        assert _period_peak(y) == pytest.approx([3.0], rel=1e-14)
 
     def test_the_lower_sampled_lobe_can_hold_the_peak(self):
-        # two bumps: the taller one (3.0 at 0.25) is sampled off its top,
+        # two bumps: the taller one (3.0 at 0.275) is sampled off its top,
         # the other (2.995 at 0.75) on it
-        t = np.array([0.0, 0.1, 0.2, 0.27, 0.33, 0.5, 0.7, 0.75, 0.8, 1.0])
-        y = np.maximum(np.maximum(self._parabola(t, 0.25),
+        t = np.linspace(0.0, 1.0, 21)
+        y = np.maximum(np.maximum(self._parabola(t, 0.275),
                                   self._parabola(t, 0.75) - 0.005), 2.0)
-        assert y.max() == 2.995
-        assert _period_peak(t, y, 1.0) == pytest.approx(3.0, rel=1e-14)
+        assert y.max() == pytest.approx(2.995, rel=1e-14)
+        assert _period_peak(y[:, None]) == pytest.approx([3.0], rel=1e-14)
 
     def test_a_flat_signal_keeps_the_sampled_value(self):
-        t = np.array([0.0, 0.2, 0.45, 0.7, 1.0])
-        assert _period_peak(t, np.full(5, 2.0), 1.0) == 2.0
+        assert _period_peak(np.full((5, 2), 2.0)).tolist() == [2.0, 2.0]
 
 
 def _reconstruct_state(ssm3, fr, point, eps):

@@ -5,10 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ssm_resolve.model import to_first_order
 from ssm_resolve.polyalg import (
     Monomials, dense_diff, dense_eval, dense_mask, dense_mul, dense_pow,
     dense_to_poly, dense_zero, graded_product_slice,
 )
+
+from conftest import MIXED_TERMS, with_terms
 
 
 def dense(order, terms):
@@ -139,6 +142,56 @@ def test_substitute_rejects_length_mismatch():
     mono = Monomials([1.0], [(1, 1, 1)], np.array([[1.0]]))
     with pytest.raises(ValueError):
         mono.graded(np.ones((2, 2)))
+
+
+def test_jacobian_of_the_mixed_terms():
+    # 0.5 x0^2, -0.3 x0 x1, 0.2 x0 x2, 0.4 x0^2 x3: one derivative term per
+    # variable of each term, injected by that term's column
+    mono = to_first_order(with_terms(MIXED_TERMS)).monomials
+    jac, pairs = mono.jacobian()
+    assert pairs == [(0, 0), (1, 0), (1, 1), (2, 0), (2, 2), (3, 0), (3, 3)]
+    assert jac.coeffs == [1.0, -0.3, -0.3, 0.2, 0.2, 0.8, 0.4]
+    assert jac.exponents == [(1, 0, 0, 0), (0, 1, 0, 0), (1, 0, 0, 0),
+                             (0, 0, 1, 0), (1, 0, 0, 0), (1, 0, 0, 1),
+                             (2, 0, 0, 0)]
+    assert np.array_equal(jac.inject, mono.inject[:, [0, 1, 1, 2, 2, 3, 3]])
+    assert jac.active == mono.active == (0, 1, 2, 3)
+
+
+def test_jacobian_of_a_three_variable_term():
+    # 1.5 x0 x1^2 x3^3 among five variables
+    mono = Monomials([1.5], [(1, 2, 0, 3, 0)], np.array([[2.0], [-1.0]]))
+    jac, pairs = mono.jacobian()
+    assert pairs == [(0, 0), (0, 1), (0, 3)]
+    assert jac.coeffs == [1.5, 3.0, 4.5]
+    assert jac.exponents == [(0, 2, 0, 3, 0), (1, 1, 0, 3, 0),
+                             (1, 2, 0, 2, 0)]
+    assert np.array_equal(jac.inject, [[2.0, 2.0, 2.0], [-1.0, -1.0, -1.0]])
+
+
+def test_jacobian_of_no_terms_is_empty():
+    mono = Monomials([], [], np.zeros((3, 0)))
+    jac, pairs = mono.jacobian()
+    assert pairs == [] and jac.coeffs == [] and jac.inject.shape == (3, 0)
+    x = np.array([0.1, 0.2, 0.3])
+    assert not np.any(mono.jacobian_apply(x, x))
+
+
+def test_a_degree_two_terms_partial_is_its_variables_own_series():
+    # d(x0^2)/dx0 = 2 x0 and d(x0 x1)/dx1 = x0: the graded composition
+    # reads the series of x0 itself, with no partial product of its own
+    mono = Monomials([1.0, 1.0], [(2, 0), (1, 1)], np.eye(2))
+    jac, pairs = mono.jacobian()
+    assert pairs == [(0, 0), (1, 0), (1, 1)]
+    comp = jac.graded(np.array([[1.0, 2.0], [3.0, 4.0]]))
+    comp.grow(2)
+    comp.push(np.array([[5.0, 6.0, 7.0], [8.0, 9.0, 10.0]]))
+    x0, x1 = comp.xs
+    assert comp.terms[0] is x0 and comp.terms[1] is x1
+    assert comp.terms[2] is x0
+    # row 0: 2 x0; row 1: x1 + x0
+    assert np.array_equal(comp.value_slice(2),
+                          [[10.0, 12.0, 14.0], [13.0, 15.0, 17.0]])
 
 
 # ---------------------------------------------------------------- property tests

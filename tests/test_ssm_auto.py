@@ -221,13 +221,15 @@ def _coefficient_defect(ssm, mm):
     D, W, lam = ssm.order, ssm.w0_dense, mm.eigenvalues
     x = np.einsum("vl,lij->vij", mm.T, W)
     G = np.zeros_like(W)
-    for t, beta in zip(mm.fos.terms, mm.monomials.inject.T):
+    mono = mm.monomials
+    for coeff, exponents, beta in zip(mono.coeffs, mono.exponents,
+                                      mono.inject.T):
         prod = dense_zero(D)
         prod[0, 0] = 1.0
-        for v, e in enumerate(t.exponents):
+        for v, e in enumerate(exponents):
             if e:
                 prod = dense_mul(prod, dense_pow(x[v], e, D), D)
-        G += t.coeff * np.multiply.outer(beta, prod)
+        G += coeff * np.multiply.outer(beta, prod)
     R1, R2 = dense_zero(D), dense_zero(D)
     R1[1, 0], R2[0, 1] = lam[0], lam[1]
     for j, (g1, g2) in enumerate(zip(ssm.gamma, ssm.gamma_row2), start=1):

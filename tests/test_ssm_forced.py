@@ -281,20 +281,21 @@ def test_graded_jacobian_factors_match_dense_products(g):
     active = mm.monomials.active
     x = np.einsum("vl,lij->vij", mm.T, ssm.w0_dense)[:, :d1 + 1, :d1 + 1]
     x[:, ~dense_mask(d1)] = 0.0
-    want = np.zeros((len(mm.fos.terms), len(active), d1 + 1, d1 + 1),
+    mono = mm.monomials
+    want = np.zeros((len(mono.coeffs), len(active), d1 + 1, d1 + 1),
                     dtype=complex)
-    for t, term in enumerate(mm.fos.terms):
+    for t, (coeff, exponents) in enumerate(zip(mono.coeffs, mono.exponents)):
         for a, v in enumerate(active):
-            e = term.exponents[v]
+            e = exponents[v]
             if not e:
                 continue
             prod = dense_zero(d1)
             prod[0, 0] = 1.0
-            for u, eu in enumerate(term.exponents):
+            for u, eu in enumerate(exponents):
                 p = eu - (u == v)
                 if p:
                     prod = dense_mul(prod, dense_pow(x[u], p, d1), d1)
-            want[t, a] = term.coeff * e * prod
+            want[t, a] = coeff * e * prod
     got = _jacobian_factors(mm.monomials, mm.T[list(active), :],
                             ssm.w0_dense, d1)
     assert got.shape == want.shape
