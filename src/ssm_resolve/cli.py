@@ -332,13 +332,20 @@ def _config_hash(cfg: argparse.Namespace) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
-def _meta_lines(cfg: argparse.Namespace, eig_summary: str) -> list[str]:
-    """Header lines for text artifacts; the timestamp gets its own line so
-    byte-identity of reruns holds for everything else."""
+def _meta_lines(cfg: argparse.Namespace, eig_summary: str,
+                *extra: str) -> list[str]:
+    """Header lines for text artifacts: tool, config hash, eigenvalues, the
+    command's own ``extra`` lines, and last the timestamp, on its own line
+    so byte-identity of reruns holds for everything else."""
     return [f"{TOOL} {__version__}",
             f"config sha256 {_config_hash(cfg)}",
-            f"eigenvalues: {eig_summary}",
+            f"eigenvalues: {eig_summary}", *extra,
             f"timestamp: {_utcnow()}"]
+
+
+def _master_summary(mm) -> str:
+    """The eigenvalue summary of the commands that reduce a system."""
+    return f"lambda_master = {complex(mm.lambda_master)!r}"
 
 
 def _csv_text(meta: list[str], columns: list[str],
@@ -437,15 +444,14 @@ def _cmd_analyze(cfg: argparse.Namespace) -> None:
     print("\n".join(lines))
 
     if cfg.dump_ssm:
-        eig = f"lambda_master = {complex(mm.lambda_master)!r}"
-        write_artifacts([(cfg.dump_ssm, _dump_text(cfg, ssm, mm, eig))])
+        write_artifacts([(cfg.dump_ssm, _dump_text(cfg, ssm, mm))])
         _say(cfg, f"wrote {cfg.dump_ssm}")
 
 
-def _dump_text(cfg: argparse.Namespace, ssm, mm, eig_summary: str) -> str:
+def _dump_text(cfg: argparse.Namespace, ssm, mm) -> str:
     """All embedding and drift coefficients, multi-indices in graded-lex
     order (ascending total degree, then descending first exponent)."""
-    out = [f"# {ln}" for ln in _meta_lines(cfg, eig_summary)]
+    out = [f"# {ln}" for ln in _meta_lines(cfg, _master_summary(mm))]
     L = ssm.w0_dense.shape[0]
     out.append("ssm-dump v1")
     out.append(f"states {L}")
@@ -473,11 +479,10 @@ def _cmd_frc(cfg: argparse.Namespace) -> None:
                       omega_window=cfg.omega_window)
     amps = physical_amplitudes(ssm, curve, coord).tolist()
 
-    meta = _meta_lines(cfg,
-                       f"lambda_master = {complex(mm.lambda_master)!r}")
-    meta.insert(3, f"components: {len(curve.components)}; fold rho: "
-                + " ".join(repr(float(r)) for r in curve.folds))
-    meta.insert(4, f"amplitude coordinate: {coord}")
+    meta = _meta_lines(cfg, _master_summary(mm),
+                       f"components: {len(curve.components)}; fold rho: "
+                       + " ".join(repr(float(r)) for r in curve.folds),
+                       f"amplitude coordinate: {coord}")
     rows = []
     for ci, members in enumerate(curve.components):
         for i in members:
@@ -496,6 +501,9 @@ def _cmd_frc(cfg: argparse.Namespace) -> None:
          + (f"{dens.min():.1e}" if dens.size else "none (no accepted points)"))
     _say(cfg, _reason_summary("skipped points",
                               [reason for _, _, reason in curve.skipped]))
+    unresolved = int(np.isnan(curve.folds).sum())
+    if unresolved:
+        _say(cfg, f"unresolved folds: {unresolved}")
 
 
 def _reason_summary(label: str, reasons) -> str:
@@ -518,36 +526,28 @@ def _cmd_isola(cfg: argparse.Namespace) -> None:
             "tool": TOOL,
             "version": __version__,
             "config_sha256": _config_hash(cfg),
-            "eigenvalues": {"lambda_master": _jsonable(mm.lambda_master)},
+            "eigenvalues": {"lambda_master": mm.lambda_master},
             "timestamp": _utcnow(),
         },
         "root_track": {
-            "orders": list(rt.orders),
-            "roots": {str(m): _jsonable(rt.roots[m]) for m in rt.orders},
-            "radius": {str(m): _jsonable(rt.radius[m]) for m in rt.orders},
-            "trajectories": [
-                {str(m): _jsonable(z) for m, z in t.items()}
-                for t in rt.trajectories],
+            "orders": rt.orders,
+            "roots": rt.roots,
+            "radius": rt.radius,
+            "trajectories": rt.trajectories,
             "labels": report.labels,
         },
         "report": {
             "eps": cfg.eps,
-            "nonspurious_roots": _jsonable(report.nonspurious_roots),
-            "leading": _jsonable({
-                "exists": report.leading.exists,
-                "rho1": report.leading.rho1,
-                "eps_m": report.leading.eps_m,
-                "disconnected_at_eps": report.leading.disconnected_at_eps,
-            }),
-            "fold_rho": _jsonable(report.fold_rho),
+            "nonspurious_roots": report.nonspurious_roots,
+            "leading": vars(report.leading),
+            "fold_rho": report.fold_rho,
         },
     }
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(_jsonable(doc), indent=2, sort_keys=True) + "\n"
     artifacts = [(cfg.out, text)]
     if cfg.roots_svg:
-        eig = f"lambda_master = {complex(mm.lambda_master)!r}"
-        artifacts.append((cfg.roots_svg,
-                          roots_svg(rt, header=_meta_lines(cfg, eig)[:3])))
+        header = _meta_lines(cfg, _master_summary(mm))[:3]
+        artifacts.append((cfg.roots_svg, roots_svg(rt, header=header)))
     write_artifacts(artifacts)
     _say(cfg, f"wrote {cfg.out}"
          + (f" and {cfg.roots_svg}" if cfg.roots_svg else ""))
@@ -566,10 +566,10 @@ def _cmd_verify(cfg: argparse.Namespace) -> None:
                           max_measure_periods=cfg.max_periods,
                           settle_rel=cfg.tol_settle)
 
-    meta = _meta_lines(cfg, f"slowest pair = {fos.slowest_eigenvalue()!r}")
-    meta.insert(3, f"sweep: direction={cfg.sweep} eps={cfg.eps!r} "
-                f"monitor={','.join(str(c) for c in monitor)} "
-                f"start={'rest' if cfg.cold else 'warm'}")
+    meta = _meta_lines(cfg, f"slowest pair = {fos.slowest_eigenvalue()!r}",
+                       f"sweep: direction={cfg.sweep} eps={cfg.eps!r} "
+                       f"monitor={','.join(str(c) for c in monitor)} "
+                       f"start={'rest' if cfg.cold else 'warm'}")
     columns = (["omega"] + [f"amplitude_{c}" for c in monitor]
                + ["converged", "periods"])
     rows = []
@@ -593,8 +593,8 @@ def _cmd_beam(cfg: argparse.Namespace) -> None:
         spec = replace(spec, elements=cfg.elements)
     sys_ = build_beam(spec)
     fos = to_first_order(sys_)
-    meta = _meta_lines(cfg, f"slowest pair = {fos.slowest_eigenvalue()!r}")
-    meta.insert(3, f"beam: elements={spec.elements} (n={sys_.n} dof)")
+    meta = _meta_lines(cfg, f"slowest pair = {fos.slowest_eigenvalue()!r}",
+                       f"beam: elements={spec.elements} (n={sys_.n} dof)")
     write_artifacts([(cfg.out, format_system(sys_, header_lines=meta))])
     _say(cfg, f"wrote {cfg.out} ({sys_.n} dof)")
 

@@ -59,11 +59,11 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import ValidationError
+from .polyalg import even_val
 from .ssm_auto import AutonomousSsm
 from .ssm_forced import ForcedReduction, compute_nonautonomous_ssm
 from .reduced import (ReducedDynamics, FixedPointU, assemble_polar,
-                      phase_residual, zero_problem, stability_labels,
-                      _even_val)
+                      phase_residual, zero_problem, stability_labels)
 
 #: convergence target on |G| in the Omega solve
 G_TOL = 1e-12
@@ -126,7 +126,7 @@ class FrcCurve:
 
 def _backbone_omega(ssm: AutonomousSsm, rho: float) -> float:
     """Frequency b(rho) of the unforced backbone curve at amplitude rho."""
-    return float(_even_val(ssm.phase_coefficients(), rho))
+    return float(even_val(ssm.phase_coefficients(), rho))
 
 
 def _columns(rd: ReducedDynamics, idx) -> ReducedDynamics:
@@ -442,8 +442,11 @@ def _brent(xa: float, xb: float):
 def _fold(ssm: AutonomousSsm, xa: float, xb: float):
     """One fold bracket [xa, xb] as a generator for ``_rounds``: ``_brent``
     on the discriminant at a double-root ``_secant`` from the backbone Omega
-    (the backbone's own where the secant diverges).  Returns the fold; a NaN
-    discriminant, which would steer Brent's sign tests, raises ValueError.
+    (the backbone's own where the secant diverges).  Returns the fold, or
+    NaN where that discriminant is NaN, which would steer Brent's sign
+    tests, or has one sign at both ends: the bracket comes from the K+
+    pair's discriminant, and past the convergence radius the two can
+    disagree in sign.
     """
     brent = _brent(xa, xb)
     rho = next(brent)
@@ -451,12 +454,13 @@ def _fold(ssm: AutonomousSsm, xa: float, xb: float):
         _, got = yield from _secant(rho, DOUBLE_ROOT,
                                     _backbone_omega(ssm, rho))
         if math.isnan(got[1]):
-            raise ValueError(f"the fold discriminant at rho={rho} is NaN; "
-                             "Brent cannot continue")
+            return math.nan
         try:
             rho = brent.send(got[1])
         except StopIteration as stop:
             return stop.value
+        except ValueError:  # no sign change over the bracket
+            return math.nan
 
 
 def _runs(inside: np.ndarray) -> np.ndarray:
@@ -474,7 +478,8 @@ def _locate_folds(ssm: AutonomousSsm, eps: float, grid: np.ndarray,
     an end next to a row where it is negative brackets a Brent root of the
     discriminant along the double-root Omega, the bracket ends being the
     two rows rounded to 15 decimals.  An end at the end of the grid with a
-    positive discriminant is no fold.
+    positive discriminant is no fold.  A bracket that ``_fold`` cannot
+    solve keeps its place as NaN.
 
     Every bracket is one ``_fold`` generator, and one ``_rounds`` run
     drives them all: the double-root secants of every bracket's pending

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import ModalModel
-from .reduced import _even_dval, _even_val
+from .polyalg import even_dval, even_val
 from .ssm_auto import AutonomousSsm, compute_autonomous_ssm
 from .ssm_forced import leading_forcing_coefficient
 
@@ -177,7 +177,7 @@ def drift_slope(rt: RootTrack, rho: float) -> float:
     """d a / d rho of the highest-order tracked drift polynomial, by the
     formula of ``ReducedDynamics.da_of``."""
     p = np.concatenate(([rt.lambda_master.real], rt.gamma.real))
-    return float(_even_val(p, rho) + rho * _even_dval(p, rho))
+    return float(even_val(p, rho) + rho * even_dval(p, rho))
 
 
 def nonspurious_positive_roots(rt: RootTrack, labels: list[str]

@@ -1,12 +1,16 @@
-"""Polynomial kernels: dense bivariate arrays, graded series, and the
-compiled monomial nonlinearity.
+"""Polynomial kernels: univariate Horner sums, dense bivariate arrays,
+graded series, and the compiled monomial nonlinearity.
 
+This module is the one home of polynomial evaluation.  :func:`horner` sums
+a power series in one variable, and :func:`even_val` / :func:`even_dval`
+evaluate the even series in rho that the polar reduced field is made of.
 Two representations of a polynomial in the master coordinates live here:
 
 * dense bivariate coefficient arrays, shape ``(order+1, order+1)`` with
   ``arr[i, j]`` the coefficient of ``s1^i s2^j`` and every entry above the
   order kept at exactly zero.  Results (the embeddings and reduced fields)
-  are stored this way.
+  are stored this way, and :func:`dense_eval` / :func:`dense_jet` evaluate
+  them at points.
 * graded series: a list of homogeneous slices by degree, where slice ``j``
   is ``None`` (a structural zero) or a length ``j+1`` vector whose entry
   ``k`` is the coefficient of ``s1^k s2^(j-k)``.  Compositions are grown one
@@ -31,6 +35,31 @@ from __future__ import annotations
 import numpy as np
 
 _FLOAT = np.dtype(float)
+
+
+def horner(coeffs: np.ndarray, u):
+    """sum coeffs[i] * u**i, a column of 2-D ``coeffs`` per u; the steps of
+    ``numpy.polynomial.polynomial.polyval`` without its argument handling."""
+    val = coeffs[-1] + u * 0
+    for c in coeffs[-2::-1]:
+        val = c + val * u
+    return val
+
+
+def even_val(coeffs: np.ndarray, rho):
+    """sum coeffs[i] * rho**(2i); a column of 2-D ``coeffs`` per rho."""
+    u = np.asarray(rho, dtype=float) ** 2
+    return horner(coeffs, u)
+
+
+def even_dval(coeffs: np.ndarray, rho):
+    """d/drho of sum coeffs[i] * rho**(2i); a column of 2-D ``coeffs`` per
+    rho."""
+    rho = np.asarray(rho, dtype=float)
+    if len(coeffs) < 2:
+        return np.zeros_like(rho)
+    idx = np.arange(1, len(coeffs)).reshape((-1,) + (1,) * (coeffs.ndim - 1))
+    return rho * horner(2 * idx * coeffs[1:], rho ** 2)
 
 
 class MultiPoly:
@@ -169,6 +198,13 @@ def dense_eval(arr: np.ndarray, s1, s2) -> np.ndarray:
         return vals[0] if vals.shape == (1,) else vals
     vals = np.einsum("rij,pi,pj->rp", arr, pw1, pw2)
     return vals[:, 0] if vals.shape[1] == 1 else vals
+
+
+def dense_jet(arr: np.ndarray, s1, s2) -> np.ndarray:
+    """A stacked dense array (rows, D+1, D+1) and its s1 and s2 derivatives
+    at points: (3, rows, npts), value first, from one :func:`dense_eval`."""
+    jet = np.concatenate([arr, dense_diff(arr, 0), dense_diff(arr, 1)])
+    return dense_eval(jet, s1, s2).reshape(3, len(arr), -1)
 
 
 def dense_to_poly(arr: np.ndarray, trunc_order: int | None = None) -> MultiPoly:

@@ -21,36 +21,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, SingularChartError
+from .polyalg import even_dval, even_val
 from .ssm_auto import AutonomousSsm
 from .ssm_forced import ForcedReduction
 
 #: |Re(eigenvalue)| below this is reported as fold-degenerate, not classified
 STABILITY_MARGIN = 1e-8
-
-
-def _horner(coeffs: np.ndarray, u):
-    """sum coeffs[i] * u**i, a column of 2-D ``coeffs`` per u; the steps of
-    ``numpy.polynomial.polynomial.polyval`` without its argument handling."""
-    val = coeffs[-1] + u * 0
-    for c in coeffs[-2::-1]:
-        val = c + val * u
-    return val
-
-
-def _even_val(coeffs: np.ndarray, rho):
-    """sum coeffs[i] * rho**(2i); a column of 2-D ``coeffs`` per rho."""
-    u = np.asarray(rho, dtype=float) ** 2
-    return _horner(coeffs, u)
-
-
-def _even_dval(coeffs: np.ndarray, rho):
-    """d/drho of sum coeffs[i] * rho**(2i); a column of 2-D ``coeffs`` per
-    rho."""
-    rho = np.asarray(rho, dtype=float)
-    if len(coeffs) < 2:
-        return np.zeros_like(rho)
-    idx = np.arange(1, len(coeffs)).reshape((-1,) + (1,) * (coeffs.ndim - 1))
-    return rho * _horner(2 * idx * coeffs[1:], rho ** 2)
 
 
 @dataclass
@@ -71,29 +47,29 @@ class ReducedDynamics:
     g2: np.ndarray
 
     def a_of(self, rho):
-        return np.asarray(rho) * _even_val(self.a_coeffs, rho)
+        return np.asarray(rho) * even_val(self.a_coeffs, rho)
 
     def da_of(self, rho):
-        return (_even_val(self.a_coeffs, rho)
-                + np.asarray(rho) * _even_dval(self.a_coeffs, rho))
+        return (even_val(self.a_coeffs, rho)
+                + np.asarray(rho) * even_dval(self.a_coeffs, rho))
 
     def b_of(self, rho):
-        return _even_val(self.b_coeffs, rho)
+        return even_val(self.b_coeffs, rho)
 
     def db_of(self, rho):
-        return _even_dval(self.b_coeffs, rho)
+        return even_dval(self.b_coeffs, rho)
 
     def f1_of(self, rho):
-        return _even_val(self.f1, rho)
+        return even_val(self.f1, rho)
 
     def f2_of(self, rho):
-        return _even_val(self.f2, rho)
+        return even_val(self.f2, rho)
 
     def g1_of(self, rho):
-        return _even_val(self.g1, rho)
+        return even_val(self.g1, rho)
 
     def g2_of(self, rho):
-        return _even_val(self.g2, rho)
+        return even_val(self.g2, rho)
 
 
 @dataclass
@@ -167,10 +143,10 @@ def _polar_jacobian(rd: ReducedDynamics, rho, psi, eps: float) -> np.ndarray:
     cp, sp = np.cos(psi), np.sin(psi)
     f1, f2 = rd.f1_of(rho), rd.f2_of(rho)
     g1, g2 = rd.g1_of(rho), rd.g2_of(rho)
-    dg1, dg2 = _even_dval(rd.g1, rho), _even_dval(rd.g2, rho)
+    dg1, dg2 = even_dval(rd.g1, rho), even_dval(rd.g2, rho)
 
-    j11 = rd.da_of(rho) + eps * (_even_dval(rd.f1, rho) * cp
-                                 + _even_dval(rd.f2, rho) * sp)
+    j11 = rd.da_of(rho) + eps * (even_dval(rd.f1, rho) * cp
+                                 + even_dval(rd.f2, rho) * sp)
     j12 = eps * (-f1 * sp + f2 * cp)
     j21 = rd.db_of(rho) + eps * ((dg1 / rho - g1 / rho ** 2) * cp
                                  - (dg2 / rho - g2 / rho ** 2) * sp)

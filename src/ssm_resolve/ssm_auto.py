@@ -34,7 +34,7 @@ import numpy as np
 
 from .errors import ValidationError, NonResonanceError, InternalResonanceError
 from .model import ModalModel, check_nonresonance, spectral_quotient
-from .polyalg import dense_diff, dense_zero, dense_eval
+from .polyalg import dense_jet, dense_zero, horner
 
 #: relative threshold on |lambda_i - <m, lambda_master>| for enslaved solves
 #: (vs |lambda_i|); the forced solve holds its denominators, which carry
@@ -78,22 +78,16 @@ class AutonomousSsm:
         """Real coefficients of the phase field: psi' = sum b_i rho**(2i)."""
         return np.concatenate(([self.lambda_master.imag], self.gamma.imag))
 
-    def w0_at(self, s1, s2) -> np.ndarray:
-        """Evaluate the embedding at points: (2n,) or (2n, npts)."""
-        return dense_eval(self.w0_dense, s1, s2)
-
     def r0_at(self, s1, s2) -> np.ndarray:
-        """Evaluate the reduced field (2, npts) at points."""
+        """Evaluate the reduced field (2, npts) at points: each row a Horner
+        sum in s1 s2 of its linear and resonant coefficients."""
         s1 = np.asarray(s1, dtype=complex)
         s2 = np.asarray(s2, dtype=complex)
         lam = self.lambda_master
-        r1 = lam * s1
-        r2 = np.conj(lam) * s2
-        cross = s1 * s2
-        for j, (g1, g2) in enumerate(zip(self.gamma, self.gamma_row2), start=1):
-            r1 = r1 + g1 * s1 * cross ** j
-            r2 = r2 + g2 * s2 * cross ** j
-        return np.stack([r1, r2])
+        return np.stack([
+            s1 * horner(np.concatenate(([lam], self.gamma)), s1 * s2),
+            s2 * horner(np.concatenate(([np.conj(lam)], self.gamma_row2)),
+                        s1 * s2)])
 
 
 def compute_autonomous_ssm(mm: ModalModel, order: int, *,
@@ -220,33 +214,26 @@ def invariance_residual(ssm: AutonomousSsm, samples) -> dict:
     coordinate is taken as s2 = conj(s1) (the physically meaningful slice).
     The nonlinearity is evaluated exactly (not through a truncated
     composition), so the returned defect measures the truncation error of the
-    embedding itself.  Returns absolute and relative (scaled by the linear
-    term's magnitude) 2-norms per sample plus their maxima.
+    embedding itself.  Returns ``defect_report``'s maxima, relative values
+    scaled by |Lambda W0| per sample.
     """
     s1 = np.atleast_1d(np.asarray(samples, dtype=complex))
     s2 = np.conj(s1)
     mm = ssm.mm
-    n2 = len(mm.eigenvalues)
-
-    W = ssm.w0_dense
-    w_vals = dense_eval(W, s1, s2).reshape(n2, -1)
-
-    d1_vals = dense_eval(dense_diff(W, 0), s1, s2).reshape(n2, -1)
-    d2_vals = dense_eval(dense_diff(W, 1), s1, s2).reshape(n2, -1)
-
+    w, dw_1, dw_2 = dense_jet(ssm.w0_dense, s1, s2)
     r0 = ssm.r0_at(s1, s2)
-    lin = mm.eigenvalues[:, None] * w_vals
-    res = lin + mm.nonlinearity(w_vals) - d1_vals * r0[0] - d2_vals * r0[1]
+    lin = mm.eigenvalues[:, None] * w
+    res = lin + mm.nonlinearity(w) - dw_1 * r0[0] - dw_2 * r0[1]
+    return defect_report(np.linalg.norm(res, axis=0),
+                         np.linalg.norm(lin, axis=0))
 
-    abs_norm = np.linalg.norm(res, axis=0)
-    scale = np.maximum(np.linalg.norm(lin, axis=0), 1e-300)
-    rel = abs_norm / scale
-    return {
-        "absolute": abs_norm,
-        "relative": rel,
-        "max_absolute": float(abs_norm.max()),
-        "max_relative": float(rel.max()),
-    }
+
+def defect_report(defect: np.ndarray, scale: np.ndarray) -> dict:
+    """The report of an invariance defect from its 2-norm and its scale per
+    sample: the largest defect and the largest ratio of the two."""
+    rel = defect / np.maximum(scale, 1e-300)
+    return {"max_absolute": float(defect.max()),
+            "max_relative": float(rel.max())}
 
 
 def residual_slope(residual, radii=None, n_angles: int = 16,

@@ -63,8 +63,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InternalResonanceError
-from .polyalg import dense_diff, dense_eval
-from .ssm_auto import RESONANCE_GUARD, AutonomousSsm
+from .polyalg import dense_eval, dense_jet
+from .ssm_auto import RESONANCE_GUARD, AutonomousSsm, defect_report
 
 #: the e^{+i Omega t} and e^{-i Omega t} harmonics, stacked on axis 0
 SIGNS = np.array([1, -1])
@@ -390,38 +390,28 @@ def _march(cache: dict, lam: np.ndarray, f_half: np.ndarray,
 
 
 def forced_residual(ssm: AutonomousSsm, fr: ForcedReduction, samples) -> dict:
-    """O(eps) invariance defect per harmonic at sample points s1 (s2 = conj),
-    for the correction ``fr`` at one frequency.
+    """O(eps) invariance defect of both harmonics at sample points s1 (s2 =
+    conj), for the correction ``fr`` at one frequency.
 
     The nonlinearity Jacobian is evaluated exactly at the unforced embedding,
     so the defect measures the truncation error of the correction itself.
-    Relative values are scaled by |forcing|/2 + |Lambda W1| per sample.
+    Returns ``defect_report``'s maxima over both harmonics; relative values
+    are scaled per sample by the largest of |forcing|/2 and |Lambda W1| of
+    either harmonic, not by their sum.
     """
     mm = ssm.mm
     s1 = np.atleast_1d(np.asarray(samples, dtype=complex))
     s2 = np.conj(s1)
-    npts = len(s1)
-    n2 = len(mm.eigenvalues)
-
-    x0 = mm.T @ ssm.w0_at(s1, s2).reshape(n2, -1)
+    w0, dw0_1, dw0_2 = dense_jet(ssm.w0_dense, s1, s2)
+    x0 = mm.T @ w0
     r0 = ssm.r0_at(s1, s2)
 
-    # W0 vanishes above degree d1 + 1, so its derivatives above d1
-    d1 = ssm.order - 1
-    dw0 = np.stack([dense_diff(ssm.w0_dense, v)[:, :d1 + 1, :d1 + 1]
-                    for v in (0, 1)])
-    dw0_1 = dense_eval(dw0[0], s1, s2).reshape(n2, -1)
-    dw0_2 = dense_eval(dw0[1], s1, s2).reshape(n2, -1)
-
     f_half = mm.F_m / 2.0
-    worst_abs = np.zeros(npts)
-    scale = np.full(npts, np.linalg.norm(f_half))
+    worst_abs = np.zeros(len(s1))
+    scale = np.full(len(s1), np.linalg.norm(f_half))
     for sign, w1arr, r1arr in zip((1, -1), fr.dense(fr.w), fr.r):
-        w1v = dense_eval(w1arr, s1, s2).reshape(n2, -1)
-        dw1_1 = dense_eval(dense_diff(w1arr, 0), s1, s2).reshape(n2, -1)
-        dw1_2 = dense_eval(dense_diff(w1arr, 1), s1, s2).reshape(n2, -1)
+        w1v, dw1_1, dw1_2 = dense_jet(w1arr, s1, s2)
         r1v = dense_eval(r1arr, s1, s2).reshape(2, -1)
-
         lin = mm.eigenvalues[:, None] * w1v
         res = (sign * 1j * fr.omega * w1v
                + dw1_1 * r0[0] + dw1_2 * r0[1]
@@ -431,11 +421,4 @@ def forced_residual(ssm: AutonomousSsm, fr: ForcedReduction, samples) -> dict:
                - f_half[:, None])
         worst_abs = np.maximum(worst_abs, np.linalg.norm(res, axis=0))
         scale = np.maximum(scale, np.linalg.norm(lin, axis=0))
-
-    rel = worst_abs / np.maximum(scale, 1e-300)
-    return {
-        "absolute": worst_abs,
-        "relative": rel,
-        "max_absolute": float(worst_abs.max()),
-        "max_relative": float(rel.max()),
-    }
+    return defect_report(worst_abs, scale)

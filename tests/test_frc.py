@@ -1,6 +1,8 @@
 """Forced response curve extraction: branches, tracing, folds, amplitudes."""
 
+import importlib.util
 import math
+import sys
 from functools import lru_cache
 from pathlib import Path
 
@@ -11,7 +13,7 @@ from scipy.optimize import brentq, minimize_scalar
 
 from conftest import BEAM, two_mass_system
 from ssm_resolve.beam import BeamSpec, build_beam, tip_index
-from ssm_resolve import frc
+from ssm_resolve import cli, frc
 from ssm_resolve.errors import ValidationError
 from ssm_resolve.isola import fold_points, leading_isola
 from ssm_resolve.model import (MechanicalSystem, PolyTerm, modal_decompose,
@@ -20,6 +22,7 @@ from ssm_resolve.oracle import integrate_full, sweep
 from ssm_resolve.polyalg import dense_eval
 from ssm_resolve.ssm_auto import compute_autonomous_ssm
 from ssm_resolve.ssm_forced import compute_nonautonomous_ssm
+from ssm_resolve.sysio import write_system
 from ssm_resolve.reduced import (ReducedDynamics, FixedPointU, assemble_polar,
                                  phase_residual, zero_problem)
 from ssm_resolve.frc import (BRANCHES, DOUBLE_ROOT, trace_frc,
@@ -565,6 +568,94 @@ def test_trace_does_not_depend_on_round_size(sp_modal, sp_ssm3,
                 == getattr(want.forced, name).tobytes()), name
 
 
+# ---------------------------------------------------------------------------
+# skip reasons: each one the trace gives, and the benchmark's table of them
+
+#: the small isola trace the skip tests share
+SKIP_TRACE = dict(eps=0.0027, rho_max=0.13, n_rho=40)
+
+
+@pytest.fixture(scope="module")
+def sp_trace_small(sp_modal, sp_ssm3):
+    return trace_frc(sp_ssm3, sp_modal, **SKIP_TRACE)
+
+
+def _in_grid_order(skips):
+    return sorted(skips, key=lambda s: (s[0], BRANCHES.index(s[1])))
+
+
+def test_diverged_pairs_are_the_backbone_admissible_ones(sp_modal, sp_ssm3,
+                                                         monkeypatch):
+    """With no residual small enough, every secant diverges, and exactly
+    the pairs whose discriminant at the backbone Omega is >= 0 are skipped
+    as diverged, in grid order, K+ before K-."""
+    monkeypatch.setattr(frc, "G_TOL", -1.0)
+    fc = trace_frc(sp_ssm3, sp_modal, **SKIP_TRACE)
+    eps = SKIP_TRACE["eps"]
+    want = []
+    for r in np.linspace(0.0, 0.13, 41)[1:].tolist():
+        rd = assemble_polar(sp_ssm3, compute_nonautonomous_ssm(
+            sp_ssm3, frc._backbone_omega(sp_ssm3, r)))
+        if _psi_roots(rd, r, eps, 0)[1] >= 0:
+            want += [(r, b, "omega iteration diverged") for b in BRANCHES]
+    assert 0 < len(want) < 2 * 40
+    assert fc.skipped == want
+    assert fc.points == [] and fc.components == []
+
+
+def test_failed_point_checks_skip_every_converged_pair(sp_modal, sp_ssm3,
+                                                       sp_trace_small,
+                                                       monkeypatch):
+    """With no zero-problem residual small enough, every pair that
+    converged is skipped for its residual, the other skips stay, and the
+    curve has no points and no components."""
+    monkeypatch.setattr(frc, "POINT_TOL", -1.0)
+    fc = trace_frc(sp_ssm3, sp_modal, **SKIP_TRACE)
+    want = _in_grid_order(
+        [(u.rho, u.branch, "zero-problem residual too large")
+         for u in sp_trace_small.points] + sp_trace_small.skipped)
+    assert len(sp_trace_small.points) > 20
+    assert fc.skipped == want
+    assert fc.points == [] and fc.components == []
+
+
+def _load_tracing(monkeypatch):
+    """``perfbench/tracing.py``, read only: no bytecode cache is written
+    next to it."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("_bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    return tracing
+
+
+def test_frc_names_each_skip_reason(tmp_path, capsys, monkeypatch):
+    """``frc``'s skip line names each reason the trace gives, and the three
+    reasons are the ones the benchmark counts (``SKIP_REASONS``)."""
+    sysfile = str(tmp_path / "two_mass.txt")
+    write_system(two_mass_system(), sysfile)
+    base = ["frc", "--system", sysfile, "--order", "3", "--eps", "0.0027",
+            "--rho-max", "0.13", "--n-rho", "40",
+            "--out", str(tmp_path / "frc.csv")]
+    cases = [("G_TOL", [], "omega iteration diverged"),
+             ("POINT_TOL", [], "zero-problem residual too large"),
+             (None, ["--omega-window", "1.72:1.74"], "omega outside window")]
+    reasons = set()
+    for tol, extra, reason in cases:
+        with monkeypatch.context() as m:
+            if tol:
+                m.setattr(frc, tol, -1.0)
+            assert cli.main(base + extra) == 0
+        line = next(ln for ln in capsys.readouterr().out.splitlines()
+                    if ln.startswith("skipped points: "))
+        named = {part.rsplit(": ", 1)[0] for part
+                 in line[line.index("(") + 1:-1].split("; ")}
+        assert reason in named, line
+        reasons |= named
+    assert reasons == set(_load_tracing(monkeypatch).SKIP_REASONS)
+
+
 def test_forced_rows_are_stacked_in_pair_order(sp_ssm3):
     """Rows that the rounds finish out of grid order (a pair that needs its
     retry seed finishes after its neighbours) are stacked by pair."""
@@ -721,15 +812,61 @@ def test_folds_do_not_depend_on_lockstep():
     assert [f.hex() for f in together] == [f.hex() for f in alone]
 
 
-def test_nan_discriminant_stops_the_fold_search(monkeypatch):
-    """A NaN discriminant raises, as SciPy's ``brentq`` does, instead of
-    steering Brent's sign tests."""
+def test_nan_discriminant_gives_nan_folds(monkeypatch):
+    """A NaN discriminant ends its bracket's search with a NaN fold instead
+    of steering Brent's sign tests; every bracket keeps its place."""
     ssm, eps, grid, disc = _fold_problem("cubic")
+    brackets = len(frc._locate_folds(ssm, eps, grid, disc))
     psi_roots = frc._psi_roots
     monkeypatch.setattr(frc, "_psi_roots", lambda rd, rho, eps, root: (
         psi_roots(rd, rho, eps, root)[0], np.full(len(rho), np.nan)))
-    with pytest.raises(ValueError, match="NaN"):
-        frc._locate_folds(ssm, eps, grid, disc)
+    folds = frc._locate_folds(ssm, eps, grid, disc)
+    assert brackets > 0 and len(folds) == brackets
+    assert all(math.isnan(f) for f in folds)
+
+
+def test_bracket_without_a_sign_change_gives_a_nan_fold():
+    """Past the convergence radius the double-root discriminant can keep
+    one sign over a bracket that the K+ pair's discriminant placed: that
+    fold is NaN, and the curve keeps its components and other folds.  The
+    quintic at order 13 used to raise from ``_brent`` on the bracket
+    [0.377, 0.3775]."""
+    mm = modal_decompose(to_first_order(two_mass_system(quintic=1.2)))
+    ssm = compute_autonomous_ssm(mm, 13)
+    fc = trace_frc(ssm, mm, 0.001, rho_max=0.4, n_rho=800)
+    assert len(fc.points) == 255 and len(fc.components) == 5
+    assert len(fc.folds) == 9
+    assert np.isnan(fc.folds).tolist() == [False] * 5 + [True] + [False] * 3
+    finite = fc.folds[~np.isnan(fc.folds)]
+    assert np.all(np.diff(finite) > 0)
+
+
+def test_frc_reports_unresolved_folds(tmp_path, capsys):
+    """``frc`` on the two-mass cubic at order 7 and eps 0.03, whose bracket
+    [0.8995, 0.9] has no sign change of the double-root discriminant,
+    exits 0, writes ``nan`` in the fold list and counts it after the skip
+    line; ``--quiet`` silences the count."""
+    sysfile = str(tmp_path / "two_mass.txt")
+    write_system(two_mass_system(), sysfile)
+    out = tmp_path / "frc.csv"
+    argv = ["frc", "--system", sysfile, "--order", "7", "--eps", "0.03",
+            "--rho-max", "1.0", "--n-rho", "2000", "--out", str(out)]
+    assert cli.main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-2].startswith("skipped points: ")
+    assert lines[-1] == "unresolved folds: 1"
+    header = next(ln for ln in out.read_text().splitlines()
+                  if ln.startswith("# components: "))
+    count, folds = header[len("# components: "):].split("; fold rho: ")
+    folds = [float(f) for f in folds.split()]
+    assert count == "2" and len(folds) == 3 and math.isnan(folds[1])
+    assert folds[0] == pytest.approx(0.191337, abs=1e-6)
+    assert folds[2] == pytest.approx(0.934242, abs=1e-6)
+    rows = [ln for ln in out.read_text().splitlines()
+            if not ln.startswith("#")]
+    assert len(rows) == 1 + 833
+    assert cli.main(argv + ["--quiet"]) == 0
+    assert capsys.readouterr().out == ""
 
 
 #: (batched forced marches, marched Omegas) of each golden curve's fold
