@@ -14,13 +14,14 @@ in docs/formats.md use mm, kg, s (so modulus is in kPa and forces in mN).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, asdict
 
 import numpy as np
 
 from .errors import ValidationError
 from .model import MechanicalSystem, PolyTerm
-from .sysio import write_artifacts
+from .sysio import Lines, write_artifacts
 
 
 @dataclass
@@ -39,8 +40,11 @@ class BeamSpec:
     elements: int = 25
 
     def __post_init__(self):
+        for name, value in vars(self).items():
+            if not math.isfinite(value):
+                raise ValidationError(f"beam parameter {name} must be finite")
         for name in ("length", "height", "width", "density", "modulus"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValidationError(f"beam parameter {name} must be positive")
         if self.elements < 1:
             raise ValidationError("beam needs at least one element")
@@ -123,26 +127,16 @@ def tip_index(sys: MechanicalSystem) -> int:
 
 def read_beam_params(path) -> BeamSpec:
     values: dict = {}
-    with open(path) as fh:
-        for no, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ValidationError(
-                    f"line {no}: expected 'key value', got {line!r}")
-            key, val = parts
-            if key == "elements":
-                try:
-                    values[key] = int(val)
-                except ValueError as exc:
-                    raise ValidationError(f"line {no}: bad integer {val!r}") from exc
-            else:
-                try:
-                    values[key] = float(val)
-                except ValueError as exc:
-                    raise ValidationError(f"line {no}: bad number {val!r}") from exc
+    for no, line in Lines(path).items:
+        parts = line.split()
+        if len(parts) != 2:
+            raise ValidationError(f"line {no}: expected 'key value', got {line!r}")
+        key, val = parts
+        cast, kind = (int, "integer") if key == "elements" else (float, "number")
+        try:
+            values[key] = cast(val)
+        except ValueError as exc:
+            raise ValidationError(f"line {no}: bad {kind} {val!r}") from exc
     try:
         return BeamSpec(**values)
     except TypeError as exc:

@@ -127,8 +127,6 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--jobs", type=AT_LEAST_ONE, default=1, help="accepted "
                    "for compatibility and checked to be >= 1; nothing reads "
                    "it (default 1)")
-    g.add_argument("--seed", type=COUNT, default=0, help="seed for "
-                   "randomized sample points in property checks (default 0)")
     g.add_argument("--quiet", action=argparse.BooleanOptionalAction,
                    default=False, help="suppress informational output")
     system.add_argument("--system", help="system definition file")
@@ -159,6 +157,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pa.add_argument("--dump-ssm", dest="dump_ssm",
                     help="write all embedding and drift coefficients to "
                          "this file")
+    pa.add_argument("--seed", type=COUNT, default=0, help="seed of the "
+                    "invariance spot check's sample angles (default 0)")
 
     pf = sub.add_parser("frc", parents=[common, system, modal, order, forced],
                         help="trace the forced response curve to CSV/SVG")

@@ -70,6 +70,13 @@ class MechanicalSystem:
         self.C = np.asarray(self.C, dtype=float)
         self.K = np.asarray(self.K, dtype=float)
         self.f = np.asarray(self.f, dtype=float)
+        self.g = [t if isinstance(t, PolyTerm) else PolyTerm(*t)
+                  for t in self.g]
+        for name, arr in (("M", self.M), ("C", self.C), ("K", self.K),
+                          ("f", self.f),
+                          ("the coefficients of g", [t.coeff for t in self.g])):
+            if not np.isfinite(arr).all():
+                raise ValidationError(f"non-finite entry in {name}")
         n = self.M.shape[0]
         for name, mat in (("M", self.M), ("C", self.C), ("K", self.K)):
             if mat.shape != (n, n):
@@ -83,10 +90,7 @@ class MechanicalSystem:
             raise ValidationError("mass matrix is not positive definite") from exc
         if self.f.shape != (n,):
             raise ValidationError(f"forcing vector must have length {n}")
-        terms = []
         for t in self.g:
-            if not isinstance(t, PolyTerm):
-                t = PolyTerm(*t)
             if not 0 <= t.row < n:
                 raise ValidationError(f"nonlinear term row {t.row} out of range")
             if len(t.exponents) != 2 * n:
@@ -98,8 +102,6 @@ class MechanicalSystem:
                 raise ValidationError(
                     "nonlinear terms must have total degree >= 2 "
                     f"(got degree {t.degree})")
-            terms.append(t)
-        self.g = terms
         if self.normalization is not None and self.normalization not in NORMALIZATIONS:
             raise ValidationError(
                 f"unknown normalization {self.normalization!r}; "

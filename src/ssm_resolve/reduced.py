@@ -25,7 +25,8 @@ from .polyalg import even_dval, even_val
 from .ssm_auto import AutonomousSsm
 from .ssm_forced import ForcedReduction
 
-#: |Re(eigenvalue)| below this is reported as fold-degenerate, not classified
+#: |Re(eigenvalue)| below this times |lambda_master| is reported as
+#: fold-degenerate, not classified (both scale with the time unit)
 STABILITY_MARGIN = 1e-8
 
 
@@ -155,10 +156,11 @@ def _polar_jacobian(rd: ReducedDynamics, rho, psi, eps: float) -> np.ndarray:
     return np.moveaxis(jac, (0, 1), (-2, -1))
 
 
-def _labels(eig: np.ndarray) -> np.ndarray:
-    """Stability label of each row of eigenvalue pairs."""
+def _labels(rd: ReducedDynamics, eig: np.ndarray) -> np.ndarray:
+    """Stability label of each row of eigenvalue pairs of ``rd``'s field."""
     re = eig.real
-    return np.where(np.any(np.abs(re) < STABILITY_MARGIN, axis=-1),
+    margin = STABILITY_MARGIN * abs(complex(rd.a_coeffs[0], rd.b_coeffs[0]))
+    return np.where(np.any(np.abs(re) < margin, axis=-1),
                     "fold-degenerate",
                     np.where(np.all(re < 0, axis=-1), "stable", "unstable"))
 
@@ -171,7 +173,7 @@ def stability_labels(rd: ReducedDynamics, rho, psi,
     if np.any(rho <= 0):
         raise SingularChartError(
             "stability chart is singular at rho = 0; use a positive amplitude")
-    return _labels(np.linalg.eigvals(_polar_jacobian(rd, rho, psi, eps)))
+    return _labels(rd, np.linalg.eigvals(_polar_jacobian(rd, rho, psi, eps)))
 
 
 def fixed_point_stability(rd: ReducedDynamics, u,
@@ -181,7 +183,8 @@ def fixed_point_stability(rd: ReducedDynamics, u,
     The Jacobian differentiates the true planar field (rho', psi') — with its
     1/rho forcing term — analytically in (rho, psi) at fixed Omega and eps.
     Both eigenvalue real parts negative means stable; a real part within
-    STABILITY_MARGIN of zero is reported as fold-degenerate.
+    STABILITY_MARGIN * |lambda_master| of zero is reported as
+    fold-degenerate (lambda_master = a_coeffs[0] + i b_coeffs[0]).
     """
     rho, omega, psi = float(u[0]), float(u[1]), float(u[2])
     if rho <= 0:
@@ -189,7 +192,7 @@ def fixed_point_stability(rd: ReducedDynamics, u,
             "stability chart is singular at rho = 0; use a positive amplitude")
     jac = _polar_jacobian(rd, rho, psi, eps)
     eig = np.linalg.eigvals(jac)
-    label = str(_labels(eig))
+    label = str(_labels(rd, eig))
     point = FixedPointU(rho=rho, omega=omega, psi=psi, stability=label)
     return StabilityReport(u=point, eigenvalues=eig, jacobian=jac, label=label)
 

@@ -63,10 +63,13 @@ def write_system(sys: MechanicalSystem, path, header_lines=()) -> None:
     write_artifacts([(path, format_system(sys, header_lines))])
 
 
-class _Lines:
-    """Non-comment, non-blank lines with original numbers for error messages."""
+class Lines:
+    """The non-comment, non-blank lines of a text file, stripped, each with
+    its ``str.splitlines`` number for error messages, read in order."""
 
-    def __init__(self, text: str):
+    def __init__(self, path):
+        with open(path) as fh:
+            text = fh.read()
         self.items = [(no, ln.strip()) for no, ln in enumerate(text.splitlines(), 1)
                       if ln.strip() and not ln.strip().startswith("#")]
         self.pos = 0
@@ -78,72 +81,70 @@ class _Lines:
         self.pos += 1
         return item
 
-    def done(self) -> bool:
-        return self.pos >= len(self.items)
+    def peek(self) -> str:
+        """The next line without reading it; '' at the end."""
+        return self.items[self.pos][1] if self.pos < len(self.items) else ""
+
+    def count(self, key: str, form: str, noun: str) -> tuple[int, int]:
+        """A ``key <integer>`` line: its number and the integer."""
+        no, line = self.next(key)
+        parts = line.split()
+        if len(parts) != 2 or parts[0] != key:
+            raise ValidationError(f"line {no}: expected '{key} <{form}>', got {line!r}")
+        try:
+            return no, int(parts[1])
+        except ValueError as exc:
+            raise ValidationError(f"line {no}: bad {noun} {parts[1]!r}") from exc
+
+    def section(self, label: str) -> None:
+        """A line holding the section label alone."""
+        no, line = self.next(label)
+        if line != label:
+            raise ValidationError(f"line {no}: expected section {label!r}, got {line!r}")
+
+    def row(self, n: int, what: str, within: str) -> np.ndarray:
+        """A line of exactly ``n`` floats, one conversion for the row (NumPy
+        reads each string as ``float()`` does); ``within`` names a bad one's
+        place."""
+        no, line = self.next(what)
+        fields = line.split()
+        if len(fields) != n:
+            raise ValidationError(
+                f"line {no}: expected {n} entries in {what}, got {len(fields)}")
+        try:
+            return np.array(fields, dtype=float)
+        except ValueError as exc:
+            raise ValidationError(f"line {no}: bad number in {within}") from exc
 
 
 def read_system(path) -> MechanicalSystem:
     """Parse a system file.  Raises ValidationError with line numbers on junk."""
-    with open(path) as fh:
-        text = fh.read()
-    lines = _Lines(text)
+    lines = Lines(path)
 
     no, magic = lines.next("format line")
     if magic != MAGIC:
         raise ValidationError(
             f"line {no}: expected format line {MAGIC!r}, got {magic!r}")
 
-    no, nline = lines.next("n")
-    parts = nline.split()
-    if len(parts) != 2 or parts[0] != "n":
-        raise ValidationError(f"line {no}: expected 'n <count>', got {nline!r}")
-    try:
-        n = int(parts[1])
-    except ValueError as exc:
-        raise ValidationError(f"line {no}: bad DOF count {parts[1]!r}") from exc
+    no, n = lines.count("n", "count", "DOF count")
     if n < 1:
         raise ValidationError(f"line {no}: n must be >= 1")
 
     normalization = None
-    no, nxt = lines.next("M")
-    if nxt.startswith("normalization"):
-        parts = nxt.split()
+    if lines.peek().startswith("normalization"):
+        no, line = lines.next("normalization")
+        parts = line.split()
         if len(parts) != 2:
             raise ValidationError(f"line {no}: expected 'normalization <policy>'")
         normalization = parts[1]
-        no, nxt = lines.next("M")
 
-    def read_matrix(label: str, first_line: tuple[int, str]) -> np.ndarray:
-        no, head = first_line
-        if head != label:
-            raise ValidationError(f"line {no}: expected section {label!r}, got {head!r}")
-        rows = []
-        for _ in range(n):
-            no, row = lines.next(f"row of {label}")
-            vals = row.split()
-            if len(vals) != n:
-                raise ValidationError(
-                    f"line {no}: expected {n} entries in row of {label}, got {len(vals)}")
-            try:
-                # one conversion a row: NumPy reads each string as float()
-                # does
-                rows.append(np.array(vals, dtype=float))
-            except ValueError as exc:
-                raise ValidationError(f"line {no}: bad number in {label} row") from exc
-        return np.array(rows)
+    mats = {}
+    for label in ("M", "C", "K"):
+        lines.section(label)
+        mats[label] = np.array([lines.row(n, f"row of {label}", f"{label} row")
+                                for _ in range(n)])
 
-    M = read_matrix("M", (no, nxt))
-    C = read_matrix("C", lines.next("C"))
-    K = read_matrix("K", lines.next("K"))
-
-    no, ghead = lines.next("g")
-    parts = ghead.split()
-    if len(parts) != 2 or parts[0] != "g":
-        raise ValidationError(f"line {no}: expected 'g <nterms>', got {ghead!r}")
-    try:
-        nterms = int(parts[1])
-    except ValueError as exc:
-        raise ValidationError(f"line {no}: bad term count {parts[1]!r}") from exc
+    _, nterms = lines.count("g", "nterms", "term count")
     terms = []
     for _ in range(nterms):
         no, tline = lines.next("nonlinear term")
@@ -160,21 +161,11 @@ def read_system(path) -> MechanicalSystem:
             raise ValidationError(f"line {no}: bad number in nonlinear term") from exc
         terms.append(PolyTerm(row, coeff, exps))
 
-    no, fhead = lines.next("f")
-    if fhead != "f":
-        raise ValidationError(f"line {no}: expected section 'f', got {fhead!r}")
-    no, frow = lines.next("forcing vector")
-    vals = frow.split()
-    if len(vals) != n:
-        raise ValidationError(f"line {no}: forcing vector needs {n} entries")
-    try:
-        f = np.array(vals, dtype=float)
-    except ValueError as exc:
-        raise ValidationError(f"line {no}: bad number in forcing vector") from exc
+    lines.section("f")
+    f = lines.row(n, "forcing vector", "forcing vector")
 
-    if not lines.done():
+    if lines.peek():
         no, junk = lines.next("")
         raise ValidationError(f"line {no}: unexpected trailing content {junk!r}")
 
-    return MechanicalSystem(M=M, C=C, K=K, g=terms, f=f,
-                            normalization=normalization)
+    return MechanicalSystem(**mats, g=terms, f=f, normalization=normalization)

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssm_resolve import cli, errors, isola, oracle
+from ssm_resolve import cli, errors, isola, oracle, sysio
 from ssm_resolve.beam import BeamSpec, build_beam, write_beam_params
 from ssm_resolve.cli import (REQUIRED, _build_parser, _commands,
                              _config_hash, _options, _resolve, main)
@@ -657,7 +657,7 @@ def test_failed_run_leaves_no_partial_artifacts(tmp_path, capsys):
 
 
 def test_tolerance_flags_sit_only_on_the_commands_that_read_them():
-    shared = {"--config", "--jobs", "--seed", "--quiet", "--no-quiet"}
+    shared = {"--config", "--jobs", "--quiet", "--no-quiet"}
     own = {"verify": {"--tol-settle"},
            "isola": {"--tol-cauchy", "--tol-radius-frac"}}
     # the sweep steps a fixed count a period: no command takes the
@@ -670,6 +670,8 @@ def test_tolerance_flags_sit_only_on_the_commands_that_read_them():
         flags = set(parser._option_string_actions)
         assert shared <= flags, name
         assert flags & tolerances == own.get(name, set()), name
+        # only analyze draws random sample points
+        assert ("--seed" in flags) == (name == "analyze"), name
 
 
 def test_tolerance_and_period_defaults_are_the_library_constants():
@@ -722,3 +724,152 @@ def test_tolerance_flags_are_refused_where_nothing_reads_them(tmp_path,
             in capsys.readouterr().err)
     assert not (tmp_path / "v.csv").exists()
     assert not (tmp_path / "i.json").exists()
+
+
+def test_seed_sits_only_on_analyze(tmp_path, capsys):
+    """Only analyze draws random sample points: the other commands refuse
+    --seed as a flag, and one config file holding it still serves them."""
+    sysfile = sp_file(tmp_path)
+    params = tmp_path / "beam.params"
+    write_beam_params(BeamSpec(elements=2, **BEAM), params)
+    out = str(tmp_path / "out")
+    commands = {
+        "frc": ["frc", "--system", sysfile, "--eps", "0.0027", "--rho-max",
+                "0.05", "--n-rho", "10", "--out", out],
+        "isola": ["isola", "--system", sysfile, "--eps", "0.001",
+                  "--orders", "1..3", "--out", out],
+        "verify": ["verify", "--system", sysfile, "--eps", "0.001",
+                   "--omega", "1.7:1.7:1", "--out", out],
+        "beam": ["beam", "--params", str(params), "--out", out]}
+    for name, argv in commands.items():
+        assert main(argv + ["--seed", "1"]) == 2, name
+        assert ("unrecognized arguments: --seed"
+                in capsys.readouterr().err), name
+        assert not os.path.exists(out), name
+    analyze = ["analyze", "--system", sysfile]
+    assert main(analyze + ["--seed", "1"]) == 0
+    assert "(seed 1)" in capsys.readouterr().out
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({"seed": 1}))
+    assert main(analyze + ["--config", str(cfgfile)]) == 0
+    assert "(seed 1)" in capsys.readouterr().out
+    assert main(commands["beam"] + ["--config", str(cfgfile)]) == 0
+    # the seed is not part of the settings of a command that ignores it
+    frc = commands["frc"]
+    assert (_config_hash(_resolve(_build_parser(),
+                                  frc + ["--config", str(cfgfile)]))
+            == _config_hash(_build_parser().parse_args(frc)))
+
+
+# ---------------------------------------------------------------------------
+# non-finite system data
+
+
+def _two_mass_text(M="1 0", K="6 -3", f="1 0", coeff=None) -> str:
+    """The two-mass file: M = I, C = 0.03 I, K = [[6, -3], [-3, 6]], f =
+    [1, 0], with a replaced first row of M or K, a replaced f, and given
+    ``coeff`` one cubic term of that coefficient."""
+    terms = "g 0" if coeff is None else f"g 1\n0 {coeff} 3 0 0 0"
+    return (f"{sysio.MAGIC}\nn 2\nM\n{M}\n0 1\nC\n0.03 0\n0 0.03\n"
+            f"K\n{K}\n-3 6\n{terms}\nf\n{f}\n")
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("where, text, name", [
+    ("M", lambda v: _two_mass_text(M=f"{v} 0"), "M"),
+    ("K", lambda v: _two_mass_text(K=f"6 {v}"), "K"),
+    ("f", lambda v: _two_mass_text(f=f"{v} 0"), "f"),
+    ("coeff", lambda v: _two_mass_text(coeff=v), "the coefficients of g"),
+], ids=lambda x: x if isinstance(x, str) else "")
+@pytest.mark.parametrize("argv", [
+    ["analyze", "--dump-ssm", "OUT"],
+    ["frc", "--eps", "0.001", "--rho-max", "0.05", "--n-rho", "10",
+     "--out", "OUT", "--svg", "OUT.svg"],
+    ["isola", "--eps", "0.001", "--orders", "1..3", "--out", "OUT"],
+    ["verify", "--omega", "1.7:1.7:1", "--out", "OUT"],
+], ids=lambda argv: argv[0])
+def test_non_finite_system_data_exits_two(tmp_path, capsys, argv, where,
+                                          text, name, value):
+    sysfile = tmp_path / "sys.txt"
+    sysfile.write_text(text(value))
+    out = str(tmp_path / "out")
+    argv = [a.replace("OUT", out) for a in argv] + ["--system", str(sysfile)]
+    assert main(argv) == 2
+    assert (capsys.readouterr().err
+            == f"error: non-finite entry in {name}\n")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sys.txt"]
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("field", ["modulus", "length", "cubic_spring",
+                                   "tip_force"])
+def test_non_finite_beam_parameters_exit_two(tmp_path, capsys, field, value):
+    with pytest.raises(errors.ValidationError,
+                       match=f"beam parameter {field} must be finite"):
+        BeamSpec(**{**BEAM, field: value})
+    params = tmp_path / "beam.params"
+    params.write_text("".join(f"{k} {v!r}\n"
+                              for k, v in {**BEAM, field: value}.items()))
+    out = tmp_path / "beam.txt"
+    assert main(["beam", "--params", str(params), "--out", str(out)]) == 2
+    assert (capsys.readouterr().err
+            == f"error: beam parameter {field} must be finite\n")
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# paths no other test runs
+
+
+def test_cold_sweep_down_writes_the_up_rows_in_reverse(tmp_path, capsys):
+    """From rest, each point forgets its neighbours: the downward sweep's
+    rows are the upward sweep's, byte for byte, in reverse order."""
+    base = ["verify", "--system", sp_file(tmp_path), "--eps", "0.001",
+            "--omega", "1.6:1.8:3", "--max-periods", "40", "--cold"]
+    rows = {}
+    for direction in ("up", "down"):
+        out = tmp_path / f"{direction}.csv"
+        assert main(base + ["--sweep", direction, "--out", str(out)]) == 0
+        body = body_lines(out.read_text())
+        assert body[0] == "omega,amplitude_0,converged,periods"
+        rows[direction] = body[1:]
+    assert len(rows["up"]) == 3
+    assert rows["down"] == rows["up"][::-1]
+    assert ([float(r.split(",")[0]) for r in rows["down"]]
+            == np.linspace(1.6, 1.8, 3)[::-1].tolist())
+
+
+def test_isola_roots_svg_carries_the_run_header(tmp_path, capsys):
+    sysfile = sp_file(tmp_path)
+    svg = tmp_path / "roots.svg"
+    argv = ["isola", "--system", sysfile, "--eps", "0.001", "--orders",
+            "1..4", "--out", str(tmp_path / "i.json"), "--roots-svg",
+            str(svg)]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == f"wrote {argv[-3]} and {svg}\n"
+    text = svg.read_text()
+    doc = json.loads((tmp_path / "i.json").read_text())["meta"]
+    comments = re.findall(r"^<!-- (.*) -->$", text, re.M)
+    assert comments == [f"{cli.TOOL} {doc['version']}",
+                        f"config sha256 {doc['config_sha256']}",
+                        "eigenvalues: lambda_master = "
+                        + repr(complex(*doc["eigenvalues"]["lambda_master"]))]
+    assert text.startswith("<svg ") and text.endswith("</svg>\n")
+    # no timestamp in the SVG: a rerun writes the same bytes
+    assert main(argv) == 0
+    assert svg.read_text() == text
+
+
+def test_verify_refuses_an_unstable_linear_part(tmp_path, capsys):
+    """With negative damping no transient dies out: the sweep needs an
+    explicit burn-off horizon and refuses to guess one."""
+    base = two_mass_system()
+    path = tmp_path / "unstable.txt"
+    write_system(MechanicalSystem(M=base.M, C=-base.C, K=base.K, g=base.g,
+                                  f=base.f), path)
+    out = tmp_path / "sweep.csv"
+    assert main(["verify", "--system", str(path), "--eps", "0.001",
+                 "--omega", "1.7:1.7:1", "--out", str(out)]) == 2
+    assert ("the linear part is not asymptotically stable"
+            in capsys.readouterr().err)
+    assert not out.exists()

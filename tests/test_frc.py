@@ -988,17 +988,16 @@ G_TOL_IS_ABSOLUTE = (
     "against the curve's own scale (Omega off by 3.7e-7 relative, "
     "amplitudes by 8.4e-6)")
 
-ABSOLUTE_GATES_IN_TIME = (
-    "frc.G_TOL and reduced.STABILITY_MARGIN are absolute, while G and the "
-    "reduced Jacobian scale with the time unit: in the unit t / 1000 Omega "
-    "drifts by 3.7e-7 relative and one K+ label (rho 0.1045 at order 3, "
-    "0.0975 at order 5) turns from unstable to fold-degenerate")
+G_TOL_IN_TIME = (
+    "frc.G_TOL = 1e-12 bounds |G| absolutely, while G scales with the time "
+    "unit: in the unit t / 1000 the secant stops at a residual 1000 times "
+    "larger against the curve's own scale (Omega off by 3.7e-7 relative)")
 
 
 @pytest.mark.parametrize("order", [3, 5])
 @pytest.mark.parametrize("L, T, m", [
     _units(L=1e-3), _units(L=3.0), _units(L=1e3),
-    _units(T=1e-3, xfail=ABSOLUTE_GATES_IN_TIME), _units(T=7.0),
+    _units(T=1e-3), _units(T=7.0),
     _units(T=1e3), _units(m=1e-3), _units(m=1e3)])
 def test_length_unit_keeps_stability_labels(L, T, m, order):
     """The stability label of every point does not depend on the units."""
@@ -1012,7 +1011,7 @@ def test_length_unit_keeps_stability_labels(L, T, m, order):
 @pytest.mark.parametrize("order", [3, 5])
 @pytest.mark.parametrize("L, T, m", [
     _units(L=1e-3), _units(L=3.0), _units(L=1e3, xfail=G_TOL_IS_ABSOLUTE),
-    _units(T=1e-3, xfail=ABSOLUTE_GATES_IN_TIME), _units(T=7.0),
+    _units(T=1e-3, xfail=G_TOL_IN_TIME), _units(T=7.0),
     _units(T=1e3), _units(m=1e-3), _units(m=1e3)])
 def test_length_unit_keeps_curve_values(L, T, m, order):
     """Omega / T, the amplitudes and the folds do not depend on the

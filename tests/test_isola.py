@@ -9,6 +9,8 @@ Two kinds of oracle anchor the frozen numbers here:
   to the second radial drift coefficient, compared against the recursion.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,31 @@ class TestRootTracking:
             roots_of_a(ssm5, [0, 1])
         with pytest.raises(ValidationError, match="positive integers"):
             isola_report(sp_modal, [], 0.0027)
+
+    @pytest.mark.parametrize("cap", [1, 3])
+    def test_overflowing_drift_caps_the_track(self, sp_modal, cap):
+        """A non-finite gamma at index k (order 2k + 3) stops the track at
+        M = k, with a warning; the orders below it track as before."""
+        ssm = compute_autonomous_ssm(sp_modal, 11)
+        gamma = ssm.gamma.copy()
+        gamma[cap] = complex(np.inf, np.nan)
+        capped = replace(ssm, gamma=gamma)
+        with pytest.warns(UserWarning,
+                          match=f"capping the track at M = {cap}$"):
+            rt = roots_of_a(capped, range(1, 6))
+        assert rt.orders == list(range(1, cap + 1))
+        want = roots_of_a(ssm, range(1, cap + 1))
+        assert rt.roots.keys() == want.roots.keys()
+        for m in rt.orders:
+            assert np.array_equal(rt.roots[m], want.roots[m])
+
+    def test_all_non_finite_drift_is_refused(self, sp_modal):
+        ssm = compute_autonomous_ssm(sp_modal, 11)
+        capped = replace(ssm, gamma=np.full_like(ssm.gamma, np.nan))
+        with pytest.warns(UserWarning, match="capping the track at M = 0$"):
+            with pytest.raises(ValidationError,
+                               match="no finite drift coefficients"):
+                roots_of_a(capped, range(1, 6))
 
     def test_classification_needs_three_orders(self, sp_modal):
         rt = roots_of_a(compute_autonomous_ssm(sp_modal, 5), [1, 2])

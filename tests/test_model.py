@@ -372,3 +372,23 @@ def test_validation_rejects_bad_inputs():
     with pytest.raises(ValidationError):
         MechanicalSystem(M=np.eye(2), C=good.C, K=good.K, g=[], f=good.f,
                          normalization="fancy")
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+@pytest.mark.parametrize("name", ["M", "C", "K", "f",
+                                  "the coefficients of g"])
+def test_non_finite_system_data_is_refused_by_name(name, value):
+    """Checked before symmetry and the mass matrix's Cholesky factor, which
+    would misread a NaN or an infinity on the diagonal."""
+    base = two_mass_system()
+    data = {"M": base.M.copy(), "C": base.C.copy(), "K": base.K.copy(),
+            "f": base.f.copy(), "g": list(base.g)}
+    if name == "f":
+        data["f"][1] = value
+    elif name in data:
+        data[name][1, 1] = value
+    else:
+        data["g"][0] = PolyTerm(0, value, data["g"][0].exponents)
+    with pytest.raises(ValidationError,
+                       match=f"^non-finite entry in {name}$"):
+        MechanicalSystem(**data)
