@@ -26,6 +26,11 @@ forced rows they were solved with, taken from each round's stack as one
 stacked ``ForcedReduction`` (``FrcCurve.forced``), so their physical
 amplitudes need no further forced solve.
 
+The grid is n_rho equal rows plus at most one row per empty interval: at
+leading-order forcing, disc >= 0 needs |a(rho)| <= eps |c00|, and each
+interval of that set below the last row that holds no row gets one at its
+middle, so that a branch narrower than a row step is still traced.
+
 On each maximal rho-run of disc >= 0 the K+ and K- branches join at the
 run's two folds, so each run of grid rows with a sampled disc >= 0 that
 holds an accepted point is one component, and an isola is a run that does
@@ -59,9 +64,10 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .errors import ValidationError
-from .polyalg import even_val
+from .polyalg import even_val, odd_level_roots
 from .ssm_auto import AutonomousSsm
-from .ssm_forced import ForcedReduction, compute_nonautonomous_ssm
+from .ssm_forced import (ForcedReduction, compute_nonautonomous_ssm,
+                         leading_forcing_coefficient)
 from .reduced import (ReducedDynamics, FixedPointU, assemble_polar,
                       phase_residual, zero_problem, stability_labels)
 
@@ -127,6 +133,26 @@ class FrcCurve:
 def _backbone_omega(ssm: AutonomousSsm, rho: float) -> float:
     """Frequency b(rho) of the unforced backbone curve at amplitude rho."""
     return float(even_val(ssm.phase_coefficients(), rho))
+
+
+def _interval_rows(ssm: AutonomousSsm, eps: float,
+                   grid: np.ndarray) -> np.ndarray:
+    """The middle of each interval of |a(rho)| <= eps |c00| that ends below
+    ``grid[-1]`` and holds no row of ``grid``, ascending.  The intervals
+    are those of the manifold's own order, between the level crossings of
+    ``odd_level_roots``; none where an overflowed drift coefficient leaves
+    no polynomial to solve."""
+    p = ssm.radial_coefficients()
+    if not np.isfinite(p).all():
+        return np.empty(0)
+    level = eps * abs(leading_forcing_coefficient(ssm.mm))
+    cross = odd_level_roots(p, level)
+    ends = np.concatenate(([0.0], cross[(0 < cross) & (cross < grid[-1])]))
+    lo, hi = ends[:-1], ends[1:]
+    mid = (lo + hi) / 2
+    inside = np.abs(mid * even_val(p, mid)) <= level
+    empty = np.searchsorted(grid, lo) == np.searchsorted(grid, hi, "right")
+    return mid[inside & empty]
 
 
 def _columns(rd: ReducedDynamics, idx) -> ReducedDynamics:
@@ -256,6 +282,12 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
     Points and skips come out in grid order, K+ before K-, whatever round
     each pair finished in.
 
+    The grid is ``n_rho`` equal rows up to ``rho_max`` plus at most one row
+    per empty interval: the middle of each interval of
+    |a(rho)| <= eps |c00| below ``rho_max`` that holds no equal row
+    (``_interval_rows``).  Where every interval holds a row, the grid is
+    the equal rows alone.
+
     A component is a maximal run of rows whose K+ sampled discriminant is
     >= 0 or that hold a point, if it holds any point: ``_locate_folds``
     brackets the same runs' ends.  The window never splits a run.
@@ -264,8 +296,9 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
     ----------
     ssm : AutonomousSsm
     mm : ModalModel
-        The modal model the manifold was built from (kept for signature
-        symmetry with the rest of the pipeline; the manifold carries it too).
+        Unread: the manifold carries its modal model.  It stays only
+        because the benchmark workloads pass it by position (ROADMAP
+        direction 3C).
     eps : float
         Forcing amplitude (finite, > 0).
     rho_max, n_rho : float, int
@@ -280,6 +313,7 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
         raise ValidationError("need a finite rho_max > 0 and n_rho >= 2")
 
     grid = np.linspace(0.0, rho_max, n_rho + 1)[1:]
+    grid = np.sort(np.concatenate((grid, _interval_rows(ssm, eps, grid))))
     # pair p is grid row p // 2 on branch p % 2 (K+ first)
     rho = np.repeat(grid, 2)
     pairs = []
@@ -287,7 +321,7 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
         backbone = _backbone_omega(ssm, r)
         pairs += [_trace_pair(backbone, r, 0), _trace_pair(backbone, r, 1)]
 
-    disc = np.empty(2 * n_rho)
+    disc = np.empty(2 * len(grid))
     # per pair: a skip reason or the accepted point
     outcome: dict[int, str | FixedPointU] = {}
     # per round: the pairs accepted and their forced rows, taken out of the
@@ -332,7 +366,7 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
     points: list[FixedPointU] = []
     rows: list[int] = []
     skipped: list[tuple[float, str, str]] = []
-    for p in range(2 * n_rho):
+    for p in range(2 * len(grid)):
         got = outcome.get(p)
         if isinstance(got, str):
             skipped.append((float(rho[p]), BRANCHES[p % 2], got))

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .model import ModalModel
-from .polyalg import even_dval, even_val
+from .polyalg import odd_dval, odd_level_roots
 from .ssm_auto import AutonomousSsm, compute_autonomous_ssm
 from .ssm_forced import leading_forcing_coefficient
 
@@ -41,13 +41,14 @@ class RootTrack:
     ``trajectories`` are greedy nearest-neighbor chains of the nonzero
     representatives across consecutive orders; ``radius[M]`` is the ratio
     estimate of the convergence radius, smoothed over the last three orders.
+    ``radial`` holds the drift coefficients p_0..p_max(M) of
+    a(rho) = rho * sum p_i rho**(2i) that the track reads.
     """
     orders: list[int]
     roots: dict[int, np.ndarray]
     trajectories: list[dict[int, complex]]
     radius: dict[int, float]
-    gamma: np.ndarray
-    lambda_master: complex
+    radial: np.ndarray
 
 
 def _radius_estimates(lambda_master: complex, gamma: np.ndarray,
@@ -102,13 +103,12 @@ def roots_of_a(ssm: AutonomousSsm, orders) -> RootTrack:
             raise ValidationError("no finite drift coefficients available")
         m_max = orders[-1]
 
-    lam = ssm.lambda_master
+    radial = ssm.radial_coefficients()[:m_max + 1]
     roots: dict[int, np.ndarray] = {}
     for m in orders:
         # the radial drift a(rho)/rho as a real degree-m polynomial in
         # u = rho**2, highest power first
-        coeffs = np.concatenate((gamma[:m].real[::-1], [lam.real]))
-        u_roots = np.roots(coeffs)
+        u_roots = np.roots(radial[m::-1])
         rho_roots = np.sqrt(u_roots.astype(complex))
         rho_roots = np.sort_complex(rho_roots)
         roots[m] = np.concatenate(([0.0 + 0.0j], rho_roots))
@@ -140,8 +140,9 @@ def roots_of_a(ssm: AutonomousSsm, orders) -> RootTrack:
     # keep trajectory list in first-appearance order; alive entries are views
     trajectories = [t for t in trajectories if t]
     return RootTrack(orders=orders, roots=roots, trajectories=trajectories,
-                     radius=_radius_estimates(lam, gamma, orders),
-                     gamma=gamma, lambda_master=lam)
+                     radius=_radius_estimates(ssm.lambda_master, gamma,
+                                              orders),
+                     radial=radial)
 
 
 def classify_roots(rt: RootTrack, cauchy_tol: float = ROOT_CAUCHY_TOL,
@@ -173,17 +174,11 @@ def classify_roots(rt: RootTrack, cauchy_tol: float = ROOT_CAUCHY_TOL,
     return labels
 
 
-def drift_slope(rt: RootTrack, rho: float) -> float:
-    """d a / d rho of the highest-order tracked drift polynomial, by the
-    formula of ``ReducedDynamics.da_of``."""
-    p = np.concatenate(([rt.lambda_master.real], rt.gamma.real))
-    return float(even_val(p, rho) + rho * even_dval(p, rho))
-
-
 def nonspurious_positive_roots(rt: RootTrack, labels: list[str]
                                ) -> list[tuple[float, float]]:
     """(rho, transversality margin) for the real positive roots that
-    ``labels`` (classify_roots') calls non-spurious."""
+    ``labels`` (classify_roots') calls non-spurious; the margin is a'(rho)
+    of the deepest tracked order."""
     out = []
     for t, label in zip(rt.trajectories, labels):
         if label != "non-spurious":
@@ -191,7 +186,8 @@ def nonspurious_positive_roots(rt: RootTrack, labels: list[str]
         root = t[rt.orders[-1]]
         if root.real <= 0 or abs(root.imag) > 1e-6 * abs(root):
             continue
-        out.append((float(root.real), drift_slope(rt, float(root.real))))
+        rho = float(root.real)
+        out.append((rho, float(odd_dval(rt.radial, rho))))
     out.sort()
     return out
 
@@ -230,30 +226,16 @@ def leading_isola(ssm: AutonomousSsm, eps: float) -> LeadingIsola:
 
 
 def fold_points(ssm: AutonomousSsm, eps: float) -> np.ndarray:
-    """Fold amplitudes of the cubic truncation at forcing eps.
-
-    Real non-negative roots of Re lambda_1 rho + Re gamma_1 rho**3 =
-    +- eps*|c00|, deduplicated and sorted: three values between zero forcing
-    and the merger forcing, a double fold at the merger, one value beyond
-    it.  Only gamma_1 of ``ssm`` enters, so any order >= 3 gives the same.
+    """Fold amplitudes of the cubic truncation at forcing eps: the M = 1
+    level crossings of |Re lambda_1 rho + Re gamma_1 rho**3| = eps*|c00|
+    (``odd_level_roots``).  Three values between zero forcing and the
+    merger forcing, a double fold at the merger, one value beyond it.  Only
+    gamma_1 of ``ssm`` enters, so any order >= 3 gives the same.
     """
     if not 0 <= eps < math.inf:
         raise ValidationError("eps must be finite and >= 0")
-    c_norm = abs(leading_forcing_coefficient(ssm.mm))
-    a1 = ssm.mm.lambda_master.real
-    a3 = float(np.real(ssm.gamma[0])) if len(ssm.gamma) else 0.0
-    found: list[float] = []
-    for rhs in (eps * c_norm, -eps * c_norm):
-        r = np.roots([a3, 0.0, a1, -rhs])
-        for z in r:
-            if abs(z.imag) <= 1e-8 * max(1.0, abs(z.real)) and z.real >= -1e-14:
-                found.append(max(float(z.real), 0.0))
-    found.sort()
-    out: list[float] = []
-    for r in found:
-        if not out or r - out[-1] > 1e-9 * max(1.0, r):
-            out.append(r)
-    return np.asarray(out)
+    level = eps * abs(leading_forcing_coefficient(ssm.mm))
+    return odd_level_roots(ssm.radial_coefficients()[:2], level)
 
 
 @dataclass

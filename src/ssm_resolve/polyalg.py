@@ -4,6 +4,10 @@ graded series, and the compiled monomial nonlinearity.
 This module is the one home of polynomial evaluation.  :func:`horner` sums
 a power series in one variable, and :func:`even_val` / :func:`even_dval`
 evaluate the even series in rho that the polar reduced field is made of.
+The radial drift a(rho) = rho * sum p_i rho**(2i) is the one odd series:
+:func:`odd_dval` gives its slope, and :func:`odd_level_roots` the
+amplitudes where |a| meets a level, the fold amplitudes of the
+leading-order forcing.
 Two representations of a polynomial in the master coordinates live here:
 
 * dense bivariate coefficient arrays, shape ``(order+1, order+1)`` with
@@ -60,6 +64,33 @@ def even_dval(coeffs: np.ndarray, rho):
         return np.zeros_like(rho)
     idx = np.arange(1, len(coeffs)).reshape((-1,) + (1,) * (coeffs.ndim - 1))
     return rho * horner(2 * idx * coeffs[1:], rho ** 2)
+
+
+def odd_dval(coeffs: np.ndarray, rho):
+    """d/drho of rho * sum coeffs[i] * rho**(2i); a column of 2-D
+    ``coeffs`` per rho."""
+    return even_val(coeffs, rho) + np.asarray(rho) * even_dval(coeffs, rho)
+
+
+def odd_level_roots(coeffs: np.ndarray, level: float) -> np.ndarray:
+    """The distinct real rho >= 0 where |rho * sum coeffs[i] * rho**(2i)|
+    equals ``level``, ascending: one ``np.roots`` per sign of the level,
+    whose roots within 1e-8 relative of the real axis and from -1e-14 on
+    count (clamped to 0), and roots within 1e-9 relative are one."""
+    found: list[float] = []
+    for rhs in (level, -level):
+        poly = np.zeros(2 * len(coeffs))
+        poly[:-1:2] = coeffs[::-1]
+        poly[-1] = -rhs
+        for z in np.roots(poly):
+            if abs(z.imag) <= 1e-8 * max(1.0, abs(z.real)) and z.real >= -1e-14:
+                found.append(max(float(z.real), 0.0))
+    found.sort()
+    out: list[float] = []
+    for r in found:
+        if not out or r - out[-1] > 1e-9 * max(1.0, r):
+            out.append(r)
+    return np.asarray(out)
 
 
 class MultiPoly:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, SingularChartError
-from .polyalg import even_dval, even_val
+from .polyalg import even_dval, even_val, odd_dval
 from .ssm_auto import AutonomousSsm
 from .ssm_forced import ForcedReduction
 
@@ -51,8 +51,7 @@ class ReducedDynamics:
         return np.asarray(rho) * even_val(self.a_coeffs, rho)
 
     def da_of(self, rho):
-        return (even_val(self.a_coeffs, rho)
-                + np.asarray(rho) * even_dval(self.a_coeffs, rho))
+        return odd_dval(self.a_coeffs, rho)
 
     def b_of(self, rho):
         return even_val(self.b_coeffs, rho)

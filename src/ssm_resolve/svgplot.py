@@ -116,9 +116,9 @@ def _document(elements: list[str], title: str, header=()) -> str:
 def frc_svg(curve, amplitudes, header=()) -> str:
     """Render a traced response curve as amplitude vs forcing frequency.
 
-    Stable runs are solid, unstable runs dashed, fold-degenerate points open
-    circles; each connected component gets its own color.  ``amplitudes``
-    holds the y value of each point.
+    Stable runs are solid, unstable runs dashed, a run of one point a filled
+    dot, fold-degenerate points open circles; each connected component gets
+    its own color.  ``amplitudes`` holds the y value of each point.
 
     Returns the SVG document as a string.
     """
@@ -146,15 +146,15 @@ def frc_svg(curve, amplitudes, header=()) -> str:
                     continue
                 broken = (p.stability != run_style
                           or (prev_rho is not None and rho - prev_rho > gap))
-                if broken and len(run) > 1:
-                    elements.append(_polyline(run, color, run_style))
+                if broken and run:
+                    elements.append(_run_element(run, color, run_style))
                 if broken:
                     run = []
                 run.append((fr.x(xs[i]), fr.y(ys[i])))
                 run_style = p.stability
                 prev_rho = rho
-            if len(run) > 1:
-                elements.append(_polyline(run, color, run_style))
+            if run:
+                elements.append(_run_element(run, color, run_style))
     for cx, cy, color in degenerate:
         elements.append(f'<circle cx="{_px(cx)}" cy="{_px(cy)}" r="3" '
                         f'fill="white" stroke="{color}"/>')
@@ -172,7 +172,10 @@ def frc_svg(curve, amplitudes, header=()) -> str:
                      header)
 
 
-def _polyline(run, color, style) -> str:
+def _run_element(run, color, style) -> str:
+    if len(run) == 1:
+        (x, y), = run
+        return f'<circle cx="{_px(x)}" cy="{_px(y)}" r="2.5" fill="{color}"/>'
     pts = " ".join(f"{_px(x)},{_px(y)}" for x, y in run)
     dash = ' stroke-dasharray="6 4"' if style == "unstable" else ""
     return (f'<polyline points="{pts}" fill="none" stroke="{color}" '

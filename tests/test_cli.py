@@ -652,6 +652,19 @@ def test_failed_run_leaves_no_partial_artifacts(tmp_path, capsys):
     assert not out.exists()
 
 
+
+def test_frc_draws_branches_far_below_the_grid_step(tmp_path):
+    """At eps 1e-7 no equal row meets the curve; the rows added inside the
+    leading-order intervals give both components, so the curve has points
+    to draw."""
+    out, svg = tmp_path / "narrow.csv", tmp_path / "narrow.svg"
+    assert main(["frc", "--system", sp_file(tmp_path), "--eps", "1e-7",
+                 "--rho-max", "0.13", "--n-rho", "260", "--quiet",
+                 "--out", str(out), "--svg", str(svg)]) == 0
+    assert "# components: 2;" in out.read_text()
+    assert svg.read_text().startswith("<svg")
+
+
 # ---------------------------------------------------------------------------
 # option placement
 

@@ -1,7 +1,9 @@
 """Every module-level UPPER_CASE constant and every private function or
 class of the package is read by the package itself: a tolerance or limit
 that no code reads only looks like a setting, and a private helper that
-only the tests call is dead code that the tests keep alive."""
+only the tests call is dead code that the tests keep alive.  And a private
+name stays inside its module: no module of the package imports or reads
+another one's."""
 
 import ast
 import re
@@ -60,3 +62,35 @@ def test_every_module_constant_is_read_in_src():
 def test_every_private_function_and_class_is_read_in_src():
     unread = _unread(_private)
     assert not unread, f"private names that src/ never reads: {unread}"
+
+
+
+def _foreign_private(tree: ast.Module) -> list[str]:
+    """Another package module's ``_x`` (not ``__x__``) that ``tree``
+    reaches: as ``from .mod import _x``, or as ``mod._x`` on a package
+    module it imported."""
+    def private(name: str) -> bool:
+        return name.startswith("_") and not name.endswith("__")
+
+    stems = {p.stem for p in SRC.glob("*.py")}
+    modules, out = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (
+                node.level or (node.module or "").startswith(SRC.name)):
+            out += [a.name for a in node.names if private(a.name)]
+            modules |= {a.asname or a.name for a in node.names
+                        if a.name in stems}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname for a in node.names if a.asname
+                        and a.name.startswith(SRC.name + ".")}
+    out += [f"{node.value.id}.{node.attr}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and private(node.attr)
+            and isinstance(node.value, ast.Name) and node.value.id in modules]
+    return out
+
+
+def test_no_module_reads_another_modules_private_names():
+    foreign = {p.name: _foreign_private(ast.parse(p.read_text(), str(p)))
+               for p in sorted(SRC.glob("*.py"))}
+    foreign = {name: found for name, found in foreign.items() if found}
+    assert not foreign, f"private names read across modules: {foreign}"

@@ -3,6 +3,7 @@
 import importlib.util
 import math
 import sys
+from dataclasses import replace
 from functools import lru_cache
 from pathlib import Path
 
@@ -19,9 +20,11 @@ from ssm_resolve.isola import fold_points, leading_isola
 from ssm_resolve.model import (MechanicalSystem, PolyTerm, modal_decompose,
                                to_first_order)
 from ssm_resolve.oracle import integrate_full, sweep
-from ssm_resolve.polyalg import dense_eval
+from ssm_resolve.polyalg import dense_eval, even_val, odd_level_roots
 from ssm_resolve.ssm_auto import compute_autonomous_ssm
-from ssm_resolve.ssm_forced import compute_nonautonomous_ssm
+from ssm_resolve.ssm_forced import (compute_nonautonomous_ssm,
+                                    leading_forcing_coefficient)
+from ssm_resolve.svgplot import PALETTE, frc_svg
 from ssm_resolve.sysio import write_system
 from ssm_resolve.reduced import (ReducedDynamics, FixedPointU, assemble_polar,
                                  phase_residual, zero_problem)
@@ -327,15 +330,44 @@ class TestTwoMassTrace:
         assert [sorted({owner[i] for i in mem}) for mem in fc.components] \
             == [[c] for c in sorted(set(owner))]
 
-    @pytest.mark.xfail(strict=True, reason=(
-        "the isola at eps 3e-5 is about 4.3e-4 wide in rho and the rows are "
-        "5e-4 apart: no row falls inside it, so the trace reports 1 "
-        "component and 2 folds; rows added inside the leading-order "
-        "intervals would find it"))
     def test_isola_narrower_than_the_grid_step_is_found(self, sp_modal,
                                                         sp_ssm3):
         fc = trace_frc(sp_ssm3, sp_modal, 3e-5, rho_max=0.13, n_rho=260)
         assert len(fc.components) == 2
+
+    def test_one_point_branches_are_drawn_in_their_colours(self, sp_modal,
+                                                           sp_ssm3):
+        """At eps 3e-5 the main branch ends at rho 4.3e-4 and the isola is
+        4.3e-4 wide, both under the 5e-4 row step: each gets one added row,
+        so each branch is one point, drawn as a dot in its component's
+        colour."""
+        fc = trace_frc(sp_ssm3, sp_modal, 3e-5, rho_max=0.13, n_rho=260)
+        assert [len(c) for c in fc.components] == [2, 2]
+        svg = frc_svg(fc, [p.rho for p in fc.points])
+        for colour in PALETTE[:2]:
+            assert f'r="2.5" fill="{colour}"' in svg
+
+    def test_branches_far_below_the_grid_step_are_found(self, sp_modal,
+                                                        sp_ssm3):
+        """At eps 1e-7 no equal row falls on the curve at all (the main
+        branch ends at rho 1.4e-6, and the isola is 1.4e-6 wide): the two
+        added rows trace both components."""
+        fc = trace_frc(sp_ssm3, sp_modal, 1e-7, rho_max=0.13, n_rho=260)
+        assert len(fc.components) == 2
+        assert fc.folds == pytest.approx([1.4434e-6, 0.1054085, 0.1054100],
+                                         rel=1e-4)
+
+    def test_overflowed_drift_adds_no_rows(self, sp_modal):
+        """A non-finite drift coefficient below the top one has no level
+        crossings to find: the trace adds no row and finds no point, as it
+        did before rows were added, and does not raise."""
+        ssm = compute_autonomous_ssm(sp_modal, 7)
+        gamma = ssm.gamma.copy()
+        gamma[1] = math.inf
+        with np.errstate(all="ignore"):  # the forced march sees the inf
+            fc = trace_frc(replace(ssm, gamma=gamma), sp_modal, 0.0027,
+                           rho_max=0.13, n_rho=50)
+        assert fc.points == [] and fc.components == []
 
     def test_invalid_arguments_rejected(self, sp_modal, sp_ssm3):
         with pytest.raises(ValidationError):
@@ -796,6 +828,34 @@ def _fold_problem(name):
     finally:
         frc._locate_folds = locate
     return seen[0]
+
+
+def _level_intervals(ssm, eps: float, rho_max: float):
+    """The number of intervals of |a(rho)| <= eps |c00| that start below
+    ``rho_max``, at the manifold's own order, and the level crossings
+    below ``rho_max``."""
+    p = ssm.radial_coefficients()
+    level = eps * abs(leading_forcing_coefficient(ssm.mm))
+    cross = odd_level_roots(p, level)
+    cross = cross[cross < rho_max]
+    ends = np.concatenate(([0.0], cross, [rho_max]))
+    mid = (ends[:-1] + ends[1:]) / 2
+    return int(np.sum(np.abs(mid * even_val(p, mid)) <= level)), cross
+
+
+@pytest.mark.parametrize("order, count", [(5, 2), (9, 2), (13, 3), (19, 3)])
+def test_level_crossings_predict_the_traced_structure(order, count):
+    """The quintic's components at eps 0.0012 change with the order, and
+    the leading-order intervals of each order's drift polynomial count
+    them; every level crossing lies within a row step of a traced fold."""
+    mm = modal_decompose(to_first_order(two_mass_system(quintic=1.2)))
+    ssm = compute_autonomous_ssm(mm, order)
+    intervals, cross = _level_intervals(ssm, 0.0012, 0.26)
+    fc = trace_frc(ssm, mm, 0.0012, rho_max=0.26, n_rho=400)
+    assert intervals == len(fc.components) == count
+    assert len(cross) == len(fc.folds)
+    for c in cross:
+        assert np.min(np.abs(fc.folds - c)) <= 0.26 / 400
 
 
 def test_folds_do_not_depend_on_lockstep():

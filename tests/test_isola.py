@@ -17,10 +17,11 @@ import pytest
 from conftest import two_mass_system, two_mass_gamma1, two_mass_lambda
 from ssm_resolve.beam import BeamSpec, build_beam
 from ssm_resolve.errors import ValidationError
-from ssm_resolve.isola import (classify_roots, drift_slope, fold_points,
-                               isola_report, leading_isola,
-                               nonspurious_positive_roots, roots_of_a)
+from ssm_resolve.isola import (classify_roots, fold_points, isola_report,
+                               leading_isola, nonspurious_positive_roots,
+                               roots_of_a)
 from ssm_resolve.model import modal_decompose, to_first_order
+from ssm_resolve.polyalg import odd_dval
 from ssm_resolve.reduced import assemble_polar
 from ssm_resolve.ssm_auto import compute_autonomous_ssm
 from ssm_resolve.ssm_forced import (compute_nonautonomous_ssm,
@@ -132,6 +133,7 @@ class TestRootTracking:
         assert rt.roots.keys() == want.roots.keys()
         for m in rt.orders:
             assert np.array_equal(rt.roots[m], want.roots[m])
+        assert np.array_equal(rt.radial, want.radial)
 
     def test_all_non_finite_drift_is_refused(self, sp_modal):
         ssm = compute_autonomous_ssm(sp_modal, 11)
@@ -295,7 +297,8 @@ class TestBeamIsola:
                                         ("beam_modal", 25)])
 def test_drift_slope_is_the_polar_fields_da(request, case, m_max):
     # the transversality margin of each non-spurious root is a'(rho) of the
-    # reduced dynamics, bit for bit, on the manifold the track reads
+    # reduced dynamics, bit for bit, on the manifold the track reads: one
+    # odd_dval of the track's own drift coefficients
     mm = request.getfixturevalue(case)
     ssm = compute_autonomous_ssm(mm, 2 * m_max + 1,
                                  check=case != "beam_modal")
@@ -305,7 +308,8 @@ def test_drift_slope_is_the_polar_fields_da(request, case, m_max):
     roots = _nonspurious(rt)
     assert roots
     for rho, margin in roots:
-        assert margin == drift_slope(rt, rho) == float(rd.da_of(rho))
+        assert margin == float(odd_dval(rt.radial, rho)) \
+            == float(rd.da_of(rho))
 
 
 class TestIsolaReport:

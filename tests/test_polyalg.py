@@ -8,7 +8,8 @@ from hypothesis import given, settings, strategies as st
 from ssm_resolve.model import to_first_order
 from ssm_resolve.polyalg import (
     Monomials, dense_diff, dense_eval, dense_mask, dense_mul, dense_pow,
-    dense_to_poly, dense_zero, graded_product_slice,
+    dense_to_poly, dense_zero, even_val, graded_product_slice,
+    odd_level_roots,
 )
 
 from conftest import MIXED_TERMS, with_terms
@@ -405,3 +406,40 @@ def test_graded_product_slice_reads_only_lower_slices():
     assert np.array_equal(graded_product_slice(x, x, 2), [1.0, 4.0j, -4.0])
     x.append(None)  # a structural zero slice 2 ...
     assert graded_product_slice(x, x, 3) is None  # ... makes slice 3 one
+
+
+# ------------------------------------------------------- the odd drift series
+
+def cubic_level_roots(a1, a3, level):
+    """The real rho >= 0 with |a1 rho + a3 rho**3| = level: the cubic loop
+    that ``odd_level_roots`` generalises, kept as its reference."""
+    found = []
+    for rhs in (level, -level):
+        r = np.roots([a3, 0.0, a1, -rhs])
+        for z in r:
+            if abs(z.imag) <= 1e-8 * max(1.0, abs(z.real)) and z.real >= -1e-14:
+                found.append(max(float(z.real), 0.0))
+    found.sort()
+    out = []
+    for r in found:
+        if not out or r - out[-1] > 1e-9 * max(1.0, r):
+            out.append(r)
+    return np.asarray(out)
+
+
+#: drift coefficients and levels on a 0.01 lattice in [-10, 10], zeros
+#: included
+LATTICE = st.integers(-1000, 1000).map(lambda k: k / 100)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(LATTICE, min_size=2, max_size=7), LATTICE.map(abs))
+def test_odd_level_roots_meet_the_level(p, level):
+    p = np.array(p)
+    rho = odd_level_roots(p, level)
+    assert np.all(rho >= 0) and np.all(np.diff(rho) > 0)
+    a = rho * even_val(p, rho)
+    scale = rho * even_val(np.abs(p), rho) + level
+    assert np.all(np.abs(np.abs(a) - level) <= 1e-9 * scale)
+    if len(p) == 2:
+        assert rho.tobytes() == cubic_level_roots(p[0], p[1], level).tobytes()

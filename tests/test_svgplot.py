@@ -7,7 +7,7 @@ from ssm_resolve.errors import ValidationError
 from ssm_resolve.frc import FrcCurve
 from ssm_resolve.isola import RootTrack
 from ssm_resolve.reduced import FixedPointU
-from ssm_resolve.svgplot import _px, _ticks, frc_svg, roots_svg
+from ssm_resolve.svgplot import PALETTE, _px, _ticks, frc_svg, roots_svg
 
 
 def _curve():
@@ -40,8 +40,7 @@ def _track():
     trajectories = [{3: 0.105 + 0j, 5: 0.104 + 0j}, {5: 0.3 + 0.2j}]
     radius = {1: np.inf, 3: 0.4, 5: 0.35}
     return RootTrack(orders=orders, roots=roots, trajectories=trajectories,
-                     radius=radius, gamma=np.array([1.35 + 0j]),
-                     lambda_master=-0.015 + 1.732j)
+                     radius=radius, radial=np.array([-0.015, 1.35]))
 
 
 class TestHelpers:
@@ -85,6 +84,25 @@ class TestFrcSvg:
     def test_deterministic(self):
         assert _svg() == _svg()
 
+    def test_one_point_run_is_a_dot_in_its_component_colour(self):
+        """A branch of one point has no line to draw: it is a filled dot,
+        and a single point cut off by a stability change is one too."""
+        pts = [FixedPointU(rho=0.01, omega=1.7, psi=0.3, stability="stable",
+                           branch="K+"),
+               FixedPointU(rho=0.1, omega=1.72, psi=0.3, stability="stable",
+                           branch="K+"),
+               FixedPointU(rho=0.11, omega=1.73, psi=0.3,
+                           stability="unstable", branch="K+"),
+               FixedPointU(rho=0.12, omega=1.74, psi=0.3,
+                           stability="unstable", branch="K+")]
+        curve = FrcCurve(eps=1e-3, points=pts, folds=np.array([]),
+                         components=[[0], [1, 2, 3]], rho_max=0.13, n_rho=13)
+        svg = _svg(curve)
+        assert svg.count('r="2.5"') == 2
+        assert f'r="2.5" fill="{PALETTE[0]}"' in svg
+        assert f'r="2.5" fill="{PALETTE[1]}"' in svg
+        assert svg.count("<polyline") == 1
+
     def test_amplitude_override_changes_geometry(self):
         ys = np.linspace(1.0, 2.0, 18)
         assert frc_svg(_curve(), ys) != _svg()
@@ -116,6 +134,6 @@ class TestRootsSvg:
 
     def test_empty_track_rejected(self):
         bad = RootTrack(orders=[], roots={}, trajectories=[], radius={},
-                        gamma=np.array([]), lambda_master=0j)
+                        radial=np.array([]))
         with pytest.raises(ValidationError):
             roots_svg(bad)
