@@ -26,12 +26,13 @@ import numpy as np
 
 from . import __version__
 from .beam import build_beam, read_beam_params
-from .errors import (IntegrationError, InternalResonanceError,
+from .errors import (DivergenceError, InternalResonanceError,
                      NonResonanceError, SemisimplicityError,
                      SingularChartError, SsmResolveError, ValidationError)
 from .frc import physical_amplitudes, trace_frc
-from .isola import RADIUS_FRACTION, ROOT_CAUCHY_TOL, isola_report
-from .model import modal_decompose, spectral_quotient, to_first_order
+from .isola import isola_report
+from .model import (NONRESONANCE_TOL, check_nonresonance, modal_decompose,
+                    spectral_quotient, to_first_order)
 from .oracle import (MAX_MEASURE_PERIODS, MIN_MEASURE_PERIODS, SETTLE_REL,
                      sweep as oracle_sweep)
 from .ssm_auto import (RESONANCE_GUARD, compute_autonomous_ssm,
@@ -54,7 +55,7 @@ EXIT_CODES = {
     SemisimplicityError: 4,
     InternalResonanceError: 4,
     SingularChartError: 4,
-    IntegrationError: 5,
+    DivergenceError: 5,
     SsmResolveError: 1,
     OSError: EXIT_USAGE,
 }
@@ -185,14 +186,6 @@ def _build_parser() -> argparse.ArgumentParser:
     pi.add_argument("--check", action=argparse.BooleanOptionalAction,
                     default=True, help="refuse spectra that fail the "
                     "real-part non-resonance check (default on)")
-    pi.add_argument("--tol-cauchy", type=POSITIVE, default=ROOT_CAUCHY_TOL,
-                    dest="tol_cauchy", help="root-settling threshold for "
-                    "spuriousness classification (default %(default)s)")
-    pi.add_argument("--tol-radius-frac", dest="tol_radius_frac",
-                    type=_typed((float,), lambda v: 0 < v <= 1, "in (0, 1]"),
-                    default=RADIUS_FRACTION, help="fraction of the "
-                    "convergence-radius estimate a non-spurious root must "
-                    "stay below (default %(default)s)")
     pi.add_argument("--out", help="JSON output path")
     pi.add_argument("--roots-svg", dest="roots_svg",
                     help="also render the root scatter to this SVG path")
@@ -418,8 +411,13 @@ def _cmd_analyze(cfg: argparse.Namespace) -> None:
     if len(pairs) < len(mm.eigenvalues) / 2:
         lines.append("  (remaining modes are overdamped)")
     lines.append(f"spectral quotient: {spectral_quotient(mm)}")
-    lines.append(f"non-resonance: satisfied through order "
-                 f"{min(spectral_quotient(mm), cfg.order + 1)}")
+    sigma = min(spectral_quotient(mm), cfg.order + 1)
+    nonres = f"non-resonance: satisfied through order {sigma}"
+    if sigma >= 2:
+        nonres += (f"; smallest relative margin "
+                   f"{check_nonresonance(mm, sigma):.1e} "
+                   f"(tolerance {NONRESONANCE_TOL:.0e})")
+    lines.append(nonres)
     lines.append(f"order: {cfg.order}")
     lines.append(f"smallest enslaved denominator: "
                  f"{ssm.min_enslaved_den:.1e} (guard {RESONANCE_GUARD:.0e})")
@@ -498,7 +496,8 @@ def _cmd_frc(cfg: argparse.Namespace) -> None:
     _say(cfg, f"wrote {cfg.out}" + (f" and {cfg.svg}" if cfg.svg else ""))
     dens = curve.forced.min_enslaved_den
     _say(cfg, "smallest forced denominator: "
-         + (f"{dens.min():.1e}" if dens.size else "none (no accepted points)"))
+         + (f"{dens.min():.1e} (guard {RESONANCE_GUARD:.0e})" if dens.size
+            else "none (no accepted points)"))
     _say(cfg, _reason_summary("skipped points",
                               [reason for _, _, reason in curve.skipped]))
     unresolved = int(np.isnan(curve.folds).sum())
@@ -518,8 +517,7 @@ def _cmd_isola(cfg: argparse.Namespace) -> None:
     mm = _modal(cfg, sys_, fos)
     lo, hi = cfg.orders
     rt, report = isola_report(mm, range(lo, hi + 1), cfg.eps,
-                              check=cfg.check, cauchy_tol=cfg.tol_cauchy,
-                              radius_fraction=cfg.tol_radius_frac)
+                              check=cfg.check)
 
     doc = {
         "meta": {

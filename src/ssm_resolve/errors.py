@@ -30,10 +30,7 @@ class SingularChartError(SsmResolveError):
     """Polar coordinates are singular (rho = 0); the phase is undefined."""
 
 
-class IntegrationError(SsmResolveError):
-    """Time integration failed.  The fixed-step stepper has no step to
-    underflow, so the one failure is divergence (:class:`DivergenceError`)."""
-
-
-class DivergenceError(IntegrationError):
-    """The integrated state escaped: non-finite, or beyond 1e50 in size."""
+class DivergenceError(SsmResolveError):
+    """Time integration failed: the integrated state escaped, non-finite or
+    beyond 1e50 in size.  The fixed-step stepper has no step to underflow,
+    so this is its one failure."""

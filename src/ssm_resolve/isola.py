@@ -145,21 +145,17 @@ def roots_of_a(ssm: AutonomousSsm, orders) -> RootTrack:
                      radial=radial)
 
 
-def classify_roots(rt: RootTrack, cauchy_tol: float = ROOT_CAUCHY_TOL,
-                   radius_fraction: float = RADIUS_FRACTION) -> list[str]:
+def classify_roots(rt: RootTrack) -> list[str]:
     """Label each trajectory 'non-spurious' or 'spurious'.
 
     A trajectory is non-spurious when its root settles (successive changes
-    below ``cauchy_tol`` relative over the last three orders) and the
-    settled root sits below ``radius_fraction`` of the estimated convergence
+    below ``ROOT_CAUCHY_TOL`` relative over the last three orders) and the
+    settled root sits below ``RADIUS_FRACTION`` of the estimated convergence
     radius.  Needs at least three tracked orders.
     """
     if len(rt.orders) < 3:
         raise ValidationError("root classification needs at least three "
                               "truncation orders")
-    if cauchy_tol <= 0 or not 0 < radius_fraction <= 1:
-        raise ValidationError("need cauchy_tol > 0 and radius_fraction "
-                              "in (0, 1]")
     last3 = rt.orders[-3:]
     labels = []
     for t in rt.trajectories:
@@ -167,9 +163,9 @@ def classify_roots(rt: RootTrack, cauchy_tol: float = ROOT_CAUCHY_TOL,
             labels.append("spurious")
             continue
         settled = all(
-            abs(t[m1] - t[m0]) < cauchy_tol * abs(t[m1])
+            abs(t[m1] - t[m0]) < ROOT_CAUCHY_TOL * abs(t[m1])
             for m0, m1 in zip(last3[:-1], last3[1:]))
-        inside = abs(t[last3[-1]]) < radius_fraction * rt.radius[last3[-1]]
+        inside = abs(t[last3[-1]]) < RADIUS_FRACTION * rt.radius[last3[-1]]
         labels.append("non-spurious" if settled and inside else "spurious")
     return labels
 
@@ -252,16 +248,14 @@ class IsolaReport:
 
 
 def isola_report(mm: ModalModel, orders, eps: float, *,
-                 check: bool = True, cauchy_tol: float = ROOT_CAUCHY_TOL,
-                 radius_fraction: float = RADIUS_FRACTION,
-                 ) -> tuple[RootTrack, IsolaReport]:
+                 check: bool = True) -> tuple[RootTrack, IsolaReport]:
     """Assemble the root track and the isola report in one pass, from one
     manifold at the track's deepest order: its gamma_1 also gives the
     closed forms."""
     orders = _tracked_orders(orders)
     ssm = compute_autonomous_ssm(mm, 2 * orders[-1] + 1, check=check)
     rt = roots_of_a(ssm, orders)
-    labels = classify_roots(rt, cauchy_tol, radius_fraction)
+    labels = classify_roots(rt)
     roots = nonspurious_positive_roots(rt, labels)
     leading = leading_isola(ssm, eps)
     folds = fold_points(ssm, eps)

@@ -23,7 +23,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError, SemisimplicityError
+from .errors import (NonResonanceError, SemisimplicityError,
+                     ValidationError)
 from .polyalg import Monomials
 
 #: normalization policies for eigenvectors (see modal_decompose)
@@ -178,7 +179,6 @@ class ModalModel:
     #: the physical state x = T q, and each injection becomes T^{-1} inject
     monomials: Monomials
     F_m: np.ndarray           # (2n,) complex
-    fos: FirstOrderSystem
     normalization: str
 
     @property
@@ -308,7 +308,7 @@ def modal_decompose(fos: FirstOrderSystem, master: int = 0,
         np.array([T_inv @ col for col in np.ascontiguousarray(g.inject.T)]
                  ).reshape(-1, 2 * n).T)
     return ModalModel(eigenvalues=lam_sorted, T=T, T_inv=T_inv,
-                      monomials=monomials, F_m=T_inv @ fos.F, fos=fos,
+                      monomials=monomials, F_m=T_inv @ fos.F,
                       normalization=normalization)
 
 
@@ -327,20 +327,10 @@ def spectral_quotient(mm: ModalModel) -> int:
     return int(re_min / re_master + 1e-9)
 
 
-@dataclass
-class NonResonanceReport:
-    """Outcome of the real-part non-resonance check up to order sigma."""
-    passed: bool
-    sigma: int
-    #: representative violating (a, b, l) triples: a*Re(lam_0) + b*Re(lam_1)
-    #: hits Re(lam_l) within tolerance (l is the 0-based eigenvalue slot)
-    violations: list[tuple[int, int, int]]
-    #: per-eigenvalue-slot margin data: {"q", "abs_margin", "rel_margin"}
-    margins: dict[int, dict]
-
-
-def check_nonresonance(mm: ModalModel, sigma: int) -> NonResonanceReport:
-    """Check Re(lam_l) != a*Re(lam_1) + b*Re(lam_2) for 2 <= a+b <= sigma.
+def check_nonresonance(mm: ModalModel, sigma: int) -> float:
+    """Check Re(lam_l) != a*Re(lam_1) + b*Re(lam_2) for 2 <= a+b <= sigma,
+    and return the smallest relative margin (infinite with no enslaved
+    eigenvalue).
 
     Because the master pair is exactly conjugate, Re(lam_1) = Re(lam_2) = r and
     the sum only depends on q = a + b; the check therefore reduces to the
@@ -348,20 +338,23 @@ def check_nonresonance(mm: ModalModel, sigma: int) -> NonResonanceReport:
     per enslaved eigenvalue.  That keeps the check O(n) even when sigma is
     astronomically large (stiff high modes).
 
-    A violation is flagged when the margin is <= NONRESONANCE_TOL *
-    |Re(lam_l)|.
+    Raises
+    ------
+    NonResonanceError
+        For the first slot l whose margin |q*r - Re(lam_l)| is
+        <= NONRESONANCE_TOL * |Re(lam_l)|, when sigma >= 2.
     """
     r = mm.lambda_master.real
-    margins: dict[int, dict] = {}
-    violations: list[tuple[int, int, int]] = []
+    smallest = np.inf
     for l in range(2, len(mm.eigenvalues)):
         ratio = mm.eigenvalues[l].real / r
         q = int(np.clip(round(ratio), 2, max(sigma, 2)))
-        abs_margin = abs(q * r - mm.eigenvalues[l].real)
-        rel_margin = abs_margin / abs(mm.eigenvalues[l].real)
-        margins[l] = {"q": q, "abs_margin": abs_margin, "rel_margin": rel_margin}
+        rel_margin = (abs(q * r - mm.eigenvalues[l].real)
+                      / abs(mm.eigenvalues[l].real))
         if sigma >= 2 and rel_margin <= NONRESONANCE_TOL:
-            for a in range(q, max(q - 32, -1), -1):
-                violations.append((a, q - a, l))
-    return NonResonanceReport(passed=not violations, sigma=sigma,
-                              violations=violations, margins=margins)
+            raise NonResonanceError(
+                f"real-part resonance up to order {sigma}: "
+                f"Re(lam_{l}) = {q}*Re(lam_0) + 0*Re(lam_1) within tolerance; "
+                "pass check=False to override")
+        smallest = min(smallest, rel_margin)
+    return float(smallest)

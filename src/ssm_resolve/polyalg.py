@@ -74,21 +74,25 @@ def odd_dval(coeffs: np.ndarray, rho):
 
 def odd_level_roots(coeffs: np.ndarray, level: float) -> np.ndarray:
     """The distinct real rho >= 0 where |rho * sum coeffs[i] * rho**(2i)|
-    equals ``level``, ascending: one ``np.roots`` per sign of the level,
-    whose roots within 1e-8 relative of the real axis and from -1e-14 on
-    count (clamped to 0), and roots within 1e-9 relative are one."""
+    equals ``level``, ascending: one ``np.roots`` per sign of the level.
+    Every bound is relative, so the result scales with the length unit: a
+    root counts when it lies within 1e-8 of its own size from the real
+    axis and from -1e-14 times the largest root of its polynomial on
+    (clamped to 0), and roots within 1e-9 of their size are one."""
     found: list[float] = []
     for rhs in (level, -level):
         poly = np.zeros(2 * len(coeffs))
         poly[:-1:2] = coeffs[::-1]
         poly[-1] = -rhs
-        for z in np.roots(poly):
-            if abs(z.imag) <= 1e-8 * max(1.0, abs(z.real)) and z.real >= -1e-14:
+        roots = np.roots(poly)
+        floor = -1e-14 * np.abs(roots).max(initial=0.0)
+        for z in roots:
+            if abs(z.imag) <= 1e-8 * abs(z) and z.real >= floor:
                 found.append(max(float(z.real), 0.0))
     found.sort()
     out: list[float] = []
     for r in found:
-        if not out or r - out[-1] > 1e-9 * max(1.0, r):
+        if not out or r - out[-1] > 1e-9 * r:
             out.append(r)
     return np.asarray(out)
 

@@ -132,7 +132,6 @@ def phase_residual(rd: ReducedDynamics, rho, omega, eps: float, psi):
 @dataclass
 class StabilityReport:
     """Classification of one polar fixed point."""
-    u: FixedPointU
     eigenvalues: np.ndarray
     jacobian: np.ndarray
     label: str  # "stable" | "unstable" | "fold-degenerate"
@@ -185,15 +184,14 @@ def fixed_point_stability(rd: ReducedDynamics, u,
     STABILITY_MARGIN * |lambda_master| of zero is reported as
     fold-degenerate (lambda_master = a_coeffs[0] + i b_coeffs[0]).
     """
-    rho, omega, psi = float(u[0]), float(u[1]), float(u[2])
+    rho, psi = float(u[0]), float(u[2])
     if rho <= 0:
         raise SingularChartError(
             "stability chart is singular at rho = 0; use a positive amplitude")
     jac = _polar_jacobian(rd, rho, psi, eps)
     eig = np.linalg.eigvals(jac)
-    label = str(_labels(rd, eig))
-    point = FixedPointU(rho=rho, omega=omega, psi=psi, stability=label)
-    return StabilityReport(u=point, eigenvalues=eig, jacobian=jac, label=label)
+    return StabilityReport(eigenvalues=eig, jacobian=jac,
+                           label=str(_labels(rd, eig)))
 
 
 def polar_field(rd: ReducedDynamics, u, eps: float):

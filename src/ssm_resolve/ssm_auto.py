@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError, NonResonanceError, InternalResonanceError
+from .errors import ValidationError, InternalResonanceError
 from .model import ModalModel, check_nonresonance, spectral_quotient
 from .polyalg import dense_jet, dense_zero, horner
 
@@ -102,8 +102,8 @@ def compute_autonomous_ssm(mm: ModalModel, order: int, *,
         coefficients, even orders only extend the enslaved part).
     check : bool
         Run the low-order real-part resonance check first (orders up to
-        min(spectral quotient, order+1)); pass False to override after
-        reviewing a failing report.
+        min(spectral quotient, order+1)), which raises NonResonanceError;
+        pass False to override after reviewing it.
 
     An enslaved denominator below ``RESONANCE_GUARD`` relative to its
     |lambda_i| means the spectrum is effectively internally resonant, and
@@ -112,15 +112,7 @@ def compute_autonomous_ssm(mm: ModalModel, order: int, *,
     if order < 1:
         raise ValidationError("expansion order must be >= 1")
     if check:
-        sigma = min(spectral_quotient(mm), order + 1)
-        if sigma >= 2:
-            rep = check_nonresonance(mm, sigma=sigma)
-            if not rep.passed:
-                a, b, l = rep.violations[0]
-                raise NonResonanceError(
-                    f"real-part resonance up to order {sigma}: "
-                    f"Re(lam_{l}) = {a}*Re(lam_0) + {b}*Re(lam_1) within tolerance; "
-                    "pass check=False to override")
+        check_nonresonance(mm, min(spectral_quotient(mm), order + 1))
 
     n2 = len(mm.eigenvalues)
     lam = mm.eigenvalues
@@ -236,19 +228,17 @@ def defect_report(defect: np.ndarray, scale: np.ndarray) -> dict:
             "max_relative": float(rel.max())}
 
 
-def residual_slope(residual, radii=None, n_angles: int = 16,
-                   seed: int = 0) -> float:
-    """Log-log slope of the max relative defect vs sample radius.
+def residual_slope(residual) -> float:
+    """Log-log slope of the max relative defect vs sample radius, over 16
+    fixed random angles at each of seven radii from 1e-2 to 10**-0.8.
 
     ``residual`` maps complex master samples s1 to a defect dict with a
     ``"max_relative"`` entry: ``invariance_residual`` or
     ``ssm_forced.forced_residual`` with its other arguments bound.
     """
-    if radii is None:
-        # stay above the floating-point floor of the defect at high orders
-        radii = np.logspace(-2, -0.8, 7)
-    rng = np.random.default_rng(seed)
-    angles = rng.uniform(0, 2 * np.pi, n_angles)
+    # stay above the floating-point floor of the defect at high orders
+    radii = np.logspace(-2, -0.8, 7)
+    angles = np.random.default_rng(0).uniform(0, 2 * np.pi, 16)
     worst = [residual(r * np.exp(1j * angles))["max_relative"]
              for r in radii]
     slope = np.polyfit(np.log(radii), np.log(worst), 1)[0]

@@ -250,6 +250,9 @@ class ForcedReduction:
     e^{+} reduced coefficient on the diagonal slot (i, i) of row 1;
     ``d_pm[i]`` the e^{-} row-1 coefficient on slot (i+1, i-1) — together
     they are exactly the data entering the polar fixed-point problem.
+    ``min_enslaved_den`` is the smallest enslaved |lambda_i - <m, lambda> -/+
+    i*Omega| / max(|lambda_i|, |Omega|): the margin above
+    ``RESONANCE_GUARD``, which aborts the solve.
     """
     omega: float | np.ndarray
     order: int
@@ -331,7 +334,8 @@ def _march(cache: dict, lam: np.ndarray, f_half: np.ndarray,
            omega: np.ndarray, w: np.ndarray, r: np.ndarray) -> np.ndarray:
     """March a slice of frequencies through the degrees, both harmonics
     stacked: writes the embedding columns into ``w`` and the reduced values
-    into ``r``, and returns the smallest enslaved |denominator| of each.
+    into ``r``, and returns the smallest enslaved |denominator| of each,
+    relative to the guard's scale max(|lambda_i|, |Omega|).
 
     Every operator acts on each (rows, columns) matrix of the stack on its
     own, so a member's result does not depend on the slice it is in.
@@ -341,8 +345,8 @@ def _march(cache: dict, lam: np.ndarray, f_half: np.ndarray,
            - (1j * omega)[:, None, None, None] * SIGNS[:, None, None])
     enslaved = ~cache["resonant"]
     mag = np.abs(den)
-    scale = np.maximum(np.abs(lam), np.abs(omega)[:, None])
-    small = (mag < RESONANCE_GUARD * scale[:, None, :, None]) & enslaved
+    scale = np.maximum(np.abs(lam), np.abs(omega)[:, None])[:, None, :, None]
+    small = (mag < RESONANCE_GUARD * scale) & enslaved
     if np.any(small):
         # report the first offender in march order: frequency, harmonic,
         # degree, row
@@ -354,7 +358,7 @@ def _march(cache: dict, lam: np.ndarray, f_half: np.ndarray,
             f"|lambda_{i} - <({cache['k1'][m]},{cache['k2'][m]}), "
             f"lambda_master> {'-' if SIGNS[b] > 0 else '+'} i*Omega| = "
             f"{mag[q, b, i, m]:.3e}")
-    min_den = np.where(enslaved, mag, np.inf).min(axis=(1, 2, 3))
+    min_den = np.where(enslaved, mag / scale, np.inf).min(axis=(1, 2, 3))
     inv = np.zeros_like(den)
     np.divide(1.0, den, out=inv, where=enslaved)
 

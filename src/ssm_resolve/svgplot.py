@@ -36,11 +36,12 @@ def _esc(text: str) -> str:
             .replace(">", "&gt;"))
 
 
-def _ticks(lo: float, hi: float, target: int = 5) -> list[float]:
-    """Round tick positions covering [lo, hi] at a 1/2/2.5/5 step."""
+def _ticks(lo: float, hi: float) -> list[float]:
+    """Round tick positions covering [lo, hi] at a 1/2/2.5/5 step, about
+    five of them."""
     if not (math.isfinite(lo) and math.isfinite(hi)) or hi <= lo:
         raise ValidationError("cannot place axis ticks on an empty range")
-    raw = (hi - lo) / max(target, 1)
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next(m * mag for m in (1.0, 2.0, 2.5, 5.0, 10.0) if m * mag >= raw)
     first = math.ceil(lo / step - 1e-9) * step

@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ssm_resolve import cli, errors, isola, oracle, sysio
+from ssm_resolve import cli, errors, oracle, sysio
 from ssm_resolve.beam import BeamSpec, build_beam, write_beam_params
 from ssm_resolve.cli import (REQUIRED, _build_parser, _commands,
                              _config_hash, _options, _resolve, main)
@@ -259,6 +259,12 @@ def test_analyze_reports_smallest_enslaved_denominator(tmp_path, capsys):
     want = (f"smallest enslaved denominator: {ssm.min_enslaved_den:.1e} "
             "(guard 1e-08)")
     assert out.count(want) == 1
+    # the real-part check through order min(4, 5 + 1): the enslaved pair's
+    # margin |4 Re lambda_1 - Re lambda_2| / |Re lambda_2|
+    lam = ssm.mm.eigenvalues.real
+    margin = abs(4 * lam[0] - lam[2]) / abs(lam[2])
+    assert out.count(f"non-resonance: satisfied through order 4; smallest "
+                     f"relative margin {margin:.1e} (tolerance 1e-08)") == 1
     # a stdout line only: the dump artifact does not carry it
     assert "enslaved" not in dump.read_text()
 
@@ -402,10 +408,12 @@ def test_frc_reports_smallest_forced_denominator(tmp_path, capsys):
     fc = trace_frc(compute_autonomous_ssm(mm, 3), mm, 0.0027, rho_max=0.06,
                    n_rho=60)
     # the smallest enslaved |lambda_i - <k, lambda_master> -/+ i*Omega| of
-    # any point's kept forced row
+    # any point's kept forced row, relative to max(|lambda_i|, |Omega|) as
+    # the guard it is read against
     smallest = fc.forced.min_enslaved_den.min()
-    assert 0 < smallest < np.inf
-    assert lines[-2] == f"smallest forced denominator: {smallest:.1e}"
+    assert 0 < smallest < 1
+    assert lines[-2] == (f"smallest forced denominator: {smallest:.1e} "
+                         "(guard 1e-08)")
     assert "denominator" not in out.read_text()
 
     assert main(["frc", "--system", sysfile, "--eps", "0.0027",
@@ -508,7 +516,11 @@ def test_flag_and_config_file_are_one_route(tmp_path, capsys):
             default = parser.parse_args(base)
             assert getattr(by_file, name) != getattr(default, name)
             checked += 1
-    assert checked > 50
+    # every setting of the table but --config: --jobs and --quiet on each
+    # of the five commands, plus analyze's 6 own (system, mode,
+    # normalization, order, dump_ssm, seed), frc's 11, isola's 8,
+    # verify's 11 and beam's 3
+    assert checked == 5 * 2 + 6 + 11 + 8 + 11 + 3
 
     frc = ["frc", "--system", "s.txt", "--out", "c.csv", "--eps", "0.002"]
     # a key that only another command reads changes nothing for frc
@@ -627,7 +639,7 @@ def test_usage_errors_exit_with_code_two(tmp_path, capsys):
 @pytest.mark.parametrize("error, code", [
     (errors.ValidationError, 2), (errors.NonResonanceError, 3),
     (errors.SemisimplicityError, 4), (errors.InternalResonanceError, 4),
-    (errors.SingularChartError, 4), (errors.IntegrationError, 5),
+    (errors.SingularChartError, 4), (errors.DivergenceError, 5),
     (errors.SsmResolveError, 1), (OSError, 2)])
 def test_each_error_exits_with_its_documented_code(tmp_path, capsys,
                                                    monkeypatch, error, code):
@@ -666,16 +678,55 @@ def test_frc_draws_branches_far_below_the_grid_step(tmp_path):
 
 
 # ---------------------------------------------------------------------------
+# master pair selection
+
+
+def test_mode_selects_the_master_pair(tmp_path, capsys):
+    """--mode 1 makes the faster pair of the two-mass system the master:
+    analyze tags it and finds no slower decay rate to resolve (spectral
+    quotient 1), and frc writes it as lambda_master."""
+    sysfile = sp_file(tmp_path)
+    lam = complex(modal_decompose(to_first_order(two_mass_system()),
+                                  master=1).lambda_master)
+    assert lam == pytest.approx(-0.06696 + 2.99925j, abs=1e-5)
+    assert main(["analyze", "--system", sysfile, "--mode", "1"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert [ln for ln in out if ln.endswith("[master]")] \
+        == [f"  mode 1: {lam!r}  [master]"]
+    assert "spectral quotient: 1" in out
+    csv = tmp_path / "frc.csv"
+    assert main(["frc", "--system", sysfile, "--mode", "1", "--eps", "0.001",
+                 "--rho-max", "0.05", "--n-rho", "20", "--quiet",
+                 "--out", str(csv)]) == 0
+    assert (f"# eigenvalues: lambda_master = {lam!r}"
+            in csv.read_text().splitlines())
+
+
+@pytest.mark.parametrize("command", [
+    ["analyze"], ["frc", "--eps", "0.001", "--out", "o.csv"],
+    ["isola", "--eps", "0.001", "--out", "o.json"]])
+def test_mode_beyond_the_underdamped_pairs_is_refused(tmp_path, capsys,
+                                                      monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    assert main(command + ["--system", sp_file(tmp_path), "--mode", "2"]) == 2
+    assert capsys.readouterr().err == ("error: master pair index 2 out of "
+                                       "range (2 underdamped pairs found)\n")
+    assert not list(tmp_path.glob("o.*"))
+
+
+# ---------------------------------------------------------------------------
 # option placement
 
 
 def test_tolerance_flags_sit_only_on_the_commands_that_read_them():
     shared = {"--config", "--jobs", "--quiet", "--no-quiet"}
-    own = {"verify": {"--tol-settle"},
-           "isola": {"--tol-cauchy", "--tol-radius-frac"}}
+    own = {"verify": {"--tol-settle"}}
     # the sweep steps a fixed count a period: no command takes the
-    # integrator's tolerances
-    tolerances = set().union(*own.values(), {"--tol-rel", "--tol-abs"})
+    # integrator's tolerances; isola's root classification reads its
+    # constants
+    tolerances = set().union(*own.values(), {"--tol-rel", "--tol-abs",
+                                             "--tol-cauchy",
+                                             "--tol-radius-frac"})
     sub, = (a for a in _build_parser()._actions
             if isinstance(a, argparse._SubParsersAction))
     assert set(sub.choices) == {"analyze", "frc", "isola", "verify", "beam"}
@@ -690,9 +741,7 @@ def test_tolerance_flags_sit_only_on_the_commands_that_read_them():
 def test_tolerance_and_period_defaults_are_the_library_constants():
     # one home per default: the flag reads the constant the library
     # defaults to, and its help prints it
-    want = {"isola": {"tol_cauchy": isola.ROOT_CAUCHY_TOL,
-                      "tol_radius_frac": isola.RADIUS_FRACTION},
-            "verify": {"min_periods": oracle.MIN_MEASURE_PERIODS,
+    want = {"verify": {"min_periods": oracle.MIN_MEASURE_PERIODS,
                        "max_periods": oracle.MAX_MEASURE_PERIODS,
                        "tol_settle": oracle.SETTLE_REL}}
     commands = _commands(_build_parser())
@@ -723,18 +772,24 @@ def test_tolerance_flags_are_refused_where_nothing_reads_them(tmp_path,
     assert main(verify + ["--config", str(cfgfile)]) == 2
     assert ("unknown config file keys: tol_abs"
             in capsys.readouterr().err)
+    # isola's root classification reads its constants: neither its
+    # flags nor its config keys exist
+    isola_argv = ["isola", "--system", sysfile, "--eps", "0.001",
+                  "--orders", "1..3", "--out", str(tmp_path / "i.json")]
+    assert main(isola_argv + ["--tol-cauchy", "1e-3"]) == 2
+    assert ("unrecognized arguments: --tol-cauchy"
+            in capsys.readouterr().err)
+    cfgfile.write_text(json.dumps({"tol_cauchy": 1e-3}))
+    assert main(isola_argv + ["--config", str(cfgfile)]) == 2
+    assert ("unknown config file keys: tol_cauchy"
+            in capsys.readouterr().err)
     # one config file still serves every command: frc ignores the keys
     # only verify and isola read
-    cfgfile.write_text(json.dumps({"tol_settle": 1e-4, "tol_cauchy": 2e-3}))
+    cfgfile.write_text(json.dumps({"tol_settle": 1e-4, "check": False}))
     assert main(frc + ["--config", str(cfgfile)]) == 0
-    # and the commands that read them still check them
+    # and the command that reads one still checks it
     assert main(verify + ["--tol-settle", "0"]) == 2
     assert "argument --tol-settle: must be > 0" in capsys.readouterr().err
-    assert main(["isola", "--system", sysfile, "--eps", "0.001",
-                 "--tol-radius-frac", "1.5",
-                 "--out", str(tmp_path / "i.json")]) == 2
-    assert ("argument --tol-radius-frac: must be in (0, 1]"
-            in capsys.readouterr().err)
     assert not (tmp_path / "v.csv").exists()
     assert not (tmp_path / "i.json").exists()
 

@@ -1,15 +1,17 @@
 """Every module-level UPPER_CASE constant and every private function or
 class of the package is read by the package itself: a tolerance or limit
 that no code reads only looks like a setting, and a private helper that
-only the tests call is dead code that the tests keep alive.  And a private
-name stays inside its module: no module of the package imports or reads
-another one's."""
+only the tests call is dead code that the tests keep alive.  Every field
+of a dataclass is read somewhere too, or it only hands a caller back what
+it passed.  And a private name stays inside its module: no module of the
+package imports or reads another one's."""
 
 import ast
 import re
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "ssm_resolve"
+PERFBENCH = SRC.parents[1] / "perfbench"
 CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
 
 
@@ -94,3 +96,43 @@ def test_no_module_reads_another_modules_private_names():
                for p in sorted(SRC.glob("*.py"))}
     foreign = {name: found for name, found in foreign.items() if found}
     assert not foreign, f"private names read across modules: {foreign}"
+
+
+#: dataclass fields that no attribute read reaches, each with its reason
+UNREAD_FIELDS = {
+    # the public inverse of T, which tests/data/modal_golden.npz pins; the
+    # tests map physical vectors to modal ones with it
+    "ModalModel.T_inv",
+    # cli writes the isola report's leading summary with vars(), so each
+    # field becomes a JSON key of the artifact
+    "LeadingIsola.exists", "LeadingIsola.rho1", "LeadingIsola.eps_m",
+    "LeadingIsola.disconnected_at_eps",
+}
+
+
+def _dataclass_fields(tree: ast.Module) -> list[str]:
+    """``Class.field`` for each annotated field of a ``@dataclass``."""
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ClassDef) and any(
+                getattr(d.func if isinstance(d, ast.Call) else d, "id", None)
+                == "dataclass" for d in node.decorator_list):
+            out += [f"{node.name}.{item.target.id}" for item in node.body
+                    if isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)]
+    return out
+
+
+def test_every_dataclass_field_is_read_in_src_or_the_benchmark():
+    src = [ast.parse(p.read_text(), str(p)) for p in sorted(SRC.glob("*.py"))]
+    bench = [ast.parse(p.read_text(), str(p))
+             for p in sorted(PERFBENCH.glob("*.py"))]
+    read = {node.attr for tree in src + bench for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.ctx, ast.Load)}
+    fields = [f for tree in src for f in _dataclass_fields(tree)]
+    assert "ForcedReduction.min_enslaved_den" in fields
+    assert UNREAD_FIELDS <= set(fields)
+    unread = [f for f in fields if f.split(".")[1] not in read
+              and f not in UNREAD_FIELDS]
+    assert not unread, f"dataclass fields nothing reads: {unread}"

@@ -378,19 +378,22 @@ class TestTwoMassTrace:
             trace_frc(sp_ssm3, sp_modal, 0.001, rho_max=0.1, n_rho=1)
 
 
+SP_FOS = to_first_order(two_mass_system())
+
+
 @pytest.mark.parametrize("bad", [math.nan, math.inf])
 @pytest.mark.parametrize("call", [
     lambda mm, ssm, x: trace_frc(ssm, mm, x, rho_max=0.1, n_rho=50),
     lambda mm, ssm, x: trace_frc(ssm, mm, 0.001, rho_max=x, n_rho=50),
     lambda mm, ssm, x: fold_points(ssm, x),
     lambda mm, ssm, x: leading_isola(ssm, x),
-    lambda mm, ssm, x: integrate_full(mm.fos, x, 1.7, np.zeros(4), 1),
-    lambda mm, ssm, x: integrate_full(mm.fos, 0.001, x, np.zeros(4), 1),
-    lambda mm, ssm, x: sweep(mm.fos, x, [1.7], [0]),
-    lambda mm, ssm, x: sweep(mm.fos, 0.001, [x], [0]),
-    lambda mm, ssm, x: sweep(mm.fos, 0.001, [1.7, x], [0]),
-    lambda mm, ssm, x: sweep(mm.fos, 0.001, [1.7], [0], transient_time=x),
-    lambda mm, ssm, x: sweep(mm.fos, 0.001, [1.7], [0], settle_rel=x),
+    lambda mm, ssm, x: integrate_full(SP_FOS, x, 1.7, np.zeros(4), 1),
+    lambda mm, ssm, x: integrate_full(SP_FOS, 0.001, x, np.zeros(4), 1),
+    lambda mm, ssm, x: sweep(SP_FOS, x, [1.7], [0]),
+    lambda mm, ssm, x: sweep(SP_FOS, 0.001, [x], [0]),
+    lambda mm, ssm, x: sweep(SP_FOS, 0.001, [1.7, x], [0]),
+    lambda mm, ssm, x: sweep(SP_FOS, 0.001, [1.7], [0], transient_time=x),
+    lambda mm, ssm, x: sweep(SP_FOS, 0.001, [1.7], [0], settle_rel=x),
 ], ids=["trace_frc-eps", "trace_frc-rho_max", "fold_points", "leading_isola",
         "integrate_full", "integrate_full-omega", "sweep",
         "sweep-omega", "sweep-omega_grid", "sweep-transient_time",

@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from ssm_resolve.beam import BeamSpec, build_beam
-from ssm_resolve.errors import (ValidationError, SemisimplicityError)
+from ssm_resolve.errors import (NonResonanceError, SemisimplicityError,
+                                ValidationError)
 from ssm_resolve.isola import leading_isola
 from ssm_resolve.model import (COND_LIMIT, NORMALIZATIONS, FirstOrderSystem,
                                MechanicalSystem, PolyTerm, to_first_order,
@@ -104,10 +105,10 @@ def test_first_position_transform_structure(sp_modal):
     assert np.allclose(sp_modal.T_inv @ T, np.eye(4), atol=1e-12)
 
 
-def test_modal_field_matches_physical_field(sp_modal):
+def test_modal_field_matches_physical_field(sp_system, sp_modal):
     """T*(Lambda q + G_m(q)) must equal A x + G_p(x) at x = T q."""
     rng = np.random.default_rng(3)
-    fos = sp_modal.fos
+    fos = to_first_order(sp_system)
     for _ in range(10):
         qr = rng.standard_normal(4) * 0.1
         q = sp_modal.T_inv @ (fos.A @ np.zeros(4) + qr)  # arbitrary complex-ish q
@@ -125,7 +126,7 @@ def mixed_modal():
 def test_mixed_modal_nonlinearity_is_projected_physical_one(mixed_modal):
     """G_m(q) = T^-1 G_p(T q), one state and a batch, for terms that read
     several variables and have even degree."""
-    fos = mixed_modal.fos
+    fos = to_first_order(with_terms(MIXED_TERMS))
     rng = np.random.default_rng(11)
     Q = mixed_modal.T_inv @ (0.2 * rng.standard_normal((4, 6)))
     want = mixed_modal.T_inv @ fos.nonlinearity(mixed_modal.T @ Q)
@@ -142,7 +143,7 @@ def test_mixed_jacobian_apply_matches_central_difference(mixed_modal, space):
     rng = np.random.default_rng(13)
     x = 0.3 * rng.standard_normal((4, 5))
     u = rng.standard_normal((4, 5))
-    mono = mixed_modal.fos.monomials
+    mono = to_first_order(with_terms(MIXED_TERMS)).monomials
     if space == "modal":
         # the modal injections act on complex physical states x = T q
         mono = mixed_modal.monomials
@@ -157,8 +158,9 @@ def test_mixed_jacobian_apply_matches_central_difference(mixed_modal, space):
                        rtol=1e-14, atol=0)
 
 
-def test_forcing_transform(sp_modal):
-    assert np.allclose(sp_modal.T @ sp_modal.F_m, sp_modal.fos.F, atol=1e-12)
+def test_forcing_transform(sp_system, sp_modal):
+    assert np.allclose(sp_modal.T @ sp_modal.F_m, to_first_order(sp_system).F,
+                       atol=1e-12)
 
 
 def test_largest_normalization(sp_system):
@@ -202,27 +204,28 @@ def test_spectral_quotient(sp_modal):
     assert spectral_quotient(sp_modal) == 4
 
 
-def test_nonresonance_passes_for_benchmark(sp_modal):
-    rep = check_nonresonance(sp_modal, spectral_quotient(sp_modal))
-    assert rep.passed
-    assert rep.sigma == 4
-    assert not rep.violations
-    # closest integer multiple is q = 4; margin |4*r - Re(lam_2)|
+def test_nonresonance_returns_the_smallest_relative_margin(sp_modal):
+    # the closest integer multiple is q = 4 on both slots of the enslaved
+    # pair: margin |4*r - Re(lam_2)| / |Re(lam_2)|
     r = sp_modal.eigenvalues[0].real
-    expected = abs(4 * r - sp_modal.eigenvalues[2].real)
-    assert rep.margins[2]["abs_margin"] == pytest.approx(expected, rel=1e-12)
-    assert rep.margins[2]["q"] == 4
+    re2 = sp_modal.eigenvalues[2].real
+    margin = check_nonresonance(sp_modal, spectral_quotient(sp_modal))
+    assert margin == pytest.approx(abs(4 * r - re2) / abs(re2), rel=1e-12)
 
 
-def test_nonresonance_detects_exact_violation():
+def test_nonresonance_raises_for_an_exact_violation():
     # c2 = c1/2 makes the second modal damper exactly 2*c1, so
-    # Re(lam_2) = 2*Re(lam_1) exactly: a 2nd-order real-part resonance.
+    # Re(lam_2) = 2*Re(lam_1) exactly: a 2nd-order real-part resonance,
+    # reported for the first violating slot
     sys = two_mass_system(c2=SP["c1"] / 2)
     mm = modal_decompose(to_first_order(sys))
-    rep = check_nonresonance(mm, sigma=4)
-    assert not rep.passed
-    assert (2, 0, 2) in rep.violations and (1, 1, 2) in rep.violations
-    assert any(l == 3 for (_, _, l) in rep.violations)
+    with pytest.raises(NonResonanceError) as info:
+        check_nonresonance(mm, sigma=4)
+    assert str(info.value) == (
+        "real-part resonance up to order 4: Re(lam_2) = 2*Re(lam_0) + "
+        "0*Re(lam_1) within tolerance; pass check=False to override")
+    # below order 2 nothing is refused, however small the margin
+    assert check_nonresonance(mm, sigma=1) < 1e-8
 
 
 def test_semisimplicity_error_on_critical_damping():
@@ -233,7 +236,8 @@ def test_semisimplicity_error_on_critical_damping():
 
 
 def test_overdamped_modes_are_handled():
-    mm = modal_decompose(to_first_order(overdamped_system()))
+    fos = to_first_order(overdamped_system())
+    mm = modal_decompose(fos)
     lam = mm.eigenvalues
     assert lam[0].imag > 0 and lam[1] == np.conj(lam[0])
     assert lam[2].imag == 0 and lam[3].imag == 0
@@ -243,7 +247,7 @@ def test_overdamped_modes_are_handled():
     q = mm.T_inv @ rng.standard_normal(4)
     lhs = mm.T @ (lam * q + mm.nonlinearity(q))
     x = mm.T @ q
-    rhs = mm.fos.A @ x + mm.fos.nonlinearity(x)
+    rhs = fos.A @ x + fos.nonlinearity(x)
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
@@ -349,8 +353,7 @@ def test_single_dof_is_vacuously_nonresonant():
                            g=[], f=np.ones(1))
     mm = modal_decompose(to_first_order(sys))
     assert spectral_quotient(mm) == 1
-    rep = check_nonresonance(mm, sigma=3)
-    assert rep.passed and not rep.margins
+    assert check_nonresonance(mm, sigma=3) == np.inf
 
 
 def test_validation_rejects_bad_inputs():

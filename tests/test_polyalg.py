@@ -5,14 +5,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ssm_resolve.model import to_first_order
+from ssm_resolve.model import modal_decompose, to_first_order
 from ssm_resolve.polyalg import (
     Monomials, dense_diff, dense_eval, dense_mask, dense_mul, dense_pow,
     dense_to_poly, dense_zero, even_val, graded_product_slice,
     odd_level_roots,
 )
 
-from conftest import MIXED_TERMS, with_terms
+from ssm_resolve.ssm_auto import compute_autonomous_ssm
+from ssm_resolve.ssm_forced import leading_forcing_coefficient
+
+from conftest import MIXED_TERMS, two_mass_system, with_terms
 
 
 def dense(order, terms):
@@ -443,3 +446,36 @@ def test_odd_level_roots_meet_the_level(p, level):
     assert np.all(np.abs(np.abs(a) - level) <= 1e-9 * scale)
     if len(p) == 2:
         assert rho.tobytes() == cubic_level_roots(p[0], p[1], level).tobytes()
+
+
+@pytest.fixture(scope="module")
+def drift_cases():
+    """(p, level, count) of two drift series with the crossings they have:
+    two-mass cut at M = 1 at eps 0.0027 (three folds below the merger),
+    and the quintic two-mass (extra damper 1.2) at order 13 at eps 0.0012;
+    level 0 gives the rest amplitudes."""
+    out = []
+    for system, order, eps, count in ((two_mass_system(), 3, 0.0027, 3),
+                                      (two_mass_system(quintic=1.2), 13,
+                                       0.0012, 5)):
+        mm = modal_decompose(to_first_order(system))
+        p = compute_autonomous_ssm(mm, order).radial_coefficients()
+        out.append((p, eps * abs(leading_forcing_coefficient(mm)), count))
+        out.append((p, 0.0, None))
+    return out
+
+
+@pytest.mark.parametrize("L", [1e-9, 1e-6, 1e-3, 1.0, 1e3, 1e6, 1e9])
+def test_odd_level_roots_scale_with_the_length_unit(drift_cases, L):
+    """In the length unit rho' = rho / L the series has p_i L**(2i) and
+    the level is level / L: every bound of the root filter is relative, so
+    the crossings are the old ones divided by L.  Before the bounds were
+    relative, the two-mass folds at L = 1e9 (about 1e-10) fell within the
+    absolute distinctness bound 1e-9 of each other and came out as one."""
+    for p, level, count in drift_cases:
+        want = odd_level_roots(p, level)
+        if count is not None:
+            assert len(want) == count
+        got = odd_level_roots(p * L ** (2.0 * np.arange(len(p))), level / L)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got * L - want) <= 1e-12 * want)

@@ -136,8 +136,11 @@ def _one_to_three_system(delta=0.005, omega=2.0):
 
 def test_one_to_three_resonance_is_caught_by_precheck():
     mm = modal_decompose(to_first_order(_one_to_three_system()))
-    with pytest.raises(NonResonanceError):
+    with pytest.raises(NonResonanceError) as info:
         compute_autonomous_ssm(mm, 3)
+    assert str(info.value) == (
+        "real-part resonance up to order 3: Re(lam_2) = 3*Re(lam_0) + "
+        "0*Re(lam_1) within tolerance; pass check=False to override")
 
 
 def test_one_to_three_resonance_aborts_recursion_when_unchecked():

@@ -7,7 +7,8 @@ import pytest
 
 from ssm_resolve.beam import BeamSpec, build_beam
 from ssm_resolve.errors import InternalResonanceError
-from ssm_resolve.model import to_first_order, modal_decompose
+from ssm_resolve.model import (MechanicalSystem, PolyTerm, modal_decompose,
+                               to_first_order)
 from ssm_resolve.polyalg import (dense_eval, dense_mask, dense_mul, dense_pow,
                                  dense_zero)
 from ssm_resolve.ssm_auto import compute_autonomous_ssm, residual_slope
@@ -71,10 +72,33 @@ def test_reduced_rows_mirror_under_conjugation(sp_forced):
 
 def test_no_missed_small_denominator_at_resonance(sp_forced, sp_modal):
     # with Omega at the master frequency, every denominator not classified
-    # as structurally resonant must stay clear of zero
+    # as structurally resonant must stay clear of zero: at least
+    # |2 M Re lambda_1| in size, relative to at most the largest guard scale
     half_order = len(sp_forced.c_res) - 1
     bound = abs(2 * half_order * sp_modal.lambda_master.real)
-    assert sp_forced.min_enslaved_den >= bound
+    scale = max(np.abs(sp_modal.eigenvalues).max(), abs(sp_forced.omega))
+    assert sp_forced.min_enslaved_den >= bound / scale
+
+
+@pytest.mark.parametrize("T", [1e-3, 1e3])
+def test_min_enslaved_den_does_not_depend_on_the_time_unit(sp_system, T):
+    """In the time unit tau = t / T every lambda_i and Omega scale by T,
+    and so do the denominators and their guard's scale: the margin is a
+    pure number."""
+    n = sp_system.M.shape[0]
+    scaled = MechanicalSystem(
+        M=sp_system.M, C=T * sp_system.C, K=T ** 2 * sp_system.K,
+        f=T ** 2 * sp_system.f,
+        g=[PolyTerm(t.row, t.coeff * T ** (2 - sum(t.exponents[n:])),
+                    t.exponents) for t in sp_system.g])
+    got, want = (
+        compute_nonautonomous_ssm(compute_autonomous_ssm(mm, 5),
+                                  1.02 * mm.lambda_master.imag)
+        for mm in (modal_decompose(to_first_order(s))
+                   for s in (scaled, sp_system)))
+    assert got.omega == pytest.approx(T * want.omega, rel=1e-12)
+    assert got.min_enslaved_den == pytest.approx(want.min_enslaved_den,
+                                                 rel=1e-12)
 
 
 def test_forced_residual_small_and_order_scaling(sp_modal):
