@@ -15,13 +15,13 @@ in docs/formats.md use mm, kg, s (so modulus is in kPa and forces in mN).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, asdict
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ValidationError
 from .model import MechanicalSystem, PolyTerm
-from .sysio import Lines, write_artifacts
+from .sysio import Lines
 
 
 @dataclass
@@ -116,22 +116,22 @@ def build_beam(spec: BeamSpec) -> MechanicalSystem:
     return MechanicalSystem(M=M, C=C, K=K, g=g, f=f, normalization="largest")
 
 
-def tip_index(sys: MechanicalSystem) -> int:
-    """Position-coordinate index of the tip deflection for a built beam."""
-    return sys.n - 2
-
-
 # ---------------------------------------------------------------------------
 # parameter files: "key value" lines, '#' comments; keys are BeamSpec fields
 # ---------------------------------------------------------------------------
 
 def read_beam_params(path) -> BeamSpec:
     values: dict = {}
+    first: dict = {}
     for no, line in Lines(path).items:
         parts = line.split()
         if len(parts) != 2:
             raise ValidationError(f"line {no}: expected 'key value', got {line!r}")
         key, val = parts
+        if key in first:
+            raise ValidationError(
+                f"line {no}: repeated key {key!r} (first on line {first[key]})")
+        first[key] = no
         cast, kind = (int, "integer") if key == "elements" else (float, "number")
         try:
             values[key] = cast(val)
@@ -143,9 +143,3 @@ def read_beam_params(path) -> BeamSpec:
         known = ", ".join(BeamSpec.__dataclass_fields__)
         raise ValidationError(
             f"beam parameter file must define exactly the fields: {known}") from exc
-
-
-def write_beam_params(spec: BeamSpec, path) -> None:
-    """Write a parameter file atomically, one "key value" line per field."""
-    write_artifacts([(path, "".join(f"{key} {val!r}\n"
-                                    for key, val in asdict(spec).items()))])

@@ -253,11 +253,19 @@ def _file_flags(path: str, parser: argparse.ArgumentParser,
     """A config file's keys as flags of ``command``, so that each value
     converts and is checked exactly as the same text typed after the flag.
     Numbers keep their JSON text; keys that only other commands read are
-    dropped, keys that no command reads are refused."""
+    dropped, keys that no command reads or that repeat are refused."""
+    def unique(pairs: list) -> dict:
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ValidationError(f"config file repeats key {key!r}")
+            seen.add(key)
+        return dict(pairs)
+
     try:
         with open(path) as fh:
             data = json.load(fh, parse_int=str, parse_float=str,
-                             parse_constant=str)
+                             parse_constant=str, object_pairs_hook=unique)
     except OSError as exc:
         raise ValidationError(f"cannot read config file: {exc}")
     except json.JSONDecodeError as exc:

@@ -192,13 +192,3 @@ def fixed_point_stability(rd: ReducedDynamics, u,
     eig = np.linalg.eigvals(jac)
     return StabilityReport(eigenvalues=eig, jacobian=jac,
                            label=str(_labels(rd, eig)))
-
-
-def polar_field(rd: ReducedDynamics, u, eps: float):
-    """The raw planar field (rho', psi') at u; singular at rho = 0."""
-    rho = np.asarray(u[0], dtype=float)
-    if np.any(rho <= 0):
-        raise SingularChartError(
-            "polar field is singular at rho = 0; use a positive amplitude")
-    f1, f2 = zero_problem(rd, u, eps=eps)
-    return f1, f2 / rho

@@ -226,20 +226,3 @@ def defect_report(defect: np.ndarray, scale: np.ndarray) -> dict:
     rel = defect / np.maximum(scale, 1e-300)
     return {"max_absolute": float(defect.max()),
             "max_relative": float(rel.max())}
-
-
-def residual_slope(residual) -> float:
-    """Log-log slope of the max relative defect vs sample radius, over 16
-    fixed random angles at each of seven radii from 1e-2 to 10**-0.8.
-
-    ``residual`` maps complex master samples s1 to a defect dict with a
-    ``"max_relative"`` entry: ``invariance_residual`` or
-    ``ssm_forced.forced_residual`` with its other arguments bound.
-    """
-    # stay above the floating-point floor of the defect at high orders
-    radii = np.logspace(-2, -0.8, 7)
-    angles = np.random.default_rng(0).uniform(0, 2 * np.pi, 16)
-    worst = [residual(r * np.exp(1j * angles))["max_relative"]
-             for r in radii]
-    slope = np.polyfit(np.log(radii), np.log(worst), 1)[0]
-    return float(slope)

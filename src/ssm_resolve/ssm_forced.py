@@ -368,12 +368,6 @@ def _march(cache: dict, lam: np.ndarray, f_half: np.ndarray,
     for step in cache["degrees"]:
         cols = step.cols
         lo = cols.start
-        if lo and step.cross is None and step.carry is None and step.jac is None:
-            # no operator: what a zero alpha writes (y keeps its zeros,
-            # as the product of t_active with zero columns)
-            np.multiply(0j, inv[..., cols], out=w[..., cols])
-            r[:, :, step.res] = -0j
-            continue
         alpha = np.zeros((n_om, 2, n2, cols.stop - lo), dtype=complex)
         if step.cross is not None:
             alpha += w[..., :lo] @ step.cross

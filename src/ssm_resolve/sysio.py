@@ -144,7 +144,9 @@ def read_system(path) -> MechanicalSystem:
         mats[label] = np.array([lines.row(n, f"row of {label}", f"{label} row")
                                 for _ in range(n)])
 
-    _, nterms = lines.count("g", "nterms", "term count")
+    no, nterms = lines.count("g", "nterms", "term count")
+    if nterms < 0:
+        raise ValidationError(f"line {no}: g must be >= 0")
     terms = []
     for _ in range(nterms):
         no, tline = lines.next("nonlinear term")

@@ -16,6 +16,7 @@ the tests start inherit the setting.
 """
 
 import os
+from dataclasses import asdict
 
 for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -23,8 +24,10 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 import numpy as np  # noqa: E402
 import pytest  # noqa: E402
 
+from ssm_resolve.beam import BeamSpec
 from ssm_resolve.model import (MechanicalSystem, PolyTerm, to_first_order,
                                modal_decompose)
+from ssm_resolve.reduced import ReducedDynamics, zero_problem
 
 # two-mass benchmark parameters
 SP = dict(m=1.0, c1=0.03, c2=np.sqrt(3) * 0.03, k=3.0,
@@ -78,6 +81,41 @@ def two_mass_gamma1() -> complex:
     m, kappa, alpha = SP["m"], SP["kappa"], SP["alpha"]
     lam = two_mass_lambda(1)
     return -3 * (alpha * lam ** 2 * np.conj(lam) + kappa) / (2 * m * (lam - np.conj(lam)))
+
+
+def tip_index(sys: MechanicalSystem) -> int:
+    """Position-coordinate index of a built beam's tip deflection."""
+    return sys.n - 2
+
+
+def write_beam_params(spec: BeamSpec, path) -> None:
+    """A beam parameter file, one "key value" line per field."""
+    path.write_text("".join(f"{key} {val!r}\n"
+                            for key, val in asdict(spec).items()))
+
+
+def polar_field(rd: ReducedDynamics, u, eps: float):
+    """The planar field (rho', psi') at u, rho > 0: ``zero_problem``'s
+    second component divided by rho; the reference the polar Jacobian is
+    differenced against."""
+    f1, f2 = zero_problem(rd, u, eps=eps)
+    return f1, f2 / u[0]
+
+
+def residual_slope(residual) -> float:
+    """Log-log slope of the max relative defect vs sample radius, over 16
+    fixed random angles at each of seven radii from 1e-2 to 10**-0.8.
+
+    ``residual`` maps complex master samples s1 to a defect dict with a
+    ``"max_relative"`` entry: ``invariance_residual`` or
+    ``ssm_forced.forced_residual`` with its other arguments bound.
+    """
+    # stay above the floating-point floor of the defect at high orders
+    radii = np.logspace(-2, -0.8, 7)
+    angles = np.random.default_rng(0).uniform(0, 2 * np.pi, 16)
+    worst = [residual(r * np.exp(1j * angles))["max_relative"]
+             for r in radii]
+    return float(np.polyfit(np.log(radii), np.log(worst), 1)[0])
 
 
 @pytest.fixture(scope="session")

@@ -13,21 +13,20 @@ import time
 import numpy as np
 import pytest
 
-from ssm_resolve.beam import BeamSpec, build_beam, tip_index
+from ssm_resolve.beam import BeamSpec, build_beam
 from ssm_resolve.frc import trace_frc, physical_amplitude
 from ssm_resolve.isola import (roots_of_a, classify_roots,
                                nonspurious_positive_roots, leading_isola)
 from ssm_resolve.model import to_first_order, modal_decompose
 from ssm_resolve.oracle import sweep, linear_frc_closed_form
-from ssm_resolve.reduced import assemble_polar, fixed_point_stability, \
-    polar_field
-from ssm_resolve.ssm_auto import (compute_autonomous_ssm,
-                                  invariance_residual, residual_slope)
+from ssm_resolve.reduced import assemble_polar, fixed_point_stability
+from ssm_resolve.ssm_auto import compute_autonomous_ssm, invariance_residual
 from ssm_resolve.ssm_forced import (compute_nonautonomous_ssm,
                                     leading_forcing_coefficient,
                                     forced_residual)
 
-from conftest import BEAM, SP, two_mass_system
+from conftest import (BEAM, SP, polar_field, residual_slope, tip_index,
+                      two_mass_system)
 
 #: finite-difference Jacobian eigenvalues inside this band of zero are
 #: treated as fold-degenerate (well above the O(h^2) differencing error,

@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from ssm_resolve.beam import (BeamSpec, build_beam, tip_index,
-                              read_beam_params, write_beam_params)
+from ssm_resolve.beam import BeamSpec, build_beam, read_beam_params
 from ssm_resolve.errors import ValidationError
 from ssm_resolve.model import to_first_order, modal_decompose
 
-from conftest import BEAM
+from conftest import BEAM, tip_index, write_beam_params
 
 
 def ref_spec(elements=25) -> BeamSpec:
@@ -127,6 +126,10 @@ def test_params_file_errors(tmp_path):
         read_beam_params(path)
     path.write_text("length 2700\n")
     with pytest.raises(ValidationError):
+        read_beam_params(path)
+    path.write_text("length 2700\n# again\nlength 1\n")
+    with pytest.raises(ValidationError,
+                       match=r"line 3: repeated key 'length' \(first on line 1\)"):
         read_beam_params(path)
     with pytest.raises(ValidationError):
         BeamSpec(elements=0, **BEAM)

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from ssm_resolve import cli, errors, oracle, sysio
-from ssm_resolve.beam import BeamSpec, build_beam, write_beam_params
+from ssm_resolve.beam import BeamSpec, build_beam
 from ssm_resolve.cli import (REQUIRED, _build_parser, _commands,
                              _config_hash, _options, _resolve, main)
 from ssm_resolve.frc import trace_frc
@@ -22,7 +22,7 @@ from ssm_resolve.oracle import sweep
 from ssm_resolve.ssm_auto import compute_autonomous_ssm
 from ssm_resolve.sysio import write_system
 
-from conftest import two_mass_system
+from conftest import two_mass_system, write_beam_params
 
 # cantilever reference parameters (mm / kg / s), as in test_beam
 BEAM = dict(length=2700.0, height=10.0, width=10.0, density=1780e-9,
@@ -883,6 +883,29 @@ def test_non_finite_beam_parameters_exit_two(tmp_path, capsys, field, value):
     assert (capsys.readouterr().err
             == f"error: beam parameter {field} must be finite\n")
     assert not out.exists()
+
+
+def test_repeated_keys_exit_two(tmp_path, capsys):
+    """A key given twice is refused, in a beam parameter file and in a
+    config file, rather than the last one silently winning."""
+    params = tmp_path / "beam.params"
+    write_beam_params(BeamSpec(elements=2, **BEAM), params)
+    lines = params.read_text().splitlines()
+    params.write_text("\n".join(lines + ["length 1.0"]) + "\n")
+    first = 1 + next(i for i, ln in enumerate(lines)
+                     if ln.startswith("length "))
+    out = tmp_path / "beam.txt"
+    assert main(["beam", "--params", str(params), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: line {len(lines) + 1}: repeated key 'length' "
+        f"(first on line {first})\n")
+    assert not out.exists()
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text('{"order": 5, "order": 3}')
+    assert main(["analyze", "--system", sp_file(tmp_path),
+                 "--config", str(cfgfile)]) == 2
+    assert ("config file repeats key 'order'"
+            in capsys.readouterr().err)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,10 @@ class of the package is read by the package itself: a tolerance or limit
 that no code reads only looks like a setting, and a private helper that
 only the tests call is dead code that the tests keep alive.  Every field
 of a dataclass is read somewhere too, or it only hands a caller back what
-it passed.  And a private name stays inside its module: no module of the
-package imports or reads another one's."""
+it passed.  Every public function, class and method is read by the
+package or the benchmark, or it is API that only the tests keep alive.  And
+a private name stays inside its module: no module of the package imports or
+reads another one's."""
 
 import ast
 import re
@@ -13,6 +15,7 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "ssm_resolve"
 PERFBENCH = SRC.parents[1] / "perfbench"
 CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
+DOTTED = re.compile(r"\w+(\.\w+)*")
 
 
 def _defined(tree: ast.Module) -> list[str]:
@@ -65,6 +68,43 @@ def test_every_private_function_and_class_is_read_in_src():
     unread = _unread(_private)
     assert not unread, f"private names that src/ never reads: {unread}"
 
+
+def _public(tree: ast.Module) -> list[str]:
+    """Functions, classes and methods not named ``_x``, at any depth."""
+    return [node.name for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                 ast.ClassDef))
+            and not node.name.startswith("_")]
+
+
+def _imported(tree: ast.Module) -> set[str]:
+    """Each name an import statement names, and each part of a dotted one."""
+    return {part for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            for alias in node.names for part in alias.name.split(".")}
+
+
+def _dotted_strings(tree: ast.Module) -> set[str]:
+    """Each part of a string constant spelled as a dotted name: the trace
+    targets name the functions they wrap as strings."""
+    return {part for node in ast.walk(tree)
+            if isinstance(node, ast.Constant) and isinstance(node.value, str)
+            and DOTTED.fullmatch(node.value)
+            for part in node.value.split(".")}
+
+
+def test_every_public_function_class_and_method_is_read_in_src_or_the_benchmark():
+    src = {p.name: ast.parse(p.read_text(), str(p))
+           for p in sorted(SRC.glob("*.py"))}
+    bench = [ast.parse(p.read_text(), str(p))
+             for p in sorted(PERFBENCH.glob("*.py"))]
+    named = set().union(*(_dotted_strings(t) for t in bench))
+    assert "compute_nonautonomous_ssm" in named
+    read = named.union(*(_read(t) | _imported(t)
+                         for t in [*src.values(), *bench]))
+    unread = [f"{name}:{f}" for name, tree in src.items()
+              for f in _public(tree) if f not in read]
+    assert not unread, f"public names nothing but the tests reads: {unread}"
 
 
 def _foreign_private(tree: ast.Module) -> list[str]:

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
-from conftest import BEAM, two_mass_system
-from ssm_resolve.beam import BeamSpec, build_beam, tip_index
+from conftest import BEAM, tip_index, two_mass_system
+from ssm_resolve.beam import BeamSpec, build_beam
 from ssm_resolve import cli, frc
 from ssm_resolve.errors import ValidationError
 from ssm_resolve.isola import fold_points, leading_isola

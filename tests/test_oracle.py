@@ -15,8 +15,8 @@ from scipy.integrate import solve_ivp
 from scipy.linalg import expm as scipy_expm
 from scipy.linalg import matrix_balance
 
-from conftest import two_mass_system
-from ssm_resolve.beam import BeamSpec, build_beam, tip_index
+from conftest import tip_index, two_mass_system
+from ssm_resolve.beam import BeamSpec, build_beam
 from ssm_resolve.errors import DivergenceError, ValidationError
 from ssm_resolve.frc import _psi_roots, physical_amplitude, trace_frc
 from ssm_resolve.model import (MechanicalSystem, modal_decompose,

@@ -3,7 +3,7 @@ coefficient double loop, and the compiled monomial nonlinearity."""
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ssm_resolve.model import modal_decompose, to_first_order
 from ssm_resolve.polyalg import (
@@ -415,17 +415,20 @@ def test_graded_product_slice_reads_only_lower_slices():
 
 def cubic_level_roots(a1, a3, level):
     """The real rho >= 0 with |a1 rho + a3 rho**3| = level: the cubic loop
-    that ``odd_level_roots`` generalises, kept as its reference."""
+    that ``odd_level_roots`` generalises, kept as its reference with the
+    same relative bounds (off the real axis by at most 1e-8 of the root's
+    size, above -1e-14 of the largest root, one root within 1e-9)."""
     found = []
     for rhs in (level, -level):
         r = np.roots([a3, 0.0, a1, -rhs])
+        floor = -1e-14 * np.abs(r).max(initial=0.0)
         for z in r:
-            if abs(z.imag) <= 1e-8 * max(1.0, abs(z.real)) and z.real >= -1e-14:
+            if abs(z.imag) <= 1e-8 * abs(z) and z.real >= floor:
                 found.append(max(float(z.real), 0.0))
     found.sort()
     out = []
     for r in found:
-        if not out or r - out[-1] > 1e-9 * max(1.0, r):
+        if not out or r - out[-1] > 1e-9 * r:
             out.append(r)
     return np.asarray(out)
 
@@ -446,6 +449,23 @@ def test_odd_level_roots_meet_the_level(p, level):
     assert np.all(np.abs(np.abs(a) - level) <= 1e-9 * scale)
     if len(p) == 2:
         assert rho.tobytes() == cubic_level_roots(p[0], p[1], level).tobytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-6, 1), st.floats(-2, 3), st.floats(-12, -6),
+       st.sampled_from([-1, 1]))
+# an absolute imaginary bound of 1e-8 takes this complex pair as a root
+@example(np.log10(1.82e-6), np.log10(656.9), np.log10(8.7e-8), 1)
+def test_odd_level_roots_near_the_merger(log_a1, log_a3, log_delta, sign):
+    """For a1 < 0 < a3, a level just above the merger level |a(rho*)| at
+    rho* = sqrt(-a1 / (3 a3)) meets a once, and one just below meets it
+    three times, however close the two roots near rho* come."""
+    a1, a3 = -10.0 ** log_a1, 10.0 ** log_a3
+    merger = -2.0 / 3.0 * a1 * np.sqrt(-a1 / (3.0 * a3))
+    level = merger * (1.0 + sign * 10.0 ** log_delta)
+    rho = odd_level_roots(np.array([a1, a3]), level)
+    assert len(rho) == (1 if sign > 0 else 3)
+    assert rho.tobytes() == cubic_level_roots(a1, a3, level).tobytes()
 
 
 @pytest.fixture(scope="module")

@@ -9,9 +9,9 @@ from ssm_resolve.polyalg import dense_eval
 from ssm_resolve.ssm_auto import compute_autonomous_ssm
 from ssm_resolve.ssm_forced import compute_nonautonomous_ssm
 from ssm_resolve.reduced import (assemble_polar, zero_problem, FixedPointU,
-                                 fixed_point_stability, polar_field)
+                                 fixed_point_stability)
 
-from conftest import two_mass_system
+from conftest import polar_field, two_mass_system
 
 
 @pytest.fixture(scope="module")
@@ -110,8 +110,6 @@ def test_jacobian_matches_finite_differences(sp_rd):
 def test_singular_chart_at_zero_amplitude(sp_rd):
     with pytest.raises(SingularChartError):
         fixed_point_stability(sp_rd, (0.0, sp_rd.omega, 0.3), EPS)
-    with pytest.raises(SingularChartError):
-        polar_field(sp_rd, (0.0, sp_rd.omega, 0.3), EPS)
 
 
 def test_unforced_radial_flow_sign_structure(sp_ssm, sp_fr):

@@ -11,11 +11,10 @@ from ssm_resolve.model import (MechanicalSystem, PolyTerm, to_first_order,
                                modal_decompose)
 from ssm_resolve.beam import BeamSpec, build_beam
 from ssm_resolve.polyalg import dense_eval, dense_mul, dense_pow, dense_zero
-from ssm_resolve.ssm_auto import (compute_autonomous_ssm, invariance_residual,
-                                  residual_slope)
+from ssm_resolve.ssm_auto import compute_autonomous_ssm, invariance_residual
 
-from conftest import (BEAM, MIXED_TERMS, two_mass_system, two_mass_gamma1,
-                      with_terms)
+from conftest import (BEAM, MIXED_TERMS, residual_slope, two_mass_system,
+                      two_mass_gamma1, with_terms)
 
 
 # frozen outputs of the closed-form oracles (guards against oracle edits)

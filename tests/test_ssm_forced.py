@@ -11,23 +11,18 @@ from ssm_resolve.model import (MechanicalSystem, PolyTerm, modal_decompose,
                                to_first_order)
 from ssm_resolve.polyalg import (dense_eval, dense_mask, dense_mul, dense_pow,
                                  dense_zero)
-from ssm_resolve.ssm_auto import compute_autonomous_ssm, residual_slope
+from ssm_resolve.ssm_auto import compute_autonomous_ssm
 from ssm_resolve import ssm_forced
 from ssm_resolve.ssm_forced import (_jacobian_factors,
                                     compute_nonautonomous_ssm,
                                     leading_forcing_coefficient,
                                     forced_residual)
 
-from conftest import (MIXED_TERMS, two_mass_lambda, two_mass_system,
-                      with_terms)
+from conftest import (BEAM, MIXED_TERMS, residual_slope, two_mass_lambda,
+                      two_mass_system, with_terms)
 
 # frozen leading forcing coefficient of the two-mass benchmark
 C00_TWO_MASS = -0.21651447039099153j
-
-# cantilever reference parameters (mm / kg / s), as in test_beam
-BEAM = dict(length=2700.0, height=10.0, width=10.0, density=1780e-9,
-            modulus=45e6, cubic_spring=6.0, cubic_damper=-0.02,
-            mass_damping=1.25e-4, stiffness_damping=2.5e-4, tip_force=0.1)
 
 #: forced reductions recorded from the coefficient-by-coefficient recursion
 #: that the compiled per-degree solve replaced: keys "<case>_<k>_<field>"
@@ -190,36 +185,6 @@ def test_batched_march_equals_one_omega_solves_byte_for_byte(
         dense = got.dense(got.w)
         assert dense.shape == (2, len(mm.eigenvalues), order, order)
         assert dense.tobytes() == one.dense(one.w).tobytes()
-
-
-@pytest.mark.parametrize("case", ["cubic", "beam25", "linear"])
-def test_degree_without_operators_writes_what_a_zero_alpha_writes(
-        case, monkeypatch):
-    """A degree with no cross, carry or Jacobian operator (degree 1 of an
-    odd system, every degree above 0 of a linear one, resonant slots
-    included) skips the march's passes but leaves the same bytes."""
-    if case == "beam25":
-        mm = modal_decompose(to_first_order(build_beam(
-            BeamSpec(elements=25, **BEAM))), normalization="largest")
-    else:
-        mm = modal_decompose(to_first_order(two_mass_system(
-            **({"kappa": 0.0, "alpha": 0.0} if case == "linear" else {}))))
-    ssm = compute_autonomous_ssm(mm, 5, check=False)
-    omegas = mm.lambda_master.imag * np.linspace(0.9, 1.1, 23)
-    skipped = compute_nonautonomous_ssm(ssm, omegas)
-    empty = [step for step in ssm.caches["forced"]["degrees"]
-             if step.cols.start and step.cross is None
-             and step.carry is None and step.jac is None]
-    assert empty
-    # an all-zero cross operator sends the degree through the full passes
-    # with alpha exactly zero
-    for step in empty:
-        monkeypatch.setattr(step, "cross", np.zeros(
-            (step.cols.start, step.cols.stop - step.cols.start), complex))
-    full = compute_nonautonomous_ssm(ssm, omegas)
-    for name in ("w", "r", "c_res", "d_pm", "min_enslaved_den"):
-        assert getattr(skipped, name).tobytes() == getattr(
-            full, name).tobytes(), name
 
 
 def test_batch_with_one_near_resonant_omega_names_it():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ssm_resolve import sysio
-from ssm_resolve.beam import BeamSpec, build_beam, write_beam_params
+from ssm_resolve.beam import BeamSpec, build_beam
 from ssm_resolve.errors import ValidationError
 from ssm_resolve.model import MechanicalSystem, PolyTerm
 from ssm_resolve.sysio import read_system, write_artifacts, write_system, MAGIC
@@ -67,14 +67,19 @@ def test_comments_and_blank_lines_ignored(tmp_path):
     (lambda t: "\n".join(t.splitlines()[:-1]), "truncated"),
     (lambda t: t + "extra junk\n", "trailing junk"),
     (lambda t: t.replace("g 2", "g 5"), "wrong term count"),
+    # no term lines: a negative count must not read as zero terms
+    (lambda t: t.split("g 2")[0] + "g -2\nf" + t.split("\nf")[1],
+     "negative term count"),
 ])
 def test_parse_errors(tmp_path, mutate, what):
     sys = two_mass_system()
     path = tmp_path / "sys.txt"
     write_system(sys, path)
     path.write_text(mutate(path.read_text()))
-    with pytest.raises(ValidationError):
+    with pytest.raises(ValidationError) as err:
         read_system(path)
+    if what == "negative term count":
+        assert str(err.value) == "line 12: g must be >= 0"
 
 
 def test_row_width_checked(tmp_path):
@@ -156,7 +161,7 @@ def test_matrix_errors_name_the_first_bad_line(tmp_path, rows, line,
     assert str(err.value) == want
 
 
-@pytest.mark.parametrize("writer", ["system", "beam_params", "artifacts"])
+@pytest.mark.parametrize("writer", ["system", "artifacts"])
 def test_failed_replace_leaves_neither_target_nor_part_file(writer, tmp_path,
                                                             monkeypatch):
     """Every writer goes through ``write_artifacts``: when the final rename
@@ -176,8 +181,6 @@ def test_failed_replace_leaves_neither_target_nor_part_file(writer, tmp_path,
     with pytest.raises(OSError, match="disk full"):
         if writer == "system":
             write_system(two_mass_system(), path)
-        elif writer == "beam_params":
-            write_beam_params(BeamSpec(**BEAM), path)
         else:
             write_artifacts([(str(first), "a\n"), (str(path), "b\n")])
     assert calls[-1] == str(path)
