@@ -7,7 +7,7 @@ f1 + i f2 = R e^{i phi}, the radial equation reads
     eps R cos(psi - phi) = -a,
 
 so its two phases are psi = phi -+ theta, theta = atan2(sqrt(disc), -a),
-with the discriminant  disc = eps**2 (f1**2 + f2**2) - a**2.  The branches
+with the discriminant  disc = (eps R - |a|)(eps R + |a|).  The branches
 keep the names of the tangent half-angle roots K = tan(psi/2) they equal:
 K+ is psi = phi - theta and K- is psi = phi + theta.
 Real responses exist where disc >= 0; disc = 0 marks folds of the response
@@ -59,7 +59,7 @@ Newton steps on the analytic derivatives polish it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -69,7 +69,7 @@ from .ssm_auto import AutonomousSsm
 from .ssm_forced import (ForcedReduction, compute_nonautonomous_ssm,
                          leading_forcing_coefficient)
 from .reduced import (ReducedDynamics, FixedPointU, assemble_polar,
-                      phase_residual, zero_problem, stability_labels)
+                      zero_problem, stability_labels)
 
 #: convergence target on |G| in the Omega solve
 G_TOL = 1e-12
@@ -94,16 +94,22 @@ def _psi_roots(rd: ReducedDynamics, rho, eps: float, root):
 
     With R e^{i phi} = f1 + i f2 the radial equation reads
     eps R cos(psi - phi) = -a, so K+ is psi = phi - theta and K- is
-    psi = phi + theta, theta = atan2(sqrt(disc), -a).  The double root
-    takes sqrt(disc) as 0: the merged root at a fold, and past one still
-    defined (psi = phi where a < 0, phi + pi where a > 0).
+    psi = phi + theta, theta = atan2(sqrt(disc), -a), with
+    disc = (eps R - |a|)(eps R + |a|).  sqrt(disc) is the product of the
+    factors' roots, which does not underflow, and where disc itself
+    underflows to zero it reads eps R - |a|, whose sign it keeps.  The
+    double root takes sqrt(disc) as 0: the merged root at a fold, and past
+    one still defined (psi = phi where a < 0, phi + pi where a > 0).
     """
-    a, f1, f2 = rd.a_of(rho), rd.f1_of(rho), rd.f2_of(rho)
-    disc = eps ** 2 * (f1 ** 2 + f2 ** 2) - a ** 2
+    a, _, f1, f2 = rd.at(rho)[:4]
+    r = eps * np.hypot(f1, f2)
+    below, above = r - np.abs(a), r + np.abs(a)
     with np.errstate(invalid="ignore"):
-        theta = np.arctan2(np.where(root == DOUBLE_ROOT, 0.0, np.sqrt(disc)),
-                           -a)
-    return np.arctan2(f2, f1) + np.where(root == 0, -theta, theta), disc
+        root_disc = np.sqrt(below) * np.sqrt(above)
+    theta = np.arctan2(np.where(root == DOUBLE_ROOT, 0.0, root_disc), -a)
+    disc = below * above
+    return (np.arctan2(f2, f1) + np.where(root == 0, -theta, theta),
+            np.where(disc == 0, below, disc))
 
 
 @dataclass
@@ -153,12 +159,6 @@ def _interval_rows(ssm: AutonomousSsm, eps: float,
     inside = np.abs(mid * even_val(p, mid)) <= level
     empty = np.searchsorted(grid, lo) == np.searchsorted(grid, hi, "right")
     return mid[inside & empty]
-
-
-def _columns(rd: ReducedDynamics, idx) -> ReducedDynamics:
-    """The frequencies ``idx`` (an index array) of stacked polar data."""
-    return replace(rd, omega=rd.omega[idx], f1=rd.f1[:, idx],
-                   f2=rd.f2[:, idx], g1=rd.g1[:, idx], g2=rd.g2[:, idx])
 
 
 def _secant(rho: float, root: int, om: float, got=None):
@@ -251,9 +251,9 @@ def _rounds(ssm: AutonomousSsm, eps: float, gens: dict):
         member = np.array([distinct.setdefault(om, len(distinct))
                            for om in omega.tolist()])
         batch = compute_nonautonomous_ssm(ssm, np.array(list(distinct)))
-        rd = _columns(assemble_polar(ssm, batch), member)
+        rd = assemble_polar(ssm, batch).take(member)
         psi, disc = _psi_roots(rd, rho, eps, root)
-        g = phase_residual(rd, rho, omega, eps, psi).tolist()
+        g = zero_problem(rd, (rho, omega, psi), eps)[1].tolist()
         got = [(None if math.isnan(gi) else gi, di, at)
                for at, (gi, di) in enumerate(zip(g, disc.tolist()))]
         finished = []
@@ -341,7 +341,7 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
         if not done:
             continue
         ps, om, at = (np.array(c) for c in zip(*done))
-        here = _columns(rd, at)
+        here = rd.take(at)
         f1v, f2v = zero_problem(here, (rho[ps], om, psi[at]), eps=eps)
         bad = np.maximum(np.abs(f1v), np.abs(f2v)) > POINT_TOL
         outside = np.zeros_like(bad)
@@ -354,7 +354,7 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
         keep = np.flatnonzero(~bad & ~outside)
         if not keep.size:
             continue
-        labels = stability_labels(_columns(here, keep), rho[ps[keep]],
+        labels = stability_labels(here.take(keep), rho[ps[keep]],
                                   psi[at[keep]], eps=eps)
         for j, label in zip(keep.tolist(), labels.tolist()):
             p = int(ps[j])

@@ -189,10 +189,6 @@ class ModalModel:
     def lambda_master(self) -> complex:
         return complex(self.eigenvalues[0])
 
-    def nonlinearity(self, q: np.ndarray) -> np.ndarray:
-        """Evaluate the modal nonlinearity at q: (2n,) or (2n, npts)."""
-        return self.monomials.value(self.T @ q)
-
 
 def _normalize_vector(v: np.ndarray, n: int, policy: str) -> np.ndarray:
     """Apply the eigenvector scaling policy (deterministic)."""

@@ -61,7 +61,7 @@ def even_dval(coeffs: np.ndarray, rho):
     rho."""
     rho = np.asarray(rho, dtype=float)
     if len(coeffs) < 2:
-        return np.zeros_like(rho)
+        return np.zeros(np.shape(coeffs[0] * rho))
     idx = np.arange(1, len(coeffs)).reshape((-1,) + (1,) * (coeffs.ndim - 1))
     return rho * horner(2 * idx * coeffs[1:], rho ** 2)
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ValidationError, SingularChartError
-from .polyalg import even_dval, even_val, odd_dval
+from .polyalg import even_dval, even_val
 from .ssm_auto import AutonomousSsm
 from .ssm_forced import ForcedReduction
 
@@ -34,42 +34,32 @@ STABILITY_MARGIN = 1e-8
 class ReducedDynamics:
     """Coefficients of the planar polar field at one forcing frequency.
 
-    Stacked polar data of several frequencies keep the power on axis 0 of
-    ``f1``/``f2``/``g1``/``g2`` and one column per frequency (``omega`` an
-    array); every ``*_of`` then takes one rho per column.  The forcing
+    ``series[i, k]`` is the rho**(2i) coefficient of the even series k of
+    a/rho, b, f1, f2, g1 and g2, in turn.  Stacked polar data of several
+    frequencies add a trailing axis, one column per frequency (``omega``
+    an array), and ``at`` then takes one rho per column.  The forcing
     amplitude eps is not part of them: the field's functions take it.
     """
-    omega: float
-    a_coeffs: np.ndarray
-    b_coeffs: np.ndarray
-    f1: np.ndarray
-    f2: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
+    omega: float | np.ndarray
+    series: np.ndarray
 
-    def a_of(self, rho):
-        return np.asarray(rho) * even_val(self.a_coeffs, rho)
+    def take(self, idx) -> ReducedDynamics:
+        """Members ``idx`` of stacked polar data: an integer gives one
+        frequency, an array of them a stack."""
+        return ReducedDynamics(omega=self.omega[idx],
+                               series=self.series[..., idx])
 
-    def da_of(self, rho):
-        return odd_dval(self.a_coeffs, rho)
-
-    def b_of(self, rho):
-        return even_val(self.b_coeffs, rho)
-
-    def db_of(self, rho):
-        return even_dval(self.b_coeffs, rho)
-
-    def f1_of(self, rho):
-        return even_val(self.f1, rho)
-
-    def f2_of(self, rho):
-        return even_val(self.f2, rho)
-
-    def g1_of(self, rho):
-        return even_val(self.g1, rho)
-
-    def g2_of(self, rho):
-        return even_val(self.g2, rho)
+    def at(self, rho, slopes: bool = False):
+        """(6, ...) values of a, b, f1, f2, g1 and g2 at rho, and with
+        ``slopes`` their (6, ...) d/drho as well: one even_val (and one
+        even_dval) for all six.  A stack takes one rho per column."""
+        rho = np.asarray(rho, dtype=float)
+        val = even_val(self.series, rho)
+        if slopes:
+            slope = even_dval(self.series, rho)
+            slope[0] = val[0] + rho * slope[0]
+        val[0] = rho * val[0]
+        return (val, slope) if slopes else val
 
 
 @dataclass
@@ -101,11 +91,11 @@ def assemble_polar(ssm: AutonomousSsm, fr: ForcedReduction
             f"forced correction was computed at order {fr.order}, "
             f"manifold at order {ssm.order}")
     c, d = fr.c_res.T, fr.d_pm.T
-    return ReducedDynamics(omega=fr.omega,
-                           a_coeffs=ssm.radial_coefficients(),
-                           b_coeffs=ssm.phase_coefficients(),
-                           f1=c.real + d.real, f2=c.imag - d.imag,
-                           g1=c.imag + d.imag, g2=c.real - d.real)
+    a, b = (x.reshape(x.shape + (1,) * (c.ndim - 1)) for x in
+            (ssm.radial_coefficients(), ssm.phase_coefficients()))
+    series = np.broadcast_arrays(a, b, c.real + d.real, c.imag - d.imag,
+                                 c.imag + d.imag, c.real - d.real)
+    return ReducedDynamics(omega=fr.omega, series=np.stack(series, axis=1))
 
 
 def zero_problem(rd: ReducedDynamics, u, eps: float):
@@ -116,17 +106,10 @@ def zero_problem(rd: ReducedDynamics, u, eps: float):
     """
     rho, omega, psi = u
     rho = np.asarray(rho, dtype=float)
-    f1 = rd.a_of(rho) + eps * (rd.f1_of(rho) * np.cos(psi)
-                               + rd.f2_of(rho) * np.sin(psi))
-    return f1, phase_residual(rd, rho, omega, eps, psi)
-
-
-def phase_residual(rd: ReducedDynamics, rho, omega, eps: float, psi):
-    """Second component of ``zero_problem``, rho * psi' at (rho, Omega,
-    psi): (b - Omega) rho + eps (g1 cos psi - g2 sin psi)."""
-    return ((rd.b_of(rho) - omega) * rho
-            + eps * (rd.g1_of(rho) * np.cos(psi)
-                     - rd.g2_of(rho) * np.sin(psi)))
+    a, b, f1, f2, g1, g2 = rd.at(rho)
+    cp, sp = np.cos(psi), np.sin(psi)
+    return (a + eps * (f1 * cp + f2 * sp),
+            (b - omega) * rho + eps * (g1 * cp - g2 * sp))
 
 
 @dataclass
@@ -138,17 +121,20 @@ class StabilityReport:
 
 
 def _polar_jacobian(rd: ReducedDynamics, rho, psi, eps: float) -> np.ndarray:
-    """(..., 2, 2) Jacobian of the planar field (rho', psi') in (rho, psi)."""
+    """(..., 2, 2) Jacobian of the planar field (rho', psi') in (rho, psi),
+    which the chart's 1/rho makes singular at rho <= 0."""
+    if np.any(np.asarray(rho) <= 0):
+        raise SingularChartError(
+            "stability chart is singular at rho = 0; use a positive amplitude")
     cp, sp = np.cos(psi), np.sin(psi)
-    f1, f2 = rd.f1_of(rho), rd.f2_of(rho)
-    g1, g2 = rd.g1_of(rho), rd.g2_of(rho)
-    dg1, dg2 = even_dval(rd.g1, rho), even_dval(rd.g2, rho)
+    val, slope = rd.at(rho, slopes=True)
+    _, _, f1, f2, g1, g2 = val
+    da, db, df1, df2, dg1, dg2 = slope
 
-    j11 = rd.da_of(rho) + eps * (even_dval(rd.f1, rho) * cp
-                                 + even_dval(rd.f2, rho) * sp)
+    j11 = da + eps * (df1 * cp + df2 * sp)
     j12 = eps * (-f1 * sp + f2 * cp)
-    j21 = rd.db_of(rho) + eps * ((dg1 / rho - g1 / rho ** 2) * cp
-                                 - (dg2 / rho - g2 / rho ** 2) * sp)
+    j21 = db + eps * ((dg1 / rho - g1 / rho ** 2) * cp
+                      - (dg2 / rho - g2 / rho ** 2) * sp)
     j22 = eps * (-g1 * sp - g2 * cp) / rho
     jac = np.array([[j11, j12], [j21, j22]], dtype=float)
     return np.moveaxis(jac, (0, 1), (-2, -1))
@@ -157,8 +143,8 @@ def _polar_jacobian(rd: ReducedDynamics, rho, psi, eps: float) -> np.ndarray:
 def _labels(rd: ReducedDynamics, eig: np.ndarray) -> np.ndarray:
     """Stability label of each row of eigenvalue pairs of ``rd``'s field."""
     re = eig.real
-    margin = STABILITY_MARGIN * abs(complex(rd.a_coeffs[0], rd.b_coeffs[0]))
-    return np.where(np.any(np.abs(re) < margin, axis=-1),
+    margin = STABILITY_MARGIN * np.hypot(rd.series[0, 0], rd.series[0, 1])
+    return np.where(np.any(np.abs(re) < margin[..., None], axis=-1),
                     "fold-degenerate",
                     np.where(np.all(re < 0, axis=-1), "stable", "unstable"))
 
@@ -167,10 +153,6 @@ def stability_labels(rd: ReducedDynamics, rho, psi,
                      eps: float) -> np.ndarray:
     """Labels of the fixed points (rho[j], psi[j]) of stacked polar data
     ``rd``, column j each: fixed_point_stability's, for a batch at once."""
-    rho = np.asarray(rho, dtype=float)
-    if np.any(rho <= 0):
-        raise SingularChartError(
-            "stability chart is singular at rho = 0; use a positive amplitude")
     return _labels(rd, np.linalg.eigvals(_polar_jacobian(rd, rho, psi, eps)))
 
 
@@ -182,13 +164,10 @@ def fixed_point_stability(rd: ReducedDynamics, u,
     1/rho forcing term — analytically in (rho, psi) at fixed Omega and eps.
     Both eigenvalue real parts negative means stable; a real part within
     STABILITY_MARGIN * |lambda_master| of zero is reported as
-    fold-degenerate (lambda_master = a_coeffs[0] + i b_coeffs[0]).
+    fold-degenerate (lambda_master = a_0 + i b_0, the series' constant
+    terms).
     """
-    rho, psi = float(u[0]), float(u[2])
-    if rho <= 0:
-        raise SingularChartError(
-            "stability chart is singular at rho = 0; use a positive amplitude")
-    jac = _polar_jacobian(rd, rho, psi, eps)
+    jac = _polar_jacobian(rd, float(u[0]), float(u[2]), eps)
     eig = np.linalg.eigvals(jac)
     return StabilityReport(eigenvalues=eig, jacobian=jac,
                            label=str(_labels(rd, eig)))

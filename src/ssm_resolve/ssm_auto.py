@@ -215,7 +215,7 @@ def invariance_residual(ssm: AutonomousSsm, samples) -> dict:
     w, dw_1, dw_2 = dense_jet(ssm.w0_dense, s1, s2)
     r0 = ssm.r0_at(s1, s2)
     lin = mm.eigenvalues[:, None] * w
-    res = lin + mm.nonlinearity(w) - dw_1 * r0[0] - dw_2 * r0[1]
+    res = lin + mm.monomials.value(mm.T @ w) - dw_1 * r0[0] - dw_2 * r0[1]
     return defect_report(np.linalg.norm(res, axis=0),
                          np.linalg.norm(lin, axis=0))
 

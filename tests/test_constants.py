@@ -85,12 +85,14 @@ def _imported(tree: ast.Module) -> set[str]:
 
 
 def _dotted_strings(tree: ast.Module) -> set[str]:
-    """Each part of a string constant spelled as a dotted name: the trace
-    targets name the functions they wrap as strings."""
-    return {part for node in ast.walk(tree)
+    """The last part of each string constant spelled as a dotted name, the
+    package's module paths aside: the trace targets name the functions they
+    wrap as strings, while ``"ssm_resolve.frc"`` names a module and
+    ``"frc.points_accepted"`` a metric, so neither reads a name ``frc``."""
+    return {node.value.rsplit(".", 1)[-1] for node in ast.walk(tree)
             if isinstance(node, ast.Constant) and isinstance(node.value, str)
             and DOTTED.fullmatch(node.value)
-            for part in node.value.split(".")}
+            and not node.value.startswith(SRC.name + ".")}
 
 
 def test_every_public_function_class_and_method_is_read_in_src_or_the_benchmark():

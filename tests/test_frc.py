@@ -9,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from scipy.optimize import brentq, minimize_scalar
 
 from conftest import BEAM, tip_index, two_mass_system
@@ -27,7 +27,7 @@ from ssm_resolve.ssm_forced import (compute_nonautonomous_ssm,
 from ssm_resolve.svgplot import PALETTE, frc_svg
 from ssm_resolve.sysio import write_system
 from ssm_resolve.reduced import (ReducedDynamics, FixedPointU, assemble_polar,
-                                 phase_residual, zero_problem)
+                                 zero_problem)
 from ssm_resolve.frc import (BRANCHES, DOUBLE_ROOT, trace_frc,
                              physical_amplitude, physical_amplitudes,
                              _psi_roots)
@@ -48,10 +48,8 @@ def _double_roots(ssm, eps: float, rho):
 
 
 def _synthetic_rd(a, f1, f2):
-    return ReducedDynamics(omega=1.0, a_coeffs=np.array([a]),
-                           b_coeffs=np.array([1.0]),
-                           f1=np.array([f1]), f2=np.array([f2]),
-                           g1=np.array([0.0]), g2=np.array([0.0]))
+    return ReducedDynamics(omega=1.0,
+                           series=np.array([[a, 1.0, f1, f2, 0.0, 0.0]]))
 
 
 #: request roots K+, K- and the double root, in turn
@@ -117,20 +115,24 @@ class TestPsiRoots:
             assert got.tobytes() == psi.tobytes(), k
             assert got_disc == disc * 4.0 ** k, k
 
-    # coefficients whose squares stay normal floats: below that, disc
-    # underflows and so no longer tells the branches apart
-    _coefficient = st.floats(-1, 1).filter(lambda x: x == 0
-                                           or abs(x) > 1e-100)
-
     @settings(max_examples=300, deadline=None)
-    @given(_coefficient, _coefficient, _coefficient, st.floats(1e-4, 1))
+    @given(st.floats(-1, 1), st.floats(-1, 1), st.floats(-1, 1),
+           st.floats(1e-4, 1))
+    # squares of the coefficients, and the product of the discriminant's
+    # factors, underflow here
+    @example(0.0, 0.0, 1.8e-305, 1.0)
+    @example(0.0, 0.0, 1.28e-237, 1.0)
+    @example(1.28e-237, 0.0, 0.0, 1.0)
+    @example(1e-310, 1e-310, 1e-310, 0.7862726796796387)
     def test_radial_residual_vanishes_to_rounding(self, a, f1, f2, eps):
         rd = _synthetic_rd(a, f1, f2)
         psi, disc = _psi_roots(rd, 0.5, eps, ROOTS[:2])
         assume(disc >= 0)
         radial, _ = zero_problem(rd, (0.5, 1.0, psi), eps=eps)
-        scale = abs(rd.a_of(0.5)) + eps * math.hypot(f1, f2)
-        assert np.abs(radial).max() <= 8 * 2.0 ** -52 * scale
+        scale = abs(rd.at(0.5)[0]) + eps * math.hypot(f1, f2)
+        # a product in the subnormal range rounds to the nearest multiple
+        # of 2**-1074, not relatively: four of them bound its share
+        assert np.abs(radial).max() <= 8 * 2.0 ** -52 * scale + 2.0 ** -1072
 
 
 class TestFrcG:
@@ -140,7 +142,7 @@ class TestFrcG:
     @staticmethod
     def _g(rd, rho, omega, eps, branch):
         psi, _ = _psi_roots(rd, rho, eps, BRANCHES.index(branch))
-        return float(phase_residual(rd, rho, omega, eps, psi))
+        return float(zero_problem(rd, (rho, omega, psi), eps)[1])
 
     def test_missing_branch_gives_nan(self):
         # the trace reads NaN as "no branch here"
@@ -286,7 +288,8 @@ class TestTwoMassTrace:
             assert om is not None
             rd = assemble_polar(sp_ssm3,
                                 compute_nonautonomous_ssm(sp_ssm3, om))
-            scale = fc.eps ** 2 * (rd.f1_of(rho_f) ** 2 + rd.f2_of(rho_f) ** 2)
+            _, _, f1, f2, _, _ = rd.at(rho_f)
+            scale = fc.eps ** 2 * (f1 ** 2 + f2 ** 2)
             assert abs(d) <= 1e-12 * scale
 
     def test_branches_join_only_near_folds(self, sp_trace_isola):
@@ -778,15 +781,22 @@ def _same(got, want) -> bool:
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.floats(-10, 10), min_size=4, max_size=4),
-       st.floats(-10, 10), st.floats(1e-9, 20))
-def test_brent_matches_scipy_brentq_bit_for_bit(coeffs, a, width):
-    c0, c1, c2, c3 = coeffs
+@given(st.lists(st.floats(-10, 10), min_size=3, max_size=3),
+       st.floats(-10, 10), st.floats(1e-9, 20), st.floats(0, 1))
+def test_brent_matches_scipy_brentq_bit_for_bit(coeffs, a, width, split):
+    c1, c2, c3 = coeffs
+    b = a + width
+
+    def nonconstant(x):
+        return ((c3 * x + c2) * x + c1) * x
+
+    # c0 puts a sign change in [a, b], at ``split`` of the way through the
+    # other terms' rise over it, so that few draws miss a bracket
+    c0 = -(nonconstant(a) + split * (nonconstant(b) - nonconstant(a)))
 
     def cubic(x):
-        return ((c3 * x + c2) * x + c1) * x + c0
+        return nonconstant(x) + c0
 
-    b = a + width
     assume(cubic(a) * cubic(b) < 0)
     got, want = _run_brent(cubic, a, b), _scipy_brentq(cubic, a, b)
     assert _same(got, want), (got, want)

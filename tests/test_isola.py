@@ -309,7 +309,7 @@ def test_drift_slope_is_the_polar_fields_da(request, case, m_max):
     assert roots
     for rho, margin in roots:
         assert margin == float(odd_dval(rt.radial, rho)) \
-            == float(rd.da_of(rho))
+            == float(rd.at(rho, slopes=True)[1][0])
 
 
 class TestIsolaReport:

@@ -289,7 +289,7 @@ class TestSweep:
 
         def om_branch(rho, sign):
             d = float(_psi_roots(rd, rho, eps, 0)[1])
-            return rd.b_of(rho) + sign * math.sqrt(max(d, 0.0)) / rho
+            return rd.at(rho)[1] + sign * math.sqrt(max(d, 0.0)) / rho
 
         rhos = np.linspace(0.03, 0.11, 4000)
         sn_left = max(om_branch(r, -1) for r in rhos)   # K- flank fold

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ssm_resolve.beam import BeamSpec, build_beam
 from ssm_resolve.errors import ValidationError, SingularChartError
 from ssm_resolve.model import to_first_order, modal_decompose
 from ssm_resolve.polyalg import dense_eval
@@ -11,7 +12,7 @@ from ssm_resolve.ssm_forced import compute_nonautonomous_ssm
 from ssm_resolve.reduced import (assemble_polar, zero_problem, FixedPointU,
                                  fixed_point_stability)
 
-from conftest import polar_field, two_mass_system
+from conftest import BEAM, polar_field, two_mass_system
 
 
 @pytest.fixture(scope="module")
@@ -34,21 +35,53 @@ EPS = 0.002
 
 
 def test_coefficient_assembly(sp_ssm, sp_fr, sp_rd):
-    rd = sp_rd
+    a, b, f1, f2, g1, g2 = sp_rd.series.T
     lam = sp_ssm.lambda_master
-    assert rd.a_coeffs[0] == lam.real and rd.b_coeffs[0] == lam.imag
-    assert np.allclose(rd.a_coeffs[1:], sp_ssm.gamma.real)
-    assert np.allclose(rd.b_coeffs[1:], sp_ssm.gamma.imag)
-    assert len(rd.a_coeffs) == 4  # order 7: lambda and gamma_1..3
+    assert a[0] == lam.real and b[0] == lam.imag
+    assert np.allclose(a[1:], sp_ssm.gamma.real)
+    assert np.allclose(b[1:], sp_ssm.gamma.imag)
+    assert len(a) == 4  # order 7: lambda and gamma_1..3
     c, d = sp_fr.c_res, sp_fr.d_pm
     # f1/g2 share the c real part, f2/g1 its imaginary part; the d term
     # enters the four with alternating sign
-    assert rd.f1[0] == c[0].real and rd.g2[0] == c[0].real
-    assert rd.f2[0] == c[0].imag and rd.g1[0] == c[0].imag
-    assert np.allclose(rd.f1 + rd.g2, 2 * c.real)
-    assert np.allclose(rd.f2 + rd.g1, 2 * c.imag)
-    assert np.allclose(rd.f1 - rd.g2, 2 * d.real)
-    assert np.allclose(rd.g1 - rd.f2, 2 * d.imag)
+    assert f1[0] == c[0].real and g2[0] == c[0].real
+    assert f2[0] == c[0].imag and g1[0] == c[0].imag
+    assert np.allclose(f1 + g2, 2 * c.real)
+    assert np.allclose(f2 + g1, 2 * c.imag)
+    assert np.allclose(f1 - g2, 2 * d.real)
+    assert np.allclose(g1 - f2, 2 * d.imag)
+
+
+@pytest.mark.parametrize("system, normalization, order", [
+    (two_mass_system, "first-position", 7),
+    (lambda: build_beam(BeamSpec(elements=25, **BEAM)), "largest", 3),
+], ids=["two-mass", "beam25"])
+def test_stack_member_is_the_member_assembled_alone(system, normalization,
+                                                    order):
+    """Member i of stacked polar data is, byte for byte, the polar data of
+    member i of the forced stack: its series, and its values, slopes,
+    zero problem and Jacobian at one rho, also where the whole stack is
+    evaluated at once."""
+    mm = modal_decompose(to_first_order(system()),
+                         normalization=normalization)
+    ssm = compute_autonomous_ssm(mm, order)
+    batch = compute_nonautonomous_ssm(
+        ssm, mm.lambda_master.imag * np.linspace(0.9, 1.1, 6))
+    stack = assemble_polar(ssm, batch)
+    rho, psi = 0.05, 1.3
+    at_once = stack.at(np.full(len(batch.omega), rho), slopes=True)
+    for i in range(len(batch.omega)):
+        got, want = stack.take(i), assemble_polar(ssm, batch.take(i))
+        assert got.omega == want.omega
+        assert got.series.tobytes() == want.series.tobytes()
+        alone = want.at(rho, slopes=True)
+        for g, col, w in zip(got.at(rho, slopes=True), at_once, alone):
+            assert g.tobytes() == col[:, i].tobytes() == w.tobytes()
+        u = (rho, want.omega, psi)
+        assert (np.array(zero_problem(got, u, EPS)).tobytes()
+                == np.array(zero_problem(want, u, EPS)).tobytes())
+        assert (fixed_point_stability(got, u, EPS).jacobian.tobytes()
+                == fixed_point_stability(want, u, EPS).jacobian.tobytes())
 
 
 def test_order_mismatch_rejected(sp_modal, sp_fr):
@@ -117,15 +150,15 @@ def test_unforced_radial_flow_sign_structure(sp_ssm, sp_fr):
     # rest radii the sign of a never changes, and on a rest circle one
     # Jacobian eigenvalue is exactly zero (fold-degenerate)
     rd = assemble_polar(sp_ssm, sp_fr)
-    roots = np.roots(rd.a_coeffs[::-1])
+    roots = np.roots(rd.series[::-1, 0])
     radii = np.sqrt(sorted(r.real for r in roots
                            if abs(r.imag) < 1e-12 and r.real > 0))
     assert len(radii) >= 1
-    assert abs(rd.a_of(radii[0])) < 1e-12
+    assert abs(rd.at(radii[0])[0]) < 1e-12
     grid = [0.0, *radii, radii[-1] * 1.5]
     for lo, hi in zip(grid[:-1], grid[1:]):
         inner = np.linspace(lo, hi, 50)[1:-1]
-        signs = np.sign(rd.a_of(inner))
+        signs = np.sign([rd.at(r)[0] for r in inner])
         assert len(set(signs.tolist())) == 1
     rep = fixed_point_stability(rd, (float(radii[0]), rd.omega, 1.0), 0.0)
     assert rep.label == "fold-degenerate"
@@ -151,11 +184,12 @@ def test_linear_fixed_point_matches_closed_form_and_is_stable():
         c00 = fr.c_res[0]
         rho = eps * abs(c00) / np.hypot(lam.real, lam.imag - om)
         # solve the two linear equations for the phase directly
-        rhs1 = -rd.a_of(rho)
-        rhs2 = -(rd.b_of(rho) - om) * rho
-        det = -(rd.f1_of(rho) * rd.g2_of(rho) + rd.f2_of(rho) * rd.g1_of(rho))
-        cp = (rhs1 * (-rd.g2_of(rho)) - rhs2 * rd.f2_of(rho)) / (eps * det)
-        sp = (rhs2 * rd.f1_of(rho) - rhs1 * rd.g1_of(rho)) / (eps * det)
+        a, b, f1, f2, g1, g2 = rd.at(rho)
+        rhs1 = -a
+        rhs2 = -(b - om) * rho
+        det = -(f1 * g2 + f2 * g1)
+        cp = (rhs1 * (-g2) - rhs2 * f2) / (eps * det)
+        sp = (rhs2 * f1 - rhs1 * g1) / (eps * det)
         assert abs(cp ** 2 + sp ** 2 - 1) < 1e-10
         psi = np.arctan2(sp, cp)
         f1, f2 = zero_problem(rd, (rho, om, psi), eps=eps)
