@@ -29,7 +29,7 @@ from .beam import build_beam, read_beam_params
 from .errors import (DivergenceError, InternalResonanceError,
                      NonResonanceError, SemisimplicityError,
                      SingularChartError, SsmResolveError, ValidationError)
-from .frc import physical_amplitudes, trace_frc
+from .frc import physical_amplitude, trace_frc
 from .isola import isola_report
 from .model import (NONRESONANCE_TOL, check_nonresonance, modal_decompose,
                     spectral_quotient, to_first_order)
@@ -253,7 +253,8 @@ def _file_flags(path: str, parser: argparse.ArgumentParser,
     """A config file's keys as flags of ``command``, so that each value
     converts and is checked exactly as the same text typed after the flag.
     Numbers keep their JSON text; keys that only other commands read are
-    dropped, keys that no command reads or that repeat are refused."""
+    dropped, keys that no command reads or that repeat are refused, and so
+    is ``config``: the file it named would never be read."""
     def unique(pairs: list) -> dict:
         seen = set()
         for key, _ in pairs:
@@ -272,6 +273,8 @@ def _file_flags(path: str, parser: argparse.ArgumentParser,
         raise ValidationError(f"config file is not valid JSON: {exc}")
     if not isinstance(data, dict):
         raise ValidationError("config file must hold a JSON object")
+    if "config" in data:
+        raise ValidationError("a config file cannot name another one")
     commands = _commands(parser)
     unknown = set(data).difference(*map(_options, commands.values()))
     if unknown:
@@ -483,7 +486,8 @@ def _cmd_frc(cfg: argparse.Namespace) -> None:
     ssm = compute_autonomous_ssm(mm, cfg.order)
     curve = trace_frc(ssm, mm, cfg.eps, cfg.rho_max, cfg.n_rho,
                       omega_window=cfg.omega_window)
-    amps = physical_amplitudes(ssm, curve, coord).tolist()
+    amps = physical_amplitude(ssm, curve.forced, curve.points, coord,
+                              curve.eps).tolist()
 
     meta = _meta_lines(cfg, _master_summary(mm),
                        f"components: {len(curve.components)}; fold rho: "

@@ -69,7 +69,7 @@ from .ssm_auto import AutonomousSsm
 from .ssm_forced import (ForcedReduction, compute_nonautonomous_ssm,
                          leading_forcing_coefficient)
 from .reduced import (ReducedDynamics, FixedPointU, assemble_polar,
-                      zero_problem, stability_labels)
+                      fixed_point_stability, zero_problem)
 
 #: convergence target on |G| in the Omega solve
 G_TOL = 1e-12
@@ -354,8 +354,8 @@ def trace_frc(ssm: AutonomousSsm, mm, eps: float, rho_max: float,
         keep = np.flatnonzero(~bad & ~outside)
         if not keep.size:
             continue
-        labels = stability_labels(here.take(keep), rho[ps[keep]],
-                                  psi[at[keep]], eps=eps)
+        labels = fixed_point_stability(
+            here.take(keep), (rho[ps[keep]], om[keep], psi[at[keep]]), eps)
         for j, label in zip(keep.tolist(), labels.tolist()):
             p = int(ps[j])
             outcome[p] = FixedPointU(rho=float(rho[p]), omega=float(om[j]),
@@ -552,18 +552,24 @@ def _harmonics(rows: np.ndarray, rho: np.ndarray, shift: int,
     return weighted @ np.eye(2 * order + 1)[p - q + shift + order]
 
 
-def _peaks(ssm: AutonomousSsm, points: list[FixedPointU],
-           forced: ForcedReduction, coord: int, eps: float) -> np.ndarray:
-    """Peak |x_coord| of each point's reconstructed orbit, all at once;
-    ``forced`` holds one row per point (no frequency axis for one point)."""
+def physical_amplitude(ssm: AutonomousSsm, fr: ForcedReduction, u,
+                       coord: int, eps: float):
+    """Peak |x_coord| of the reconstructed periodic orbit at point ``u``.
+
+    The orbit is x(phi) = T (W0 + eps W1)(rho e^{i(psi+phi)},
+    rho e^{-i(psi+phi)}, phi) over one forcing period.  One FixedPointU
+    with one-frequency ``fr`` gives a float; a list of points with stacked
+    ``fr``, row i for point i, gives an array, all points at once.
+    """
+    points = [u] if isinstance(u, FixedPointU) else u
     if not points:
         return np.empty(0)
     order, t = ssm.order, ssm.mm.T[coord]
-    rho, psi = np.array([(u.rho, u.psi) for u in points]).T
+    rho, psi = np.array([(p.rho, p.psi) for p in points]).T
     harm = np.arange(-order, order + 1)
     coef = _harmonics(np.tensordot(t, ssm.w0_dense, 1), rho, 0, order)
     # (points, harmonic, k1, k2): every point's projection at once
-    rows = forced.dense(t @ forced.w).reshape(len(points), 2, order, order)
+    rows = fr.dense(t @ fr.w).reshape(len(points), 2, order, order)
     for b, shift in enumerate((1, -1)):
         coef += (eps * np.exp(-1j * shift * psi)[:, None]
                  * _harmonics(rows[:, b], rho, shift, order))
@@ -580,21 +586,5 @@ def _peaks(ssm: AutonomousSsm, points: list[FixedPointU],
             phi = np.clip(phi + np.nan_to_num(step), start - width,
                           start + width)
     polished = (coef * np.exp(1j * np.outer(phi, harm))).sum(axis=1).real
-    return np.maximum(vals.max(axis=1), np.abs(polished))
-
-
-def physical_amplitudes(ssm: AutonomousSsm, curve: FrcCurve,
-                        coord: int) -> np.ndarray:
-    """Peak |x_coord| of every point of ``curve``, from its kept forced
-    rows."""
-    return _peaks(ssm, curve.points, curve.forced, coord, curve.eps)
-
-
-def physical_amplitude(ssm: AutonomousSsm, fr: ForcedReduction,
-                       u: FixedPointU, coord: int, eps: float) -> float:
-    """Peak |x_coord| of the reconstructed periodic orbit at one point.
-
-    The orbit is x(phi) = T (W0 + eps W1)(rho e^{i(psi+phi)},
-    rho e^{-i(psi+phi)}, phi) over one forcing period.
-    """
-    return float(_peaks(ssm, [u], fr, coord, eps)[0])
+    peaks = np.maximum(vals.max(axis=1), np.abs(polished))
+    return float(peaks[0]) if isinstance(u, FixedPointU) else peaks

@@ -112,14 +112,6 @@ def zero_problem(rd: ReducedDynamics, u, eps: float):
             (b - omega) * rho + eps * (g1 * cp - g2 * sp))
 
 
-@dataclass
-class StabilityReport:
-    """Classification of one polar fixed point."""
-    eigenvalues: np.ndarray
-    jacobian: np.ndarray
-    label: str  # "stable" | "unstable" | "fold-degenerate"
-
-
 def _polar_jacobian(rd: ReducedDynamics, rho, psi, eps: float) -> np.ndarray:
     """(..., 2, 2) Jacobian of the planar field (rho', psi') in (rho, psi),
     which the chart's 1/rho makes singular at rho <= 0."""
@@ -140,24 +132,7 @@ def _polar_jacobian(rd: ReducedDynamics, rho, psi, eps: float) -> np.ndarray:
     return np.moveaxis(jac, (0, 1), (-2, -1))
 
 
-def _labels(rd: ReducedDynamics, eig: np.ndarray) -> np.ndarray:
-    """Stability label of each row of eigenvalue pairs of ``rd``'s field."""
-    re = eig.real
-    margin = STABILITY_MARGIN * np.hypot(rd.series[0, 0], rd.series[0, 1])
-    return np.where(np.any(np.abs(re) < margin[..., None], axis=-1),
-                    "fold-degenerate",
-                    np.where(np.all(re < 0, axis=-1), "stable", "unstable"))
-
-
-def stability_labels(rd: ReducedDynamics, rho, psi,
-                     eps: float) -> np.ndarray:
-    """Labels of the fixed points (rho[j], psi[j]) of stacked polar data
-    ``rd``, column j each: fixed_point_stability's, for a batch at once."""
-    return _labels(rd, np.linalg.eigvals(_polar_jacobian(rd, rho, psi, eps)))
-
-
-def fixed_point_stability(rd: ReducedDynamics, u,
-                          eps: float) -> StabilityReport:
+def fixed_point_stability(rd: ReducedDynamics, u, eps: float):
     """Classify a fixed point u = (rho, Omega, psi) by the polar Jacobian.
 
     The Jacobian differentiates the true planar field (rho', psi') — with its
@@ -165,9 +140,13 @@ def fixed_point_stability(rd: ReducedDynamics, u,
     Both eigenvalue real parts negative means stable; a real part within
     STABILITY_MARGIN * |lambda_master| of zero is reported as
     fold-degenerate (lambda_master = a_0 + i b_0, the series' constant
-    terms).
+    terms).  One point of one-frequency ``rd`` gives its label; arrays of
+    points with stacked ``rd``, column j for point j, give an array of them.
     """
-    jac = _polar_jacobian(rd, float(u[0]), float(u[2]), eps)
-    eig = np.linalg.eigvals(jac)
-    return StabilityReport(eigenvalues=eig, jacobian=jac,
-                           label=str(_labels(rd, eig)))
+    rho, _, psi = u
+    re = np.linalg.eigvals(_polar_jacobian(rd, rho, psi, eps)).real
+    margin = STABILITY_MARGIN * np.hypot(rd.series[0, 0], rd.series[0, 1])
+    labels = np.where(np.any(np.abs(re) < margin[..., None], axis=-1),
+                      "fold-degenerate",
+                      np.where(np.all(re < 0, axis=-1), "stable", "unstable"))
+    return labels if labels.ndim else str(labels)

@@ -119,12 +119,16 @@ def frc_svg(curve, amplitudes, header=()) -> str:
 
     Stable runs are solid, unstable runs dashed, a run of one point a filled
     dot, fold-degenerate points open circles; each connected component gets
-    its own color.  ``amplitudes`` holds the y value of each point.
+    its own color.  ``amplitudes`` holds the y value of each point.  A
+    curve without points draws its title and a centred note, no axes.
 
     Returns the SVG document as a string.
     """
+    title = f"response curve, forcing amplitude {curve.eps:g}"
     if not curve.points:
-        raise ValidationError("cannot plot an empty response curve")
+        return _document([f'<text x="{WIDTH // 2}" y="{HEIGHT // 2}" '
+                          'text-anchor="middle">no accepted points</text>'],
+                         title, header)
     xs = [p.omega for p in curve.points]
     ys = [float(a) for a in amplitudes]
     fr = _Frame(min(xs), max(xs), min(0.0, min(ys)), max(ys))
@@ -168,9 +172,7 @@ def frc_svg(curve, amplitudes, header=()) -> str:
                     f'y2="{ly + 16}" stroke="#404040" stroke-width="1.5" '
                     'stroke-dasharray="6 4"/>')
     elements.append(f'<text x="{lx + 34}" y="{ly + 20}">unstable</text>')
-    return _document(elements,
-                     f"response curve, forcing amplitude {curve.eps:g}",
-                     header)
+    return _document(elements, title, header)
 
 
 def _run_element(run, color, style) -> str:

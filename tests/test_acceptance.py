@@ -334,7 +334,7 @@ def test_stability_labels_match_finite_difference_jacobian(sp_ssm3,
             fr = compute_nonautonomous_ssm(ssm, p.omega)
             rd = assemble_polar(ssm, fr)
             analytic = fixed_point_stability(
-                rd, (p.rho, p.omega, p.psi), curve.eps).label
+                rd, (p.rho, p.omega, p.psi), curve.eps)
             assert analytic == p.stability  # the traced tag is reproducible
             fd = _finite_difference_label(rd, p, curve.eps)
             if "fold-degenerate" in (analytic, fd):

@@ -423,6 +423,18 @@ def test_frc_reports_smallest_forced_denominator(tmp_path, capsys):
     assert lines[-2] == "smallest forced denominator: none (no accepted points)"
 
 
+def test_frc_svg_of_an_empty_curve_writes_both_files(tmp_path, capsys):
+    """A window that keeps no point is a result, not an input error: the
+    CSV holds its header alone and the SVG a note."""
+    out, svg = tmp_path / "e.csv", tmp_path / "e.svg"
+    assert main(["frc", "--system", sp_file(tmp_path), "--eps", "0.0027",
+                 "--rho-max", "0.06", "--n-rho", "20", "--out", str(out),
+                 "--omega-window", "10:11", "--svg", str(svg)]) == 0
+    assert body_lines(out.read_text()) == [
+        "component,branch,Omega,rho,psi,stability,physical_amplitude"]
+    assert ">no accepted points</text>" in svg.read_text()
+
+
 def test_quiet_silences_informational_output(tmp_path, capsys):
     sysfile = sp_file(tmp_path)
     out = tmp_path / "q.csv"
@@ -906,6 +918,17 @@ def test_repeated_keys_exit_two(tmp_path, capsys):
                  "--config", str(cfgfile)]) == 2
     assert ("config file repeats key 'order'"
             in capsys.readouterr().err)
+
+
+def test_config_file_naming_another_exits_two(tmp_path, capsys):
+    """A config file's ``config`` key is refused rather than ignored: the
+    file it names would never be read."""
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text('{"config": "nothere.json"}')
+    assert main(["analyze", "--system", sp_file(tmp_path),
+                 "--config", str(cfgfile)]) == 2
+    assert (capsys.readouterr().err
+            == "error: a config file cannot name another one\n")
 
 
 # ---------------------------------------------------------------------------

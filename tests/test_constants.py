@@ -15,7 +15,6 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "ssm_resolve"
 PERFBENCH = SRC.parents[1] / "perfbench"
 CONSTANT = re.compile(r"[A-Z][A-Z0-9_]*")
-DOTTED = re.compile(r"\w+(\.\w+)*")
 
 
 def _defined(tree: ast.Module) -> list[str]:
@@ -84,15 +83,16 @@ def _imported(tree: ast.Module) -> set[str]:
             for alias in node.names for part in alias.name.split(".")}
 
 
-def _dotted_strings(tree: ast.Module) -> set[str]:
-    """The last part of each string constant spelled as a dotted name, the
-    package's module paths aside: the trace targets name the functions they
-    wrap as strings, while ``"ssm_resolve.frc"`` names a module and
-    ``"frc.points_accepted"`` a metric, so neither reads a name ``frc``."""
-    return {node.value.rsplit(".", 1)[-1] for node in ast.walk(tree)
-            if isinstance(node, ast.Constant) and isinstance(node.value, str)
-            and DOTTED.fullmatch(node.value)
-            and not node.value.startswith(SRC.name + ".")}
+def _trace_targets() -> set[str]:
+    """Each part of the qualified name of each benchmark trace target: the
+    benchmark wraps these functions by name, as the strings of
+    ``perfbench/tracing.py``'s ``TARGETS``."""
+    tree = ast.parse((PERFBENCH / "tracing.py").read_text())
+    targets, = (node.value for node in tree.body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["TARGETS"])
+    return {part for _, qualname, _ in ast.literal_eval(targets)
+            for part in qualname.split(".")}
 
 
 def test_every_public_function_class_and_method_is_read_in_src_or_the_benchmark():
@@ -100,7 +100,7 @@ def test_every_public_function_class_and_method_is_read_in_src_or_the_benchmark(
            for p in sorted(SRC.glob("*.py"))}
     bench = [ast.parse(p.read_text(), str(p))
              for p in sorted(PERFBENCH.glob("*.py"))]
-    named = set().union(*(_dotted_strings(t) for t in bench))
+    named = _trace_targets()
     assert "compute_nonautonomous_ssm" in named
     read = named.union(*(_read(t) | _imported(t)
                          for t in [*src.values(), *bench]))

@@ -29,8 +29,7 @@ from ssm_resolve.sysio import write_system
 from ssm_resolve.reduced import (ReducedDynamics, FixedPointU, assemble_polar,
                                  zero_problem)
 from ssm_resolve.frc import (BRANCHES, DOUBLE_ROOT, trace_frc,
-                             physical_amplitude, physical_amplitudes,
-                             _psi_roots)
+                             physical_amplitude, _psi_roots)
 
 
 def _double_roots(ssm, eps: float, rho):
@@ -526,7 +525,8 @@ class TestPhysicalAmplitudes:
         else:
             ssm, curve, coord = request.getfixturevalue(f"{case}_trace")
         assert len(curve.points) > 20
-        amps = physical_amplitudes(ssm, curve, coord)
+        amps = physical_amplitude(ssm, curve.forced, curve.points, coord,
+                                  curve.eps)
         ref = np.array([_reference_peak(ssm, curve.forced.take(i), p, coord,
                                         curve.eps)
                         for i, p in enumerate(curve.points)])
@@ -536,7 +536,7 @@ class TestPhysicalAmplitudes:
     def test_each_entry_is_the_one_point_amplitude(self, sp_ssm3,
                                                     sp_trace_isola):
         fc = sp_trace_isola
-        amps = physical_amplitudes(sp_ssm3, fc, 1)
+        amps = physical_amplitude(sp_ssm3, fc.forced, fc.points, 1, fc.eps)
         one = np.array([physical_amplitude(sp_ssm3, fc.forced.take(i), p, 1,
                                            fc.eps)
                         for i, p in enumerate(fc.points)])
@@ -547,7 +547,7 @@ class TestPhysicalAmplitudes:
         """The benchmark's per-point call (a fresh solve at the point's
         Omega, eps passed explicitly) gives each curve amplitude."""
         fc = sp_trace_isola
-        amps = physical_amplitudes(sp_ssm3, fc, 0)
+        amps = physical_amplitude(sp_ssm3, fc.forced, fc.points, 0, fc.eps)
         one = np.array([physical_amplitude(
             sp_ssm3, compute_nonautonomous_ssm(sp_ssm3, p.omega), p, 0,
             eps=fc.eps) for p in fc.points])
@@ -558,7 +558,7 @@ class TestPhysicalAmplitudes:
         fc = trace_frc(sp_ssm3, sp_modal, 0.0027, rho_max=0.13, n_rho=20,
                        omega_window=(10.0, 11.0))
         assert fc.points == []
-        amps = physical_amplitudes(sp_ssm3, fc, 0)
+        amps = physical_amplitude(sp_ssm3, fc.forced, fc.points, 0, fc.eps)
         assert amps.shape == (0,)
 
 
@@ -1024,7 +1024,8 @@ def _in_units(L: float, T: float, m: float, order: int):
     ssm = compute_autonomous_ssm(mm, order)
     curve = trace_frc(ssm, mm, 0.0027, 0.13 / L, 260)
     iso = leading_isola(compute_autonomous_ssm(mm, 3), 0.0027)
-    return curve, physical_amplitudes(ssm, curve, 0), iso
+    return (curve, physical_amplitude(ssm, curve.forced, curve.points, 0,
+                                      curve.eps), iso)
 
 
 def _units(L=1.0, T=1.0, m=1.0, xfail=None):

@@ -107,11 +107,15 @@ class TestFrcSvg:
         ys = np.linspace(1.0, 2.0, 18)
         assert frc_svg(_curve(), ys) != _svg()
 
-    def test_empty_curve_rejected(self):
+    def test_empty_curve_draws_a_note(self):
         empty = FrcCurve(eps=1e-3, points=[], folds=np.array([]),
                          components=[], rho_max=0.1, n_rho=5)
-        with pytest.raises(ValidationError):
-            _svg(empty)
+        svg = _svg(empty, header=["tool x"])
+        assert svg.endswith("</svg>\n")
+        assert "<!-- tool x -->" in svg
+        assert "response curve, forcing amplitude 0.001" in svg
+        assert ">no accepted points</text>" in svg
+        assert "<rect x=" not in svg and "<polyline" not in svg
 
 
 class TestRootsSvg:
